@@ -23,15 +23,17 @@ Analysis kernel
 :class:`CanBusAnalysis` is the hot primitive of the whole library: the jitter
 sweeps of Figure 4/5, the GA of Section 4.3 and the compositional engine all
 reduce to many ``analyze_all`` calls.  The class therefore precomputes, once
-per instance, a per-message *interference table*: the flat sequence of
-``(transmission_time, period, jitter, min_distance)`` tuples of all
-higher-priority messages (in K-Matrix order, so float summation order -- and
-hence every result bit -- matches the naive formulation retained in
-:mod:`repro.analysis.reference`).  The busy-period and queuing-delay fixed
-points then run as tight arithmetic loops over those tables instead of
-re-deriving priority sets, event models, blocking terms and horizons on every
-iteration.  Blocking, the error-retransmission bound and the divergence
-horizon are likewise computed once per message.
+per instance, a per-message *interference table*: one ``(transmission_time,
+period, jitter, min_distance)`` row per higher-priority message (in K-Matrix
+order, so float summation order -- and hence every result bit -- matches the
+naive formulation retained in :mod:`repro.analysis.reference`).  The
+busy-period and queuing-delay fixed points of all requested messages then
+run in lockstep over those tables in :class:`repro.analysis.vector.
+BatchSolver` instead of re-deriving priority sets, event models, blocking
+terms and horizons on every iteration.  Rows whose event model overrides
+``eta_plus`` are evaluated through the model itself.  Blocking, the
+error-retransmission bound and the divergence horizon are likewise computed
+once per message.
 
 Because the right-hand side of each fixed point depends on the iterate only
 through *integer* activation counts (the ``eta_plus`` values and the error
@@ -70,26 +72,25 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.analysis import vector as _vector
-from repro.analysis.backend import resolve_backend
 from repro.cancel import CancelToken
 from repro.can.bus import CanBus
 from repro.can.controller import ControllerModel
 from repro.can.kmatrix import KMatrix
 from repro.can.message import CanMessage
 from repro.errors.models import ErrorModel, NoErrors
-from repro.events.model import EventModel, _ceil_div
-from repro.events.model import _EPSILON as _SNAP_EPS
+from repro.events.model import EventModel
 
 
 #: Safety valve for the fixed-point iterations: if a busy period grows beyond
 #: this many times the largest period involved, the configuration is treated
 #: as unschedulable (response time unbounded for practical purposes).
 _MAX_BUSY_PERIOD_FACTOR = 1000.0
-_MAX_ITERATIONS = 100_000
 
 #: Base implementation of the arrival curve; event models that do not
-#: override it can be evaluated from their flat parameter tuple.
+#: override it are evaluated from their interference-table row.
 _BASE_ETA_PLUS = EventModel.eta_plus
 
 
@@ -140,24 +141,16 @@ def best_case_response_time(message: CanMessage, bus: CanBus) -> float:
 class _MessageKernel:
     """Frozen per-message interference table (see the module docstring).
 
-    ``hp_flat`` holds one ``(transmission_time, period, jitter, min_distance)``
-    tuple per higher-priority message, in K-Matrix order.  When any involved
-    event model overrides ``eta_plus`` the kernel falls back to ``hp_models``
-    (``(transmission_time, model)`` pairs, same order) so exotic models keep
-    their semantics.
+    ``hp_table`` is an ``(n, 4)`` float64 array with one ``(transmission_time,
+    period, jitter, min_distance)`` row per higher-priority message, in
+    K-Matrix order; it is treated as immutable once built (``adopt_kernels``
+    copies before patching rows).  ``hp_custom`` lists the ``(row, model)``
+    pairs whose event model overrides ``eta_plus``; the batch solver
+    evaluates those rows through the model itself.
     """
 
     __slots__ = ("own_c", "best_c", "model", "own_params", "blocking",
-                 "retransmit", "hp_flat", "hp_models", "hp_names", "jitter",
-                 "hp_array")
-
-    def __init__(self) -> None:
-        self.hp_flat: Optional[list[tuple[float, float, float, float]]] = None
-        self.hp_models: list[tuple[float, EventModel]] = []
-        self.hp_names: list[str] = []
-        # Lazily materialised (n, 4) float64 view of ``hp_flat`` used by the
-        # numpy batch kernel; treated as immutable once built.
-        self.hp_array = None
+                 "retransmit", "hp_table", "hp_custom", "hp_names", "jitter")
 
 
 class CanBusAnalysis:
@@ -182,11 +175,6 @@ class CanBusAnalysis:
         Optional externally supplied activation models (used by the
         compositional engine to inject gateway output models); by default
         each message's own K-Matrix event model is used.
-    backend:
-        Execution backend for the fixed-point loops (``"auto"``/``None``,
-        ``"numpy"`` or ``"scalar"``; see :mod:`repro.analysis.backend`).
-        Both backends return bit-identical results; ``"numpy"`` silently
-        degrades to ``"scalar"`` when numpy is not importable.
     """
 
     def __init__(
@@ -197,11 +185,9 @@ class CanBusAnalysis:
         assumed_jitter_fraction: float = 0.0,
         controllers: Mapping[str, ControllerModel] | None = None,
         event_models: Mapping[str, EventModel] | None = None,
-        backend: str | None = None,
     ) -> None:
         self.kmatrix = kmatrix
         self.bus = bus
-        self.backend = resolve_backend(backend)
         self.error_model = error_model if error_model is not None else NoErrors()
         self.assumed_jitter_fraction = assumed_jitter_fraction
         self.controllers = dict(controllers or {})
@@ -223,10 +209,9 @@ class CanBusAnalysis:
         self._horizon = _MAX_BUSY_PERIOD_FACTOR * max(
             (m.period for m in kmatrix), default=1.0)
         # Profiling accumulators (monotonic plain ints, mirroring
-        # BatchSolver's): total fixed-point iterations across both
-        # backends and the largest lockstep active set.  Always-on; the
-        # service layer reads deltas and publishes them to its metrics
-        # registry once per solve.
+        # BatchSolver's): total lockstep iterations and the largest active
+        # set.  Always-on; the service layer reads deltas and publishes them
+        # to its metrics registry once per solve.
         self.profile_iterations = 0
         self.profile_max_active = 0
         # Per-message interference tables, built lazily so single-message
@@ -305,9 +290,9 @@ class CanBusAnalysis:
             (model.period, model.jitter, model.min_distance)
             if type(model).eta_plus is _BASE_ETA_PLUS else None)
 
-        hp_models: list[tuple[float, EventModel]] = []
+        rows: list[tuple[float, float, float, float]] = []
+        hp_custom: list[tuple[int, EventModel]] = []
         hp_names: list[str] = []
-        all_standard = True
         retransmit = own_c
         own_id = message.can_id
         for other in self.kmatrix:
@@ -315,22 +300,17 @@ class CanBusAnalysis:
                 continue
             c = self._transmission_times[other.name]
             other_model = self._models[other.name]
-            hp_models.append((c, other_model))
-            hp_names.append(other.name)
             if type(other_model).eta_plus is not _BASE_ETA_PLUS:
-                all_standard = False
+                hp_custom.append((len(rows), other_model))
+            rows.append((c, other_model.period, other_model.jitter,
+                         other_model.min_distance))
+            hp_names.append(other.name)
             if c > retransmit:
                 retransmit = c
-        kernel.hp_models = hp_models
+        kernel.hp_table = np.array(rows, dtype=np.float64).reshape(-1, 4)
+        kernel.hp_custom = tuple(hp_custom)
         kernel.hp_names = hp_names
         kernel.retransmit = retransmit
-        if all_standard:
-            kernel.hp_flat = [
-                (c, m.period, m.jitter, m.min_distance) for c, m in hp_models]
-        else:
-            # A custom eta_plus somewhere: evaluate every model generically so
-            # summation order (and therefore every float bit) is preserved.
-            kernel.hp_flat = None
         return kernel
 
     def adopt_kernels(
@@ -350,11 +330,11 @@ class CanBusAnalysis:
         that precondition blocking, retransmission bounds and interference
         membership are identical, so a basis kernel either carries over
         verbatim (no changed model at or above the message) or needs only
-        its changed ``hp_flat``/model entries patched -- O(|hp|) pointer
+        its changed ``hp_table`` rows/model entries patched -- O(|hp|) pointer
         work per message instead of a full table rebuild.
 
         ``names`` restricts adoption to the messages about to be analysed.
-        Models with a custom ``eta_plus`` anywhere in the changed set fall
+        A changed model with a custom ``eta_plus`` makes every message fall
         back to the normal lazy build (exactness over speed).
         """
         if any(type(m).eta_plus is not _BASE_ETA_PLUS
@@ -369,8 +349,6 @@ class CanBusAnalysis:
             if wanted is not None and name not in wanted:
                 continue
             old = basis._kernel(message)
-            if old.hp_flat is None:
-                continue
             own_changed = name in changed
             if len(changed) <= 4:
                 # C-speed scans beat a Python enumerate for small deltas.
@@ -394,27 +372,18 @@ class CanBusAnalysis:
             kernel.retransmit = old.retransmit
             kernel.hp_names = old.hp_names
             if positions:
-                hp_flat = old.hp_flat.copy()
-                hp_models = old.hp_models.copy()
+                hp_table = old.hp_table.copy()
                 for index in positions:
-                    c = hp_flat[index][0]
                     model = changed_models[old.hp_names[index]]
-                    hp_flat[index] = (c, model.period, model.jitter,
-                                      model.min_distance)
-                    hp_models[index] = (c, model)
-                kernel.hp_flat = hp_flat
-                kernel.hp_models = hp_models
-                if old.hp_array is not None:
-                    # Patch the numpy row table alongside the tuple list so
-                    # the batch kernel keeps skipping the table rebuild too.
-                    hp_array = old.hp_array.copy()
-                    for index in positions:
-                        hp_array[index] = hp_flat[index]
-                    kernel.hp_array = hp_array
+                    hp_table[index, 1:] = (model.period, model.jitter,
+                                           model.min_distance)
+                kernel.hp_table = hp_table
+                kernel.hp_custom = tuple(
+                    (row, model) for row, model in old.hp_custom
+                    if row not in positions)
             else:
-                kernel.hp_flat = old.hp_flat
-                kernel.hp_models = old.hp_models
-                kernel.hp_array = old.hp_array
+                kernel.hp_table = old.hp_table
+                kernel.hp_custom = old.hp_custom
             if own_changed:
                 model = changed_models[name]
                 kernel.model = model
@@ -426,126 +395,6 @@ class CanBusAnalysis:
                 kernel.jitter = old.jitter
                 kernel.own_params = old.own_params
             self._kernels[name] = kernel
-
-    # ------------------------------------------------------------------ #
-    # Hot arithmetic loops
-    # ------------------------------------------------------------------ #
-    def _interference_of(self, kernel: _MessageKernel, window: float) -> float:
-        """Higher-priority interference in a queuing window of ``window`` ms.
-
-        The flat path inlines :func:`repro.events.model._ceil_div` (same
-        arithmetic, bit for bit) to keep the per-iteration cost at a few
-        float operations per higher-priority message.
-        """
-        dt = window + self._bit_time
-        total = 0.0
-        if kernel.hp_flat is not None:
-            if dt <= 0:
-                return 0.0
-            ceil = math.ceil
-            for c, period, jitter, min_distance in kernel.hp_flat:
-                value = (dt + jitter) / period
-                nearest = round(value)
-                if abs(value - nearest) <= _SNAP_EPS * (
-                        nearest if nearest > 1.0 else 1.0):
-                    activations = nearest
-                else:
-                    activations = ceil(value)
-                if min_distance > 0.0:
-                    capped = _ceil_div(dt, min_distance) + 1
-                    if capped < activations:
-                        activations = capped
-                total += activations * c
-            return total
-        for c, model in kernel.hp_models:
-            total += model.eta_plus(dt) * c
-        return total
-
-    def _own_eta_plus(self, kernel: _MessageKernel, dt: float) -> int:
-        params = kernel.own_params
-        if params is None:
-            return kernel.model.eta_plus(dt)
-        if dt <= 0:
-            return 0
-        period, jitter, min_distance = params
-        activations = _ceil_div(dt + jitter, period)
-        if min_distance > 0.0:
-            capped = _ceil_div(dt, min_distance) + 1
-            if capped < activations:
-                activations = capped
-        return activations
-
-    def _error_overhead_of(self, kernel: _MessageKernel, window: float) -> float:
-        """Error recovery + retransmission overhead in a window."""
-        if self._no_errors:
-            return 0.0
-        return self.error_model.overhead(
-            window, self._recovery, kernel.retransmit)
-
-    # ------------------------------------------------------------------ #
-    # Busy-period machinery
-    # ------------------------------------------------------------------ #
-    def _busy_period(self, kernel: _MessageKernel,
-                     seed: float | None = None,
-                     cancel: CancelToken | None = None) -> tuple[float, bool]:
-        """Length of the priority-level busy period (includes own instances).
-
-        ``seed`` warm-starts the fixed point; it must respect the lower-bound
-        contract of the module docstring.  ``cancel`` is checked once per
-        iteration (see :mod:`repro.cancel`).
-        """
-        own_c = kernel.own_c
-        blocking = kernel.blocking
-        horizon = self._horizon
-        t = own_c + blocking
-        if seed is not None and seed > t:
-            t = seed
-        for iteration in range(_MAX_ITERATIONS):
-            if cancel is not None:
-                cancel.check()
-            own_instances = self._own_eta_plus(kernel, t)
-            if own_instances < 1:
-                own_instances = 1
-            new_t = (blocking
-                     + own_instances * own_c
-                     + self._interference_of(kernel, t)
-                     + self._error_overhead_of(kernel, t))
-            if new_t > horizon:
-                self.profile_iterations += iteration + 1
-                return new_t, False
-            if new_t == t:
-                self.profile_iterations += iteration + 1
-                return new_t, True
-            t = new_t
-        self.profile_iterations += _MAX_ITERATIONS
-        return t, False
-
-    def _queuing_delay(self, kernel: _MessageKernel, instance: int,
-                       seed: float | None = None,
-                       cancel: CancelToken | None = None) -> tuple[float, bool]:
-        """Fixed point for the queuing delay of the given instance (0-based)."""
-        own_c = kernel.own_c
-        blocking = kernel.blocking
-        horizon = self._horizon
-        base = blocking + instance * own_c
-        w = base
-        if seed is not None and seed > w:
-            w = seed
-        for iteration in range(_MAX_ITERATIONS):
-            if cancel is not None:
-                cancel.check()
-            new_w = (base
-                     + self._interference_of(kernel, w)
-                     + self._error_overhead_of(kernel, w + own_c))
-            if new_w > horizon:
-                self.profile_iterations += iteration + 1
-                return new_w, False
-            if new_w == w:
-                self.profile_iterations += iteration + 1
-                return new_w, True
-            w = new_w
-        self.profile_iterations += _MAX_ITERATIONS
-        return w, False
 
     # ------------------------------------------------------------------ #
     # Public analysis entry points
@@ -563,61 +412,10 @@ class CanBusAnalysis:
         monotonicity contract that keeps the seeded analysis exact.
         ``cancel`` (see :mod:`repro.cancel`) is checked between fixed-point
         iterations; a fired token raises instead of running to the cap.
+        A one-item :meth:`response_times_batch`.
         """
-        kernel = self._kernel(message)
-        own_c = kernel.own_c
-        jitter = kernel.jitter
-        blocking = kernel.blocking
-
-        busy_seed = None
-        delay_seeds: Sequence[float] = ()
-        if warm_start is not None and warm_start.bounded:
-            busy_seed = warm_start.busy_period
-            delay_seeds = warm_start.queuing_delays
-
-        busy, busy_bounded = self._busy_period(
-            kernel, seed=busy_seed, cancel=cancel)
-        if not busy_bounded:
-            return MessageResponseTime(
-                name=message.name, can_id=message.can_id,
-                transmission_time=own_c, blocking=blocking, jitter=jitter,
-                worst_case=math.inf,
-                best_case=kernel.best_c,
-                busy_period=busy, instances_analyzed=0, bounded=False)
-
-        instances = max(self._own_eta_plus(kernel, busy), 1)
-        worst = 0.0
-        bounded = True
-        delays: list[float] = []
-        own_model = kernel.model
-        for q in range(instances):
-            seed = delay_seeds[q] if q < len(delay_seeds) else None
-            w, ok = self._queuing_delay(kernel, q, seed=seed, cancel=cancel)
-            if not ok:
-                bounded = False
-                worst = math.inf
-                break
-            delays.append(w)
-            # The (q+1)-th instance arrives no earlier than delta_minus(q+1)
-            # after the critical-instant arrival, which itself was delayed by
-            # the full jitter.
-            arrival_offset = own_model.delta_minus(q + 1)
-            response = jitter + w + own_c - arrival_offset
-            worst = max(worst, response)
-
-        return MessageResponseTime(
-            name=message.name,
-            can_id=message.can_id,
-            transmission_time=own_c,
-            blocking=blocking,
-            jitter=jitter,
-            worst_case=worst,
-            best_case=kernel.best_c,
-            busy_period=busy,
-            instances_analyzed=instances,
-            bounded=bounded,
-            queuing_delays=tuple(delays),
-        )
+        return self.response_times_batch(
+            [(message, warm_start)], cancel=cancel)[message.name]
 
     def response_times_batch(
         self,
@@ -626,122 +424,105 @@ class CanBusAnalysis:
     ) -> dict[str, MessageResponseTime]:
         """Response times of many ``(message, warm_start)`` pairs at once.
 
-        Under the ``numpy`` backend all messages with a flat interference
-        table are solved in lockstep by :class:`repro.analysis.vector.
-        BatchSolver`: one busy-period pass over all messages, then one
-        queuing-delay pass over all analysed instances, each evaluating
+        All messages are solved in lockstep by :class:`repro.analysis.
+        vector.BatchSolver`: one busy-period pass over all messages, then
+        one queuing-delay pass over all analysed instances, each evaluating
         every higher-priority activation count as array operations.  Warm
-        seeds follow the same lower-bound contract as
-        :meth:`response_time` and are applied in the same batch (this is
-        what makes a warm what-if re-verification a couple of numpy passes
-        instead of O(n) scalar fixed points).  Messages whose kernels have
-        no flat table (custom ``eta_plus``) fall back to the scalar loops.
+        seeds follow the lower-bound contract of the module docstring and
+        are applied in the same batch (this is what makes a warm what-if
+        re-verification a couple of numpy passes).
 
-        Results are bit-identical to per-message :meth:`response_time`
-        calls; the returned dict preserves ``items`` order.
+        The returned dict preserves ``items`` order.
         """
-        if self.backend != "numpy":
-            return {
-                message.name: self.response_time(
-                    message, warm_start=warm, cancel=cancel)
-                for message, warm in items
-            }
-        batch: list[tuple[CanMessage, _MessageKernel,
-                          MessageResponseTime | None]] = []
-        for message, warm in items:
-            kernel = self._kernel(message)
-            if kernel.hp_flat is not None:
-                batch.append((message, kernel, warm))
-        solved: dict[str, MessageResponseTime] = {}
-        if batch:
-            solver = _vector.BatchSolver(
-                [kernel for _, kernel, _ in batch],
-                self._bit_time, self._recovery, self._horizon,
-                None if self._no_errors else self.error_model,
-                cancel=cancel)
-            busy_seeds = [
-                warm.busy_period if warm is not None and warm.bounded
-                else None
-                for _, _, warm in batch]
-            busy, busy_ok = solver.busy_periods(busy_seeds)
-            instance_counts = solver.own_instances(busy)
-            item_kernel: list[int] = []
-            item_instance: list[float] = []
-            item_seeds: list[float | None] = []
-            counts: list[int] = []
-            busy_ok_list = busy_ok.tolist()
-            for index, (message, kernel, warm) in enumerate(batch):
-                if not busy_ok_list[index]:
-                    counts.append(0)
-                    continue
-                instances = int(instance_counts[index])
-                counts.append(instances)
-                delay_seeds: Sequence[float] = ()
-                if warm is not None and warm.bounded:
-                    delay_seeds = warm.queuing_delays
-                for q in range(instances):
-                    item_kernel.append(index)
-                    item_instance.append(float(q))
-                    item_seeds.append(
-                        delay_seeds[q] if q < len(delay_seeds) else None)
-            delays_w, delays_ok = solver.queuing_delays(
-                item_kernel, item_instance, item_seeds)
-            self.profile_iterations += solver.iterations
-            if solver.max_active > self.profile_max_active:
-                self.profile_max_active = solver.max_active
-            busy_list = busy.tolist()
-            w_list = delays_w.tolist()
-            ok_list = delays_ok.tolist()
-            position = 0
-            for index, (message, kernel, warm) in enumerate(batch):
-                own_c = kernel.own_c
-                jitter = kernel.jitter
-                blocking = kernel.blocking
-                if not busy_ok_list[index]:
-                    solved[message.name] = MessageResponseTime(
-                        name=message.name, can_id=message.can_id,
-                        transmission_time=own_c, blocking=blocking,
-                        jitter=jitter, worst_case=math.inf,
-                        best_case=kernel.best_c,
-                        busy_period=busy_list[index],
-                        instances_analyzed=0, bounded=False)
-                    continue
-                instances = counts[index]
-                worst = 0.0
-                bounded = True
-                delays: list[float] = []
-                own_model = kernel.model
-                for q in range(instances):
-                    if not ok_list[position + q]:
-                        bounded = False
-                        worst = math.inf
-                        break
-                    w = w_list[position + q]
-                    delays.append(w)
-                    arrival_offset = own_model.delta_minus(q + 1)
-                    response = jitter + w + own_c - arrival_offset
-                    worst = max(worst, response)
-                position += instances
-                solved[message.name] = MessageResponseTime(
-                    name=message.name,
-                    can_id=message.can_id,
-                    transmission_time=own_c,
-                    blocking=blocking,
-                    jitter=jitter,
-                    worst_case=worst,
+        batch = [(message, self._kernel(message), warm)
+                 for message, warm in items]
+        if not batch:
+            return {}
+        solver = _vector.BatchSolver(
+            [kernel for _, kernel, _ in batch],
+            self._bit_time, self._recovery, self._horizon,
+            None if self._no_errors else self.error_model,
+            cancel=cancel)
+        busy_seeds = [
+            warm.busy_period if warm is not None and warm.bounded
+            else None
+            for _, _, warm in batch]
+        busy, busy_ok = solver.busy_periods(busy_seeds)
+        instance_counts = solver.own_instances(busy)
+        item_kernel: list[int] = []
+        item_instance: list[float] = []
+        item_seeds: list[float | None] = []
+        counts: list[int] = []
+        busy_ok_list = busy_ok.tolist()
+        for index, (message, kernel, warm) in enumerate(batch):
+            if not busy_ok_list[index]:
+                counts.append(0)
+                continue
+            instances = int(instance_counts[index])
+            counts.append(instances)
+            delay_seeds: Sequence[float] = ()
+            if warm is not None and warm.bounded:
+                delay_seeds = warm.queuing_delays
+            for q in range(instances):
+                item_kernel.append(index)
+                item_instance.append(float(q))
+                item_seeds.append(
+                    delay_seeds[q] if q < len(delay_seeds) else None)
+        delays_w, delays_ok = solver.queuing_delays(
+            item_kernel, item_instance, item_seeds)
+        self.profile_iterations += solver.iterations
+        if solver.max_active > self.profile_max_active:
+            self.profile_max_active = solver.max_active
+        busy_list = busy.tolist()
+        w_list = delays_w.tolist()
+        ok_list = delays_ok.tolist()
+        results: dict[str, MessageResponseTime] = {}
+        position = 0
+        for index, (message, kernel, warm) in enumerate(batch):
+            own_c = kernel.own_c
+            jitter = kernel.jitter
+            blocking = kernel.blocking
+            if not busy_ok_list[index]:
+                results[message.name] = MessageResponseTime(
+                    name=message.name, can_id=message.can_id,
+                    transmission_time=own_c, blocking=blocking,
+                    jitter=jitter, worst_case=math.inf,
                     best_case=kernel.best_c,
                     busy_period=busy_list[index],
-                    instances_analyzed=instances,
-                    bounded=bounded,
-                    queuing_delays=tuple(delays),
-                )
-        results: dict[str, MessageResponseTime] = {}
-        for message, warm in items:
-            result = solved.get(message.name)
-            if result is None:
-                result = self.response_time(
-                    message, warm_start=warm, cancel=cancel)
-            results[message.name] = result
+                    instances_analyzed=0, bounded=False)
+                continue
+            instances = counts[index]
+            worst = 0.0
+            bounded = True
+            delays: list[float] = []
+            own_model = kernel.model
+            for q in range(instances):
+                if not ok_list[position + q]:
+                    bounded = False
+                    worst = math.inf
+                    break
+                w = w_list[position + q]
+                delays.append(w)
+                # The (q+1)-th instance arrives no earlier than
+                # delta_minus(q+1) after the critical-instant arrival,
+                # which itself was delayed by the full jitter.
+                arrival_offset = own_model.delta_minus(q + 1)
+                response = jitter + w + own_c - arrival_offset
+                worst = max(worst, response)
+            position += instances
+            results[message.name] = MessageResponseTime(
+                name=message.name,
+                can_id=message.can_id,
+                transmission_time=own_c,
+                blocking=blocking,
+                jitter=jitter,
+                worst_case=worst,
+                best_case=kernel.best_c,
+                busy_period=busy_list[index],
+                instances_analyzed=instances,
+                bounded=bounded,
+                queuing_delays=tuple(delays),
+            )
         return results
 
     def analyze_all(
@@ -754,24 +535,14 @@ class CanBusAnalysis:
         ``warm_start`` maps message names to previous results used as
         fixed-point seeds (missing names are analysed cold); the seeds must
         satisfy the lower-bound contract described in the module docstring.
-        Under the ``numpy`` backend the whole bus is solved in one
-        vectorized batch (:meth:`response_times_batch`).
+        The whole bus is solved in one batch (:meth:`response_times_batch`).
         """
-        if self.backend == "numpy":
-            if warm_start is None:
-                return self.response_times_batch(
-                    [(m, None) for m in self.kmatrix], cancel=cancel)
-            return self.response_times_batch(
-                [(m, warm_start.get(m.name)) for m in self.kmatrix],
-                cancel=cancel)
         if warm_start is None:
-            return {m.name: self.response_time(m, cancel=cancel)
-                    for m in self.kmatrix}
-        return {
-            m.name: self.response_time(
-                m, warm_start=warm_start.get(m.name), cancel=cancel)
-            for m in self.kmatrix
-        }
+            return self.response_times_batch(
+                [(m, None) for m in self.kmatrix], cancel=cancel)
+        return self.response_times_batch(
+            [(m, warm_start.get(m.name)) for m in self.kmatrix],
+            cancel=cancel)
 
     def utilization(self) -> float:
         """Worst-case bus utilization implied by the analysed message set."""

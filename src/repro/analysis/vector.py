@@ -1,45 +1,48 @@
 """Vectorized batch kernel for the response-time fixed points (numpy).
 
-This module is the ``numpy`` backend behind
-:class:`~repro.analysis.response_time.CanBusAnalysis` (see
-:mod:`repro.analysis.backend` for selection).  It compiles the frozen
-per-message interference tables (``_MessageKernel.hp_flat``) into flat numpy
-record arrays -- one row of ``(transmission_time, period, jitter,
-min_distance)`` per higher-priority message, concatenated bus-wide in
-K-Matrix order with per-message offsets -- and then runs the busy-period and
-queuing-delay fixed points of *many* messages in lockstep:
+This module is the solver behind
+:class:`~repro.analysis.response_time.CanBusAnalysis`.  It concatenates the
+frozen per-message interference tables (``_MessageKernel.hp_table``, one row
+of ``(transmission_time, period, jitter, min_distance)`` per higher-priority
+message) bus-wide in K-Matrix order with per-message offsets, and then runs
+the busy-period and queuing-delay fixed points of *many* messages in
+lockstep:
 
 * every higher-priority activation count of every candidate window is
   evaluated as one array operation over the row table (instead of one
   Python-level ``ceil`` per message per iteration);
 * the ~2 warm-start right-hand-side evaluations per message of a what-if
   query are batched *across* messages, so re-verifying a whole bus costs a
-  couple of numpy passes instead of O(n) scalar loops;
+  couple of numpy passes;
 * messages converge (or diverge past the horizon) individually and drop out
-  of the active set, so the lockstep sweep does the same total row work as
-  the scalar loops, at array speed.
+  of the active set, so the lockstep sweep does no row work for settled
+  messages.
 
 Bit-identity
 ------------
-Results must stay bit-identical to the scalar loops (and hence to
-:mod:`repro.analysis.reference`, the executable spec).  Two rules make that
-hold:
+Results must stay bit-identical to :mod:`repro.analysis.reference`, the
+executable spec.  Three rules make that hold:
 
-* every element-wise operation replicates the scalar arithmetic IEEE
-  operation for IEEE operation on float64 (``np.rint`` is round-half-even,
+* every element-wise operation replicates the scalar ``eta_plus``
+  arithmetic of :class:`~repro.events.model.EventModel` IEEE operation for
+  IEEE operation on float64 (``np.rint`` is round-half-even,
   exactly like Python's ``round``; the snap tolerances are the same
   expressions; activation counts are integer-valued doubles well below
   2**53, so products and comparisons are exact);
+* rows whose event model overrides ``eta_plus`` (and a message's own
+  overriding model) are evaluated one at a time as
+  ``model.eta_plus(dt) * c``, the reference expression itself;
 * the per-message interference *sum* runs left-to-right over the row table
-  (``sum`` over a list slice accumulates in the same order as the scalar
-  ``total += ...`` loop) -- numpy's pairwise ``np.sum`` would regroup the
-  additions and change low-order bits, so it is deliberately not used.
+  (``sum`` over a list slice accumulates in the same order as the
+  reference's ``total += ...`` loop) -- numpy's pairwise ``np.sum`` would
+  regroup the additions and change low-order bits, so it is deliberately
+  not used.
 
 The error-model overhead is vectorized for the standard
 :class:`~repro.errors.models.SporadicErrorModel` and
 :class:`~repro.errors.models.BurstErrorModel` parameter shapes; any other
 model is evaluated per message through its own ``overhead`` method on Python
-floats, which is the scalar arithmetic by construction.
+floats, which is the reference arithmetic by construction.
 """
 
 from __future__ import annotations
@@ -47,34 +50,12 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships in the CI image
-    np = None
+import numpy as np
 
 from repro.errors.models import BurstErrorModel, SporadicErrorModel
 from repro.events.model import _EPSILON
 
-HAVE_NUMPY = np is not None
-
 _MAX_ITERATIONS = 100_000
-
-
-def hp_table(kernel) -> "np.ndarray":
-    """The (n, 4) float64 row table of one frozen kernel, built lazily.
-
-    Cached on the kernel (``hp_array``); treated as immutable --
-    ``adopt_kernels`` copies before patching rows.
-    """
-    table = kernel.hp_array
-    if table is None:
-        flat = kernel.hp_flat
-        if flat:
-            table = np.array(flat, dtype=np.float64)
-        else:
-            table = np.empty((0, 4), dtype=np.float64)
-        kernel.hp_array = table
-    return table
 
 
 def _segment_indices(starts: "np.ndarray", counts: "np.ndarray",
@@ -96,7 +77,7 @@ def _segment_indices(starts: "np.ndarray", counts: "np.ndarray",
 
 def _segment_sums(products: "np.ndarray",
                   counts_list: Sequence[int]) -> "np.ndarray":
-    """Left-to-right per-segment sums (the scalar accumulation order)."""
+    """Left-to-right per-segment sums (the reference accumulation order)."""
     values = products.tolist()
     out = np.empty(len(counts_list), dtype=np.float64)
     pos = 0
@@ -131,14 +112,13 @@ def _arrivals_vec(t: "np.ndarray", period: float) -> "np.ndarray":
 class BatchSolver:
     """Lockstep fixed-point solver over a set of frozen message kernels.
 
-    All kernels must have a flat interference table (``hp_flat is not
-    None``); messages whose *own* event model overrides ``eta_plus`` are
-    still accepted -- their own-activation term falls back to the model's
-    scalar method per iteration.
+    Event models that override ``eta_plus`` are accepted anywhere: a
+    message's own model and every interference row listed in its kernel's
+    ``hp_custom`` fall back to the model's own method per iteration.
 
     ``error_model`` is ``None`` for an error-free bus; otherwise overheads
     are evaluated vectorized (standard models) or per message (exotic
-    models), always reproducing the scalar arithmetic.
+    models), always reproducing the reference arithmetic.
 
     ``cancel`` is an optional :class:`repro.cancel.CancelToken` checked once
     per lockstep iteration; a fired token raises out of the sweep instead of
@@ -173,23 +153,30 @@ class BatchSolver:
         self.own_period = np.array([p[0] for p in params], dtype=np.float64)
         self.own_jitter = np.array([p[1] for p in params], dtype=np.float64)
         self.own_dmin = np.array([p[2] for p in params], dtype=np.float64)
-        tables = [hp_table(k) for k in self.kernels]
+        tables = [k.hp_table for k in self.kernels]
         self.counts = np.array([t.shape[0] for t in tables], dtype=np.int64)
         self.starts = np.zeros(n, dtype=np.int64)
         if n > 1:
             np.cumsum(self.counts[:-1], out=self.starts[1:])
+        # Overriding models of interference rows, keyed by global row.
+        self.custom = {
+            start + row: model
+            for k, start in zip(self.kernels, self.starts.tolist())
+            for row, model in k.hp_custom}
         rows = (np.concatenate(tables, axis=0) if tables
                 else np.empty((0, 4), dtype=np.float64))
         self.hp_c = np.ascontiguousarray(rows[:, 0])
         self.hp_period = np.ascontiguousarray(rows[:, 1])
         self.hp_jitter = np.ascontiguousarray(rows[:, 2])
         self.hp_dmin = np.ascontiguousarray(rows[:, 3])
+        self.row_custom = np.zeros(rows.shape[0], dtype=bool)
+        self.row_custom[list(self.custom)] = True
 
     # ------------------------------------------------------------------ #
-    # Element-wise replicas of the scalar hot loops
+    # Element-wise replicas of the reference arithmetic
     # ------------------------------------------------------------------ #
     def _products(self, dt, c, period, jitter, dmin, has_d, dmin_safe):
-        """Per-row ``activations * c`` (the flat ``_interference_of`` body)."""
+        """Per-row ``activations * c`` of the standard ``eta_plus``."""
         value = (dt + jitter) / period
         nearest = np.rint(value)
         snap = np.abs(value - nearest) <= _EPSILON * np.maximum(nearest, 1.0)
@@ -203,8 +190,16 @@ class BatchSolver:
             products = np.where(dt <= 0.0, 0.0, products)
         return products
 
+    def _override_products(self, products, dt, c, rows):
+        """Overwrite the rows whose model overrides ``eta_plus``."""
+        custom = self.custom
+        for index in np.flatnonzero(self.row_custom[rows]):
+            model = custom[int(rows[index])]
+            products[index] = model.eta_plus(float(dt[index])) * float(
+                c[index])
+
     def _own_eta(self, w, period, jitter, dmin, flat_mask, kidx):
-        """Vector replica of ``_own_eta_plus`` (scalar for exotic models)."""
+        """Own-model ``eta_plus`` per item (overriding models one by one)."""
         activations = _ceil_div_vec(w + jitter, period)
         has_d = dmin > 0.0
         if has_d.any():
@@ -255,8 +250,9 @@ class BatchSolver:
         has one item per analysed instance).  ``base`` is the additive term
         of the queuing-delay right-hand side (``None`` for the busy-period
         phase, whose RHS carries the own-instances term instead).  Returns
-        ``(values, bounded)`` in item order, replicating the scalar loops'
-        horizon/equality checks and iteration cap exactly.
+        ``(values, bounded)`` in item order.  Each item stops on the
+        horizon, on exact float equality (the iterate reproduces itself
+        once its activation counts settle) or at the iteration cap.
         """
         n_items = int(kidx.size)
         out_w = np.empty(n_items, dtype=np.float64)
@@ -276,6 +272,7 @@ class BatchSolver:
             dmin_safe = np.where(has_d, dmin, 1.0)
         else:
             has_d = dmin_safe = None
+        rows = seg if self.custom else None
         own_c = self.own_c[kidx]
         retransmit = self.retransmit[kidx]
         if busy:
@@ -296,10 +293,11 @@ class BatchSolver:
             if cancel is not None:
                 cancel.check()
             dt_rows = np.repeat(w + self.bit_time, counts)
-            interference = _segment_sums(
-                self._products(dt_rows, c, period, jitter, dmin,
-                               has_d, dmin_safe),
-                counts_list)
+            products = self._products(dt_rows, c, period, jitter, dmin,
+                                      has_d, dmin_safe)
+            if rows is not None:
+                self._override_products(products, dt_rows, c, rows)
+            interference = _segment_sums(products, counts_list)
             if busy:
                 own_eta = self._own_eta(w, own_period, own_jitter, own_dmin,
                                         own_flat, active_kidx)
@@ -336,6 +334,8 @@ class BatchSolver:
             if has_d is not None:
                 has_d = has_d[row_keep]
                 dmin_safe = dmin_safe[row_keep]
+            if rows is not None:
+                rows = rows[row_keep]
             own_c = own_c[keep]
             retransmit = retransmit[keep]
             active_kidx = active_kidx[keep]

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.backend import resolve_backend
 from repro.analysis.response_time import CanBusAnalysis, MessageResponseTime
 from repro.analysis.schedulability import report_from_results
 from repro.cancel import CancelToken
@@ -156,13 +155,11 @@ def _segment_arrival_models(
 def _analyze_segment_job(args: tuple) -> tuple:
     """Analyse one bus segment (top-level so ``process`` pools can pickle it).
 
-    ``args`` is ``(segment, controllers, send_models, previous, backend)``
-    where ``previous`` carries the segment's (event models, results) from the
-    last global iteration for warm starting and ``backend`` selects the
-    fixed-point execution backend (resolved in the worker, so a process pool
-    without numpy degrades to scalar on its own).
+    ``args`` is ``(segment, controllers, send_models, previous)`` where
+    ``previous`` carries the segment's (event models, results) from the last
+    global iteration for warm starting.
     """
-    segment, controllers, send_models, previous, backend = args
+    segment, controllers, send_models, previous = args
     overrides = {
         name: model for name, model in send_models.items()
         if name in segment.kmatrix}
@@ -173,7 +170,6 @@ def _analyze_segment_job(args: tuple) -> tuple:
         assumed_jitter_fraction=segment.assumed_jitter_fraction,
         controllers=controllers,
         event_models=overrides,
-        backend=backend,
     )
     models = {m.name: analysis.event_model(m) for m in segment.kmatrix}
     seeds = None
@@ -219,17 +215,11 @@ class CompositionalAnalysis:
         ``REPRO_PARALLEL=process`` implies the rebuild path because
         sessions are in-process state that cannot follow a job into a
         worker process.
-    analysis_backend:
-        Fixed-point execution backend for every analysis this engine builds
-        (``"auto"``/``None``, ``"numpy"`` or ``"scalar"``; see
-        :mod:`repro.analysis.backend`).  Results are backend-independent
-        bit for bit.
     """
 
     def __init__(self, system: SystemModel, max_iterations: int = 50,
                  sessions: Mapping[str, AnalysisSession] | None = None,
-                 incremental: bool = True,
-                 analysis_backend: str | None = None) -> None:
+                 incremental: bool = True) -> None:
         problems = system.validate()
         if problems:
             raise ValueError(
@@ -239,7 +229,6 @@ class CompositionalAnalysis:
         self.system = system
         self.max_iterations = max_iterations
         self.incremental = incremental
-        self.analysis_backend = resolve_backend(analysis_backend)
         # Per-segment sweep state of the *last* run, retained across runs:
         # every reuse it enables is fingerprint-guarded (the incremental
         # path carries arrival models over only on an exact query-key
@@ -280,8 +269,7 @@ class CompositionalAnalysis:
                 segment,
                 controllers=dict(self.system.controllers) or None,
                 max_cached_configs=_SESSION_CACHE_PER_SEGMENT,
-                name=f"engine:{segment.name}",
-                backend=self.analysis_backend)
+                name=f"engine:{segment.name}")
             self._sessions[segment.name] = session
         return session
 
@@ -424,7 +412,7 @@ class CompositionalAnalysis:
                 else:
                     previous = None
                 jobs.append((segment, controllers, dict(send_models),
-                             previous, self.analysis_backend))
+                             previous))
             outcomes = parallel_map(_analyze_segment_job, jobs)
             for segment, (results, arrivals, report, models) in zip(
                     segments, outcomes):

@@ -296,6 +296,17 @@ class MetricsRegistry:
             return None
         return metric.value
 
+    def family(self, name: str, label: str) -> dict[str, float]:
+        """Counter/gauge values of one metric name, keyed by ``label``."""
+        with self._lock:
+            entries = [(dict(labels).get(label, ""), metric)
+                       for (metric_name, labels), metric
+                       in self._metrics.items()
+                       if metric_name == name
+                       and not isinstance(metric, Histogram)]
+        return {key: metric.value
+                for key, metric in sorted(entries, key=lambda e: e[0])}
+
     def reset(self) -> None:
         """Zero every instrument in place (handles stay valid)."""
         with self._lock:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 import threading
 import time
 import uuid
@@ -266,7 +267,9 @@ class SlowQueryLog:
         self.min_interval_s = min_interval_s
         self.logger = log if log is not None else logger
         self._lock = threading.Lock()
-        self._last_emit = 0.0
+        # "Never emitted": time.monotonic() counts from an arbitrary origin
+        # (often boot), so any finite start could suppress the first record.
+        self._last_emit = -math.inf
         self._suppressed = 0
         self.emitted = 0
 

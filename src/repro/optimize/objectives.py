@@ -252,15 +252,13 @@ def evaluate_configuration_with_context(
     """Evaluate a candidate and return warm-start context for its offspring.
 
     ``warm_start`` supplies the parent candidate's context (see the module
-    docstring); ``backend`` selects the optimised kernel (default, with its
-    ``"numpy"``/``"scalar"`` fixed-point backend chosen automatically --
-    name either explicitly to pin it) or the retained naive path
-    (``"reference"``, used by equivalence tests and the seed-vs-kernel
-    benchmark; it ignores all warm starts).
+    docstring); ``backend`` selects the optimised kernel (``"kernel"``, the
+    default) or the retained naive path (``"reference"``, used by
+    equivalence tests and the seed-vs-kernel benchmark; it ignores all warm
+    starts).
     """
-    if backend not in ("kernel", "reference", "numpy", "scalar"):
+    if backend not in ("kernel", "reference"):
         raise ValueError(f"unknown analysis backend {backend!r}")
-    analysis_backend = None if backend in ("kernel", "reference") else backend
     order = tuple(m.name for m in kmatrix.sorted_by_priority())
 
     # Evaluate scenarios in an order that allows chaining: ascending jitter
@@ -285,8 +283,7 @@ def evaluate_configuration_with_context(
                 kmatrix=kmatrix, bus=scenario.bus,
                 error_model=scenario.error_model,
                 assumed_jitter_fraction=scenario.assumed_jitter_fraction,
-                controllers=scenario.controllers,
-                backend=analysis_backend)
+                controllers=scenario.controllers)
             seeds: Mapping[str, MessageResponseTime] | None = None
             predecessor = _chain_predecessor(scenarios, evaluated, index)
             if predecessor is not None:

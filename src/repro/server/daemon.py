@@ -231,13 +231,6 @@ class AnalysisDaemon:
         self._system_catalogs: dict[str, SystemScenarioCatalog] = {}
         self._engine_lock = threading.Lock()
         self._started = time.monotonic()
-        self._counter_lock = threading.Lock()
-        self.requests_served = 0
-        self.errors = 0
-        self.rejected_overload = 0
-        self.rejected_draining = 0
-        self.timeouts = 0
-        self.op_counts: dict[str, int] = {}
         self._shutdown = threading.Event()
         # In-flight work-request accounting: the token registry is what a
         # drain cancels, the counter is what admission control bounds.
@@ -399,9 +392,6 @@ class AnalysisDaemon:
         request_id = request.get("id")
         op = request.get("op")
         handler = self._ops.get(op)
-        with self._counter_lock:
-            self.requests_served += 1
-            self.op_counts[op or "?"] = self.op_counts.get(op or "?", 0) + 1
         # Label cardinality stays bounded: unknown (client-invented) op
         # strings all map to "?" in metrics and traces.
         op_name = str(op) if handler is not None else "?"
@@ -440,16 +430,12 @@ class AnalysisDaemon:
         if not control:
             with self._active_lock:
                 if self._draining:
-                    with self._counter_lock:
-                        self.rejected_draining += 1
                     self._m_admission["rejected_draining"].inc()
                     rejection = self._error(
                         f"daemon {self.name} is draining", request_id,
                         code="draining")
                 elif self.max_inflight is not None \
                         and self._inflight >= self.max_inflight:
-                    with self._counter_lock:
-                        self.rejected_overload += 1
                     self._m_admission["rejected_overload"].inc()
                     rejection = self._error(
                         f"daemon at max in-flight requests "
@@ -485,8 +471,6 @@ class AnalysisDaemon:
         try:
             return self._reply(handler(request, cancel), request_id)
         except DeadlineExceeded:
-            with self._counter_lock:
-                self.timeouts += 1
             return self._error(
                 f"deadline of {request.get('deadline_ms')} ms exceeded",
                 request_id, code="timeout")
@@ -498,8 +482,6 @@ class AnalysisDaemon:
                 "request cancelled by daemon drain", request_id,
                 code="draining")
         except QueueFullError as error:
-            with self._counter_lock:
-                self.rejected_overload += 1
             return self._error(str(error), request_id, code="overloaded",
                                retry_after_ms=error.retry_after_ms)
         except UnknownTargetError as error:
@@ -596,12 +578,36 @@ class AnalysisDaemon:
 
     def _error(self, message: str, request_id, code: str = "internal",
                retry_after_ms: Optional[int] = None) -> dict:
-        with self._counter_lock:
-            self.errors += 1
+        """A typed error response, counted in ``daemon_errors_total``.
+
+        ``batch`` step slots come through here too (their ``ok``/``id``
+        keys dropped), so every error the daemon reports is counted once.
+        """
         self.metrics.counter("daemon_errors_total", code=code).inc()
         return protocol.error_response(
             message, code=code, request_id=request_id,
             retry_after_ms=retry_after_ms)
+
+    def _step_error(self, message: str, code: str,
+                    retry_after_ms: Optional[int] = None) -> dict:
+        """The error slot of one failed ``batch`` step."""
+        slot = self._error(message, None, code=code,
+                           retry_after_ms=retry_after_ms)
+        del slot["ok"]
+        return slot
+
+    def _counts(self) -> dict:
+        """Request and error totals, read from the metrics registry."""
+        ops = self.metrics.family("daemon_requests_total", "op")
+        codes = self.metrics.family("daemon_errors_total", "code")
+        return {
+            "requests_served": int(sum(ops.values())),
+            "errors": int(sum(codes.values())),
+            "timeouts": int(codes.get("timeout", 0)),
+            "rejected_overload": int(codes.get("overloaded", 0)),
+            "rejected_draining": int(codes.get("draining", 0)),
+            "ops": {op: int(count) for op, count in ops.items()},
+        }
 
     # ------------------------------------------------------------------ #
     # Endpoints
@@ -643,10 +649,7 @@ class AnalysisDaemon:
             status = "degraded"
         with self._active_lock:
             inflight = self._inflight
-        with self._counter_lock:
-            rejected_overload = self.rejected_overload
-            rejected_draining = self.rejected_draining
-            timeouts = self.timeouts
+        counts = self._counts()
         return {
             "status": status,
             "causes": causes,
@@ -667,9 +670,9 @@ class AnalysisDaemon:
                 "inflight": inflight,
                 "max_inflight": self.max_inflight,
                 "straggler_count": len(stragglers),
-                "rejected_overload": rejected_overload,
-                "rejected_draining": rejected_draining,
-                "timeouts": timeouts,
+                "rejected_overload": counts["rejected_overload"],
+                "rejected_draining": counts["rejected_draining"],
+                "timeouts": counts["timeouts"],
                 "monitor_active_alerts": active_alerts,
             },
             "queue": {"mode": self.jobs.mode, "workers": self.jobs.workers,
@@ -683,12 +686,7 @@ class AnalysisDaemon:
     def _op_stats(self, request: Mapping, cancel=None) -> dict:
         stats = self.pool.stats()
         return {
-            "requests_served": self.requests_served,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "rejected_overload": self.rejected_overload,
-            "rejected_draining": self.rejected_draining,
-            "ops": dict(sorted(self.op_counts.items())),
+            **self._counts(),
             "sessions": [protocol.session_stats_to_json(s) for s in stats],
             "evicted_sessions": self.pool.evicted_sessions,
             "queue": self.jobs.stats(),
@@ -758,6 +756,10 @@ class AnalysisDaemon:
         target = str(request["target"])
         session = self.pool.get(target)
         steps = request.get("queries", ())
+        if not isinstance(steps, (list, tuple)) or not all(
+                isinstance(step, Mapping) for step in steps):
+            raise ValueError("batch field 'queries' must be a list of "
+                             "objects")
         faults = self.faults
 
         def run_step(deltas, label, with_report):
@@ -783,10 +785,8 @@ class AnalysisDaemon:
                         run_step(d, lb, wr),
                     label=f"batch:{target}", cancel=cancel))
             except QueueFullError as error:
-                with self._counter_lock:
-                    self.rejected_overload += 1
-                slots.append({"error": str(error), "code": "overloaded",
-                              "retry_after_ms": error.retry_after_ms})
+                slots.append(self._step_error(
+                    str(error), "overloaded", error.retry_after_ms))
         results = []
         for future in slots:
             if isinstance(future, dict):
@@ -795,25 +795,21 @@ class AnalysisDaemon:
             try:
                 results.append(protocol.query_result_to_json(future.result()))
             except DeadlineExceeded:
-                with self._counter_lock:
-                    self.timeouts += 1
-                results.append({"error": "deadline exceeded",
-                                "code": "timeout"})
+                results.append(self._step_error(
+                    "deadline exceeded", "timeout"))
             except Cancelled as error:
                 code = ("draining" if error.reason == "draining"
                         else "timeout")
-                results.append({"error": str(error), "code": code})
+                results.append(self._step_error(str(error), code))
             except _FutureCancelled:
-                results.append({"error": "step cancelled by daemon drain",
-                                "code": "draining"})
+                results.append(self._step_error(
+                    "step cancelled by daemon drain", "draining"))
             except QueueFullError as error:
-                with self._counter_lock:
-                    self.rejected_overload += 1
-                results.append({"error": str(error), "code": "overloaded",
-                                "retry_after_ms": error.retry_after_ms})
+                results.append(self._step_error(
+                    str(error), "overloaded", error.retry_after_ms))
             except Exception as error:  # noqa: BLE001 - typed per-step slot
-                results.append({"error": str(error) or repr(error),
-                                "code": "internal"})
+                results.append(self._step_error(
+                    str(error) or repr(error), "internal"))
         return {"target": target, "results": results}
 
     def _op_register(self, request: Mapping, cancel=None) -> dict:
@@ -1175,7 +1171,8 @@ class AnalysisDaemon:
 
     def describe(self) -> str:
         """One-line daemon summary."""
+        counts = self._counts()
         return (f"{self.name}: {len(self.pool)} sessions, "
                 f"{len(self.catalog)} scenarios, "
-                f"{self.requests_served} requests served "
-                f"({self.errors} errors); {self.jobs.describe()}")
+                f"{counts['requests_served']} requests served "
+                f"({counts['errors']} errors); {self.jobs.describe()}")

@@ -67,13 +67,8 @@ class BusConfiguration:
             deadline_policy=segment.deadline_policy,
         )
 
-    def build_analysis(self, backend: str | None = None) -> CanBusAnalysis:
-        """Fresh analysis kernel for this configuration.
-
-        ``backend`` selects the fixed-point execution backend (see
-        :mod:`repro.analysis.backend`); it does not enter
-        :meth:`analysis_key` because both backends are bit-identical.
-        """
+    def build_analysis(self) -> CanBusAnalysis:
+        """Fresh analysis kernel for this configuration."""
         return CanBusAnalysis(
             kmatrix=self.kmatrix,
             bus=self.bus,
@@ -81,7 +76,6 @@ class BusConfiguration:
             assumed_jitter_fraction=self.assumed_jitter_fraction,
             controllers=self.controllers,
             event_models=self.event_models,
-            backend=backend,
         )
 
     def effective_event_model(self, name: str) -> EventModel:

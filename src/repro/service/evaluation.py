@@ -44,7 +44,7 @@ def _group_key(scenario: AnalysisScenario) -> tuple:
 class SessionEvaluator:
     """Evaluates identifier assignments through cached what-if sessions.
 
-    Drop-in (bit-identical) replacement for the kernel backend of
+    Drop-in (bit-identical) replacement for the ``"kernel"`` path of
     :func:`repro.optimize.objectives.evaluate_configuration_with_context`.
     Thread-safe: the underlying sessions serialise cache access and every
     analysis path is deterministic.
@@ -56,7 +56,6 @@ class SessionEvaluator:
         scenarios: Sequence[AnalysisScenario],
         sensitivity_threshold: float = 0.10,
         max_cached_configs: int = 128,
-        backend: str | None = None,
     ) -> None:
         self.kmatrix = kmatrix
         self.scenarios = tuple(scenarios)
@@ -80,7 +79,6 @@ class SessionEvaluator:
                     controllers=scenario.controllers,
                     max_cached_configs=max_cached_configs,
                     name=f"ga:{scenario.bus.name}",
-                    backend=backend,
                 )
             self._session_of.append(self._sessions[key])
         # Ascending-jitter schedule, mirroring the direct evaluation path.

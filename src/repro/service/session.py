@@ -46,7 +46,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.analysis.backend import resolve_backend
 from repro.analysis.response_time import (
     _MAX_BUSY_PERIOD_FACTOR,
     CanBusAnalysis,
@@ -131,10 +130,10 @@ def _flat_activations(dt: float, period: float, jitter: float,
                       min_distance: float) -> int:
     """Activation count of one flat model entry at window ``dt``.
 
-    Replicates the inlined arithmetic of
-    :meth:`CanBusAnalysis._interference_of` operation for operation, so a
-    count compared equal here guarantees the interference *sum* is
-    bit-identical (same values, same summation order).
+    Replicates the standard ``EventModel.eta_plus`` row arithmetic of
+    :meth:`repro.analysis.vector.BatchSolver._products` operation for
+    operation, so a count compared equal here guarantees the interference
+    *sum* is bit-identical (same values, same summation order).
     """
     if dt <= 0:
         return 0
@@ -440,16 +439,12 @@ class AnalysisSession:
         deadline_policy: str = "period",
         max_cached_configs: int = 128,
         name: str | None = None,
-        backend: str | None = None,
         metrics=None,
         store=None,
     ) -> None:
         if max_cached_configs < 2:
             raise ValueError("max_cached_configs must be at least 2")
         self.name = name or f"session:{bus.name}"
-        # Resolved once so every kernel this session builds uses the same
-        # fixed-point backend (results are backend-independent bit for bit).
-        self.backend = resolve_backend(backend)
         self._base = BusConfiguration(
             kmatrix=kmatrix,
             bus=bus,
@@ -660,7 +655,7 @@ class AnalysisSession:
                                 label, hit_stats, with_report=with_report)
 
         analysis = entry.analysis if entry is not None \
-            else config.build_analysis(backend=self.backend)
+            else config.build_analysis()
         profile = entry.profile if entry is not None \
             else _Profile(config, analysis)
 
@@ -1118,10 +1113,9 @@ class AnalysisSession:
                 bit_time = profile.bus.bit_time_ms
         # First pass: settle every reuse decision and collect the messages
         # that actually need a fixed point, with their warm seeds.  The
-        # solves then run as ONE batched pass (`response_times_batch`): under
-        # the numpy backend the whole what-if query becomes a couple of
-        # vectorized RHS evaluations across all messages instead of O(n)
-        # scalar fixed-point loops.
+        # solves then run as ONE batched pass (`response_times_batch`): the
+        # whole what-if query becomes a couple of vectorized RHS evaluations
+        # across all messages.
         solve: list = []
         warm_seeded: set[str] = set()
         for message in config.kmatrix:

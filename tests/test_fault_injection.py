@@ -437,6 +437,62 @@ class TestGracefulDrain:
 
 
 # --------------------------------------------------------------------------- #
+# Daemon counters: one source, the metrics registry
+# --------------------------------------------------------------------------- #
+class TestDaemonCounters:
+    def test_stats_and_signals_equal_registry_series(self, config,
+                                                      divergent):
+        daemon = _fresh_daemon(config, mode="thread", workers=2,
+                               max_inflight=4)
+        daemon.add_config("div", divergent)
+        steps = [{"deltas": deltas_to_json((JitterDelta(fraction=f),))}
+                 for f in (0.1, 0.2, 0.3)]
+        try:
+            timeout = daemon.handle(
+                {"op": "query", "target": "div", "deadline_ms": 50})
+            assert timeout["code"] == "timeout"
+            batch = daemon.handle({"op": "batch", "target": "div",
+                                   "deadline_ms": 50, "queries": steps})
+            assert batch["ok"] is True
+            assert [slot["code"] for slot in batch["result"]["results"]] \
+                == ["timeout"] * len(steps)
+            assert daemon.handle({"op": "batch", "target": "pt",
+                                  "queries": "abc"})["code"] == "invalid"
+            assert daemon.handle({"op": "frobnicate"})["code"] == "invalid"
+            assert daemon.handle({"op": "query", "target": "nope"})[
+                "code"] == "unknown_target"
+            with daemon._active_lock:
+                daemon._inflight += 4  # occupy every admission slot
+            assert daemon.handle({"op": "query", "target": "pt"})[
+                "code"] == "overloaded"
+            with daemon._active_lock:
+                daemon._inflight -= 4
+            assert daemon.handle({"op": "query", "target": "pt"})["ok"]
+        finally:
+            daemon.close(grace=0.5)
+        assert daemon.handle({"op": "query", "target": "pt"})[
+            "code"] == "draining"
+
+        codes = daemon.metrics.family("daemon_errors_total", "code")
+        assert codes == {"draining": 1, "invalid": 2, "overloaded": 1,
+                         "timeout": 1 + len(steps), "unknown_target": 1}
+        stats = daemon.handle({"op": "stats"})["result"]
+        ops = daemon.metrics.family("daemon_requests_total", "op")
+        signals = daemon.handle({"op": "health"})["result"]["signals"]
+        expected = {"timeouts": codes["timeout"],
+                    "rejected_overload": codes["overloaded"],
+                    "rejected_draining": codes["draining"]}
+        assert stats["requests_served"] == sum(ops.values())
+        assert stats["ops"] == ops
+        assert stats["errors"] == sum(codes.values())
+        for field, value in expected.items():
+            assert stats[field] == value, field
+            assert signals[field] == value, field
+        assert (f"{int(sum(ops.values())) + 1} requests served "
+                f"({stats['errors']} errors)") in daemon.describe()
+
+
+# --------------------------------------------------------------------------- #
 # TCP faults: drops, slow reads, restarts
 # --------------------------------------------------------------------------- #
 class TestTcpFaults:

@@ -12,18 +12,15 @@ deterministic) and compare full result objects with ``==``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
-from repro.analysis.backend import (
-    BACKEND_ENV,
-    HAVE_NUMPY,
-    available_backends,
-    resolve_backend,
-)
 from repro.analysis.reference import ReferenceCanBusAnalysis
 from repro.analysis.response_time import CanBusAnalysis
 from repro.can.bus import CanBus
 from repro.errors.models import BurstErrorModel, SporadicErrorModel
+from repro.events.model import PeriodicWithJitter
 from repro.optimize.genetic import GeneticOptimizerConfig, optimize_priorities
 from repro.optimize.objectives import (
     AnalysisScenario,
@@ -31,6 +28,7 @@ from repro.optimize.objectives import (
     evaluate_configuration_with_context,
 )
 from repro.parallel import parallel_map, resolve_mode
+from repro.service.deltas import apply_deltas
 from repro.sensitivity.jitter import jitter_sensitivity, jitter_sensitivity_all
 from repro.workloads.scaling import scaling_benchmark_case, synthetic_kmatrix
 
@@ -91,22 +89,20 @@ class TestAnalyzeAllEquivalence:
 
 
 class TestBackendEquivalence:
-    """The numpy batch kernel vs the scalar loops vs the reference spec."""
+    """The batch solver, whole-bus and per message, vs the reference spec."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_backends_bit_identical(self, seed):
         kmatrix = _matrix(seed)
         kwargs = dict(error_model=_error_model(seed),
                       assumed_jitter_fraction=(seed % 5) * 0.1)
-        per_backend = {
-            backend: CanBusAnalysis(
-                kmatrix, _BUS, backend=backend, **kwargs).analyze_all()
-            for backend in available_backends()
-        }
+        analysis = CanBusAnalysis(kmatrix, _BUS, **kwargs)
         reference = ReferenceCanBusAnalysis(
             kmatrix, _BUS, **kwargs).analyze_all()
-        for backend, results in per_backend.items():
-            assert results == reference, backend
+        assert analysis.analyze_all() == reference
+        singles = CanBusAnalysis(kmatrix, _BUS, **kwargs)
+        assert {m.name: singles.response_time(m) for m in kmatrix} \
+            == reference
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_batched_warm_start_identical(self, seed):
@@ -115,15 +111,13 @@ class TestBackendEquivalence:
         previous = None
         for fraction in (0.0, 0.2, 0.45):
             analysis = CanBusAnalysis(
-                kmatrix, _BUS, assumed_jitter_fraction=fraction,
-                backend="numpy")
+                kmatrix, _BUS, assumed_jitter_fraction=fraction)
             warm = analysis.response_times_batch(
                 [(m, previous.get(m.name) if previous is not None else None)
                  for m in kmatrix])
-            cold = CanBusAnalysis(
-                kmatrix, _BUS, assumed_jitter_fraction=fraction,
-                backend="scalar").analyze_all()
-            assert warm == cold
+            reference = ReferenceCanBusAnalysis(
+                kmatrix, _BUS, assumed_jitter_fraction=fraction).analyze_all()
+            assert warm == reference
             previous = warm
 
     @pytest.mark.parametrize("seed", (0, 7, 14))
@@ -131,11 +125,9 @@ class TestBackendEquivalence:
         kmatrix = _matrix(seed)
         kwargs = dict(error_model=_error_model(seed + 1),
                       assumed_jitter_fraction=0.2)
-        batch_analysis = CanBusAnalysis(
-            kmatrix, _BUS, backend="numpy", **kwargs)
-        single_analysis = CanBusAnalysis(
-            kmatrix, _BUS, backend="scalar", **kwargs)
-        singles = {m.name: single_analysis.response_time(m) for m in kmatrix}
+        batch_analysis = CanBusAnalysis(kmatrix, _BUS, **kwargs)
+        reference = ReferenceCanBusAnalysis(kmatrix, _BUS, **kwargs)
+        singles = {m.name: reference.response_time(m) for m in kmatrix}
         batched = batch_analysis.response_times_batch(
             [(m, None) for m in kmatrix])
         assert batched == singles
@@ -144,20 +136,20 @@ class TestBackendEquivalence:
         reseeded = batch_analysis.response_times_batch(
             [(m, singles[m.name]) for m in kmatrix])
         assert reseeded == singles
+        warm_single = CanBusAnalysis(kmatrix, _BUS, **kwargs)
+        assert {m.name: warm_single.response_time(
+            m, warm_start=singles[m.name]) for m in kmatrix} == singles
 
     def test_unbounded_results_identical(self):
-        """An overloaded bus diverges identically on every backend."""
+        """An overloaded bus diverges exactly like the reference."""
         kmatrix = _matrix(4)
         slow_bus = CanBus(name="overload", bit_rate_bps=9_600.0)
-        outcomes = {
-            backend: CanBusAnalysis(
-                kmatrix, slow_bus, backend=backend).analyze_all()
-            for backend in available_backends()
-        }
         reference = ReferenceCanBusAnalysis(kmatrix, slow_bus).analyze_all()
         assert any(not r.bounded for r in reference.values())
-        for backend, results in outcomes.items():
-            assert results == reference, backend
+        assert CanBusAnalysis(kmatrix, slow_bus).analyze_all() == reference
+        singles = CanBusAnalysis(kmatrix, slow_bus)
+        assert {m.name: singles.response_time(m) for m in kmatrix} \
+            == reference
 
     def test_subset_batch_preserves_item_order(self):
         kmatrix = _matrix(6)
@@ -166,57 +158,78 @@ class TestBackendEquivalence:
         results = analysis.response_times_batch(
             [(m, None) for m in subset])
         assert list(results) == [m.name for m in subset]
-        full = CanBusAnalysis(kmatrix, _BUS, backend="scalar").analyze_all()
+        full = ReferenceCanBusAnalysis(kmatrix, _BUS).analyze_all()
         for message in subset:
             assert results[message.name] == full[message.name]
 
-    def test_resolution_rules(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        expected_auto = "numpy" if HAVE_NUMPY else "scalar"
-        assert resolve_backend(None) == expected_auto
-        assert resolve_backend("auto") == expected_auto
-        assert resolve_backend("scalar") == "scalar"
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        assert resolve_backend(None) == "scalar"
-        assert CanBusAnalysis(_matrix(0), _BUS).backend == "scalar"
-        with pytest.raises(ValueError):
-            resolve_backend("warp")
 
-    def test_env_pinned_backend_still_identical(self, monkeypatch):
-        kmatrix = _matrix(9)
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        pinned = CanBusAnalysis(kmatrix, _BUS).analyze_all()
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert pinned == CanBusAnalysis(kmatrix, _BUS).analyze_all()
+@dataclass(frozen=True)
+class _DoubledArrivals(PeriodicWithJitter):
+    """A model whose class overrides ``eta_plus`` (twice the arrivals)."""
 
-    def test_session_backend_pinning_identical(self):
-        """What-if sessions return the same bits on every backend."""
+    def eta_plus(self, dt: float) -> int:
+        return 2 * super().eta_plus(dt)
+
+
+class TestEtaPlusOverride:
+    """Models overriding ``eta_plus`` stay bit-identical to the reference.
+
+    One high- and one low-priority message get the overriding model, so the
+    solver meets it both as a message's own model and as an interference
+    row of every lower-priority message.
+    """
+
+    @staticmethod
+    def _setup(seed: int):
+        kmatrix = _matrix(seed)
+        ordered = kmatrix.sorted_by_priority()
+        overrides = {
+            m.name: _DoubledArrivals(period=m.period, jitter=0.1 * m.period)
+            for m in (ordered[0], ordered[-1])}
+        return kmatrix, ordered, overrides
+
+    @pytest.mark.parametrize("seed", (0, 3, 8, 13))
+    def test_analysis_and_session_identical(self, seed):
         from repro.service import AnalysisSession, JitterDelta
 
-        kmatrix = _matrix(11)
-        deltas = (JitterDelta(fraction=0.3),)
-        outcomes = []
-        for backend in available_backends():
-            session = AnalysisSession(kmatrix, _BUS, backend=backend)
-            base = session.analyze().results
-            warm = session.query(deltas).results
-            outcomes.append((base, warm))
-        assert all(outcome == outcomes[0] for outcome in outcomes)
+        kmatrix, ordered, overrides = self._setup(seed)
+        kwargs = dict(error_model=_error_model(seed),
+                      assumed_jitter_fraction=0.1, event_models=overrides)
+        reference = ReferenceCanBusAnalysis(
+            kmatrix, _BUS, **kwargs).analyze_all()
+        assert CanBusAnalysis(kmatrix, _BUS, **kwargs).analyze_all() \
+            == reference
+        singles = CanBusAnalysis(kmatrix, _BUS, **kwargs)
+        assert {m.name: singles.response_time(m) for m in kmatrix} \
+            == reference
 
-    @pytest.mark.parametrize("backend", ("numpy", "scalar"))
-    def test_ga_backend_seam_identical(self, backend):
-        kmatrix = _matrix(13)
-        scenarios = _scenarios(13)
-        config = dict(population_size=4, archive_size=2, generations=1,
-                      seed=13)
-        pinned = optimize_priorities(
-            kmatrix, scenarios,
-            GeneticOptimizerConfig(**config, analysis_backend=backend))
-        default = optimize_priorities(kmatrix, scenarios,
-                                      GeneticOptimizerConfig(**config))
-        assert pinned.best_evaluation == default.best_evaluation
-        assert pinned.history == default.history
-        assert pinned.evaluations == default.evaluations
+        session = AnalysisSession(kmatrix, _BUS, **kwargs)
+        assert session.query().results == reference
+        for deltas in ((JitterDelta(fraction=0.3),),
+                       (JitterDelta(message_name=ordered[1].name,
+                                    jitter=0.4 * ordered[1].period),)):
+            warm = session.query(deltas)
+            assert warm.stats.cold < warm.stats.total
+            config = apply_deltas(session.base_config, deltas)
+            expected = ReferenceCanBusAnalysis(
+                config.kmatrix, _BUS, error_model=config.error_model,
+                assumed_jitter_fraction=config.assumed_jitter_fraction,
+                event_models=overrides).analyze_all()
+            assert warm.results == expected
+
+    def test_adopted_kernel_drops_replaced_override_row(self):
+        """Replacing an overriding row with a standard model is exact."""
+        kmatrix, ordered, overrides = self._setup(5)
+        basis = CanBusAnalysis(kmatrix, _BUS, event_models=overrides)
+        basis.analyze_all()
+        top = ordered[0].name
+        standard = PeriodicWithJitter(period=ordered[0].period,
+                                      jitter=overrides[top].jitter)
+        models = {**overrides, top: standard}
+        adopted = CanBusAnalysis(kmatrix, _BUS, event_models=models)
+        adopted.adopt_kernels(basis, {top: standard})
+        assert adopted.analyze_all() == ReferenceCanBusAnalysis(
+            kmatrix, _BUS, event_models=models).analyze_all()
 
 
 class TestSensitivityEquivalence:

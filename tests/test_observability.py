@@ -12,6 +12,7 @@ the round trip the client observed.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 
@@ -293,10 +294,21 @@ class TestSlowQueryLog:
             assert not log.maybe_log(self._trace(7.0))
         assert log.emitted == 1
         # The suppressed count surfaces on the next emitted line.
-        log._last_emit = 0.0
+        log._last_emit = -math.inf
         with caplog.at_level(logging.WARNING, logger="repro.slowlog"):
             assert log.maybe_log(self._trace(8.0))
         assert "suppressed=2" in caplog.records[-1].getMessage()
+
+    def test_first_record_emitted_on_fresh_monotonic_clock(self, caplog,
+                                                            monkeypatch):
+        """A clock just past its origin (a freshly booted host) still logs."""
+        monkeypatch.setattr(time, "monotonic", lambda: 5.0)
+        log = SlowQueryLog(threshold_ms=1.0, min_interval_s=3600.0)
+        with caplog.at_level(logging.WARNING, logger="repro.slowlog"):
+            assert log.maybe_log(self._trace(5.0))
+            assert not log.maybe_log(self._trace(6.0))
+        assert log.emitted == 1
+        assert "suppressed=0" in caplog.records[-1].getMessage()
 
 
 # --------------------------------------------------------------------------- #

@@ -363,6 +363,11 @@ class TestDaemonEndpoints:
             client.request("query", target="powertrain", deltas="abc")
         with pytest.raises(DaemonError):
             client.request("batch", target="powertrain", queries=["x"])
+        for queries in ("abc", {"deltas": []}, [{"deltas": []}, 3]):
+            with pytest.raises(DaemonError, match="'queries'") as caught:
+                client.request("batch", target="powertrain",
+                               queries=queries)
+            assert caught.value.code == "invalid"
         with pytest.raises(DaemonError):
             client.request("query", target="powertrain",
                            deltas=[{"delta": "jitter", "fraction": "many"}])
