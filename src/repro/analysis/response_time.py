@@ -22,18 +22,27 @@ Analysis kernel
 ---------------
 :class:`CanBusAnalysis` is the hot primitive of the whole library: the jitter
 sweeps of Figure 4/5, the GA of Section 4.3 and the compositional engine all
-reduce to many ``analyze_all`` calls.  The class therefore precomputes, once
-per instance, a per-message *interference table*: one ``(transmission_time,
-period, jitter, min_distance)`` row per higher-priority message (in K-Matrix
-order, so float summation order -- and hence every result bit -- matches the
-naive formulation retained in :mod:`repro.analysis.reference`).  The
+reduce to many ``analyze_all`` calls.  The class therefore builds, once per
+instance, one bus-wide *interference table*: an ``(n, 4)`` float64 array with
+one ``(transmission_time, period, jitter, min_distance)`` row per message in
+K-Matrix order, plus a ``{row: model}`` map of the event models that override
+``eta_plus``.  Each message's kernel holds only structural data -- its own
+row, transmission times, blocking, error-retransmission bound and
+``hp_rows``, the table rows of its higher-priority messages in K-Matrix
+order (so float summation order -- and hence every result bit -- matches
+the naive formulation retained in :mod:`repro.analysis.reference`).  The
 busy-period and queuing-delay fixed points of all requested messages then
-run in lockstep over those tables in :class:`repro.analysis.vector.
+run in lockstep over ``table[hp_rows]`` in :class:`repro.analysis.vector.
 BatchSolver` instead of re-deriving priority sets, event models, blocking
 terms and horizons on every iteration.  Rows whose event model overrides
-``eta_plus`` are evaluated through the model itself.  Blocking, the
-error-retransmission bound and the divergence horizon are likewise computed
-once per message.
+``eta_plus`` are evaluated through the model itself.
+
+Kernels carry no event model, so two analyses of the same structure (same
+K-Matrix order, identifiers, transmission times, senders, controllers and
+bus) have identical kernels: a what-if that only changes jitters, event
+models or the error model shares its basis's kernels outright
+(:meth:`CanBusAnalysis.adopt_kernels`) and differs from it only in the
+O(n) table.
 
 Because the right-hand side of each fixed point depends on the iterate only
 through *integer* activation counts (the ``eta_plus`` values and the error
@@ -70,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -139,18 +148,16 @@ def best_case_response_time(message: CanMessage, bus: CanBus) -> float:
 
 
 class _MessageKernel:
-    """Frozen per-message interference table (see the module docstring).
+    """Structural per-message data of the analysis (see the module docstring).
 
-    ``hp_table`` is an ``(n, 4)`` float64 array with one ``(transmission_time,
-    period, jitter, min_distance)`` row per higher-priority message, in
-    K-Matrix order; it is treated as immutable once built (``adopt_kernels``
-    copies before patching rows).  ``hp_custom`` lists the ``(row, model)``
-    pairs whose event model overrides ``eta_plus``; the batch solver
-    evaluates those rows through the model itself.
+    ``row`` is the message's own row of the bus-wide interference table and
+    ``hp_rows`` an int64 array of its higher-priority rows in K-Matrix
+    order.  No event model is referenced, so a kernel is valid for every
+    analysis of the same structure and is shared, never mutated.
     """
 
-    __slots__ = ("own_c", "best_c", "model", "own_params", "blocking",
-                 "retransmit", "hp_table", "hp_custom", "hp_names", "jitter")
+    __slots__ = ("row", "own_c", "best_c", "blocking", "retransmit",
+                 "hp_rows")
 
 
 class CanBusAnalysis:
@@ -204,6 +211,18 @@ class CanBusAnalysis:
         # Event models are frozen once: every fixed-point iteration reads
         # them, so they must not be rebuilt per call.
         self._models = {m.name: self._resolve_event_model(m) for m in kmatrix}
+        # The bus-wide interference table: one (transmission_time, period,
+        # jitter, min_distance) row per message in K-Matrix order, and the
+        # rows whose model overrides eta_plus.
+        self._rows = {name: row for row, name in enumerate(self._models)}
+        self._table = np.array(
+            [(self._transmission_times[name], model.period, model.jitter,
+              model.min_distance) for name, model in self._models.items()],
+            dtype=np.float64).reshape(-1, 4)
+        self._custom = {
+            row: model for row, model in enumerate(self._models.values())
+            if type(model).eta_plus is not _BASE_ETA_PLUS}
+        self._ids = np.array([m.can_id for m in kmatrix], dtype=np.int64)
         # One divergence horizon for the whole bus (the per-message horizon
         # of the naive formulation always evaluates to this global value).
         self._horizon = _MAX_BUSY_PERIOD_FACTOR * max(
@@ -214,8 +233,8 @@ class CanBusAnalysis:
         # to its metrics registry once per solve.
         self.profile_iterations = 0
         self.profile_max_active = 0
-        # Per-message interference tables, built lazily so single-message
-        # queries do not pay the full O(n^2) table construction.
+        # Per-message kernels, built lazily so single-message queries do not
+        # pay the full O(n^2) higher-priority row construction.
         self._kernels: dict[str, _MessageKernel] = {}
         # Blocking terms are O(n) each and queried both by the what-if
         # planner (before any kernel exists) and by kernel construction.
@@ -279,122 +298,29 @@ class CanBusAnalysis:
 
     def _build_kernel(self, message: CanMessage) -> _MessageKernel:
         kernel = _MessageKernel()
-        own_c = self._transmission_times[message.name]
-        kernel.own_c = own_c
+        kernel.row = self._rows[message.name]
+        kernel.own_c = self._transmission_times[message.name]
         kernel.best_c = self._best_case_times[message.name]
-        model = self.event_model(message)
-        kernel.model = model
-        kernel.jitter = model.jitter
         kernel.blocking = self.blocking(message)
-        kernel.own_params = (
-            (model.period, model.jitter, model.min_distance)
-            if type(model).eta_plus is _BASE_ETA_PLUS else None)
-
-        rows: list[tuple[float, float, float, float]] = []
-        hp_custom: list[tuple[int, EventModel]] = []
-        hp_names: list[str] = []
-        retransmit = own_c
-        own_id = message.can_id
-        for other in self.kmatrix:
-            if other.can_id >= own_id:
-                continue
-            c = self._transmission_times[other.name]
-            other_model = self._models[other.name]
-            if type(other_model).eta_plus is not _BASE_ETA_PLUS:
-                hp_custom.append((len(rows), other_model))
-            rows.append((c, other_model.period, other_model.jitter,
-                         other_model.min_distance))
-            hp_names.append(other.name)
-            if c > retransmit:
-                retransmit = c
-        kernel.hp_table = np.array(rows, dtype=np.float64).reshape(-1, 4)
-        kernel.hp_custom = tuple(hp_custom)
-        kernel.hp_names = hp_names
-        kernel.retransmit = retransmit
+        kernel.hp_rows = np.flatnonzero(self._ids < message.can_id)
+        kernel.retransmit = max(
+            [kernel.own_c] + self._table[kernel.hp_rows, 0].tolist())
         return kernel
 
-    def adopt_kernels(
-        self,
-        basis: "CanBusAnalysis",
-        changed_models: Mapping[str, EventModel],
-        names: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Seed this analysis's interference tables from ``basis``.
+    def adopt_kernels(self, basis: "CanBusAnalysis") -> None:
+        """Share ``basis``'s kernels and blocking terms with this analysis.
 
         Precondition (the caller must guarantee it -- the what-if session's
         planner does): ``basis`` analyses the *same* K-Matrix list order,
         identifiers, transmission times, senders, controllers and bus as
-        this analysis, and the two configurations differ **only** in the
-        event models of the messages named in ``changed_models`` (and, at
-        most, the bus-error model, which the tables do not capture).  Under
-        that precondition blocking, retransmission bounds and interference
-        membership are identical, so a basis kernel either carries over
-        verbatim (no changed model at or above the message) or needs only
-        its changed ``hp_table`` rows/model entries patched -- O(|hp|) pointer
-        work per message instead of a full table rebuild.
-
-        ``names`` restricts adoption to the messages about to be analysed.
-        A changed model with a custom ``eta_plus`` makes every message fall
-        back to the normal lazy build (exactness over speed).
+        this analysis.  Kernels and blocking depend on nothing else, so the
+        two analyses may differ in every event model and in the bus-error
+        model and still share both caches by reference.  Kernels are
+        immutable and deterministic, so a racing duplicate lazy build in
+        either analysis stores an identical value.
         """
-        if any(type(m).eta_plus is not _BASE_ETA_PLUS
-               for m in changed_models.values()):
-            return
-        changed = set(changed_models)
-        wanted = set(names) if names is not None else None
-        for message in self.kmatrix:
-            name = message.name
-            if name in self._kernels:
-                continue
-            if wanted is not None and name not in wanted:
-                continue
-            old = basis._kernel(message)
-            own_changed = name in changed
-            if len(changed) <= 4:
-                # C-speed scans beat a Python enumerate for small deltas.
-                positions = []
-                for changed_name in changed:
-                    try:
-                        positions.append(old.hp_names.index(changed_name))
-                    except ValueError:
-                        pass
-                positions.sort()
-            else:
-                positions = [index for index, hp_name
-                             in enumerate(old.hp_names) if hp_name in changed]
-            if not own_changed and not positions:
-                self._kernels[name] = old
-                continue
-            kernel = _MessageKernel()
-            kernel.own_c = old.own_c
-            kernel.best_c = old.best_c
-            kernel.blocking = old.blocking
-            kernel.retransmit = old.retransmit
-            kernel.hp_names = old.hp_names
-            if positions:
-                hp_table = old.hp_table.copy()
-                for index in positions:
-                    model = changed_models[old.hp_names[index]]
-                    hp_table[index, 1:] = (model.period, model.jitter,
-                                           model.min_distance)
-                kernel.hp_table = hp_table
-                kernel.hp_custom = tuple(
-                    (row, model) for row, model in old.hp_custom
-                    if row not in positions)
-            else:
-                kernel.hp_table = old.hp_table
-                kernel.hp_custom = old.hp_custom
-            if own_changed:
-                model = changed_models[name]
-                kernel.model = model
-                kernel.jitter = model.jitter
-                kernel.own_params = (model.period, model.jitter,
-                                     model.min_distance)
-            else:
-                kernel.model = old.model
-                kernel.jitter = old.jitter
-                kernel.own_params = old.own_params
-            self._kernels[name] = kernel
+        self._kernels = basis._kernels
+        self._blocking = basis._blocking
 
     # ------------------------------------------------------------------ #
     # Public analysis entry points
@@ -439,7 +365,7 @@ class CanBusAnalysis:
         if not batch:
             return {}
         solver = _vector.BatchSolver(
-            [kernel for _, kernel, _ in batch],
+            [kernel for _, kernel, _ in batch], self._table, self._custom,
             self._bit_time, self._recovery, self._horizon,
             None if self._no_errors else self.error_model,
             cancel=cancel)
@@ -480,7 +406,8 @@ class CanBusAnalysis:
         position = 0
         for index, (message, kernel, warm) in enumerate(batch):
             own_c = kernel.own_c
-            jitter = kernel.jitter
+            own_model = self._models[message.name]
+            jitter = own_model.jitter
             blocking = kernel.blocking
             if not busy_ok_list[index]:
                 results[message.name] = MessageResponseTime(
@@ -495,7 +422,6 @@ class CanBusAnalysis:
             worst = 0.0
             bounded = True
             delays: list[float] = []
-            own_model = kernel.model
             for q in range(instances):
                 if not ok_list[position + q]:
                     bounded = False

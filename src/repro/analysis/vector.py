@@ -1,12 +1,14 @@
 """Vectorized batch kernel for the response-time fixed points (numpy).
 
 This module is the solver behind
-:class:`~repro.analysis.response_time.CanBusAnalysis`.  It concatenates the
-frozen per-message interference tables (``_MessageKernel.hp_table``, one row
-of ``(transmission_time, period, jitter, min_distance)`` per higher-priority
-message) bus-wide in K-Matrix order with per-message offsets, and then runs
-the busy-period and queuing-delay fixed points of *many* messages in
-lockstep:
+:class:`~repro.analysis.response_time.CanBusAnalysis`.  It reads one
+bus-wide interference table (an ``(n, 4)`` float64 array with one
+``(transmission_time, period, jitter, min_distance)`` row per message in
+K-Matrix order) and, per message kernel, the int64 array ``hp_rows`` of its
+higher-priority rows.  Own parameters are gathered as ``table[own_rows]``
+and interference rows as ``table[concat(hp_rows)]`` with per-message
+offsets, and then the busy-period and queuing-delay fixed points of *many*
+messages run in lockstep:
 
 * every higher-priority activation count of every candidate window is
   evaluated as one array operation over the row table (instead of one
@@ -29,10 +31,11 @@ executable spec.  Three rules make that hold:
   exactly like Python's ``round``; the snap tolerances are the same
   expressions; activation counts are integer-valued doubles well below
   2**53, so products and comparisons are exact);
-* rows whose event model overrides ``eta_plus`` (and a message's own
-  overriding model) are evaluated one at a time as
-  ``model.eta_plus(dt) * c``, the reference expression itself;
-* the per-message interference *sum* runs left-to-right over the row table
+* rows whose event model overrides ``eta_plus`` (looked up by bus row,
+  for interference rows and a message's own row alike) are evaluated one
+  at a time as ``model.eta_plus(dt) * c``, the reference expression itself;
+* the per-message interference *sum* runs left-to-right over its
+  ``hp_rows``
   (``sum`` over a list slice accumulates in the same order as the
   reference's ``total += ...`` loop) -- numpy's pairwise ``np.sum`` would
   regroup the additions and change low-order bits, so it is deliberately
@@ -48,7 +51,7 @@ floats, which is the reference arithmetic by construction.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -110,11 +113,12 @@ def _arrivals_vec(t: "np.ndarray", period: float) -> "np.ndarray":
 
 
 class BatchSolver:
-    """Lockstep fixed-point solver over a set of frozen message kernels.
+    """Lockstep fixed-point solver over a set of message kernels.
 
-    Event models that override ``eta_plus`` are accepted anywhere: a
-    message's own model and every interference row listed in its kernel's
-    ``hp_custom`` fall back to the model's own method per iteration.
+    ``table`` is the bus-wide ``(n, 4)`` interference table the kernels'
+    ``row`` and ``hp_rows`` index into; ``custom`` maps the bus rows whose
+    event model overrides ``eta_plus`` to that model, which is evaluated
+    per iteration wherever the row occurs (own row or interference row).
 
     ``error_model`` is ``None`` for an error-free bus; otherwise overheads
     are evaluated vectorized (standard models) or per message (exotic
@@ -125,9 +129,12 @@ class BatchSolver:
     running the remaining active set to the iteration cap.
     """
 
-    def __init__(self, kernels: Sequence, bit_time: float, recovery: float,
-                 horizon: float, error_model=None, cancel=None) -> None:
+    def __init__(self, kernels: Sequence, table: "np.ndarray",
+                 custom: Mapping[int, object], bit_time: float,
+                 recovery: float, horizon: float, error_model=None,
+                 cancel=None) -> None:
         self.kernels = list(kernels)
+        self.custom = custom
         self.bit_time = bit_time
         self.recovery = recovery
         self.horizon = horizon
@@ -146,31 +153,28 @@ class BatchSolver:
                                  dtype=np.float64)
         self.retransmit = np.array([k.retransmit for k in self.kernels],
                                    dtype=np.float64)
-        self.own_flat = np.array(
-            [k.own_params is not None for k in self.kernels], dtype=bool)
-        params = [k.own_params if k.own_params is not None else
-                  (1.0, 0.0, 0.0) for k in self.kernels]
-        self.own_period = np.array([p[0] for p in params], dtype=np.float64)
-        self.own_jitter = np.array([p[1] for p in params], dtype=np.float64)
-        self.own_dmin = np.array([p[2] for p in params], dtype=np.float64)
-        tables = [k.hp_table for k in self.kernels]
-        self.counts = np.array([t.shape[0] for t in tables], dtype=np.int64)
+        row_custom = np.zeros(table.shape[0], dtype=bool)
+        row_custom[list(custom)] = True
+        self.own_rows = np.array([k.row for k in self.kernels],
+                                 dtype=np.int64)
+        self.own_flat = ~row_custom[self.own_rows]
+        self.own_period = table[self.own_rows, 1]
+        self.own_jitter = table[self.own_rows, 2]
+        self.own_dmin = table[self.own_rows, 3]
+        hp_rows = [k.hp_rows for k in self.kernels]
+        self.counts = np.array([r.size for r in hp_rows], dtype=np.int64)
         self.starts = np.zeros(n, dtype=np.int64)
         if n > 1:
             np.cumsum(self.counts[:-1], out=self.starts[1:])
-        # Overriding models of interference rows, keyed by global row.
-        self.custom = {
-            start + row: model
-            for k, start in zip(self.kernels, self.starts.tolist())
-            for row, model in k.hp_custom}
-        rows = (np.concatenate(tables, axis=0) if tables
-                else np.empty((0, 4), dtype=np.float64))
-        self.hp_c = np.ascontiguousarray(rows[:, 0])
-        self.hp_period = np.ascontiguousarray(rows[:, 1])
-        self.hp_jitter = np.ascontiguousarray(rows[:, 2])
-        self.hp_dmin = np.ascontiguousarray(rows[:, 3])
-        self.row_custom = np.zeros(rows.shape[0], dtype=bool)
-        self.row_custom[list(self.custom)] = True
+        # Bus row of every concatenated interference row.
+        self.hp_rows = (np.concatenate(hp_rows) if hp_rows
+                        else np.empty(0, dtype=np.int64))
+        self.hp_c = table[self.hp_rows, 0]
+        self.hp_period = table[self.hp_rows, 1]
+        self.hp_jitter = table[self.hp_rows, 2]
+        self.hp_dmin = table[self.hp_rows, 3]
+        self.row_custom = row_custom
+        self.hp_any_custom = bool(row_custom[self.hp_rows].any())
 
     # ------------------------------------------------------------------ #
     # Element-wise replicas of the reference arithmetic
@@ -191,15 +195,19 @@ class BatchSolver:
         return products
 
     def _override_products(self, products, dt, c, rows):
-        """Overwrite the rows whose model overrides ``eta_plus``."""
+        """Overwrite the rows whose model overrides ``eta_plus``.
+
+        ``rows`` holds the bus row of every product.
+        """
         custom = self.custom
         for index in np.flatnonzero(self.row_custom[rows]):
             model = custom[int(rows[index])]
             products[index] = model.eta_plus(float(dt[index])) * float(
                 c[index])
 
-    def _own_eta(self, w, period, jitter, dmin, flat_mask, kidx):
-        """Own-model ``eta_plus`` per item (overriding models one by one)."""
+    def _own_eta(self, w, period, jitter, dmin, flat_mask, own_rows):
+        """Own-model ``eta_plus`` per item (overriding models one by one,
+        looked up by the item's bus row in ``own_rows``)."""
         activations = _ceil_div_vec(w + jitter, period)
         has_d = dmin > 0.0
         if has_d.any():
@@ -208,9 +216,9 @@ class BatchSolver:
                                    capped, activations)
         activations = np.where(w <= 0.0, 0.0, activations)
         if not flat_mask.all():
-            kernels = self.kernels
+            custom = self.custom
             for index in np.flatnonzero(~flat_mask):
-                activations[index] = kernels[int(kidx[index])].model.eta_plus(
+                activations[index] = custom[int(own_rows[index])].eta_plus(
                     float(w[index]))
         return activations
 
@@ -272,7 +280,7 @@ class BatchSolver:
             dmin_safe = np.where(has_d, dmin, 1.0)
         else:
             has_d = dmin_safe = None
-        rows = seg if self.custom else None
+        rows = self.hp_rows[seg] if self.hp_any_custom else None
         own_c = self.own_c[kidx]
         retransmit = self.retransmit[kidx]
         if busy:
@@ -281,7 +289,7 @@ class BatchSolver:
             own_jitter = self.own_jitter[kidx]
             own_dmin = self.own_dmin[kidx]
             own_flat = self.own_flat[kidx]
-        active_kidx = kidx
+            own_rows = self.own_rows[kidx]
         position = np.arange(n_items)
         counts_list = counts.tolist()
         w = w0
@@ -300,7 +308,7 @@ class BatchSolver:
             interference = _segment_sums(products, counts_list)
             if busy:
                 own_eta = self._own_eta(w, own_period, own_jitter, own_dmin,
-                                        own_flat, active_kidx)
+                                        own_flat, own_rows)
                 own_instances = np.maximum(own_eta, 1.0)
                 error = self._error(w, retransmit)
                 new_w = blocking + own_instances * own_c + interference + error
@@ -338,13 +346,13 @@ class BatchSolver:
                 rows = rows[row_keep]
             own_c = own_c[keep]
             retransmit = retransmit[keep]
-            active_kidx = active_kidx[keep]
             if busy:
                 blocking = blocking[keep]
                 own_period = own_period[keep]
                 own_jitter = own_jitter[keep]
                 own_dmin = own_dmin[keep]
                 own_flat = own_flat[keep]
+                own_rows = own_rows[keep]
             else:
                 base = base[keep]
         self.iterations += iterations
@@ -366,9 +374,8 @@ class BatchSolver:
 
     def own_instances(self, busy: "np.ndarray") -> "np.ndarray":
         """Instances inside each (bounded) busy period, ``max(eta, 1)``."""
-        kidx = np.arange(len(self.kernels), dtype=np.int64)
         eta = self._own_eta(busy, self.own_period, self.own_jitter,
-                            self.own_dmin, self.own_flat, kidx)
+                            self.own_dmin, self.own_flat, self.own_rows)
         return np.maximum(eta, 1.0)
 
     def queuing_delays(self, kidx, instance,

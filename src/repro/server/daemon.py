@@ -98,6 +98,8 @@ See :mod:`repro.server.protocol` for the full error taxonomy and
 
 from __future__ import annotations
 
+import logging
+import sys
 import threading
 import time
 from concurrent.futures import CancelledError as _FutureCancelled
@@ -132,6 +134,8 @@ from repro.whatif.catalog import (
 )
 from repro.whatif.session import SystemSession
 from repro.workloads.registry import builtin_registry
+
+_log = logging.getLogger(__name__)
 
 
 #: Ops that answer from in-memory state: they bypass admission control and
@@ -370,24 +374,21 @@ class AnalysisDaemon:
     # Request handling
     # ------------------------------------------------------------------ #
     def handle(self, request: Mapping, *,
-               decode_ms: Optional[float] = None,
-               queued_since: Optional[float] = None) -> dict:
+               decode_ms: Optional[float] = None) -> dict:
         """Serve one protocol request dict; always returns a response dict.
 
         Never raises: every error is reported as ``{"ok": false, "code":
         ...}`` (see the taxonomy in :mod:`repro.server.protocol`) so one
         malformed -- or timed-out, or drain-cancelled -- request cannot
-        take down a connection.
+        take down a connection.  An exception outside the taxonomy is
+        answered as ``internal``.
 
         Every request is traced (stages ``decode`` -> ``admission`` ->
         ``queue_wait`` -> ``session_plan`` -> ``solve``; the transport
         folds in ``encode`` via :meth:`take_trace`); the slowest traces
         are retained for the ``traces`` op, and the span tree is returned
         inline when the request sets ``trace: true``.  ``decode_ms`` is
-        the transport's line-decode time; ``queued_since`` is the
-        ``time.perf_counter()`` at which the request was enqueued (see
-        :meth:`submit`), turning the ``queue_wait`` span into the real
-        wait instead of zero.
+        the transport's line-decode time.
         """
         request_id = request.get("id")
         op = request.get("op")
@@ -406,14 +407,18 @@ class AnalysisDaemon:
         if decode_ms is not None:
             trace.backdate(float(decode_ms))
             trace.record("decode", float(decode_ms))
-        response = self._dispatch(
-            request, request_id, op, handler, trace, queued_since)
+        try:
+            response = self._dispatch(request, request_id, op, handler, trace)
+        except Exception as error:  # noqa: BLE001 - outermost guard
+            _log.exception("unhandled error serving op %r", op_name)
+            response = self._error(f"{type(error).__name__}: {error}",
+                                   request_id, code="internal")
         return self._finalize_trace(
             trace, response,
             echo=trace.inline or requested_id is not None)
 
     def _dispatch(self, request: Mapping, request_id, op, handler,
-                  trace: Trace, queued_since: Optional[float]) -> dict:
+                  trace: Trace) -> dict:
         """Admission control plus op dispatch for one (traced) request."""
         if handler is None:
             return self._error(
@@ -461,12 +466,7 @@ class AnalysisDaemon:
         trace.end(admission)
         if rejection is not None:
             return rejection
-        if queued_since is not None:
-            trace.record(
-                "queue_wait",
-                (time.perf_counter() - queued_since) * 1000.0)
-        else:
-            trace.record("queue_wait", 0.0)
+        trace.record("queue_wait", 0.0)
         self._trace_local.current = trace
         try:
             return self._reply(handler(request, cancel), request_id)
@@ -524,17 +524,12 @@ class AnalysisDaemon:
             raise protocol.ProtocolError(
                 f"deadline_ms must be a positive number, "
                 f"got {deadline_ms!r}")
-        if deadline_ms <= 0:
+        # Also rejects NaN, inf and integers beyond the float range.
+        if not 0 < deadline_ms <= sys.float_info.max:
             raise protocol.ProtocolError(
-                f"deadline_ms must be positive, got {deadline_ms!r}")
+                f"deadline_ms must be finite and positive, "
+                f"got {deadline_ms!r}")
         return CancelToken.after_ms(float(deadline_ms))
-
-    def submit(self, request: Mapping):
-        """Queue a request on the worker pool; returns a Future response."""
-        enqueued = time.perf_counter()
-        return self.jobs.submit(
-            lambda: self.handle(request, queued_since=enqueued),
-            label=str(request.get("op")))
 
     def _finalize_trace(self, trace: Trace, response: dict,
                         echo: bool) -> dict:

@@ -986,15 +986,16 @@ def encode_line(obj: Mapping) -> bytes:
 
 def decode_line(line: "bytes | str") -> dict:
     """Inverse of :func:`encode_line` (accepts str for convenience)."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
-    line = line.strip()
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        line = line.strip()
+        obj = json.loads(line) if line else None
+    except ValueError as error:
+        # JSON syntax, invalid UTF-8 and over-long integer literals alike.
+        raise ProtocolError(f"malformed protocol line: {error}") from None
     if not line:
         raise ProtocolError("empty protocol line")
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as error:
-        raise ProtocolError(f"malformed protocol line: {error}") from None
     if not isinstance(obj, dict):
         raise ProtocolError("protocol line must encode a JSON object")
     return obj

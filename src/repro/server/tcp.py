@@ -22,6 +22,7 @@ workers) after its response line is written.
 
 from __future__ import annotations
 
+import logging
 import socketserver
 import threading
 import time
@@ -34,6 +35,8 @@ from repro.server.protocol import (
     encode_line,
     error_response,
 )
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7677
@@ -80,7 +83,14 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             if rule is not None:
                 time.sleep(rule.arg / 1000.0)
             encode_start = time.perf_counter()
-            data = encode_line(response)
+            try:
+                data = encode_line(response)
+            except Exception as error:  # noqa: BLE001 - one reply per line
+                _log.exception("unencodable response to op %r",
+                               request.get("op"))
+                response = daemon._error(
+                    f"response not encodable: {error}", request.get("id"))
+                data = encode_line(response)
             encode_ms = (time.perf_counter() - encode_start) * 1000.0
             trace = daemon.take_trace()
             if trace is not None:

@@ -19,6 +19,7 @@ the matrix 100 times over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -152,10 +153,12 @@ class JitterDelta(Delta):
             raise ValueError("specify exactly one of jitter= or fraction=")
         if self.message_name is None and self.fraction is None:
             raise ValueError("a global JitterDelta needs fraction=")
-        if self.jitter is not None and self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if self.fraction is not None and self.fraction < 0:
-            raise ValueError("fraction must be non-negative")
+        for field_name in ("jitter", "fraction"):
+            value = getattr(self, field_name)
+            # Also false for NaN, which every ordered comparison rejects.
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{field_name} must be finite and "
+                                 f"non-negative, got {value!r}")
 
     def apply(self, config: BusConfiguration) -> BusConfiguration:
         if self.message_name is None:

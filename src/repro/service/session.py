@@ -905,11 +905,12 @@ class AnalysisSession:
         """Plan against each candidate basis; keep the cheapest.
 
         The third element names the changed event models when the winning
-        basis satisfies the kernel-adoption precondition of
+        basis satisfies the kernel-sharing precondition of
         :meth:`CanBusAnalysis.adopt_kernels` (``None`` otherwise); the
         fourth flags whether warm seeds may additionally go through the
         :func:`_seed_unaffected` re-verification shortcut (structure,
-        blocking, error model and horizon all carried over).
+        blocking, error model and horizon all carried over), which reads
+        the changed names.
         """
         wanted = list(needed) if needed is not None else list(profile.names)
         best_plan = {name: _COLD for name in wanted}
@@ -973,11 +974,10 @@ class AnalysisSession:
             for name in changed)
 
         if new.names == old.names and new.ids == old.ids:
-            # Same structure: kernels can be adopted from the basis with
-            # only the changed model entries patched, and warm seeds may be
-            # re-verified through the O(|changed|) count check (sound only
-            # when the error model and the divergence horizon also carried
-            # over -- _seed_unaffected assumes both).
+            # Same structure: the basis's kernels are shared outright, and
+            # warm seeds may be re-verified through the O(|changed|) count
+            # check (sound only when the error model and the divergence
+            # horizon also carried over -- _seed_unaffected assumes both).
             return (self._plan_same_priorities(
                 new, wanted, changed, error_same, all_dominate, horizon_same),
                 changed, error_same and horizon_same)
@@ -1088,15 +1088,9 @@ class AnalysisSession:
         changed_hp: list[tuple] | None = None
         bit_time = 0.0
         if basis is not None and adopt_changed is not None:
-            # Structure-preserving basis: patch its frozen interference
-            # tables instead of rebuilding them (see adopt_kernels).
-            to_solve = [name for name, action in plan.items()
-                        if action != _REUSE
-                        and (existing is None or name not in existing)]
-            analysis.adopt_kernels(
-                basis.analysis,
-                {name: profile.models[name] for name in adopt_changed},
-                names=to_solve)
+            # Structure-preserving basis: share its kernels instead of
+            # rebuilding them (see adopt_kernels).
+            analysis.adopt_kernels(basis.analysis)
             if fast_ok and adopt_changed:
                 # Warm seeds of messages whose own model is untouched can
                 # be re-verified in O(|changed|) per seed window instead of

@@ -491,6 +491,46 @@ class TestDaemonCounters:
         assert (f"{int(sum(ops.values())) + 1} requests served "
                 f"({stats['errors']} errors)") in daemon.describe()
 
+    def test_unexpected_exception_is_typed_internal(self, config,
+                                                    monkeypatch):
+        """An exception outside the taxonomy -- raised by the handler or by
+        encoding its result -- still gets exactly one typed ``internal``
+        reply, in-process and over TCP, and the connection survives."""
+        daemon = _fresh_daemon(config, mode="serial")
+
+        def overflowing(request, cancel=None):
+            raise OverflowError("int too large to convert to float")
+
+        server = start_server(daemon, port=0)
+        try:
+            with TcpClient(*server.address) as tcp:
+                expected = tcp.query("pt")["results"]
+                monkeypatch.setitem(daemon._ops, "query", overflowing)
+                response = daemon.handle(
+                    {"op": "query", "target": "pt", "id": 7})
+                assert response["ok"] is False
+                assert response["code"] == "internal"
+                assert response["id"] == 7
+                assert "OverflowError" in response["error"]
+                with pytest.raises(DaemonError) as caught:
+                    tcp.query("pt")
+                assert caught.value.code == "internal"
+                # A result the wire codec refuses (NaN) is replaced by a
+                # typed error instead of killing the connection.
+                monkeypatch.setitem(daemon._ops, "query",
+                                    lambda request, cancel=None:
+                                    {"worst_case": float("nan")})
+                with pytest.raises(DaemonError) as caught:
+                    tcp.query("pt")
+                assert caught.value.code == "internal"
+                monkeypatch.undo()
+                assert tcp.query("pt")["results"] == expected
+                assert tcp.reconnects == 0
+        finally:
+            server.stop()
+        codes = daemon.metrics.family("daemon_errors_total", "code")
+        assert codes == {"internal": 3}
+
 
 # --------------------------------------------------------------------------- #
 # TCP faults: drops, slow reads, restarts

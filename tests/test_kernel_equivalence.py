@@ -227,9 +227,54 @@ class TestEtaPlusOverride:
                                       jitter=overrides[top].jitter)
         models = {**overrides, top: standard}
         adopted = CanBusAnalysis(kmatrix, _BUS, event_models=models)
-        adopted.adopt_kernels(basis, {top: standard})
+        adopted.adopt_kernels(basis)
         assert adopted.analyze_all() == ReferenceCanBusAnalysis(
             kmatrix, _BUS, event_models=models).analyze_all()
+
+    @pytest.mark.parametrize("seed", (1, 5, 10))
+    def test_what_if_shares_basis_kernels(self, seed):
+        """Jitter and error-model what-ifs keep the structure, so their
+        analyses share the basis's kernel objects and stay exact; a
+        priority what-if changes the structure and builds its own."""
+        from repro.service import (
+            AnalysisSession,
+            ErrorModelDelta,
+            JitterDelta,
+            PriorityDelta,
+        )
+
+        kmatrix, ordered, overrides = self._setup(seed)
+        session = AnalysisSession(kmatrix, _BUS, assumed_jitter_fraction=0.1,
+                                  event_models=overrides)
+        base = session.query()
+        basis = session._cache[base.key].analysis
+        for deltas in ((JitterDelta(fraction=0.3),),
+                       (JitterDelta(message_name=ordered[1].name,
+                                    jitter=0.4 * ordered[1].period),),
+                       (ErrorModelDelta(SporadicErrorModel(
+                           min_interarrival=25.0)),)):
+            result = session.query(deltas, warm_from=base)
+            analysis = session._cache[result.key].analysis
+            assert analysis is not basis
+            assert analysis._kernels is basis._kernels
+            assert all(analysis._kernel(m) is basis._kernel(m)
+                       for m in kmatrix)
+            config = apply_deltas(session.base_config, deltas)
+            assert result.results == ReferenceCanBusAnalysis(
+                config.kmatrix, _BUS, error_model=config.error_model,
+                assumed_jitter_fraction=config.assumed_jitter_fraction,
+                event_models=overrides).analyze_all()
+
+        swap = (PriorityDelta(swap=(ordered[0].name, ordered[-1].name)),)
+        swapped = session.query(swap, warm_from=base)
+        analysis = session._cache[swapped.key].analysis
+        config = apply_deltas(session.base_config, swap)
+        assert analysis._kernels is not basis._kernels
+        assert not any(analysis._kernel(m) is basis._kernel(m)
+                       for m in config.kmatrix)
+        assert swapped.results == ReferenceCanBusAnalysis(
+            config.kmatrix, _BUS, assumed_jitter_fraction=0.1,
+            event_models=overrides).analyze_all()
 
 
 class TestSensitivityEquivalence:

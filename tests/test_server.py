@@ -10,9 +10,13 @@ so ``==`` is the right comparison.
 
 from __future__ import annotations
 
+import json
+import math
 import threading
 
 import pytest
+
+import repro.server.client as client_module
 
 from repro.can.message import CanMessage
 from repro.errors.models import (
@@ -172,6 +176,12 @@ class TestProtocolRoundtrips:
             decode_line(b"[1, 2, 3]\n")
         with pytest.raises(ProtocolError):
             decode_line(b"\n")
+        # Invalid UTF-8 and integer literals past the interpreter's digit
+        # limit fail inside the decoder, not as JSON syntax errors.
+        with pytest.raises(ProtocolError):
+            decode_line(b"\xff\xfe\n")
+        with pytest.raises(ProtocolError):
+            decode_line(b'{"deadline_ms": ' + b"9" * 5000 + b"}\n")
 
 
 # --------------------------------------------------------------------------- #
@@ -356,7 +366,8 @@ class TestDaemonEndpoints:
             client.request("query", target="powertrain",
                            deltas=[{"delta": "quantum"}])
 
-    def test_type_malformed_params_are_clean_errors(self, client):
+    def test_type_malformed_params_are_clean_errors(self, client, daemon,
+                                                    monkeypatch):
         """Valid JSON of the wrong shape must yield an error response,
         never an unhandled exception (which would kill a TCP connection)."""
         with pytest.raises(DaemonError):
@@ -373,6 +384,44 @@ class TestDaemonEndpoints:
                            deltas=[{"delta": "jitter", "fraction": "many"}])
         # The daemon is still alive afterwards.
         assert client.ping()["pong"] is True
+        # Non-finite numbers (``1e999`` and ``NaN`` decode to inf / nan),
+        # sent after a warm base query, in-process and over TCP.  The
+        # client codec refuses to write them, so requests go out through a
+        # permissive encoder; the daemon's replies still use the strict one.
+        monkeypatch.setattr(client_module, "encode_line", lambda obj: (
+            json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"))
+        server = start_server(daemon, port=0)
+        try:
+            with TcpClient(*server.address) as tcp:
+                for peer in (client, tcp):
+                    self._assert_non_finite_rejected(peer)
+                assert tcp.reconnects == 0
+        finally:
+            server.stop(close_daemon=False)
+
+    @staticmethod
+    def _assert_non_finite_rejected(peer) -> None:
+        config = _powertrain_config()
+        name = config.kmatrix.messages[0].name
+        base = peer.query("powertrain", with_report=False)["results"]
+        assert {n: entry["worst_case"] for n, entry in base.items()} \
+            == _reference_worst_cases(config)
+        for value in (math.inf, math.nan):
+            for params, code, field in (
+                    ({"deltas": [{"delta": "jitter", "fraction": value}]},
+                     "invalid", "fraction"),
+                    ({"deltas": [{"delta": "jitter", "message_name": name,
+                                  "jitter": value}]},
+                     "invalid", "jitter"),
+                    ({"deadline_ms": value}, "protocol", "deadline_ms")):
+                with pytest.raises(DaemonError, match=field) as caught:
+                    peer.request("query", target="powertrain", **params)
+                assert caught.value.code == code
+                deltas = (JitterDelta(fraction=0.35),)
+                clean = peer.query("powertrain", deltas, with_report=False)
+                assert {n: entry["worst_case"] for n, entry
+                        in clean["results"].items()} \
+                    == _reference_worst_cases(config, deltas)
 
     def test_reregistered_system_is_not_served_stale(self):
         daemon = AnalysisDaemon(name="rereg")
