@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 
@@ -75,15 +76,27 @@ class EmpiricalEventTrace:
     single Timsort pass the next time the (sorted) timestamps are read.  The
     previous per-event ``list.insert`` made trace construction quadratic,
     which dominated long simulator runs.
+
+    The trace also carries the fold state of :func:`fit_periodic_jitter`,
+    one entry per ``(period, max_n)``: how many sorted timestamps are
+    already folded and the jitter they require.  While timestamps arrive
+    at or above the high-water mark the folded prefix stays put, so a
+    refit costs amortised O(new arrivals x ``max_n``).  An ``add`` below
+    the mark (it may shift the sorted prefix) and any assignment to
+    :attr:`timestamps` (e.g. trimming old arrivals) clear the fold state,
+    and the next fit starts from scratch.
     """
 
     def __init__(self, timestamps: Iterable[float] | None = None) -> None:
-        self._times = sorted(float(t) for t in (timestamps or ()))
-        self._pending: list[float] = []
+        self.timestamps = timestamps or ()
 
     @property
     def timestamps(self) -> list[float]:
-        """Sorted event timestamps (flushes any buffered ``add`` calls)."""
+        """Sorted event timestamps (flushes any buffered ``add`` calls).
+
+        The list is the trace's own: replace it through the setter rather
+        than mutating it in place.
+        """
         pending = self._pending
         if pending:
             self._times.extend(pending)
@@ -95,11 +108,18 @@ class EmpiricalEventTrace:
     @timestamps.setter
     def timestamps(self, values: Iterable[float]) -> None:
         self._times = sorted(float(t) for t in values)
-        self._pending = []
+        self._pending: list[float] = []
+        self._high = self._times[-1] if self._times else float("-inf")
+        self._folds: dict[tuple, tuple[int, float]] = {}
 
     def add(self, timestamp: float) -> None:
         """Record an event occurrence (timestamps may arrive out of order)."""
-        self._pending.append(float(timestamp))
+        timestamp = float(timestamp)
+        if timestamp >= self._high:
+            self._high = timestamp
+        else:
+            self._folds.clear()
+        self._pending.append(timestamp)
 
     def __len__(self) -> int:
         return len(self._times) + len(self._pending)
@@ -250,20 +270,39 @@ def fit_periodic_jitter(trace: EmpiricalEventTrace, period: float,
 
     ``max_n`` caps the span scan (``None`` examines every span the trace
     supports); the required jitter of a jittery-periodic source saturates at
-    small ``n``, so the default keeps fitting O(len * 64).  The result comes
-    from :func:`~repro.events.model.event_model_from_parameters`, so a fit
-    with zero observed jitter is a plain :class:`PeriodicEventModel`.
+    small ``n``.  The result comes from
+    :func:`~repro.events.model.event_model_from_parameters`, so a fit with
+    zero observed jitter is a plain :class:`PeriodicEventModel`.
+
+    The scan is a fold over event pairs ``i < j`` at most ``max_n - 1``
+    apart, keeping the largest ``(j - i) * period - (t[j] - t[i])``.  It
+    equals the per-``n`` formula bit for bit: float subtraction is monotone
+    in its subtrahend, so the largest difference is the one with the
+    smallest span.  The trace keeps the fold per ``(period, max_n)``, so
+    refitting a trace that only grew at its end folds just the new events:
+    amortised O(new x ``max_n``) per fit instead of O(len x ``max_n``).
+    Out-of-order additions and assignments to
+    :attr:`EmpiricalEventTrace.timestamps` reset the fold (see there).
     """
     from repro.events.model import event_model_from_parameters
 
     if period <= 0:
         raise ValueError(f"period must be positive, got {period}")
-    count = len(trace)
-    limit = count if max_n is None else min(max_n, count)
-    jitter = 0.0
-    for n in range(2, limit + 1):
-        required = (n - 1) * period - trace.empirical_delta_minus(n)
-        if required > jitter:
-            jitter = required
+    times = trace.timestamps
+    count = len(times)
+    key = (period, max_n)
+    folded, jitter = trace._folds.get(key, (1, 0.0))
+    reach = count - 1 if max_n is None else min(max_n - 1, count - 1)
+    if folded < count and reach > 0:
+        # offsets[reach - d] == d * period, so the tail of length k lines
+        # up with times[j - k:j] (spans d = k .. 1).
+        offsets = [d * period for d in range(reach, 0, -1)]
+        for j in range(max(folded, 1), count):
+            k = j if j < reach else reach
+            required = max(map(sub, offsets[reach - k:],
+                               map(times[j].__sub__, times[j - k:j])))
+            if required > jitter:
+                jitter = required
+    trace._folds[key] = (count, jitter)
     return event_model_from_parameters(period, jitter=jitter,
                                        min_distance=min_distance)

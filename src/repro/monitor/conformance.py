@@ -240,18 +240,22 @@ class ConformanceMonitor:
         ordered = sorted(frames, key=lambda f: (f.finished_at, f.queued_at, f.message))
         report = IngestReport()
         with self._lock:
-            for index, frame in enumerate(ordered):
-                if cancel is not None and index % 256 == 0:
-                    cancel.check()
-                state = self._states.get(frame.message)
-                if state is None:
-                    raise UnknownMessageError(frame.message, self._states)
-                self._advance_windows(frame.finished_at, report, cancel)
-                self._ingest_frame(state, frame, report, cancel)
-            # One batched increment per chunk: same total at every request
-            # boundary, without a lock round-trip per frame.
-            if self.metrics is not None and report.frames:
-                self._frames_total.inc(report.frames)
+            try:
+                for index, frame in enumerate(ordered):
+                    if cancel is not None and index % 256 == 0:
+                        cancel.check()
+                    state = self._states.get(frame.message)
+                    if state is None:
+                        raise UnknownMessageError(frame.message, self._states)
+                    self._advance_windows(frame.finished_at, report, cancel)
+                    self._ingest_frame(state, frame, report, cancel)
+            finally:
+                # One batched increment per chunk: same total at every
+                # request boundary, without a lock round-trip per frame --
+                # and still equal to ``status()["frames"]`` when a cancel
+                # or an unknown message cuts the chunk short.
+                if self.metrics is not None and report.frames:
+                    self._frames_total.inc(report.frames)
         return report
 
     def _ingest_frame(
@@ -344,8 +348,12 @@ class ConformanceMonitor:
     # Windows, envelopes, re-derivation
     # ------------------------------------------------------------------ #
     def _advance_windows(self, now: float, report: IngestReport, cancel) -> None:
+        # A frame far in the future closes one window per ``window_ms`` it
+        # skips: check the token at each, so a deadline bounds the gap.
         target_window = int(now // self.config.window_ms)
         while self._window < target_window:
+            if cancel is not None:
+                cancel.check()
             self._close_window(report, cancel)
             self._window += 1
 
@@ -449,6 +457,8 @@ class ConformanceMonitor:
         limit = self.config.max_arrivals
         for state in self._states.values():
             if len(state.arrivals) > limit:
+                # The setter resets the trace's incremental fit: the next
+                # fit of a trimmed trace folds its retained arrivals anew.
                 state.arrivals.timestamps = state.arrivals.timestamps[-limit:]
 
     # ------------------------------------------------------------------ #

@@ -19,6 +19,7 @@ replay whose observed jitter escapes the registered event model.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import Iterable, Iterator, Sequence
 
 
@@ -55,14 +56,36 @@ class ObservedFrame:
 
     @classmethod
     def from_json(cls, payload: Sequence) -> "ObservedFrame":
+        """Inverse of :meth:`to_json`.
+
+        Raises ``ValueError`` naming the field when an instant is not a
+        finite float (``NaN``, an infinity, an integer too large for a
+        float) or the response time between two finite instants overflows:
+        such a frame would poison the arrival trace and the status report.
+        """
         message, queued_at, finished_at, success, attempt = payload
+        queued_at = _finite_ms("queued_at", queued_at)
+        finished_at = _finite_ms("finished_at", finished_at)
+        if not isfinite(finished_at - queued_at):
+            raise ValueError("finished_at - queued_at is not a finite response time")
         return cls(
             message=str(message),
-            queued_at=float(queued_at),
-            finished_at=float(finished_at),
+            queued_at=queued_at,
+            finished_at=finished_at,
             success=bool(success),
             attempt=int(attempt),
         )
+
+
+def _finite_ms(field: str, value) -> float:
+    """``value`` as a finite float, or a ``ValueError`` naming ``field``."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is too large for a float") from None
+    if not isfinite(number):
+        raise ValueError(f"{field} must be a finite number, got {number!r}")
+    return number
 
 
 def frames_from_trace(trace) -> list[ObservedFrame]:

@@ -941,16 +941,23 @@ def frames_to_json(frames: Sequence[ObservedFrame]) -> list[list]:
 
 
 def frames_from_json(items: Sequence) -> list[ObservedFrame]:
-    """Inverse of :func:`frames_to_json`."""
+    """Inverse of :func:`frames_to_json`.
+
+    A malformed frame -- wrong shape, a non-finite or overflowing instant,
+    an unconvertible field -- is a :class:`ProtocolError` naming the
+    frame's index in ``items`` and the offending field.
+    """
     frames = []
-    for item in items:
+    for index, item in enumerate(items):
         if not isinstance(item, Sequence) or len(item) != 5:
             raise ProtocolError(
-                f"observed frame must be a 5-element array, got {item!r}")
+                f"observed frame {index} must be a 5-element array, "
+                f"got {item!r}")
         try:
             frames.append(ObservedFrame.from_json(item))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed observed frame: {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(
+                f"malformed observed frame {index}: {exc}") from None
     return frames
 
 

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.events.curves import (
     ArrivalCurve,
     EmpiricalEventTrace,
     curve_from_event_model,
     distance_from_event_model,
+    fit_periodic_jitter,
     merge_traces,
 )
 from repro.events.model import PeriodicEventModel, PeriodicWithJitter
@@ -91,3 +94,89 @@ class TestCurveWrappers:
         curve = trace.to_arrival_curve("measured")
         assert isinstance(curve, ArrivalCurve)
         assert curve.max_events(25.0) == 3
+
+
+# --------------------------------------------------------------------------- #
+# Incremental periodic-jitter fit vs a from-scratch oracle
+# --------------------------------------------------------------------------- #
+def _oracle_jitter(timestamps, period, max_n):
+    """The per-``n`` definition, recomputed from scratch on a fresh trace."""
+    trace = EmpiricalEventTrace(timestamps)
+    limit = len(trace) if max_n is None else min(max_n, len(trace))
+    jitter = 0.0
+    for n in range(2, limit + 1):
+        required = (n - 1) * period - trace.empirical_delta_minus(n)
+        if required > jitter:
+            jitter = required
+    return jitter
+
+
+#: (period, max_n) pairs the property interleaves on one trace; an int
+#: period and ``max_n`` of 1, 2 and None cover the edges of the fold.
+_FIT_KEYS = [(10.0, 64), (10.0, 4), (7.3, None), (10, 8), (0.1, 2),
+             (10.0, 1)]
+
+_instants = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.lists(_instants, min_size=1,
+                                           max_size=6)),
+        st.tuples(st.just("late"), _instants),
+        st.tuples(st.just("trim"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("fit"), st.integers(min_value=0,
+                                              max_value=len(_FIT_KEYS) - 1)),
+    ),
+    max_size=40,
+)
+
+
+class TestIncrementalJitterFit:
+    @settings(max_examples=200, deadline=None)
+    @given(operations=_operations)
+    def test_fit_equals_from_scratch_oracle(self, operations):
+        trace = EmpiricalEventTrace()
+        shadow: list[float] = []
+        for kind, arg in operations:
+            if kind == "add":
+                # In-order: each gap lands at or above the high-water mark.
+                high = max(shadow, default=0.0)
+                for gap in arg:
+                    high += gap
+                    trace.add(high)
+                    shadow.append(high)
+            elif kind == "late":
+                # Anywhere, usually below the high-water mark.
+                trace.add(arg)
+                shadow.append(arg)
+            elif kind == "trim":
+                # Keep the newest ``arg`` arrivals, as the monitor does.
+                start = max(len(shadow) - arg, 0)
+                shadow = sorted(shadow)[start:]
+                trace.timestamps = trace.timestamps[start:]
+            else:
+                period, max_n = _FIT_KEYS[arg]
+                fitted = fit_periodic_jitter(trace, period, max_n=max_n)
+                assert fitted.jitter == _oracle_jitter(shadow, period, max_n)
+        assert trace.timestamps == sorted(shadow)
+        for period, max_n in _FIT_KEYS:
+            assert fit_periodic_jitter(trace, period, max_n=max_n).jitter \
+                == _oracle_jitter(shadow, period, max_n)
+
+    def test_refit_folds_only_new_arrivals(self):
+        trace = EmpiricalEventTrace([i * 10.0 for i in range(100)])
+        assert fit_periodic_jitter(trace, 10.0).jitter == 0.0
+        assert trace._folds[(10.0, 64)] == (100, 0.0)
+        trace.add(995.0)  # 5 ms early: required jitter 5
+        assert fit_periodic_jitter(trace, 10.0).jitter == 5.0
+        assert trace._folds[(10.0, 64)] == (101, 5.0)
+
+    def test_out_of_order_add_and_trim_reset_the_fold(self):
+        trace = EmpiricalEventTrace([0.0, 10.0, 20.0, 30.0])
+        fit_periodic_jitter(trace, 10.0)
+        trace.add(5.0)
+        assert trace._folds == {}
+        assert fit_periodic_jitter(trace, 10.0).jitter == \
+            _oracle_jitter([0.0, 5.0, 10.0, 20.0, 30.0], 10.0, 64)
+        trace.timestamps = trace.timestamps[-2:]
+        assert trace._folds == {}
+        assert fit_periodic_jitter(trace, 10.0).jitter == 0.0

@@ -8,9 +8,13 @@ jitter burst that pushes exactly one message past its analytic deadline.
 
 from __future__ import annotations
 
+import json
+import socket
+
 import pytest
 
 from repro.analysis.response_time import CanBusAnalysis
+from repro.cancel import CancelToken, DeadlineExceeded
 from repro.events.curves import EmpiricalEventTrace, fit_periodic_jitter
 from repro.monitor import (
     AlertEngine,
@@ -43,6 +47,29 @@ def _recorded_frames(small_kmatrix, small_bus, duration=2000.0, seed=3):
         small_kmatrix, small_bus,
         config=SimulationConfig(duration=duration, seed=seed))
     return frames_from_trace(simulator.run())
+
+
+#: Raw ``monitor_ingest`` frame texts the codec must reject, each with the
+#: field(s) its typed error names.  Written as JSON text, which parses
+#: ``NaN``, ``Infinity``, ``1e999`` and a 400-digit integer; the client's
+#: strict encoder would refuse to send the non-finite ones.
+_BAD_FRAMES = [
+    pytest.param('["Slow", NaN, 5.0, true, 1]', "queued_at", id="nan-queued"),
+    pytest.param('["Slow", -Infinity, 5.0, true, 1]', "queued_at",
+                 id="neg-inf-queued"),
+    pytest.param('["Slow", 1.0, NaN, true, 1]', "finished_at",
+                 id="nan-finished"),
+    pytest.param('["Slow", 1.0, Infinity, true, 1]', "finished_at",
+                 id="inf-finished"),
+    pytest.param('["Slow", 1.0, 1e999, true, 1]', "finished_at",
+                 id="1e999-finished"),
+    pytest.param('["Slow", ' + "9" * 400 + ', 5.0, true, 1]', "queued_at",
+                 id="huge-int-queued"),
+    pytest.param('["Slow", 1.0, ' + "9" * 400 + ', true, 1]', "finished_at",
+                 id="huge-int-finished"),
+    pytest.param('["Slow", -1e308, 1e308, true, 1]', "finished_at - queued_at",
+                 id="overflowing-response-time"),
+]
 
 
 # --------------------------------------------------------------------------- #
@@ -192,6 +219,14 @@ class TestStreams:
         with pytest.raises(protocol.ProtocolError):
             protocol.alert_rules_from_json([{"name": "a"}])
 
+    @pytest.mark.parametrize("text,field", _BAD_FRAMES)
+    def test_frame_codec_rejects_non_finite_instants(self, text, field):
+        items = json.loads(f'[["Slow", 0.5, 1.0, true, 1], {text}]')
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.frames_from_json(items)
+        assert "frame 1" in str(excinfo.value)
+        assert field in str(excinfo.value)
+
 
 # --------------------------------------------------------------------------- #
 # Monitor core (no transport)
@@ -278,6 +313,67 @@ class TestConformanceMonitor:
         # History carries the windowed series behind the alert.
         assert monitor.history.latest("observed_max_ms", message="Slow") \
             is not None
+
+    def test_refits_under_trimming_match_fresh_fits(
+            self, small_kmatrix, small_bus, monkeypatch):
+        """Every fit the monitor makes -- incremental, or restarted after
+        a trim -- equals a fit of a fresh trace over the same arrivals."""
+        import repro.monitor.conformance as conformance
+        fits = []
+
+        def checked_fit(trace, period, max_n):
+            fitted = fit_periodic_jitter(trace, period, max_n=max_n)
+            fresh = fit_periodic_jitter(
+                EmpiricalEventTrace(trace.timestamps), period, max_n=max_n)
+            fits.append((id(trace), len(trace), fitted.jitter, fresh.jitter))
+            return fitted
+
+        monkeypatch.setattr(conformance, "fit_periodic_jitter", checked_fit)
+        session = AnalysisSession(small_kmatrix, small_bus,
+                                  name="monitor-trim")
+        monitor = ConformanceMonitor(
+            session, target="bus",
+            config=MonitorConfig(window_ms=100.0, max_arrivals=8))
+        frames = inject_jitter_burst(
+            _recorded_frames(small_kmatrix, small_bus), "Slow",
+            start=500.0, count=5, shift=120.0)
+        for chunk in chunked(frames, 64):
+            monitor.ingest(chunk)
+        monitor.flush()
+        status = monitor.status()
+        assert status["overrides"] == ["Slow"]
+        # Trims happened: some trace was refitted after shrinking.
+        sizes: dict[int, list[int]] = {}
+        for trace_id, size, _, _ in fits:
+            sizes.setdefault(trace_id, []).append(size)
+        assert any(later < earlier for history in sizes.values()
+                   for earlier, later in zip(history, history[1:]))
+        assert all(fitted == fresh for _, _, fitted, fresh in fits)
+        override = monitor.overrides["Slow"]
+        assert override.jitter in {fitted for _, _, fitted, _ in fits}
+        assert status["messages"]["Slow"]["fitted_jitter"] == override.jitter
+
+    def test_far_future_frame_honours_the_deadline(self, small_kmatrix,
+                                                    small_bus):
+        registry = MetricsRegistry()
+        session = AnalysisSession(small_kmatrix, small_bus,
+                                  name="monitor-deadline")
+        monitor = ConformanceMonitor(
+            session, target="bus", config=MonitorConfig(window_ms=100.0),
+            metrics=registry)
+        monitor.ingest([ObservedFrame("Slow", 0.0, 1.0)])
+        # 1e7 ms is 100 000 windows to close: seconds of work, cut short.
+        with pytest.raises(DeadlineExceeded):
+            monitor.ingest([ObservedFrame("FastA", 2.0, 3.0),
+                            ObservedFrame("Slow", 1e7 - 1.0, 1e7)],
+                           cancel=CancelToken.after_ms(50))
+        assert monitor.status()["window"] < 100_000
+        report = monitor.ingest([ObservedFrame("FastB", 4.0, 5.0)])
+        assert report.frames == 1
+        status = monitor.status()
+        # The frame processed before the deadline counts in both records.
+        assert status["frames"] == 3
+        assert registry.value("monitor_frames_total", target="bus") == 3.0
 
     def test_unknown_message_raises_typed_error(self, small_kmatrix,
                                                 small_bus):
@@ -389,6 +485,64 @@ class TestMonitorOverTheWire:
             client.monitor_start("bus", window_ms=-1.0)
         assert excinfo.value.code == "invalid"
         daemon.close()
+
+    @pytest.mark.parametrize("transport", ["in-process", "tcp"])
+    def test_bad_frames_and_far_future_get_typed_errors(
+            self, small_kmatrix, small_bus, transport):
+        daemon = self._daemon(small_kmatrix, small_bus)
+        server = start_server(daemon, port=0) if transport == "tcp" \
+            else None
+        sock = reader = None
+        if server is not None:
+            sock = socket.create_connection(server.address, timeout=30.0)
+            reader = sock.makefile("rb")
+
+        def call(line: str) -> dict:
+            # Raw text, as a peer could send it: the client's encoder
+            # refuses NaN and infinities before they reach the daemon.
+            if sock is None:
+                return daemon.handle(protocol.decode_line(line))
+            sock.sendall(line.encode("utf-8") + b"\n")
+            return protocol.decode_line(reader.readline())
+
+        def ingest(frames: str, **params) -> dict:
+            extra = "".join(f', "{key}": {json.dumps(value)}'
+                            for key, value in params.items())
+            return call('{"op": "monitor_ingest", "target": "bus", '
+                        f'"frames": {frames}{extra}}}')
+
+        def status() -> dict:
+            response = call('{"op": "monitor_status", "target": "bus"}')
+            assert response["ok"], response
+            protocol.encode_line(response)  # stays encodable
+            return response["result"]
+
+        try:
+            assert call('{"op": "monitor_start", "target": "bus"}')["ok"]
+            assert ingest('[["Slow", 0.0, 1.0, true, 1]]')["ok"]
+            for text, field in (case.values for case in _BAD_FRAMES):
+                response = ingest(f'[["FastA", 0.5, 1.5, true, 1], {text}]')
+                assert response["ok"] is False
+                assert response["code"] == "protocol", response
+                assert "frame 1" in response["error"]
+                assert field in response["error"]
+            # Rejected chunks are rejected whole: nothing was ingested.
+            assert status()["frames"] == 1
+            response = ingest('[["Slow", 9999999.0, 10000000.0, true, 1]]',
+                              deadline_ms=50)
+            assert response["ok"] is False
+            assert response["code"] == "timeout", response
+            response = ingest('[["FastB", 2.0, 3.0, true, 1]]')
+            assert response["ok"], response
+            assert response["result"]["frames"] == 1
+            assert status()["frames"] == 2
+        finally:
+            if sock is not None:
+                reader.close()
+                sock.close()
+            if server is not None:
+                server.stop()
+            daemon.close()
 
     def test_monitor_restart_resets_state(self, small_kmatrix, small_bus):
         daemon = self._daemon(small_kmatrix, small_bus)
