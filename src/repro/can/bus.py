@@ -8,6 +8,7 @@ response-time analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.can.frame import (
@@ -38,8 +39,10 @@ class CanBus:
     bit_stuffing: bool = True
 
     def __post_init__(self) -> None:
-        if self.bit_rate_bps <= 0:
-            raise ValueError("bit_rate_bps must be positive")
+        # Also false for NaN, which every ordered comparison rejects.
+        if not 0 < self.bit_rate_bps < math.inf:
+            raise ValueError(f"bit_rate_bps must be finite and positive, "
+                             f"got {self.bit_rate_bps!r}")
 
     @property
     def bit_time_ms(self) -> float:

@@ -21,9 +21,14 @@ overloaded or has a cyclic dependency that keeps amplifying jitter).
 
 Two performance levers keep large systems in the "within minutes" envelope:
 
-* independent bus segments inside one global iteration are analysed through
-  :func:`repro.parallel.parallel_map` (results are merged in segment order,
-  so parallelism never changes a result);
+* one global iteration analyses its bus segments in order on the calling
+  thread.  The segment analyses hold the GIL, so a thread pool only adds
+  contention: 300 system what-ifs on a 4x30-message gateway chain took a
+  median 14.7 ms with a pool per global iteration and 7.6 ms without (one
+  process on a shared 2-CPU host), and at 4x150 messages the pool was no
+  faster either.  Only ``REPRO_PARALLEL=process`` fans the segments out
+  (to worker processes, through :func:`repro.parallel.parallel_map`;
+  results merge in segment order, so the mode never changes a result);
 * successive global iterations are **incremental**: every bus segment is
   owned by a per-segment
   :class:`~repro.service.session.AnalysisSession`, and each iteration
@@ -152,6 +157,22 @@ def _segment_arrival_models(
     return arrival_models
 
 
+def _segment_overrides(segment: BusSegment,
+                       send_models: Mapping[str, EventModel],
+                       ) -> dict[str, EventModel]:
+    """The propagated send models of one segment's messages.
+
+    One walk over the K-Matrix with dict lookups: testing every send model
+    with ``name in segment.kmatrix`` would scan the matrix once per model.
+    """
+    overrides: dict[str, EventModel] = {}
+    for message in segment.kmatrix:
+        model = send_models.get(message.name)
+        if model is not None:
+            overrides[message.name] = model
+    return overrides
+
+
 def _analyze_segment_job(args: tuple) -> tuple:
     """Analyse one bus segment (top-level so ``process`` pools can pickle it).
 
@@ -160,9 +181,7 @@ def _analyze_segment_job(args: tuple) -> tuple:
     global iteration for warm starting.
     """
     segment, controllers, send_models, previous = args
-    overrides = {
-        name: model for name, model in send_models.items()
-        if name in segment.kmatrix}
+    overrides = _segment_overrides(segment, send_models)
     analysis = CanBusAnalysis(
         kmatrix=segment.kmatrix,
         bus=segment.bus,
@@ -192,6 +211,12 @@ _SESSION_CACHE_PER_SEGMENT = 8
 
 class CompositionalAnalysis:
     """Global analysis of a :class:`~repro.core.system.SystemModel`.
+
+    :meth:`run` performs every global iteration on the calling thread and
+    analyses the bus segments one after another: the analysis holds the
+    GIL, so the engine starts no threads (a server handling one request per
+    thread keeps exactly that thread busy).  ``REPRO_PARALLEL=process`` is
+    the one mode that distributes the segments, to worker processes.
 
     Parameters
     ----------
@@ -330,9 +355,7 @@ class CompositionalAnalysis:
         segments cost a cache lookup per iteration, not a propagation pass.
         """
         session = self._session_for(segment)
-        overrides = {
-            name: model for name, model in send_models.items()
-            if name in segment.kmatrix}
+        overrides = _segment_overrides(segment, send_models)
         deltas: tuple = ()
         if overrides:
             deltas = (EventModelDelta.from_mapping(
@@ -359,30 +382,29 @@ class CompositionalAnalysis:
                dict[str, object]]:
         """Analyse all buses with the given send models.
 
-        On the incremental path every segment's query runs against its
-        cached session (deltas planned per message); independent segments
-        still evaluate through :func:`repro.parallel.parallel_map` and merge
-        in segment order, so the sweep stays deterministic.  Under
-        ``REPRO_PARALLEL=process`` (or ``incremental=False``) the sweep
-        instead submits picklable job tuples to the top-level
-        :func:`_analyze_segment_job`, warm-seeded with each segment's
-        (event models, results) from the previous iteration.
+        Segments are analysed in order on the calling thread (see the
+        module docstring for why there is no thread pool).  On the
+        incremental path every segment's query runs against its cached
+        session (deltas planned per message).  With ``incremental=False``
+        -- implied by ``REPRO_PARALLEL=process``, which hands the jobs to
+        worker processes -- the sweep instead runs picklable job tuples
+        through the top-level :func:`_analyze_segment_job`, warm-seeded
+        with each segment's (event models, results) from the previous
+        iteration.
         """
         segments = list(self.system.buses.values())
         previous_sweep = previous_sweep or {}
-        mode = resolve_mode("auto", len(segments))
+        process = resolve_mode("auto", len(segments)) == "process"
         message_results: dict[str, MessageResponseTime] = {}
         arrival_models: dict[str, EventModel] = {}
         bus_reports = {}
         sweep_state: dict[str, object] = {}
-        if self.incremental and mode != "process":
-            def job(segment: BusSegment) -> tuple:
-                return self._query_segment_session(
-                    segment, send_models, previous_sweep.get(segment.name),
-                    cancel=cancel)
-            outcomes = parallel_map(job, segments, mode=mode)
-            for segment, (results, arrivals, report, state) in zip(
-                    segments, outcomes):
+        if self.incremental and not process:
+            for segment in segments:
+                results, arrivals, report, state = \
+                    self._query_segment_session(
+                        segment, send_models,
+                        previous_sweep.get(segment.name), cancel=cancel)
                 message_results.update(results)
                 arrival_models.update(arrivals)
                 bus_reports[segment.name] = report
@@ -413,7 +435,11 @@ class CompositionalAnalysis:
                     previous = None
                 jobs.append((segment, controllers, dict(send_models),
                              previous))
-            outcomes = parallel_map(_analyze_segment_job, jobs)
+            if process:
+                outcomes = parallel_map(_analyze_segment_job, jobs,
+                                        mode="process")
+            else:
+                outcomes = [_analyze_segment_job(job) for job in jobs]
             for segment, (results, arrivals, report, models) in zip(
                     segments, outcomes):
                 message_results.update(results)

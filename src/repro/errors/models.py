@@ -20,6 +20,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+def _check_min_interarrival(value: float) -> None:
+    # Also false for NaN, which every ordered comparison rejects.
+    if not 0 < value < math.inf:
+        raise ValueError(f"min_interarrival must be finite and positive, "
+                         f"got {value!r}")
+
+
 def _count_arrivals(t: float, period: float) -> int:
     """Number of sporadic arrivals with minimum separation ``period`` in ``t``.
 
@@ -77,8 +84,7 @@ class SporadicErrorModel(ErrorModel):
     min_interarrival: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.min_interarrival <= 0:
-            raise ValueError("min_interarrival must be positive")
+        _check_min_interarrival(self.min_interarrival)
 
     def errors_in(self, t: float) -> int:
         return _count_arrivals(t, self.min_interarrival)
@@ -116,12 +122,13 @@ class BurstErrorModel(ErrorModel):
     intra_burst_gap: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.min_interarrival <= 0:
-            raise ValueError("min_interarrival must be positive")
+        _check_min_interarrival(self.min_interarrival)
         if self.burst_length < 1:
             raise ValueError("burst_length must be at least 1")
-        if self.intra_burst_gap < 0:
-            raise ValueError("intra_burst_gap must be non-negative")
+        # Also false for NaN, which every ordered comparison rejects.
+        if not 0 <= self.intra_burst_gap < math.inf:
+            raise ValueError(f"intra_burst_gap must be finite and "
+                             f"non-negative, got {self.intra_burst_gap!r}")
         if self.burst_length * self.intra_burst_gap >= self.min_interarrival:
             raise ValueError(
                 "burst must fit inside the inter-burst distance: "

@@ -7,6 +7,12 @@ guaranteeing that results come back **in input order** -- callers aggregate
 them exactly as a serial loop would, so parallelism never changes a single
 result bit.
 
+The compositional engine's bus sweep uses this module only under
+``process``: in every other mode it analyses the segments in order on the
+calling thread.  Segment analyses are pure Python and hold the GIL, so a
+thread pool per global iteration only added contention (measured in
+:mod:`repro.core.engine`: about twice the time per system what-if).
+
 Execution modes
 ---------------
 ``serial``
@@ -14,8 +20,8 @@ Execution modes
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The analysis is pure
     Python, so threads only pay off when the work releases the GIL (numpy
-    batches, I/O) -- but the mode also exercises the thread-safety of the
-    kernel and is what multi-core C-extension backends will use.
+    batches, I/O); that is why the engine's segment sweep ignores this
+    mode (see above).
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  Requires picklable
     functions and arguments (no closures); the engine's segment sweep, the

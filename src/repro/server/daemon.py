@@ -1079,7 +1079,9 @@ class AnalysisDaemon:
         # Range validation happens in MonitorConfig (ValueError -> the
         # typed ``invalid`` response).
         config = MonitorConfig(
-            window_ms=float(window_ms), history_windows=history, **extras)
+            window_ms=protocol.float_field(
+                request, "window_ms", self.monitor_window_ms),
+            history_windows=history, **extras)
         rules = protocol.alert_rules_from_json(request.get("rules", ()))
         monitor = ConformanceMonitor(
             session, target=target, config=config, rules=rules,

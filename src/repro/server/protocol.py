@@ -66,6 +66,7 @@ Unknown tags raise :class:`ProtocolError` -- the daemon never guesses.
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import IO, Mapping, Optional, Sequence
 
 from repro.can.bus import CanBus
@@ -163,6 +164,32 @@ class ProtocolError(ValueError):
     """A malformed or unsupported protocol object."""
 
 
+_REQUIRED = object()
+
+
+def float_field(data: Mapping, field: str, default=_REQUIRED):
+    """``float(data[field])``, or ``default`` when the field is absent.
+
+    Every float-valued protocol field decodes through here.  A value
+    ``float()`` rejects -- a string, a list, an integer literal too large
+    for a double -- raises a ``ValueError`` naming the field (the daemon's
+    ``invalid``; registration payloads wrap it into their ``protocol``
+    error); a missing required field raises ``KeyError(field)``.  Range
+    checks (finiteness, sign) stay with the typed objects the value feeds.
+    """
+    if field not in data:
+        if default is _REQUIRED:
+            raise KeyError(field)
+        return default
+    value = data[field]
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"{field} must be a number representable as a float, "
+            f"got {reprlib.repr(value)}") from None
+
+
 def error_response(message: str, code: str = "internal",
                    request_id=None,
                    retry_after_ms: Optional[int] = None) -> dict:
@@ -209,9 +236,9 @@ def event_model_from_json(data: Mapping) -> EventModel:
     cls = _EVENT_MODEL_CLASSES.get(data.get("model"))
     if cls is None:
         raise ProtocolError(f"unknown event model tag {data.get('model')!r}")
-    return cls(period=float(data["period"]),
-               jitter=float(data.get("jitter", 0.0)),
-               min_distance=float(data.get("min_distance", 0.0)))
+    return cls(period=float_field(data, "period"),
+               jitter=float_field(data, "jitter", 0.0),
+               min_distance=float_field(data, "min_distance", 0.0))
 
 
 # --------------------------------------------------------------------------- #
@@ -245,12 +272,12 @@ def error_model_from_json(data: Mapping) -> ErrorModel:
         return NoErrors()
     if kind == "sporadic":
         return SporadicErrorModel(
-            min_interarrival=float(data["min_interarrival"]))
+            min_interarrival=float_field(data, "min_interarrival"))
     if kind == "burst":
         return BurstErrorModel(
-            min_interarrival=float(data["min_interarrival"]),
+            min_interarrival=float_field(data, "min_interarrival"),
             burst_length=int(data["burst_length"]),
-            intra_burst_gap=float(data["intra_burst_gap"]))
+            intra_burst_gap=float_field(data, "intra_burst_gap"))
     if kind == "composite":
         return CompositeErrorModel(components=tuple(
             error_model_from_json(c) for c in data["components"]))
@@ -288,13 +315,12 @@ def can_message_from_json(data: Mapping) -> CanMessage:
             name=str(data["name"]),
             can_id=int(data["can_id"]),
             dlc=int(data["dlc"]),
-            period=float(data["period"]),
+            period=float_field(data, "period"),
             sender=str(data["sender"]),
             receivers=tuple(str(r) for r in data.get("receivers", ())),
-            jitter=(float(data["jitter"]) if "jitter" in data else None),
-            deadline=(float(data["deadline"])
-                      if "deadline" in data else None),
-            min_distance=float(data.get("min_distance", 0.0)),
+            jitter=float_field(data, "jitter", None),
+            deadline=float_field(data, "deadline", None),
+            min_distance=float_field(data, "min_distance", 0.0),
             frame_format=CanFrameFormat(
                 data.get("frame_format", CanFrameFormat.STANDARD.value)),
         )
@@ -357,9 +383,8 @@ def delta_from_json(data: Mapping) -> Delta:
     if kind == "jitter":
         return JitterDelta(
             message_name=data.get("message_name"),
-            jitter=(float(data["jitter"]) if "jitter" in data else None),
-            fraction=(float(data["fraction"])
-                      if "fraction" in data else None))
+            jitter=float_field(data, "jitter", None),
+            fraction=float_field(data, "fraction", None))
     if kind == "error-model":
         return ErrorModelDelta(error_model_from_json(data["error_model"]))
     if kind == "priority":
@@ -384,8 +409,7 @@ def delta_from_json(data: Mapping) -> Delta:
         return RemoveMessageDelta(str(data["message_name"]))
     if kind == "bus":
         return BusDelta(
-            bit_rate_bps=(float(data["bit_rate_bps"])
-                          if "bit_rate_bps" in data else None),
+            bit_rate_bps=float_field(data, "bit_rate_bps", None),
             bit_stuffing=(bool(data["bit_stuffing"])
                           if "bit_stuffing" in data else None))
     if kind == "deadline-policy":
@@ -489,7 +513,7 @@ def bus_from_json(data: Mapping) -> CanBus:
     """Inverse of :func:`bus_to_json`."""
     try:
         return CanBus(name=str(data["name"]),
-                      bit_rate_bps=float(data["bit_rate_bps"]),
+                      bit_rate_bps=float_field(data, "bit_rate_bps"),
                       bit_stuffing=bool(data.get("bit_stuffing", True)))
     except KeyError as missing:
         raise ProtocolError(f"bus object lacks {missing}") from None
@@ -537,8 +561,8 @@ def segment_from_json(data: Mapping) -> BusSegment:
             error_model=error_model_from_json(
                 data.get("error_model", {"errors": "none"})),
             deadline_policy=str(data.get("deadline_policy", "period")),
-            assumed_jitter_fraction=float(
-                data.get("assumed_jitter_fraction", 0.0)))
+            assumed_jitter_fraction=float_field(
+                data, "assumed_jitter_fraction", 0.0))
     except KeyError as missing:
         raise ProtocolError(f"segment object lacks {missing}") from None
 
@@ -575,8 +599,8 @@ def config_from_json(data: Mapping) -> BusConfiguration:
             bus=bus_from_json(data["bus"]),
             error_model=error_model_from_json(
                 data.get("error_model", {"errors": "none"})),
-            assumed_jitter_fraction=float(
-                data.get("assumed_jitter_fraction", 0.0)),
+            assumed_jitter_fraction=float_field(
+                data, "assumed_jitter_fraction", 0.0),
             controllers=controllers or None,
             event_models=event_models or None,
             deadline_policy=str(data.get("deadline_policy", "period")))
@@ -629,8 +653,8 @@ def gateway_from_json(data: Mapping) -> GatewayModel:
                     for r in data.get("routes", ())],
             policy=ForwardingPolicy(
                 data.get("policy", ForwardingPolicy.PERIODIC_POLLING.value)),
-            polling_period=float(data.get("polling_period", 5.0)),
-            copy_time=float(data.get("copy_time", 0.05)),
+            polling_period=float_field(data, "polling_period", 5.0),
+            copy_time=float_field(data, "copy_time", 0.05),
             queue_capacities={str(q): int(c) for q, c in
                               data.get("queue_capacities", {}).items()})
     except (KeyError, ValueError) as error:
@@ -659,15 +683,15 @@ def task_from_json(data: Mapping) -> Task:
         return Task(
             name=str(data["name"]),
             priority=int(data["priority"]),
-            wcet=float(data["wcet"]),
-            bcet=float(data.get("bcet", 0.0)),
+            wcet=float_field(data, "wcet"),
+            bcet=float_field(data, "bcet", 0.0),
             kind=TaskKind(data.get("kind", TaskKind.PREEMPTIVE.value)),
             activation=(event_model_from_json(data["activation"])
                         if "activation" in data else None),
             sends_messages=tuple(
                 str(m) for m in data.get("sends_messages", ())),
-            non_preemptable_region=float(
-                data.get("non_preemptable_region", 0.0)))
+            non_preemptable_region=float_field(
+                data, "non_preemptable_region", 0.0))
     except (KeyError, ValueError) as error:
         raise ProtocolError(f"bad task object: {error}") from None
 
@@ -702,20 +726,20 @@ def ecu_from_json(data: Mapping) -> EcuModel:
         if "timetable" in data:
             table = data["timetable"]
             timetable = TimeTable(
-                period=float(table["period"]),
+                period=float_field(table, "period"),
                 entries=tuple(
                     TimeTableEntry(task_name=str(e["task_name"]),
-                                   offset=float(e["offset"]))
+                                   offset=float_field(e, "offset"))
                     for e in table.get("entries", ())))
         return EcuModel(
             name=str(data["name"]),
             tasks=[task_from_json(t) for t in data.get("tasks", ())],
             overheads=OsekOverheads(
-                activation=float(overheads.get("activation", 0.004)),
-                termination=float(overheads.get("termination", 0.003)),
-                isr_entry=float(overheads.get("isr_entry", 0.002)),
-                schedule_point=float(
-                    overheads.get("schedule_point", 0.002))),
+                activation=float_field(overheads, "activation", 0.004),
+                termination=float_field(overheads, "termination", 0.003),
+                isr_entry=float_field(overheads, "isr_entry", 0.002),
+                schedule_point=float_field(
+                    overheads, "schedule_point", 0.002)),
             timetable=timetable)
     except (KeyError, ValueError) as error:
         raise ProtocolError(f"bad ECU object: {error}") from None
@@ -813,13 +837,12 @@ def system_delta_from_json(data: Mapping) -> SystemDelta:
                         if "new_can_id" in data else None))
     if kind == "bus-speed":
         return BusSpeedDelta(bus_name=str(data["bus"]),
-                             bit_rate_bps=float(data["bit_rate_bps"]))
+                             bit_rate_bps=float_field(data, "bit_rate_bps"))
     if kind == "add-gateway-route":
         return AddGatewayRouteDelta(
             gateway_name=str(data["gateway"]),
             route=gateway_route_from_json(data["route"]),
-            polling_period=(float(data["polling_period"])
-                            if "polling_period" in data else None))
+            polling_period=float_field(data, "polling_period", None))
     if kind == "remove-gateway-route":
         return RemoveGatewayRouteDelta(
             gateway_name=str(data["gateway"]),
@@ -827,18 +850,16 @@ def system_delta_from_json(data: Mapping) -> SystemDelta:
     if kind == "gateway-config":
         return GatewayConfigDelta(
             gateway_name=str(data["gateway"]),
-            polling_period=(float(data["polling_period"])
-                            if "polling_period" in data else None),
-            copy_time=(float(data["copy_time"])
-                       if "copy_time" in data else None),
+            polling_period=float_field(data, "polling_period", None),
+            copy_time=float_field(data, "copy_time", None),
             policy=(ForwardingPolicy(data["policy"])
                     if "policy" in data else None))
     if kind == "ecu-task":
         return EcuTaskDelta(
             ecu_name=str(data["ecu"]),
             task_name=str(data["task"]),
-            wcet=(float(data["wcet"]) if "wcet" in data else None),
-            bcet=(float(data["bcet"]) if "bcet" in data else None),
+            wcet=float_field(data, "wcet", None),
+            bcet=float_field(data, "bcet", None),
             activation=(event_model_from_json(data["activation"])
                         if "activation" in data else None))
     if kind == "segment-config":
@@ -972,7 +993,7 @@ def alert_rules_from_json(items: Sequence[Mapping]) -> tuple[AlertRule, ...]:
         except KeyError as missing:
             raise ProtocolError(
                 f"alert rule object lacks {missing}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed alert rule: {exc}") from None
     return tuple(rules)
 

@@ -356,6 +356,13 @@ class BusDelta(Delta):
     bit_rate_bps: Optional[float] = None
     bit_stuffing: Optional[bool] = None
 
+    def __post_init__(self) -> None:
+        # Also false for NaN, which every ordered comparison rejects.
+        if self.bit_rate_bps is not None \
+                and not 0 < self.bit_rate_bps < math.inf:
+            raise ValueError(f"bit_rate_bps must be finite and positive, "
+                             f"got {self.bit_rate_bps!r}")
+
     def apply(self, config: BusConfiguration) -> BusConfiguration:
         bus = config.bus
         if self.bit_rate_bps is not None:

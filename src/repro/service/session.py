@@ -4,10 +4,11 @@ An :class:`AnalysisSession` turns the fast analysis kernel into a query
 engine for interactive exploration: it holds one base
 :class:`~repro.service.deltas.BusConfiguration`, fingerprints every
 configuration it analyses, and caches the frozen
-:class:`~repro.analysis.response_time.CanBusAnalysis` kernel **and** the
-last converged fixed point per fingerprint.  A query is a sequence of typed
-deltas; the session applies them to a copy-on-write view and then plans, per
-message, the cheapest *exact* way to obtain the new result:
+:class:`~repro.analysis.response_time.CanBusAnalysis` kernel, the last
+converged fixed point and its schedulability reports per fingerprint.  A
+query is a sequence of typed deltas; the session applies them to a
+copy-on-write view and then plans, per message, the cheapest *exact* way to
+obtain the new result:
 
 ``reuse``
     Every input of the message's analysis (own event model and transmission
@@ -285,9 +286,11 @@ class _Key:
 
 
 class _CacheEntry:
-    """One analysed configuration: kernel, fixed point, planning profile."""
+    """One analysed configuration: kernel, fixed point, planning profile,
+    and the full-matrix schedulability report per deadline policy."""
 
-    __slots__ = ("key", "config", "analysis", "profile", "results")
+    __slots__ = ("key", "config", "analysis", "profile", "results",
+                 "reports")
 
     def __init__(self, key: _Key, config: BusConfiguration,
                  analysis: CanBusAnalysis, profile: _Profile) -> None:
@@ -296,6 +299,7 @@ class _CacheEntry:
         self.analysis = analysis
         self.profile = profile
         self.results: dict[str, MessageResponseTime] = {}
+        self.reports: dict[str, SchedulabilityReport] = {}
 
     @property
     def digest(self) -> str:
@@ -795,8 +799,14 @@ class AnalysisSession:
             results = {m.name: entry.results[m.name]
                        for m in config.kmatrix}
             if with_report:
-                report = report_from_results(
-                    config.kmatrix, entry.analysis, results, policy)
+                # A full entry's results never change (every path is
+                # deterministic), so its frozen report is built once per
+                # policy; setdefault hands racing builders the same object.
+                report = entry.reports.get(policy)
+                if report is None:
+                    report = entry.reports.setdefault(
+                        policy, report_from_results(
+                            config.kmatrix, entry.analysis, results, policy))
         else:
             results = {n: entry.results[n] for n in needed}
         return QueryResult(

@@ -18,6 +18,7 @@ reachability to report which shards a query invalidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -142,8 +143,9 @@ class BusSpeedDelta(SystemDelta):
     bit_rate_bps: float
 
     def __post_init__(self) -> None:
-        if self.bit_rate_bps <= 0:
-            raise ValueError("bit_rate_bps must be positive")
+        if not 0 < self.bit_rate_bps < math.inf:
+            raise ValueError(f"bit_rate_bps must be finite and positive, "
+                             f"got {self.bit_rate_bps!r}")
 
     def apply(self, system: SystemModel) -> SystemModel:
         segment = _require_bus(system, self.bus_name)

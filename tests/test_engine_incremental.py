@@ -11,9 +11,12 @@ workload family and under warm re-analysis.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import pytest
+
+import repro.parallel
 
 from repro.can.kmatrix import KMatrix
 from repro.core.engine import CompositionalAnalysis
@@ -143,3 +146,34 @@ class TestEngineOnSessions:
         monkeypatch.setenv("REPRO_PARALLEL", "thread")
         threaded = CompositionalAnalysis(system).run()
         _assert_identical(serial, threaded)
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("mode", [None, "thread"])
+    def test_run_starts_no_thread(self, monkeypatch, mode, incremental):
+        """Segment analyses hold the GIL, so every global iteration runs
+        them on the calling thread: no pool, no thread, in any mode but
+        ``process``."""
+        system = multibus_system(n_buses=4, messages_per_bus=8, seed=19)
+        monkeypatch.setenv("REPRO_PARALLEL", "serial")
+        serial = CompositionalAnalysis(system, incremental=incremental).run()
+        if mode is None:
+            monkeypatch.delenv("REPRO_PARALLEL")
+        else:
+            monkeypatch.setenv("REPRO_PARALLEL", mode)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the engine built a thread pool")
+
+        started = []
+        start = threading.Thread.start
+
+        def record_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(repro.parallel, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", record_start)
+        result = CompositionalAnalysis(system, incremental=incremental).run()
+        monkeypatch.undo()
+        assert started == []
+        _assert_identical(serial, result)

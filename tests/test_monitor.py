@@ -484,6 +484,9 @@ class TestMonitorOverTheWire:
         with pytest.raises(DaemonError) as excinfo:
             client.monitor_start("bus", window_ms=-1.0)
         assert excinfo.value.code == "invalid"
+        with pytest.raises(DaemonError, match="window_ms") as excinfo:
+            client.monitor_start("bus", window_ms=10 ** 400)
+        assert excinfo.value.code == "invalid"
         daemon.close()
 
     @pytest.mark.parametrize("transport", ["in-process", "tcp"])

@@ -406,13 +406,25 @@ class TestDaemonEndpoints:
         base = peer.query("powertrain", with_report=False)["results"]
         assert {n: entry["worst_case"] for n, entry in base.items()} \
             == _reference_worst_cases(config)
-        for value in (math.inf, math.nan):
+        # An integer literal too large for a double (400 digits) decodes to
+        # a Python int that float() refuses with OverflowError.
+        for value in (math.inf, math.nan, 10 ** 400):
             for params, code, field in (
                     ({"deltas": [{"delta": "jitter", "fraction": value}]},
                      "invalid", "fraction"),
                     ({"deltas": [{"delta": "jitter", "message_name": name,
                                   "jitter": value}]},
                      "invalid", "jitter"),
+                    ({"deltas": [{"delta": "bus", "bit_rate_bps": value}]},
+                     "invalid", "bit_rate_bps"),
+                    ({"deltas": [{"delta": "error-model", "error_model": {
+                        "errors": "sporadic",
+                        "min_interarrival": value}}]},
+                     "invalid", "min_interarrival"),
+                    ({"deltas": [{"delta": "error-model", "error_model": {
+                        "errors": "burst", "min_interarrival": 50.0,
+                        "burst_length": 3, "intra_burst_gap": value}}]},
+                     "invalid", "intra_burst_gap"),
                     ({"deadline_ms": value}, "protocol", "deadline_ms")):
                 with pytest.raises(DaemonError, match=field) as caught:
                     peer.request("query", target="powertrain", **params)
@@ -422,6 +434,30 @@ class TestDaemonEndpoints:
                 assert {n: entry["worst_case"] for n, entry
                         in clean["results"].items()} \
                     == _reference_worst_cases(config, deltas)
+        # Every float field decodes through one converter: event models
+        # and system deltas answer an overflowing literal the same way, and
+        # a registration payload wraps it (or a non-finite bus bit rate)
+        # into its malformed-object error.
+        for op, params, code, field in (
+                ("query", {"target": "powertrain", "deltas": [
+                    {"delta": "event-models", "models": {
+                        name: {"model": "periodic", "period": 10 ** 400}}}]},
+                 "invalid", "period"),
+                ("system_query", {"system": "multibus", "deltas": [
+                    {"sysdelta": "bus-speed", "bus": "CAN-0",
+                     "bit_rate_bps": 10 ** 400}]}, "invalid", "bit_rate_bps"),
+                *(("register", {"name": "bad-bus", "system": {
+                    "name": "bad-bus", "buses": [{"bus": {
+                        "name": "CAN-0", "bit_rate_bps": value}}]}},
+                   "protocol", "bit_rate_bps")
+                  for value in (math.nan, 10 ** 400))):
+            with pytest.raises(DaemonError, match=field) as caught:
+                peer.request(op, **params)
+            assert caught.value.code == code
+            clean = peer.query("powertrain", with_report=False)
+            assert {n: entry["worst_case"] for n, entry
+                    in clean["results"].items()} \
+                == _reference_worst_cases(config)
 
     def test_reregistered_system_is_not_served_stale(self):
         daemon = AnalysisDaemon(name="rereg")

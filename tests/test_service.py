@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.session as session_module
 from repro.analysis.response_time import CanBusAnalysis
+from repro.analysis.schedulability import report_from_results
 from repro.can.bus import CanBus
 from repro.can.kmatrix import KMatrix
 from repro.can.message import CanMessage
+from repro.cancel import CancelToken, Cancelled
 from repro.errors.models import BurstErrorModel, NoErrors, SporadicErrorModel
 from repro.optimize.objectives import (
     AnalysisScenario,
@@ -70,6 +73,26 @@ def _session(seed: int, **kwargs) -> AnalysisSession:
 def _reference(config: BusConfiguration):
     """Cold from-scratch analysis of a configuration."""
     return config.build_analysis().analyze_all()
+
+
+def _fresh_report(config: BusConfiguration, policy: str):
+    """The report of a from-scratch analysis under ``policy``."""
+    analysis = config.build_analysis()
+    return report_from_results(
+        config.kmatrix, analysis, analysis.analyze_all(), policy)
+
+
+def _count_report_builds(monkeypatch) -> list:
+    """Record the deadline policy of every report the session builds."""
+    builds = []
+    build = session_module.report_from_results
+
+    def counting(kmatrix, analysis, results, policy):
+        builds.append(policy)
+        return build(kmatrix, analysis, results, policy)
+
+    monkeypatch.setattr(session_module, "report_from_results", counting)
+    return builds
 
 
 def assert_query_exact(session: AnalysisSession, deltas: tuple,
@@ -298,6 +321,64 @@ class TestSessionMechanics:
                 for v in strict.report.verdicts} == {
                     v.name: v.worst_case_response
                     for v in period.report.verdicts}
+
+    def test_cached_configuration_builds_its_report_once(self, monkeypatch):
+        builds = _count_report_builds(monkeypatch)
+        session = _session(2)
+        deltas = (JitterDelta(fraction=0.2),)
+        config = apply_deltas(session.base_config, deltas)
+        first = session.query(deltas)
+        again = session.query(deltas)
+        assert again.stats.cache_hit
+        assert again.report is first.report
+        assert first.report == _fresh_report(config, "period")
+        assert builds == ["period"]
+
+    def test_each_deadline_policy_gets_its_own_report(self, monkeypatch):
+        builds = _count_report_builds(monkeypatch)
+        session = _session(2)
+        deltas = (JitterDelta(fraction=0.2),)
+        config = apply_deltas(session.base_config, deltas)
+        period = session.query(deltas)
+        strict = session.query(
+            deltas + (DeadlinePolicyDelta("min-rearrival"),))
+        assert strict.stats.cache_hit
+        assert strict.report is not period.report
+        assert strict.report == _fresh_report(config, "min-rearrival")
+        assert period.report == _fresh_report(config, "period")
+        assert session.query(
+            deltas, deadline_policy="min-rearrival").report is strict.report
+        assert session.query(deltas).report is period.report
+        assert builds == ["period", "min-rearrival"]
+
+    def test_subset_and_reportless_queries_cache_no_report(self, monkeypatch):
+        builds = _count_report_builds(monkeypatch)
+        kmatrix = _matrix(6)
+        session = AnalysisSession(kmatrix, _BUS)
+        deltas = (JitterDelta(fraction=0.3),)
+        names = tuple(m.name for m in kmatrix)[:3]
+        assert session.query(deltas, message_names=names).report is None
+        assert session.query(deltas, with_report=False).report is None
+        assert session.query(deltas, message_names=names).report is None
+        assert builds == []
+        full = session.query(deltas)
+        assert builds == ["period"]
+        assert full.report == _fresh_report(
+            apply_deltas(session.base_config, deltas), "period")
+
+    def test_cancelled_query_caches_no_report(self, monkeypatch):
+        builds = _count_report_builds(monkeypatch)
+        session = _session(3)
+        deltas = (JitterDelta(fraction=0.25),)
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(Cancelled):
+            session.query(deltas, cancel=token)
+        assert builds == []
+        result = session.query(deltas)
+        assert builds == ["period"]
+        assert result.report == _fresh_report(
+            apply_deltas(session.base_config, deltas), "period")
 
     def test_low_priority_whatif_reuses_upstream_results(self):
         """Bumping the lowest-priority jitter must not re-solve the rest."""
