@@ -9,12 +9,12 @@ What a deployment of the daemon looks like, end to end:
    :class:`TcpClient` -- every request below crosses a real socket as
    line-delimited JSON;
 3. health-check it, run the paper's jitter-sweep scenario from the
-   catalog, issue an ad-hoc priority-swap what-if, and fan a batch of
-   error-rate queries across the daemon's worker pool;
+   catalog, issue an ad-hoc priority-swap what-if, and send a batch of
+   error-rate queries as one request;
 4. request the compositional fixed point of the multibus system twice --
    the second run is served from the warm per-segment session caches
    (watch the ``hits`` column);
-5. run a traced query (``trace=True``) and print the six-stage span
+5. run a traced query (``trace=True``) and print the five-stage span
    tree the daemon returns inline, then pull the slowest retained trace
    back out of the daemon's trace ring via the ``traces`` op;
 6. print the daemon's metrics snapshot (the ``metrics`` op -- cache
@@ -60,11 +60,11 @@ from repro.workloads.powertrain import (
 
 
 def build_daemon() -> AnalysisDaemon:
-    # max_inflight/max_pending bound concurrent work (beyond them clients
-    # get typed 'overloaded' errors with a retry hint and back off);
-    # grace is the drain window of a shutdown.
+    # max_inflight bounds concurrent work (beyond it clients get typed
+    # 'overloaded' errors with a retry hint and back off); grace is the
+    # drain window of a shutdown.
     daemon = AnalysisDaemon(name="example-daemon", max_inflight=8,
-                            max_pending=64, grace=5.0)
+                            grace=5.0)
     config = PowertrainConfig(n_messages=50)
     daemon.add_config("powertrain", BusConfiguration(
         kmatrix=powertrain_kmatrix(config),
@@ -92,8 +92,8 @@ def main() -> None:
         print(f"health: {health['status']}, protocol v{health['protocol']}, "
               f"{health['sessions']} sessions, "
               f"{len(health['scenarios'])} catalog scenarios; "
-              f"queue {health['queue']['pending']} pending / "
-              f"{health['queue']['workers']} workers")
+              f"{health['inflight']} in flight / "
+              f"max {health['max_inflight']}")
 
         # A deadline bounds the daemon-side analysis: a divergent or
         # oversized query answers a typed 'timeout' error instead of
@@ -121,7 +121,7 @@ def main() -> None:
               f"{swap['stats']['cold']} cold "
               f"(fingerprint {swap['fingerprint']})")
 
-        # A batch fanned across the worker pool, answered in order.
+        # A batch: several what-ifs in one request, answered in order.
         batch = client.batch("powertrain", [
             {"deltas": (ErrorModelDelta(SporadicErrorModel(
                 min_interarrival=interarrival)),
@@ -143,7 +143,7 @@ def main() -> None:
                   f"deadlines met: {outcome['all_deadlines_met']}")
 
         # A traced query: the response carries the span tree inline --
-        # decode, admission, queue_wait, session_plan, solve, encode --
+        # decode, admission, session_plan, solve, encode --
         # and the daemon retains the slowest traces in a ring for later
         # inspection (the `traces` op, `--trace-ring` sizes it).
         traced = client.query(
@@ -158,7 +158,7 @@ def main() -> None:
             print(format_trace(slowest[0], title="slowest retained trace"))
 
         # The metrics snapshot: one registry wired through the daemon,
-        # session pool, sessions and job queue.  `format="prometheus"`
+        # session pool and sessions.  `format="prometheus"`
         # would add the text exposition format for a scrape endpoint.
         metrics = client.metrics()
         print()
@@ -168,8 +168,8 @@ def main() -> None:
         print()
         print(stats["table"])
         print(f"\nrequests served: {stats['requests_served']} "
-              f"({stats['errors']} errors); "
-              f"queue: {stats['queue']}")
+              f"({stats['errors']} errors, {stats['timeouts']} timeouts, "
+              f"{stats['rejected_overload']} rejected as overloaded)")
 
         client.shutdown_daemon()
     server.stop()

@@ -30,8 +30,8 @@ The subpackages group the functionality:
   sessions, typed deltas with incremental re-analysis, scenario catalog and
   batch runner;
 * :mod:`repro.server` -- the long-running analysis daemon: sharded session
-  pool, job queue and worker pool, line-delimited JSON protocol over TCP or
-  in-process, ``python -m repro.server`` CLI;
+  pool, admission control and drain, line-delimited JSON protocol over TCP
+  or in-process, ``python -m repro.server`` CLI;
 * :mod:`repro.whatif` -- system-level what-if analysis: typed topology
   deltas (move message, bus speed, gateway routes, ECU budgets),
   :class:`SystemSession` with incremental end-to-end path latency, and the

@@ -35,11 +35,12 @@ executable spec.  Three rules make that hold:
   for interference rows and a message's own row alike) are evaluated one
   at a time as ``model.eta_plus(dt) * c``, the reference expression itself;
 * the per-message interference *sum* runs left-to-right over its
-  ``hp_rows``
-  (``sum`` over a list slice accumulates in the same order as the
-  reference's ``total += ...`` loop) -- numpy's pairwise ``np.sum`` would
-  regroup the additions and change low-order bits, so it is deliberately
-  not used.
+  ``hp_rows``, in the same order as the reference's ``total += ...``
+  loop: each message's terms are one row of a zero-padded matrix whose
+  row-wise ``np.cumsum`` (a strict left-to-right accumulate) ends in the
+  sum.  numpy's pairwise ``np.sum`` would regroup the additions, and the
+  builtin ``sum`` compensates float sums since Python 3.12; both change
+  low-order bits, so neither is used.
 
 The error-model overhead is vectorized for the standard
 :class:`~repro.errors.models.SporadicErrorModel` and
@@ -78,20 +79,38 @@ def _segment_indices(starts: "np.ndarray", counts: "np.ndarray",
     return np.cumsum(idx)
 
 
+def _segment_layout(counts: "np.ndarray",
+                    ) -> tuple[tuple[int, int], "np.ndarray"]:
+    """Scatter layout of :func:`_segment_sums` for segment sizes ``counts``.
+
+    Segment ``i`` fills row ``i`` of a ``(len(counts), max(counts))``
+    matrix from the left; the second item maps each concatenated value to
+    its flat position in that matrix.  It depends on the counts only, so
+    a solver computes it once per active set, not once per iteration.
+    """
+    width = int(counts.max()) if counts.size else 0
+    starts = np.cumsum(counts) - counts
+    shift = np.arange(counts.size, dtype=np.int64) * width - starts
+    flat = np.arange(int(counts.sum())) + np.repeat(shift, counts)
+    return (counts.size, width), flat
+
+
 def _segment_sums(products: "np.ndarray",
-                  counts_list: Sequence[int]) -> "np.ndarray":
-    """Left-to-right per-segment sums (the reference accumulation order)."""
-    values = products.tolist()
-    out = np.empty(len(counts_list), dtype=np.float64)
-    pos = 0
-    for index, count in enumerate(counts_list):
-        if count:
-            end = pos + count
-            out[index] = sum(values[pos:end])
-            pos = end
-        else:
-            out[index] = 0.0
-    return out
+                  layout: tuple[tuple[int, int], "np.ndarray"],
+                  ) -> "np.ndarray":
+    """Left-to-right per-segment sums (the reference accumulation order).
+
+    ``np.cumsum`` along a row adds strictly left to right, and the zero
+    padding after a segment's last term adds ``+0.0`` to a sum of
+    non-negative terms, which is exact -- so the last column equals the
+    reference's ``total += term`` loop bit for bit.
+    """
+    shape, flat = layout
+    if not shape[1]:
+        return np.zeros(shape[0], dtype=np.float64)
+    padded = np.zeros(shape, dtype=np.float64)
+    padded.reshape(-1)[flat] = products
+    return np.cumsum(padded, axis=1)[:, -1]
 
 
 def _ceil_div_vec(numerator: "np.ndarray", denominator) -> "np.ndarray":
@@ -291,7 +310,7 @@ class BatchSolver:
             own_flat = self.own_flat[kidx]
             own_rows = self.own_rows[kidx]
         position = np.arange(n_items)
-        counts_list = counts.tolist()
+        layout = _segment_layout(counts)
         w = w0
         horizon = self.horizon
         cancel = self.cancel
@@ -305,7 +324,7 @@ class BatchSolver:
                                       has_d, dmin_safe)
             if rows is not None:
                 self._override_products(products, dt_rows, c, rows)
-            interference = _segment_sums(products, counts_list)
+            interference = _segment_sums(products, layout)
             if busy:
                 own_eta = self._own_eta(w, own_period, own_jitter, own_dmin,
                                         own_flat, own_rows)
@@ -334,7 +353,7 @@ class BatchSolver:
             w = new_w[keep]
             position = position[keep]
             counts = counts[keep]
-            counts_list = counts.tolist()
+            layout = _segment_layout(counts)
             c = c[row_keep]
             period = period[row_keep]
             jitter = jitter[row_keep]

@@ -8,6 +8,7 @@ knows (period) or assumes (jitter, deadline).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -102,14 +103,17 @@ class CanMessage:
                 f"{self.frame_format.value} format (max 0x{max_id:X})")
         if not 0 <= self.dlc <= 8:
             raise ValueError(f"dlc must be 0..8, got {self.dlc}")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if self.jitter is not None and self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-        if self.min_distance < 0:
-            raise ValueError("min_distance must be non-negative")
+        # NaN fails every comparison, so these reject NaN fields too.
+        if not 0 < self.period < math.inf:
+            raise ValueError(
+                f"period must be positive and finite, got {self.period}")
+        if self.jitter is not None and not self.jitter >= 0:
+            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+        if self.deadline is not None and not self.deadline > 0:
+            raise ValueError(f"deadline must be positive, got {self.deadline}")
+        if not self.min_distance >= 0:
+            raise ValueError(
+                f"min_distance must be non-negative, got {self.min_distance}")
 
     # ------------------------------------------------------------------ #
     # Priorities and deadlines

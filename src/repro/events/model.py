@@ -66,11 +66,15 @@ class EventModel:
     min_distance: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if self.jitter < 0:
+        # NaN fails every comparison, so these reject NaN fields too.
+        # Infinite jitter stays legal: it is the output model of a sender
+        # whose response time is unbounded.
+        if not 0 < self.period < math.inf:
+            raise ValueError(
+                f"period must be positive and finite, got {self.period}")
+        if not self.jitter >= 0:
             raise ValueError(f"jitter must be non-negative, got {self.jitter}")
-        if self.min_distance < 0:
+        if not self.min_distance >= 0:
             raise ValueError(
                 f"min_distance must be non-negative, got {self.min_distance}"
             )

@@ -228,7 +228,7 @@ class MetricsRegistry:
     """Get-or-create factory and snapshot point for all instruments.
 
     One registry per daemon; the same instance is threaded into the
-    session pool, sessions, job queue and solver publication sites so a
+    session pool, sessions and solver publication sites so a
     single ``metrics`` request sees the whole serving stack.
     """
 

@@ -3,7 +3,7 @@
 Every protocol request handled by the daemon gets a :class:`Trace`: a
 root span for the whole request plus child spans for the stages
 
-    decode -> admission -> queue_wait -> session_plan -> solve -> encode
+    decode -> admission -> session_plan -> solve -> encode
 
 recorded by the transport (``server/tcp.py``), the daemon's admission
 block and the analysis session.  The trace id is propagated from the
@@ -79,9 +79,10 @@ class Span:
 class Trace:
     """A span tree for one request, safe to touch from multiple threads.
 
-    Spans are explicit (no implicit context stack) because one request
-    crosses threads: the transport decodes on the connection thread,
-    batch steps solve on workers.  Usage::
+    Spans are explicit (no implicit context stack): the transport, the
+    daemon and the analysis session each record into the trace they are
+    handed.  The lock covers the transport folding its encode time into a
+    trace the ``traces`` op may already be reading.  Usage::
 
         trace = Trace(op="query", target="powertrain")
         span = trace.begin("solve")

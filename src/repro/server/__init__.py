@@ -2,18 +2,16 @@
 
 The server package turns the what-if service into genuine multi-user
 infrastructure -- the oq-engine pattern (calculation engine behind a
-daemon with a job queue, worker pool and persistent state) applied to the
-PR 3 session/catalog layer:
+daemon with persistent state) applied to the session/catalog layer:
 
 * :mod:`repro.server.protocol` -- the line-delimited JSON wire format
   (typed deltas, event/error models, results; floats round-trip exactly);
 * :mod:`repro.server.pool` -- the sharded, fingerprint-keyed
   :class:`SessionPool` (one session per bus segment, LRU-bounded);
-* :mod:`repro.server.jobs` -- the :class:`JobQueue` worker pool layered on
-  :mod:`repro.parallel`;
 * :mod:`repro.server.daemon` -- :class:`AnalysisDaemon`, the
   transport-independent request handler (query / scenario / batch /
-  analyze_system / stats / health / metrics / traces endpoints);
+  analyze_system / stats / health / metrics / traces endpoints), which
+  serves every request on its caller's thread;
 * :mod:`repro.server.tcp` -- the threading TCP front end;
 * :mod:`repro.server.client` -- :class:`InProcessClient` and
   :class:`TcpClient`, one API over both transports, with shared
@@ -37,7 +35,6 @@ from repro.server.client import (
 from repro.server.daemon import AnalysisDaemon
 from repro.server.faults import FaultInjector, FaultSpecError
 from repro.server.harness import ServerHarness
-from repro.server.jobs import Job, JobQueue, QueueFullError
 from repro.server.pool import SessionPool, UnknownTargetError
 from repro.server.protocol import (
     PROTOCOL_VERSION,
@@ -70,11 +67,8 @@ __all__ = [
     "FaultInjector",
     "FaultSpecError",
     "InProcessClient",
-    "Job",
-    "JobQueue",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "QueueFullError",
     "RetryPolicy",
     "ServerHarness",
     "SessionPool",

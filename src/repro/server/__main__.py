@@ -22,8 +22,7 @@ import logging
 import sys
 
 from repro.obs.tracing import DEFAULT_TRACE_RING
-from repro.server.daemon import AnalysisDaemon
-from repro.server.jobs import DEFAULT_GRACE
+from repro.server.daemon import DEFAULT_GRACE, AnalysisDaemon
 from repro.server.tcp import DEFAULT_HOST, DEFAULT_PORT, DaemonServer
 from repro.service.deltas import BusConfiguration
 from repro.store import ResultStore
@@ -38,9 +37,7 @@ from repro.workloads.powertrain import (
 
 def build_daemon(messages: int = 80, buses: int = 4,
                  messages_per_bus: int = 15,
-                 workers: int | None = None,
                  max_inflight: int | None = None,
-                 max_pending: int | None = None,
                  grace: float = DEFAULT_GRACE,
                  slow_query_ms: float | None = None,
                  trace_ring: int = DEFAULT_TRACE_RING,
@@ -52,8 +49,7 @@ def build_daemon(messages: int = 80, buses: int = 4,
     store = None
     if store_dir is not None:
         store = ResultStore(store_dir, max_bytes=store_max_bytes)
-    daemon = AnalysisDaemon(workers=workers, max_inflight=max_inflight,
-                            max_pending=max_pending, grace=grace,
+    daemon = AnalysisDaemon(max_inflight=max_inflight, grace=grace,
                             slow_query_ms=slow_query_ms,
                             trace_ring=trace_ring, store=store,
                             monitor_window_ms=monitor_window_ms,
@@ -84,15 +80,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="segments in the multibus system (default 4)")
     parser.add_argument("--messages-per-bus", type=int, default=15,
                         help="messages per multibus segment (default 15)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads (default: auto)")
     parser.add_argument("--max-inflight", type=int, default=None,
                         help="cap on concurrently executing work requests; "
                              "beyond it clients get a typed 'overloaded' "
                              "error with a retry hint (default: unbounded)")
-    parser.add_argument("--max-pending", type=int, default=None,
-                        help="cap on queued jobs before submissions are "
-                             "rejected as 'overloaded' (default: unbounded)")
     parser.add_argument("--grace", type=float, default=DEFAULT_GRACE,
                         help="seconds a shutdown drains in-flight work "
                              f"before cancelling it (default {DEFAULT_GRACE})")
@@ -127,9 +118,7 @@ def main(argv: list[str] | None = None) -> int:
 
     daemon = build_daemon(messages=args.messages, buses=args.buses,
                           messages_per_bus=args.messages_per_bus,
-                          workers=args.workers,
                           max_inflight=args.max_inflight,
-                          max_pending=args.max_pending,
                           grace=args.grace,
                           slow_query_ms=args.slow_query_ms,
                           trace_ring=args.trace_ring,
@@ -144,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{daemon.name} serving on {host}:{port} "
           f"(targets: {', '.join(daemon.pool.targets())}; "
           f"systems: {', '.join(daemon.pool.systems())})")
-    print(daemon.jobs.describe())
     sys.stdout.flush()
     try:
         server.serve_in_background()

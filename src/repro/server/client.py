@@ -300,7 +300,7 @@ class BaseClient:
 
     def batch(self, target: str, queries: Sequence[Mapping],
               deadline_ms: Optional[float] = None) -> dict:
-        """Fan independent labelled queries out over the daemon's workers.
+        """Run independent labelled queries as one request, in order.
 
         Each entry is ``{"deltas": [Delta, ...], "label": ...}``; deltas
         given as objects are encoded here.  A ``deadline_ms`` bounds the

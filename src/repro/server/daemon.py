@@ -1,9 +1,10 @@
 """The long-running analysis daemon.
 
 :class:`AnalysisDaemon` is the serving layer over the what-if service: it
-owns a sharded :class:`~repro.server.pool.SessionPool`, a scenario
-catalog, and a :class:`~repro.server.jobs.JobQueue`, and answers protocol
-requests (see :mod:`repro.server.protocol`):
+owns a sharded :class:`~repro.server.pool.SessionPool` and a scenario
+catalog, and answers protocol requests (see :mod:`repro.server.protocol`).
+Every request runs on the thread that hands it to :meth:`handle` -- for
+TCP, the connection's handler thread:
 
 ``ping`` / ``health`` / ``stats`` / ``targets`` / ``scenarios``
     Liveness, inventory and cache statistics (the stats endpoint renders
@@ -16,8 +17,8 @@ requests (see :mod:`repro.server.protocol`):
     A named :class:`~repro.service.catalog.WhatIfScenario` from the catalog
     executed against a target's session.
 ``batch``
-    Many labelled delta queries fanned out across the worker pool and
-    returned in request order.
+    Many labelled delta queries, run one after another and returned in
+    request order.
 ``register``
     Server-side workload registration over the wire: a serialized
     single-bus configuration or a whole
@@ -52,9 +53,9 @@ requests (see :mod:`repro.server.protocol`):
     :class:`~repro.obs.MetricsRegistry` (optionally rendered in the
     Prometheus text exposition format) and the slowest retained request
     traces (see :mod:`repro.obs.tracing`).  Every request is traced --
-    stages ``decode -> admission -> queue_wait -> session_plan -> solve
-    -> encode`` -- and the span tree is returned inline when a request
-    sets ``trace: true``.  ``metrics`` with ``history: true`` folds in
+    stages ``decode -> admission -> session_plan -> solve -> encode`` --
+    and the span tree is returned inline when a request sets
+    ``trace: true``.  ``metrics`` with ``history: true`` folds in
     the windowed time-series rings of every running conformance monitor.
 ``monitor_start`` / ``monitor_ingest`` / ``monitor_status`` /
 ``monitor_alerts`` / ``monitor_stop``
@@ -80,17 +81,17 @@ Fault tolerance
 Every request may carry ``deadline_ms``; the daemon arms a
 :class:`~repro.cancel.CancelToken` from it and threads the token into the
 request's fixed-point loops, so a divergent or oversized analysis returns
-a typed ``timeout`` error instead of pinning a worker to the iteration
+a typed ``timeout`` error instead of pinning a thread to the iteration
 cap.  Admission control bounds concurrently executing work requests
-(``max_inflight``) and the job queue's backlog (``max_pending``); beyond
-either, the daemon answers a typed ``overloaded`` error carrying a
-``retry_after_ms`` backoff hint -- the request never ran, so clients can
-always retry it.  Control ops (``ping``/``health``/``stats``/``targets``/
-``scenarios``/``shutdown``) bypass admission control and keep answering
-during overload and drain.  :meth:`close` drains gracefully: new work is
-rejected with a typed ``draining`` error, in-flight requests get a grace
-window to finish, and whatever remains is cooperatively cancelled --
-every in-flight client gets an error *response*, never a dead socket.
+(``max_inflight``); beyond it, the daemon answers a typed ``overloaded``
+error carrying a ``retry_after_ms`` backoff hint -- the request never ran,
+so clients can always retry it.  Control ops (``ping``/``health``/
+``stats``/``targets``/``scenarios``/``shutdown``) bypass admission control
+and keep answering during overload and drain.  :meth:`close` drains
+gracefully: new work is rejected with a typed ``draining`` error,
+in-flight requests get a grace window to finish, and whatever remains is
+cooperatively cancelled -- every in-flight client gets an error
+*response*, never a dead socket.
 See :mod:`repro.server.protocol` for the full error taxonomy and
 :mod:`repro.server.faults` for the deterministic fault-injection seam
 (``REPRO_FAULTS``).
@@ -102,7 +103,6 @@ import logging
 import sys
 import threading
 import time
-from concurrent.futures import CancelledError as _FutureCancelled
 from typing import Mapping, Optional
 
 from repro.cancel import Cancelled, CancelToken, DeadlineExceeded
@@ -123,7 +123,6 @@ from repro.reporting.tables import (
 )
 from repro.server import faults as faults_mod
 from repro.server import protocol
-from repro.server.jobs import DEFAULT_GRACE, JobQueue, QueueFullError
 from repro.server.pool import SessionPool, UnknownTargetError
 from repro.service.catalog import ScenarioCatalog, builtin_catalog
 from repro.service.deltas import BusConfiguration
@@ -137,6 +136,13 @@ from repro.workloads.registry import builtin_registry
 
 _log = logging.getLogger(__name__)
 
+#: Default grace window (seconds) :meth:`AnalysisDaemon.close` waits for
+#: in-flight work requests before cancelling them.
+DEFAULT_GRACE = 10.0
+
+#: How long :meth:`AnalysisDaemon.close` waits, after cancelling, for the
+#: cancelled requests to unwind and answer.
+_CANCEL_WAIT = 2.0
 
 #: Ops that answer from in-memory state: they bypass admission control and
 #: keep being served while the daemon is overloaded or draining, so
@@ -151,17 +157,16 @@ class AnalysisDaemon:
     """Multi-client analysis server over a sharded session pool.
 
     ``max_inflight`` bounds concurrently executing *work* requests
-    (control ops are exempt); ``max_pending`` bounds the job queue's
-    backlog (batch steps).  ``grace`` is the drain window of
+    (control ops are exempt).  ``grace`` is the drain window of
     :meth:`close` in seconds.  ``faults`` injects deterministic failures
     for tests (default: whatever ``REPRO_FAULTS`` specifies; see
     :mod:`repro.server.faults`).
 
     ``metrics`` is the daemon's :class:`~repro.obs.MetricsRegistry`
-    (default: a fresh one, shared with the pool, job queue and every
-    session); ``trace_ring`` bounds how many slowest traces the
-    ``traces`` op retains; ``slow_query_ms`` enables the structured
-    slow-query log at that threshold in milliseconds (default: off).
+    (default: a fresh one, shared with the pool and every session);
+    ``trace_ring`` bounds how many slowest traces the ``traces`` op
+    retains; ``slow_query_ms`` enables the structured slow-query log at
+    that threshold in milliseconds (default: off).
 
     ``monitor_window_ms`` / ``monitor_history`` are the defaults a
     ``monitor_start`` without explicit parameters inherits: the
@@ -173,11 +178,8 @@ class AnalysisDaemon:
         self,
         catalog: Optional[ScenarioCatalog] = None,
         pool: Optional[SessionPool] = None,
-        workers: Optional[int] = None,
-        mode: str = "auto",
         name: str = "repro-daemon",
         max_inflight: Optional[int] = None,
-        max_pending: Optional[int] = None,
         grace: float = DEFAULT_GRACE,
         faults: Optional[faults_mod.FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -216,8 +218,6 @@ class AnalysisDaemon:
             self.pool.store = store
         self.workloads = workloads if workloads is not None \
             else builtin_registry()
-        self.jobs = JobQueue(workers=workers, mode=mode,
-                             max_pending=max_pending, metrics=self.metrics)
         self.traces = TraceRing(trace_ring)
         self.slowlog = SlowQueryLog(slow_query_ms)
         self.max_inflight = max_inflight
@@ -237,8 +237,10 @@ class AnalysisDaemon:
         self._started = time.monotonic()
         self._shutdown = threading.Event()
         # In-flight work-request accounting: the token registry is what a
-        # drain cancels, the counter is what admission control bounds.
+        # drain cancels, the counter is what admission control bounds and
+        # what close() waits on (``_idle`` is notified when it hits 0).
         self._active_lock = threading.Lock()
+        self._idle = threading.Condition(self._active_lock)
         self._active_tokens: dict[int, CancelToken] = {}
         self._active_seq = 0
         self._inflight = 0
@@ -344,31 +346,28 @@ class AnalysisDaemon:
         """Drain and stop the daemon (idempotent).
 
         New work requests are rejected with a typed ``draining`` error
-        immediately; in-flight requests and queued jobs get up to
-        ``grace`` seconds (default: the constructor's) to finish; the
-        remainder is cooperatively cancelled, so every outstanding request
-        resolves with a typed error response -- never a hang.
+        immediately; in-flight requests get up to ``grace`` seconds
+        (default: the constructor's) to finish; the remainder is
+        cooperatively cancelled, so every outstanding request resolves with
+        a typed error response -- never a hang.  Returns once no work
+        request is in flight, or at most :data:`_CANCEL_WAIT` seconds after
+        cancelling (a request that ignores its token is not waited for).
         """
         if grace is None:
             grace = self.grace
         self._shutdown.set()
-        with self._active_lock:
+        with self._idle:
             self._draining = True
-        deadline = time.monotonic() + max(0.0, grace)
-        while time.monotonic() < deadline:
-            with self._active_lock:
-                inflight = self._inflight
-            if inflight == 0 and self.jobs.pending == 0:
-                break
-            time.sleep(0.005)
-        with self._active_lock:
+            if self._idle.wait_for(lambda: self._inflight == 0,
+                                   timeout=max(0.0, grace)):
+                return
             tokens = list(self._active_tokens.values())
         for token in tokens:
             token.cancel(reason="draining")
-        # The queue's own drain re-waits briefly: its running jobs now hold
-        # fired tokens and unwind at their next fixed-point iteration.
-        self.jobs.shutdown(
-            wait=True, grace=max(0.5, deadline - time.monotonic()))
+        # Cancelled requests unwind at their next fixed-point iteration.
+        with self._idle:
+            self._idle.wait_for(lambda: self._inflight == 0,
+                                timeout=_CANCEL_WAIT)
 
     # ------------------------------------------------------------------ #
     # Request handling
@@ -384,8 +383,8 @@ class AnalysisDaemon:
         answered as ``internal``.
 
         Every request is traced (stages ``decode`` -> ``admission`` ->
-        ``queue_wait`` -> ``session_plan`` -> ``solve``; the transport
-        folds in ``encode`` via :meth:`take_trace`); the slowest traces
+        ``session_plan`` -> ``solve``; the transport folds in ``encode``
+        via :meth:`take_trace`); the slowest traces
         are retained for the ``traces`` op, and the span tree is returned
         inline when the request sets ``trace: true``.  ``decode_ms`` is
         the transport's line-decode time.
@@ -446,7 +445,7 @@ class AnalysisDaemon:
                         f"daemon at max in-flight requests "
                         f"({self.max_inflight})", request_id,
                         code="overloaded",
-                        retry_after_ms=50 * (1 + self.jobs.pending))
+                        retry_after_ms=50 * max(1, self._inflight))
                 else:
                     self._inflight += 1
                     self._m_inflight.set(self._inflight)
@@ -466,7 +465,6 @@ class AnalysisDaemon:
         trace.end(admission)
         if rejection is not None:
             return rejection
-        trace.record("queue_wait", 0.0)
         self._trace_local.current = trace
         try:
             return self._reply(handler(request, cancel), request_id)
@@ -477,13 +475,6 @@ class AnalysisDaemon:
         except Cancelled as error:
             code = "draining" if error.reason == "draining" else "timeout"
             return self._error(str(error), request_id, code=code)
-        except _FutureCancelled:
-            return self._error(
-                "request cancelled by daemon drain", request_id,
-                code="draining")
-        except QueueFullError as error:
-            return self._error(str(error), request_id, code="overloaded",
-                               retry_after_ms=error.retry_after_ms)
         except UnknownTargetError as error:
             return self._error(str(error), request_id, code="unknown_target")
         except UnknownMessageError as error:
@@ -499,19 +490,16 @@ class AnalysisDaemon:
             # is an error *response*, never a dead connection.
             return self._error(str(error) or repr(error), request_id,
                                code="invalid")
-        except RuntimeError as error:
-            # e.g. a submit that raced the queue's final shutdown.
-            code = "draining" if self.shutdown_requested else "internal"
-            return self._error(str(error) or repr(error), request_id,
-                               code=code)
         finally:
             self._trace_local.current = None
             if not control:
-                with self._active_lock:
+                with self._idle:
                     self._inflight -= 1
                     self._m_inflight.set(self._inflight)
                     if token_key is not None:
                         self._active_tokens.pop(token_key, None)
+                    if self._inflight == 0:
+                        self._idle.notify_all()
 
     @staticmethod
     def _cancel_for(request: Mapping) -> Optional[CancelToken]:
@@ -583,11 +571,9 @@ class AnalysisDaemon:
             message, code=code, request_id=request_id,
             retry_after_ms=retry_after_ms)
 
-    def _step_error(self, message: str, code: str,
-                    retry_after_ms: Optional[int] = None) -> dict:
+    def _step_error(self, message: str, code: str) -> dict:
         """The error slot of one failed ``batch`` step."""
-        slot = self._error(message, None, code=code,
-                           retry_after_ms=retry_after_ms)
+        slot = self._error(message, None, code=code)
         del slot["ok"]
         return slot
 
@@ -612,22 +598,10 @@ class AnalysisDaemon:
 
     def _op_health(self, request: Mapping, cancel=None) -> dict:
         causes: list[str] = []
-        stragglers = self.jobs.stragglers
-        alive = self.jobs.alive_workers
+        status = "ok"
         if self._draining:
             status = "draining"
             causes.append("daemon is draining")
-        elif self.jobs.healthy:
-            status = "ok"
-        else:
-            status = "degraded"
-        if stragglers:
-            causes.append(
-                f"{len(stragglers)} straggler worker(s): "
-                + ", ".join(stragglers))
-        if self.jobs.workers and alive < self.jobs.workers:
-            causes.append(
-                f"only {alive}/{self.jobs.workers} workers alive")
         # Conformance alerts are health conditions: an active alert means
         # observed behaviour is out of its declared envelope right now.
         with self._monitor_lock:
@@ -661,21 +635,13 @@ class AnalysisDaemon:
             # Metrics-derived signals: the observable inputs behind the
             # status flag, so "degraded" always has a visible cause.
             "signals": {
-                "queue_depth": self.jobs.pending,
                 "inflight": inflight,
                 "max_inflight": self.max_inflight,
-                "straggler_count": len(stragglers),
                 "rejected_overload": counts["rejected_overload"],
                 "rejected_draining": counts["rejected_draining"],
                 "timeouts": counts["timeouts"],
                 "monitor_active_alerts": active_alerts,
             },
-            "queue": {"mode": self.jobs.mode, "workers": self.jobs.workers,
-                      "alive_workers": alive,
-                      "pending": self.jobs.pending,
-                      "max_pending": self.jobs.max_pending,
-                      "rejected": self.jobs.rejected,
-                      "stragglers": list(stragglers)},
         }
 
     def _op_stats(self, request: Mapping, cancel=None) -> dict:
@@ -684,7 +650,6 @@ class AnalysisDaemon:
             **self._counts(),
             "sessions": [protocol.session_stats_to_json(s) for s in stats],
             "evicted_sessions": self.pool.evicted_sessions,
-            "queue": self.jobs.stats(),
             "faults": self.faults.describe(),
             "table": format_session_stats(
                 stats, title=f"{self.name}: session statistics"),
@@ -736,17 +701,17 @@ class AnalysisDaemon:
         }
 
     def _op_batch(self, request: Mapping, cancel=None) -> dict:
-        """Independent labelled delta queries, fanned out over the workers.
+        """Independent labelled delta queries, run in request order.
 
-        Results come back in request order regardless of completion order
-        (each step resolves its own future), so a batch aggregates exactly
-        like a serial loop -- the :mod:`repro.parallel` guarantee carried
-        to the wire.
+        The steps run one after another on the request's own thread,
+        under its cancel token and its one in-flight slot, so a batch
+        aggregates exactly like a serial loop of ``query`` requests.
 
         Failures resolve *per step*: a timed-out, drain-cancelled or
-        rejected step yields an ``{"error": ..., "code": ...}`` entry in
-        its slot while every other step's result stays bit-identical to a
-        serial run.  The batch as a whole still answers ``ok``.
+        unexpectedly failing step yields an ``{"error": ..., "code": ...}``
+        entry in its slot while every other step's result stays
+        bit-identical to a serial run.  The batch as a whole still answers
+        ``ok``; a malformed step fails it before any step runs.
         """
         target = str(request["target"])
         session = self.pool.get(target)
@@ -755,40 +720,21 @@ class AnalysisDaemon:
                 isinstance(step, Mapping) for step in steps):
             raise ValueError("batch field 'queries' must be a list of "
                              "objects")
-        faults = self.faults
-
-        def run_step(deltas, label, with_report):
-            rule = faults.check("worker.stall")
+        decoded = [(protocol.deltas_from_json(step.get("deltas", ())),
+                    step.get("label"), bool(step.get("with_report", True)))
+                   for step in steps]
+        results = []
+        for deltas, label, with_report in decoded:
+            rule = self.faults.check("worker.stall")
             if rule is not None:
                 time.sleep(rule.arg / 1000.0)
-            if cancel is not None:
-                cancel.check()
-            return session.query(deltas, label=label,
-                                 with_report=with_report, cancel=cancel)
-
-        # A step whose submit is rejected resolves to an error *entry*, not
-        # a whole-batch failure: earlier steps may already be running, so
-        # "overloaded => the request never ran" only holds per step here.
-        slots: list = []
-        for step in steps:
-            deltas = protocol.deltas_from_json(step.get("deltas", ()))
-            label = step.get("label")
-            with_report = bool(step.get("with_report", True))
             try:
-                slots.append(self.jobs.submit(
-                    lambda d=deltas, lb=label, wr=with_report:
-                        run_step(d, lb, wr),
-                    label=f"batch:{target}", cancel=cancel))
-            except QueueFullError as error:
-                slots.append(self._step_error(
-                    str(error), "overloaded", error.retry_after_ms))
-        results = []
-        for future in slots:
-            if isinstance(future, dict):
-                results.append(future)
-                continue
-            try:
-                results.append(protocol.query_result_to_json(future.result()))
+                if cancel is not None:
+                    cancel.check()
+                result = session.query(deltas, label=label,
+                                       with_report=with_report,
+                                       cancel=cancel)
+                results.append(protocol.query_result_to_json(result))
             except DeadlineExceeded:
                 results.append(self._step_error(
                     "deadline exceeded", "timeout"))
@@ -796,13 +742,9 @@ class AnalysisDaemon:
                 code = ("draining" if error.reason == "draining"
                         else "timeout")
                 results.append(self._step_error(str(error), code))
-            except _FutureCancelled:
-                results.append(self._step_error(
-                    "step cancelled by daemon drain", "draining"))
-            except QueueFullError as error:
-                results.append(self._step_error(
-                    str(error), "overloaded", error.retry_after_ms))
             except Exception as error:  # noqa: BLE001 - typed per-step slot
+                _log.exception("unhandled error in a batch step on %r",
+                               target)
                 results.append(self._step_error(
                     str(error) or repr(error), "internal"))
         return {"target": target, "results": results}
@@ -1172,4 +1114,4 @@ class AnalysisDaemon:
         return (f"{self.name}: {len(self.pool)} sessions, "
                 f"{len(self.catalog)} scenarios, "
                 f"{counts['requests_served']} requests served "
-                f"({counts['errors']} errors); {self.jobs.describe()}")
+                f"({counts['errors']} errors)")

@@ -6,9 +6,10 @@ so the serving stack exposes *injection sites* -- named points where a
 time execution passes through.  The sites wired in this PR:
 
 ``worker.stall``
-    Inside a job-queue worker, before the analysis thunk runs: sleep for
-    the rule's argument (ms).  Exercises deadlines and drain-cancellation
-    of running jobs.
+    Before each ``batch`` step, on the request thread: sleep for the
+    rule's argument (ms).  Exercises deadlines and drain-cancellation of a
+    batch part-way through its steps.  The site keeps its historical
+    name.
 ``handle.stall``
     At the top of :meth:`AnalysisDaemon.handle` for work ops: same sleep,
     but on the transport thread -- exercises admission control backpressure
@@ -43,7 +44,7 @@ numeric argument -- milliseconds for stalls/slow writes, ignored by
 ``tcp.drop``.  Examples::
 
     tcp.drop@2                   # drop the 2nd connection's reply
-    worker.stall@1:200           # first worker job sleeps 200 ms
+    worker.stall@1:200           # first batch step sleeps 200 ms
     handle.stall@3+:50           # every request from the 3rd on adds 50 ms
 
 The ``REPRO_FAULTS`` environment variable carries a spec into a daemon

@@ -12,7 +12,7 @@ tests assert exactly that.
 Typical use::
 
     def build():
-        daemon = AnalysisDaemon(mode="thread")
+        daemon = AnalysisDaemon()
         daemon.add_config("pt", config)
         return daemon
 

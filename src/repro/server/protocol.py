@@ -33,10 +33,10 @@ to retry, back off, or give up without parsing prose:
     of a divergent or oversized fixed point).  Safe to retry with a larger
     deadline; the partial work left no state behind.
 ``overloaded``
-    Admission control rejected the request -- the job queue or the
-    daemon's in-flight bound is full.  The response carries
-    ``retry_after_ms``, a backoff hint scaled to the queue depth.  Always
-    safe to retry: the request was never executed.
+    Admission control rejected the request -- the daemon's in-flight
+    bound (``max_inflight``) is full.  The response carries
+    ``retry_after_ms``, a backoff hint scaled to the in-flight count.
+    Always safe to retry: the request was never executed.
 ``draining``
     The daemon is shutting down (or drained this request mid-flight
     after its grace window).  Not retryable on the same connection;
@@ -131,7 +131,7 @@ from repro.whatif.system_deltas import (
 #: end-to-end-path codecs.  Version 3 added the fault-tolerance layer:
 #: ``deadline_ms`` on every request, typed error ``code`` fields (see the
 #: module docstring's taxonomy), ``retry_after_ms`` backoff hints on
-#: ``overloaded`` rejections, and queue/drain observability in
+#: ``overloaded`` rejections, and drain observability in
 #: ``health``/``stats``.  Version 4 added the observability layer: every
 #: request accepts ``trace: true`` (inline span tree in the response)
 #: and an optional client-supplied ``trace_id`` (echoed back), plus the
@@ -152,7 +152,10 @@ from repro.whatif.system_deltas import (
 #: (``[message, queued_at, finished_at, success, attempt]``), alert-rule
 #: objects (structured fields or one-line ``expr`` syntax), and a
 #: ``history`` parameter on ``metrics`` returning the last-N-window
-#: time-series of the monitor's windowed series.
+#: time-series of the monitor's windowed series.  Within version 6,
+#: ``health`` and ``stats`` later dropped their job-queue fields (the
+#: ``queue`` blocks and the ``queue_depth``/``straggler_count`` signals)
+#: when batch steps moved onto the request thread; no request changed.
 PROTOCOL_VERSION = 6
 
 #: The machine-readable error codes of the taxonomy documented above.

@@ -2,9 +2,10 @@
 
 A :class:`socketserver.ThreadingTCPServer` speaking the line-delimited JSON
 protocol: one connection thread per client, one request per line, one
-response per line, requests answered in order per connection.  All state
-lives in the :class:`~repro.server.daemon.AnalysisDaemon` (whose session
-pool and job queue are thread-safe); the transport layer only frames bytes.
+response per line, requests answered in order per connection.  Each
+request is served on its connection's thread; all state lives in the
+:class:`~repro.server.daemon.AnalysisDaemon` (whose session pool is
+thread-safe), and the transport layer only frames bytes.
 
 ``start_server`` binds and serves in a daemon thread, returning the running
 server -- the pattern examples and tests use::
@@ -16,8 +17,8 @@ server -- the pattern examples and tests use::
         client.ping()
     server.stop()
 
-A client sending the ``shutdown`` op stops the server (and the daemon's
-workers) after its response line is written.
+A client sending the ``shutdown`` op stops the server (and drains the
+daemon) after its response line is written.
 """
 
 from __future__ import annotations

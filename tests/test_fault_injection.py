@@ -1,7 +1,7 @@
 """Fault-injection tests of the serving tier.
 
-Every test drives a *failure* path -- deadline blown, queue full, daemon
-draining, connection dropped, daemon restarted mid-conversation -- and
+Every test drives a *failure* path -- deadline blown, daemon overloaded
+or draining, connection dropped, daemon restarted mid-conversation -- and
 asserts the contract of :mod:`repro.server.protocol`'s error taxonomy:
 the client always gets a typed error or a bit-identical retried result,
 never a hung future, a dead socket without recourse, or a silently
@@ -23,7 +23,7 @@ import pytest
 from repro.can.kmatrix import KMatrix
 from repro.cancel import Cancelled, CancelToken, DeadlineExceeded
 from repro.server import AnalysisDaemon, DaemonError, InProcessClient, \
-    JobQueue, ProtocolError, TcpClient
+    ProtocolError, TcpClient
 from repro.server.client import ConnectionLost, RetryPolicy
 from repro.server.faults import (
     FaultInjector,
@@ -31,7 +31,6 @@ from repro.server.faults import (
     from_env,
 )
 from repro.server.harness import ServerHarness
-from repro.server.jobs import QueueFullError
 from repro.server.protocol import deltas_to_json
 from repro.server.tcp import start_server
 from repro.service.deltas import BusConfiguration, JitterDelta
@@ -42,11 +41,6 @@ from repro.workloads.powertrain import (
     powertrain_kmatrix,
 )
 from repro.workloads.scaling import scaled_kmatrix
-
-#: Job-queue modes the daemon must behave identically under; ``process``
-#: maps to ``thread`` inside the queue (jobs share the session pool).
-MODES = ("serial", "thread", "process")
-
 
 def _powertrain_config(n_messages: int = 20) -> BusConfiguration:
     config = PowertrainConfig(n_messages=n_messages)
@@ -91,11 +85,8 @@ def _fresh_daemon(config, *, faults=None, **kwargs) -> AnalysisDaemon:
 
 
 def _assert_pool_clean(daemon: AnalysisDaemon) -> None:
-    """No hung futures, no leaked worker threads after a drain."""
-    stats = daemon.jobs.stats()
-    assert stats["pending"] == 0
-    assert stats["completed"] == stats["submitted"]
-    assert daemon.jobs.alive_workers == 0
+    """No request left in flight, no leaked worker threads after a drain."""
+    assert daemon._inflight == 0
     assert not any(t.name.startswith("repro-worker")
                    for t in threading.enumerate())
 
@@ -147,7 +138,7 @@ class TestDeadlines:
         """The acceptance criterion: a 100 ms deadline against a divergent
         fixed point answers a typed ``timeout`` within 200 ms, while a
         concurrent client's queries still come back bit-identical."""
-        daemon = _fresh_daemon(config, mode="thread", workers=2)
+        daemon = _fresh_daemon(config)
         daemon.add_config("div", divergent)
         client = InProcessClient(daemon)
         try:
@@ -179,7 +170,7 @@ class TestDeadlines:
         _assert_pool_clean(daemon)
 
     def test_generous_deadline_result_bit_identical(self, config):
-        daemon = _fresh_daemon(config, mode="serial")
+        daemon = _fresh_daemon(config)
         client = InProcessClient(daemon)
         try:
             plain = client.query("pt")["results"]
@@ -190,7 +181,7 @@ class TestDeadlines:
 
     @pytest.mark.parametrize("bad", ["soon", -5, 0, True])
     def test_invalid_deadline_is_protocol_error(self, config, bad):
-        daemon = _fresh_daemon(config, mode="serial")
+        daemon = _fresh_daemon(config)
         try:
             response = daemon.handle(
                 {"op": "query", "target": "pt", "deadline_ms": bad})
@@ -214,8 +205,7 @@ class TestDeadlines:
 # --------------------------------------------------------------------------- #
 class TestAdmissionControl:
     def test_overloaded_response_carries_retry_hint(self, config):
-        daemon = _fresh_daemon(config, mode="thread", workers=1,
-                               max_inflight=1)
+        daemon = _fresh_daemon(config, max_inflight=1)
         try:
             with daemon._active_lock:
                 daemon._inflight += 1  # occupy the only slot
@@ -233,8 +223,7 @@ class TestAdmissionControl:
             daemon.close(grace=0.5)
 
     def test_client_retries_through_overload(self, config):
-        daemon = _fresh_daemon(config, mode="thread", workers=1,
-                               max_inflight=1)
+        daemon = _fresh_daemon(config, max_inflight=1)
         client = InProcessClient(
             daemon, retry=RetryPolicy(attempts=5, base_delay=0.02, jitter=0))
         try:
@@ -253,104 +242,15 @@ class TestAdmissionControl:
         finally:
             daemon.close(grace=0.5)
 
-    def test_bounded_queue_rejects_with_queue_full(self, monkeypatch):
-        # Needs a real worker thread to hold the queue open: neutralise a
-        # REPRO_PARALLEL=serial override, which would run the hog inline.
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        jobs = JobQueue(workers=1, mode="thread", max_pending=2)
-        gate = threading.Event()
-        try:
-            jobs.submit(gate.wait, label="hog")
-            jobs.submit(lambda: None, label="queued")
-            with pytest.raises(QueueFullError) as exc_info:
-                jobs.submit(lambda: None, label="rejected")
-            assert exc_info.value.retry_after_ms > 0
-            assert jobs.rejected == 1
-        finally:
-            gate.set()
-            jobs.shutdown(grace=1.0)
-
 
 # --------------------------------------------------------------------------- #
-# Job-queue shutdown semantics (the submit/shutdown race regression)
-# --------------------------------------------------------------------------- #
-class TestJobQueueShutdown:
-    def test_submit_shutdown_race_never_hangs_a_future(self):
-        """Hammer submit against shutdown: every submit either raises or
-        returns a future that *resolves* -- the enqueue-after-sentinel
-        race used to leave futures forever pending."""
-        for _ in range(20):
-            jobs = JobQueue(workers=2, mode="thread")
-            futures, errors = [], []
-            start = threading.Barrier(3)
-
-            def submitter():
-                start.wait()
-                for _ in range(10):
-                    try:
-                        futures.append(jobs.submit(lambda: 42))
-                    except RuntimeError as error:
-                        errors.append(error)
-
-            threads = [threading.Thread(target=submitter) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            start.wait()
-            jobs.shutdown(grace=1.0)
-            for thread in threads:
-                thread.join(timeout=5)
-                assert not thread.is_alive()
-            for future in futures:
-                assert future.done()  # resolved: result or typed error
-                if future.cancelled():
-                    continue
-                if future.exception() is None:
-                    assert future.result(timeout=0) == 42
-
-    def test_straggler_reported_not_ignored(self, monkeypatch):
-        """A job that ignores its cancel token degrades the pool visibly."""
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        jobs = JobQueue(workers=1, mode="thread")
-        release = threading.Event()
-        jobs.submit(lambda: release.wait(10), label="stuck")
-        time.sleep(0.02)
-        jobs.shutdown(grace=0.05)
-        try:
-            assert jobs.stragglers  # the worker is stuck past the drain
-            assert not jobs.healthy
-            assert "STRAGGLERS" in jobs.describe()
-            assert jobs.stats()["stragglers"]
-        finally:
-            release.set()
-
-    def test_drain_cancels_token_aware_job(self, divergent, monkeypatch):
-        """A running job holding a cancel token unwinds within the grace
-        window with a typed ``Cancelled(reason='draining')``."""
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        jobs = JobQueue(workers=1, mode="thread")
-        token = CancelToken()
-        analysis = divergent.build_analysis()
-        future = jobs.submit(
-            lambda: analysis.analyze_all(cancel=token), cancel=token)
-        time.sleep(0.05)
-        started = time.monotonic()
-        jobs.shutdown(grace=1.0)
-        assert time.monotonic() - started < 5.0
-        with pytest.raises(Cancelled) as exc_info:
-            future.result(timeout=0)
-        assert exc_info.value.reason == "draining"
-        assert not jobs.stragglers
-
-
-# --------------------------------------------------------------------------- #
-# Graceful drain through the daemon (in-process and TCP, all modes)
+# Graceful drain through the daemon (in-process and TCP)
 # --------------------------------------------------------------------------- #
 class TestGracefulDrain:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_shutdown_during_batch_resolves_every_step(self, config, mode):
+    def test_shutdown_during_batch_resolves_every_step(self, config):
         """Closing the daemon mid-batch yields, per step, either a result
         bit-identical to a serial run or a typed error entry."""
-        reference_daemon = _fresh_daemon(config, mode="serial")
+        reference_daemon = _fresh_daemon(config)
         try:
             reference = InProcessClient(reference_daemon).query(
                 "pt", deltas=[JitterDelta(fraction=0.2)])["results"]
@@ -358,8 +258,7 @@ class TestGracefulDrain:
             reference_daemon.close(grace=0.5)
 
         daemon = _fresh_daemon(
-            config, mode=mode, workers=2,
-            faults=FaultInjector.from_spec("worker.stall@1+:40"))
+            config, faults=FaultInjector.from_spec("worker.stall@1+:40"))
         steps = [{"deltas": deltas_to_json([JitterDelta(fraction=0.2)]),
                   "label": f"step{i}"} for i in range(6)]
         outcome = {}
@@ -371,7 +270,7 @@ class TestGracefulDrain:
 
         worker = threading.Thread(target=run_batch)
         worker.start()
-        time.sleep(0.06)  # let some steps start, others sit queued
+        time.sleep(0.06)  # let some steps finish, others wait their turn
         daemon.close(grace=0.15)
         worker.join(timeout=10)
         assert not worker.is_alive()
@@ -382,20 +281,16 @@ class TestGracefulDrain:
             assert len(results) == len(steps)
             for entry in results:
                 if "error" in entry:
-                    assert entry["code"] in ("draining", "timeout",
-                                             "overloaded")
+                    assert entry["code"] == "draining"
                 else:
                     assert entry["results"] == reference
         else:
             assert response["code"] in ("draining", "timeout")
         _assert_pool_clean(daemon)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_tcp_shutdown_during_batch_answers_not_dead_socket(
-            self, config, mode):
+    def test_tcp_shutdown_during_batch_answers_not_dead_socket(self, config):
         daemon = _fresh_daemon(
-            config, mode=mode, workers=2,
-            faults=FaultInjector.from_spec("worker.stall@1+:40"))
+            config, faults=FaultInjector.from_spec("worker.stall@1+:40"))
         server = start_server(daemon, port=0)
         client = TcpClient(*server.address, retry=RetryPolicy(attempts=1))
         outcome = {}
@@ -424,8 +319,35 @@ class TestGracefulDrain:
         client.close()
         _assert_pool_clean(daemon)
 
+    def test_drain_cancels_in_flight_query(self, config, divergent):
+        """A deadline-less query stuck in a divergent fixed point is
+        cancelled by the drain once its grace window passes, and answers a
+        typed ``draining`` error instead of running to the horizon."""
+        daemon = _fresh_daemon(config)
+        daemon.add_config("div", divergent)
+        outcome = {}
+
+        def divergent_query():
+            outcome["response"] = daemon.handle(
+                {"op": "query", "target": "div", "id": 5})
+
+        worker = threading.Thread(target=divergent_query)
+        worker.start()
+        time.sleep(0.05)
+        started = time.monotonic()
+        daemon.close(grace=0.1)
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert time.monotonic() - started < 5.0
+        response = outcome["response"]
+        assert response["ok"] is False
+        assert response["code"] == "draining"
+        assert response["id"] == 5
+        assert daemon.metrics.value("daemon_inflight") == 0
+        _assert_pool_clean(daemon)
+
     def test_post_drain_requests_typed_while_control_ops_answer(self, config):
-        daemon = _fresh_daemon(config, mode="thread", workers=1)
+        daemon = _fresh_daemon(config)
         daemon.close(grace=0.2)
         rejected = daemon.handle({"op": "query", "target": "pt"})
         assert rejected["ok"] is False and rejected["code"] == "draining"
@@ -442,8 +364,7 @@ class TestGracefulDrain:
 class TestDaemonCounters:
     def test_stats_and_signals_equal_registry_series(self, config,
                                                       divergent):
-        daemon = _fresh_daemon(config, mode="thread", workers=2,
-                               max_inflight=4)
+        daemon = _fresh_daemon(config, max_inflight=4)
         daemon.add_config("div", divergent)
         steps = [{"deltas": deltas_to_json((JitterDelta(fraction=f),))}
                  for f in (0.1, 0.2, 0.3)]
@@ -496,7 +417,7 @@ class TestDaemonCounters:
         """An exception outside the taxonomy -- raised by the handler or by
         encoding its result -- still gets exactly one typed ``internal``
         reply, in-process and over TCP, and the connection survives."""
-        daemon = _fresh_daemon(config, mode="serial")
+        daemon = _fresh_daemon(config)
 
         def overflowing(request, cancel=None):
             raise OverflowError("int too large to convert to float")
@@ -538,8 +459,7 @@ class TestDaemonCounters:
 class TestTcpFaults:
     def test_dropped_connection_retried_bit_identical(self, config):
         daemon = _fresh_daemon(
-            config, mode="thread", workers=2,
-            faults=FaultInjector.from_spec("tcp.drop@2"))
+            config, faults=FaultInjector.from_spec("tcp.drop@2"))
         server = start_server(daemon, port=0)
         client = TcpClient(*server.address,
                            retry=RetryPolicy(base_delay=0.01, jitter=0))
@@ -555,8 +475,7 @@ class TestTcpFaults:
 
     def test_drop_without_retries_is_typed_connection_lost(self, config):
         daemon = _fresh_daemon(
-            config, mode="thread", workers=2,
-            faults=FaultInjector.from_spec("tcp.drop@1"))
+            config, faults=FaultInjector.from_spec("tcp.drop@1"))
         server = start_server(daemon, port=0)
         client = TcpClient(*server.address, retry=RetryPolicy(attempts=1))
         try:
@@ -571,8 +490,7 @@ class TestTcpFaults:
     def test_slow_read_then_clean_recovery(self, config):
         """A slow response delays but does not desynchronise the stream."""
         daemon = _fresh_daemon(
-            config, mode="thread", workers=2,
-            faults=FaultInjector.from_spec("tcp.slow@1:80"))
+            config, faults=FaultInjector.from_spec("tcp.slow@1:80"))
         server = start_server(daemon, port=0)
         client = TcpClient(*server.address,
                            retry=RetryPolicy(base_delay=0.01, jitter=0))
@@ -587,8 +505,7 @@ class TestTcpFaults:
             server.stop(grace=0.5)
 
     def test_mid_conversation_restart_retried_bit_identical(self, config):
-        with ServerHarness(lambda: _fresh_daemon(
-                config, mode="thread", workers=2)) as harness:
+        with ServerHarness(lambda: _fresh_daemon(config)) as harness:
             client = TcpClient(*harness.address,
                                retry=RetryPolicy(base_delay=0.02, jitter=0))
             before = client.query("pt")["results"]
@@ -603,8 +520,7 @@ class TestTcpFaults:
         """Non-idempotent ops surface a mid-request drop instead of
         silently re-sending."""
         daemon = _fresh_daemon(
-            config, mode="thread", workers=2,
-            faults=FaultInjector.from_spec("tcp.drop@1"))
+            config, faults=FaultInjector.from_spec("tcp.drop@1"))
         server = start_server(daemon, port=0)
         client = TcpClient(*server.address,
                            retry=RetryPolicy(attempts=3, base_delay=0.01,
@@ -634,7 +550,7 @@ class TestResponseIds:
         ("nonsense", {}),
     ])
     def test_every_response_echoes_request_id(self, config, op, params):
-        daemon = _fresh_daemon(config, mode="serial")
+        daemon = _fresh_daemon(config)
         try:
             response = daemon.handle({"op": op, "id": 7719, **params})
             assert response["id"] == 7719
@@ -648,7 +564,7 @@ class TestResponseIds:
                 response["id"] = -1
                 return response
 
-        daemon = MisroutingDaemon(mode="serial", faults=FaultInjector())
+        daemon = MisroutingDaemon(faults=FaultInjector())
         daemon.add_config("pt", config)
         client = InProcessClient(daemon)
         try:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.analysis.reference import ReferenceCanBusAnalysis
 from repro.analysis.response_time import CanBusAnalysis
+from repro.analysis.vector import _segment_layout, _segment_sums
 from repro.can.bus import CanBus
 from repro.errors.models import BurstErrorModel, SporadicErrorModel
 from repro.events.model import PeriodicWithJitter
@@ -150,6 +152,26 @@ class TestBackendEquivalence:
         singles = CanBusAnalysis(kmatrix, slow_bus)
         assert {m.name: singles.response_time(m) for m in kmatrix} \
             == reference
+
+    def test_segment_sums_add_left_to_right(self):
+        """Interference sums equal the reference's ``+=`` loop bit for bit,
+        on terms where compensated summation (the builtin ``sum`` since
+        Python 3.12) and reordering both give a different double."""
+        terms = [1.0] + [1e-16] * 10
+        segments = [terms, [], terms[::-1], [2.5]]
+
+        def plus_equals(segment):
+            total = 0.0
+            for term in segment:
+                total += term
+            return total
+
+        assert plus_equals(terms) == 1.0
+        assert plus_equals(terms[::-1]) > 1.0
+        values = np.array([term for segment in segments for term in segment])
+        counts = np.array([len(segment) for segment in segments])
+        sums = _segment_sums(values, _segment_layout(counts))
+        assert sums.tolist() == [plus_equals(s) for s in segments]
 
     def test_subset_batch_preserves_item_order(self):
         kmatrix = _matrix(6)

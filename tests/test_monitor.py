@@ -388,7 +388,7 @@ class TestConformanceMonitor:
 # --------------------------------------------------------------------------- #
 class TestMonitorOverTheWire:
     def _daemon(self, small_kmatrix, small_bus):
-        daemon = AnalysisDaemon(name="monitor-e2e", mode="serial")
+        daemon = AnalysisDaemon(name="monitor-e2e")
         daemon.add_config("bus", _configuration(small_kmatrix, small_bus))
         return daemon
 

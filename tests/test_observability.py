@@ -4,9 +4,9 @@ Two properties anchor the suite.  First, exactness: counters are plain
 integers under a lock, so after any workload they must reconcile exactly
 with the requests sent -- including under concurrent increments and
 under every ``REPRO_PARALLEL`` mode.  Second, faithfulness: a request's
-span tree must cover all six stages (decode -> admission -> queue_wait
--> session_plan -> solve -> encode) and its durations must fit inside
-the round trip the client observed.
+span tree must cover all five stages (decode -> admission ->
+session_plan -> solve -> encode) and its durations must fit inside the
+round trip the client observed.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from repro.workloads.powertrain import (
 )
 
 #: The stages every traced work request must cover, in order.
-WORK_STAGES = ["decode", "admission", "queue_wait",
-               "session_plan", "solve", "encode"]
+WORK_STAGES = ["decode", "admission", "session_plan", "solve", "encode"]
 
 
 def _powertrain_config(n_messages: int = 20) -> BusConfiguration:
@@ -55,7 +54,7 @@ def _powertrain_config(n_messages: int = 20) -> BusConfiguration:
 
 
 def _daemon(**kwargs) -> AnalysisDaemon:
-    daemon = AnalysisDaemon(name="obs-test", mode="serial", **kwargs)
+    daemon = AnalysisDaemon(name="obs-test", **kwargs)
     daemon.add_config("powertrain", _powertrain_config())
     return daemon
 
@@ -511,9 +510,7 @@ class TestDaemonMetrics:
             ])
             snapshot = daemon.metrics.snapshot()
             assert snapshot["gauges"]["pool_sessions"] >= 1
-            assert snapshot["counters"]["jobs_submitted_total"] == 2
-            assert snapshot["gauges"]["jobs_depth"] == 0
-            assert snapshot["histograms"]["jobs_wait_ms"]["count"] == 2
+            assert snapshot["counters"]["session_queries_total"] == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -526,9 +523,7 @@ class TestHealthSignals:
             assert health["status"] == "ok"
             assert health["causes"] == []
             signals = health["signals"]
-            assert signals["queue_depth"] == 0
             assert signals["inflight"] == 0
-            assert signals["straggler_count"] == 0
             assert signals["rejected_overload"] == 0
             assert signals["timeouts"] == 0
 
@@ -599,7 +594,6 @@ class TestParallelModeDeterminism:
             # Exactly one session query per batch step, however the
             # steps were scheduled.
             assert counters["session_queries_total"] == 5
-            assert counters["jobs_submitted_total"] == 5
             hits = counters.get("session_cache_hits_total", 0)
             misses = counters.get("session_cache_misses_total", 0)
             assert hits + misses == 5

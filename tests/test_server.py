@@ -1,4 +1,4 @@
-"""Tests of the analysis daemon: protocol, pool, queue, clients, TCP.
+"""Tests of the analysis daemon: protocol, pool, clients, TCP.
 
 The core exactness property throughout: every response-time float a client
 reads from the daemon -- through the JSON protocol, possibly over a real
@@ -35,7 +35,6 @@ from repro.server import (
     AnalysisDaemon,
     DaemonError,
     InProcessClient,
-    JobQueue,
     ProtocolError,
     SessionPool,
     TcpClient,
@@ -254,52 +253,6 @@ class TestSessionPool:
 
 
 # --------------------------------------------------------------------------- #
-# Job queue
-# --------------------------------------------------------------------------- #
-class TestJobQueue:
-    def test_serial_mode_runs_inline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "serial")
-        queue = JobQueue()
-        assert queue.mode == "serial"
-        assert queue.submit(lambda: 21 * 2).result(timeout=1) == 42
-        queue.shutdown()
-
-    def test_threaded_queue_resolves_futures_in_submit_order(self,
-                                                             monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "thread")
-        queue = JobQueue(workers=4)
-        assert queue.mode == "thread"
-        futures = [queue.submit(lambda i=i: i * i) for i in range(32)]
-        assert [f.result(timeout=5) for f in futures] == [
-            i * i for i in range(32)]
-        assert queue.pending == 0
-        queue.shutdown()
-
-    def test_exceptions_travel_through_futures(self):
-        queue = JobQueue()
-
-        def boom():
-            raise RuntimeError("bang")
-
-        future = queue.submit(boom)
-        with pytest.raises(RuntimeError, match="bang"):
-            future.result(timeout=5)
-        queue.shutdown()
-
-    def test_submit_after_shutdown_raises(self):
-        queue = JobQueue()
-        queue.shutdown()
-        with pytest.raises(RuntimeError):
-            queue.submit(lambda: None)
-
-    def test_process_mode_degrades_to_thread(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "process")
-        queue = JobQueue()
-        assert queue.mode == "thread"
-        queue.shutdown()
-
-
-# --------------------------------------------------------------------------- #
 # REPRO_PARALLEL validation (satellite)
 # --------------------------------------------------------------------------- #
 class TestReproParallelValidation:
@@ -437,12 +390,33 @@ class TestDaemonEndpoints:
         # Every float field decodes through one converter: event models
         # and system deltas answer an overflowing literal the same way, and
         # a registration payload wraps it (or a non-finite bus bit rate)
-        # into its malformed-object error.
+        # into its malformed-object error.  Event models and K-Matrix rows
+        # refuse a NaN timing field or an infinite period themselves.
+        probe = {"name": "Probe", "can_id": 0x7F0, "dlc": 8,
+                 "period": 10.0, "sender": "Probe-ECU"}
         for op, params, code, field in (
                 ("query", {"target": "powertrain", "deltas": [
                     {"delta": "event-models", "models": {
                         name: {"model": "periodic", "period": 10 ** 400}}}]},
                  "invalid", "period"),
+                *(("query", {"target": "powertrain", "deltas": [
+                    {"delta": "event-models", "models": {name: model}}]},
+                   "invalid", field) for field, model in (
+                    ("period", {"model": "periodic", "period": math.inf}),
+                    ("period", {"model": "periodic-jitter",
+                                "period": math.nan, "jitter": 1.0}),
+                    ("jitter", {"model": "periodic-jitter", "period": 10.0,
+                                "jitter": math.nan}),
+                    ("min_distance", {"model": "periodic-burst",
+                                      "period": 10.0, "jitter": 25.0,
+                                      "min_distance": math.nan}))),
+                *(("query", {"target": "powertrain", "deltas": [
+                    {"delta": "add-message",
+                     "message": {**probe, field: value}}]},
+                   "invalid", field) for field, value in (
+                    ("period", math.nan), ("period", math.inf),
+                    ("jitter", math.nan), ("deadline", math.nan),
+                    ("min_distance", math.nan))),
                 ("system_query", {"system": "multibus", "deltas": [
                     {"sysdelta": "bus-speed", "bus": "CAN-0",
                      "bit_rate_bps": 10 ** 400}]}, "invalid", "bit_rate_bps"),
