@@ -40,7 +40,7 @@ from repro.events.curves import EmpiricalEventTrace, fit_periodic_jitter
 from repro.events.model import EventModel
 from repro.monitor.rules import Alert, AlertEngine, AlertRule
 from repro.monitor.stream import ObservedFrame
-from repro.obs import MetricsHistory, Trace
+from repro.obs import MetricsHistory, MetricsRegistry, Trace
 from repro.service.deltas import EventModelDelta
 from repro.sim.trace import UnknownMessageError
 
@@ -138,7 +138,6 @@ class _MessageState:
         "frames",
         "completed",
         "observed_max",
-        "violations",
         "window_arrivals",
         "window_completed",
         "window_max",
@@ -156,7 +155,6 @@ class _MessageState:
         self.frames = 0
         self.completed = 0
         self.observed_max = 0.0
-        self.violations = 0
         self.window_arrivals = 0
         self.window_completed = 0
         self.window_max = 0.0
@@ -198,9 +196,6 @@ class ConformanceMonitor:
         self._lock = threading.Lock()
         self._overrides: dict[str, EventModel] = {}
         self._window = 0
-        self._frames = 0
-        self._refits = 0
-        self._violations_total = 0
         self._window_violations = 0
         base_config = session.base_config
         self._states: dict[str, _MessageState] = {}
@@ -211,19 +206,22 @@ class ConformanceMonitor:
         # own report; every refit refreshes both through the same path.
         self._warm = session.query((), label="monitor-baseline")
         self._apply_query_result(self._warm)
-        self.metrics = metrics
-        if metrics is not None:
-            self._frames_total = metrics.counter("monitor_frames_total", target=target)
-            self._windows_total = metrics.counter("monitor_windows_total", target=target)
-            self._refits_total = metrics.counter("monitor_refits_total", target=target)
-            self._violation_counters = {
-                name: metrics.counter("monitor_violations_total", message=name)
-                for name in self._states
-            }
-            self._alert_counters = {
-                rule.name: metrics.counter("monitor_alerts_total", rule=rule.name)
-                for rule in self.engine.rules
-            }
+        # The monitor's counts live in its children of the registry's
+        # monitor_* families, labelled by target (status() reads them);
+        # without a shared registry the monitor keeps a private one.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        counter = self.metrics.counter
+        self._frames_total = counter("monitor_frames_total", target=target).child()
+        self._windows_total = counter("monitor_windows_total", target=target).child()
+        self._refits_total = counter("monitor_refits_total", target=target).child()
+        self._violation_counters = {
+            name: counter("monitor_violations_total", message=name, target=target).child()
+            for name in self._states
+        }
+        self._alert_counters = {
+            rule.name: counter("monitor_alerts_total", rule=rule.name, target=target).child()
+            for rule in self.engine.rules
+        }
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -250,11 +248,11 @@ class ConformanceMonitor:
                     self._advance_windows(frame.finished_at, report, cancel)
                     self._ingest_frame(state, frame, report, cancel)
             finally:
-                # One batched increment per chunk: same total at every
-                # request boundary, without a lock round-trip per frame --
-                # and still equal to ``status()["frames"]`` when a cancel
-                # or an unknown message cuts the chunk short.
-                if self.metrics is not None and report.frames:
+                # One batched increment per chunk: exact at every request
+                # boundary (status() waits for the lock), without a lock
+                # round-trip per frame -- including a chunk a cancel or an
+                # unknown message cuts short.
+                if report.frames:
                     self._frames_total.inc(report.frames)
         return report
 
@@ -266,7 +264,6 @@ class ConformanceMonitor:
         cancel,
     ) -> None:
         report.frames += 1
-        self._frames += 1
         state.frames += 1
         if frame.attempt == 1:
             state.arrivals.add(frame.queued_at)
@@ -316,12 +313,9 @@ class ConformanceMonitor:
                 deadline=state.deadline,
                 queued_at=frame.queued_at,
             )
-            state.violations += 1
-            self._violations_total += 1
+            self._violation_counters[state.name].inc()
             self._window_violations += 1
             report.violations.append(violation)
-            if self.metrics is not None:
-                self._violation_counters[state.name].inc()
             self._record_violation_trace(violation)
 
     def _record_violation_trace(self, violation: ViolationRecord) -> None:
@@ -360,8 +354,7 @@ class ConformanceMonitor:
     def _close_window(self, report: IngestReport, cancel) -> None:
         window = self._window
         report.windows_closed += 1
-        if self.metrics is not None:
-            self._windows_total.inc()
+        self._windows_total.inc()
         escaped = [state for state in self._states.values() if state.window_arrivals]
         if self._refit_if_escaped(escaped, cancel):
             report.refits += 1
@@ -393,20 +386,18 @@ class ConformanceMonitor:
             state.reset_window()
         self.history.record(window, "monitor_violations", window_violations)
         global_values: dict[str, float] = {"violations": float(window_violations)}
-        if self.metrics is not None:
-            for rule in self.engine.rules:
-                if rule.metric not in global_values:
-                    value = self.metrics.value(rule.metric)
-                    if value is not None:
-                        global_values[rule.metric] = value
+        for rule in self.engine.rules:
+            if rule.metric not in global_values:
+                value = self.metrics.value(rule.metric)
+                if value is not None:
+                    global_values[rule.metric] = value
         sample[None] = global_values
         fired = self.engine.evaluate(window, sample, scales)
         report.alerts.extend(fired)
-        if self.metrics is not None:
-            for alert in fired:
-                counter = self._alert_counters.get(alert.rule)
-                if counter is not None:
-                    counter.inc()
+        for alert in fired:
+            counter = self._alert_counters.get(alert.rule)
+            if counter is not None:
+                counter.inc()
 
     def _refit_if_escaped(self, states: Iterable[_MessageState], cancel) -> bool:
         """Re-derive bounds when any state's arrival envelope escaped.
@@ -440,9 +431,7 @@ class ConformanceMonitor:
         )
         self._warm = result
         self._apply_query_result(result)
-        self._refits += 1
-        if self.metrics is not None:
-            self._refits_total.inc()
+        self._refits_total.inc()
         self._trim_arrivals()
         return True
 
@@ -489,7 +478,7 @@ class ConformanceMonitor:
                     "deadline": state.deadline,
                     "frames": state.frames,
                     "completed": state.completed,
-                    "violations": state.violations,
+                    "violations": int(self._violation_counters[name].value),
                     "registered_jitter": state.registered_jitter,
                 }
                 if state.completed:
@@ -501,9 +490,9 @@ class ConformanceMonitor:
                 "target": self.target,
                 "window_ms": self.config.window_ms,
                 "window": self._window,
-                "frames": self._frames,
-                "violations": self._violations_total,
-                "refits": self._refits,
+                "frames": int(self._frames_total.value),
+                "violations": self._violations_total_locked(),
+                "refits": int(self._refits_total.value),
                 "overrides": sorted(self._overrides),
                 "active_alerts": [
                     {"rule": rule, "subject": subject} for rule, subject in self.engine.active
@@ -514,7 +503,10 @@ class ConformanceMonitor:
     @property
     def violations_total(self) -> int:
         with self._lock:
-            return self._violations_total
+            return self._violations_total_locked()
+
+    def _violations_total_locked(self) -> int:
+        return int(sum(counter.value for counter in self._violation_counters.values()))
 
     def alerts(self, last: int | None = None) -> dict:
         """Recent fired alerts plus the currently active set."""

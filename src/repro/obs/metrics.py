@@ -18,14 +18,21 @@ instruments that are
   instrumented code;
 - **always-on-cheap** -- an update is one lock acquire plus an int/float
   add (histograms add a bisect over a dozen bucket bounds).  Hot loops
-  never call into the registry; they accumulate plain ints locally and
-  publish once per solve/request (see ``analysis/vector.py`` and
-  ``service/session.py``).
+  never call into the registry per iteration; they publish once per
+  solve, request or ingest chunk.
 
 Instruments are keyed by ``(name, sorted(labels))`` so
 ``registry.counter("daemon_requests_total", op="query")`` always returns
 the same object; callers on hot paths should fetch the instrument once
 and keep the reference.
+
+The registry is the only record of counts.  A component that reports
+its own share of a counter family (a session's ``stats()``, a store's
+``stats()``, a monitor's ``status()``) holds a :meth:`Counter.child` of
+the family: the child's ``inc`` bumps the family in the same locked
+step, so the per-instance count and the family total cannot disagree.
+A component built without a registry creates a private one, so no code
+path runs without instruments.
 
 Only the stdlib is used; nothing here imports numpy or any other repro
 layer, so every layer (including ``analysis/``) may depend on it.
@@ -100,19 +107,35 @@ def _label_suffix(labels: tuple[tuple[str, str], ...]) -> str:
 class Counter:
     """A monotonically increasing count.  ``inc`` is thread-safe."""
 
-    __slots__ = ("name", "labels", "_lock", "_value")
+    __slots__ = ("name", "labels", "_lock", "_value", "_parent")
 
     def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()) -> None:
         self.name = name
         self.labels = labels
         self._lock = threading.Lock()
         self._value = 0.0
+        self._parent: Counter | None = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
         with self._lock:
             self._value += amount
+            if self._parent is not None:
+                self._parent._value += amount
+
+    def child(self) -> Counter:
+        """A per-instance share of this counter, outside the registry.
+
+        The child's ``inc`` adds to itself and to this counter under this
+        counter's lock, so the family total is always the sum of its
+        children's counts (plus any direct ``inc``).  A registry
+        ``reset`` zeroes the family, not the children.
+        """
+        child = Counter(self.name, self.labels)
+        child._lock = self._lock
+        child._parent = self
+        return child
 
     @property
     def value(self) -> float:
@@ -227,9 +250,9 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create factory and snapshot point for all instruments.
 
-    One registry per daemon; the same instance is threaded into the
-    session pool, sessions and solver publication sites so a
-    single ``metrics`` request sees the whole serving stack.
+    Components that share a registry publish into the same families, so
+    a daemon's single ``metrics`` request sees its whole serving stack;
+    each component reads its own share through :meth:`Counter.child`.
     """
 
     def __init__(self) -> None:
@@ -299,13 +322,12 @@ class MetricsRegistry:
     def family(self, name: str, label: str) -> dict[str, float]:
         """Counter/gauge values of one metric name, keyed by ``label``."""
         with self._lock:
-            entries = [(dict(labels).get(label, ""), metric)
-                       for (metric_name, labels), metric
-                       in self._metrics.items()
-                       if metric_name == name
-                       and not isinstance(metric, Histogram)]
-        return {key: metric.value
-                for key, metric in sorted(entries, key=lambda e: e[0])}
+            entries = [
+                (dict(labels).get(label, ""), metric)
+                for (metric_name, labels), metric in self._metrics.items()
+                if metric_name == name and not isinstance(metric, Histogram)
+            ]
+        return {key: metric.value for key, metric in sorted(entries, key=lambda e: e[0])}
 
     def reset(self) -> None:
         """Zero every instrument in place (handles stay valid)."""

@@ -162,11 +162,13 @@ class AnalysisDaemon:
     for tests (default: whatever ``REPRO_FAULTS`` specifies; see
     :mod:`repro.server.faults`).
 
-    ``metrics`` is the daemon's :class:`~repro.obs.MetricsRegistry`
-    (default: a fresh one, shared with the pool and every session);
-    ``trace_ring`` bounds how many slowest traces the ``traces`` op
-    retains; ``slow_query_ms`` enables the structured slow-query log at
-    that threshold in milliseconds (default: off).
+    ``store`` is an optional :class:`~repro.store.ResultStore`; its
+    registry becomes the daemon's :class:`~repro.obs.MetricsRegistry`
+    (without a store, a fresh one), shared with the pool and every
+    session, system session and monitor.  ``trace_ring`` bounds how many
+    slowest traces the ``traces`` op retains; ``slow_query_ms`` enables
+    the structured slow-query log at that threshold in milliseconds
+    (default: off).
 
     ``monitor_window_ms`` / ``monitor_history`` are the defaults a
     ``monitor_start`` without explicit parameters inherits: the
@@ -177,12 +179,10 @@ class AnalysisDaemon:
     def __init__(
         self,
         catalog: Optional[ScenarioCatalog] = None,
-        pool: Optional[SessionPool] = None,
         name: str = "repro-daemon",
         max_inflight: Optional[int] = None,
         grace: float = DEFAULT_GRACE,
         faults: Optional[faults_mod.FaultInjector] = None,
-        metrics: Optional[MetricsRegistry] = None,
         slow_query_ms: Optional[float] = None,
         trace_ring: int = DEFAULT_TRACE_RING,
         store=None,
@@ -194,28 +194,12 @@ class AnalysisDaemon:
             raise ValueError("max_inflight must be at least 1")
         self.name = name
         self.catalog = catalog if catalog is not None else builtin_catalog()
-        # One registry for the whole serving stack.  An injected pool that
-        # already carries a registry wins (its sessions are bound to it);
-        # otherwise the daemon's registry is pushed down so sessions the
-        # pool creates from now on publish into it.
-        if metrics is None and pool is not None and pool.metrics is not None:
-            metrics = pool.metrics
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Persistent result store: same adoption rule as the registry --
-        # an injected pool that already carries a store wins; otherwise the
-        # daemon's store is pushed down so sessions the pool creates from
-        # now on consult and publish it.
-        if store is None and pool is not None and pool.store is not None:
-            store = pool.store
+        # One registry for the whole serving stack: the store's, so its
+        # lookups count next to the sessions that make them.
         self.store = store
-        if store is not None and store.metrics is None:
-            store.bind_metrics(self.metrics)
-        self.pool = pool if pool is not None else \
-            SessionPool(metrics=self.metrics, store=store)
-        if self.pool.metrics is None:
-            self.pool.metrics = self.metrics
-        if self.pool.store is None:
-            self.pool.store = store
+        self.metrics = store.metrics if store is not None \
+            else MetricsRegistry()
+        self.pool = SessionPool(metrics=self.metrics, store=store)
         self.workloads = workloads if workloads is not None \
             else builtin_registry()
         self.traces = TraceRing(trace_ring)

@@ -32,6 +32,7 @@ from collections import OrderedDict
 from typing import Iterable
 
 from repro.core.system import SystemModel
+from repro.obs.metrics import MetricsRegistry
 from repro.service.deltas import BusConfiguration
 from repro.service.session import AnalysisSession, SessionStats
 
@@ -66,12 +67,13 @@ class SessionPool:
         self._pinned: set[object] = set()
         self._systems: dict[str, SystemModel] = {}
         self._system_shards: dict[str, list[str]] = {}
-        self.evicted_sessions = 0
-        # Optional repro.obs.MetricsRegistry, handed to every session the
-        # pool creates.  The daemon sets this on its default pool (or
-        # adopts an injected pool's registry) so one `metrics` request
-        # covers the whole serving stack.
-        self.metrics = metrics
+        # Registry handed to every session the pool creates (private when
+        # none is given); the daemon passes its own so one `metrics`
+        # request covers the whole serving stack.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._m_evictions = self.metrics.counter(
+            "pool_evictions_total").child()
+        self._m_sessions = self.metrics.gauge("pool_sessions")
         # Optional repro.store.ResultStore, handed to every session the
         # pool creates so per-bus fixed points persist across restarts.
         self.store = store
@@ -146,8 +148,7 @@ class SessionPool:
             if previous not in set(self._targets.values()):
                 self._pinned.discard(previous)
         self._evict_locked()
-        if self.metrics is not None:
-            self.metrics.gauge("pool_sessions").set(len(self._sessions))
+        self._m_sessions.set(len(self._sessions))
         return session
 
     def _evict_locked(self) -> None:
@@ -155,9 +156,7 @@ class SessionPool:
             for key in self._sessions:
                 if key not in self._pinned:
                     del self._sessions[key]
-                    self.evicted_sessions += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("pool_evictions_total").inc()
+                    self._m_evictions.inc()
                     # Aliases of an evicted session are dropped too: a
                     # later lookup re-registers from the configuration
                     # rather than silently answering from a missing shard.
@@ -228,6 +227,11 @@ class SessionPool:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
+    @property
+    def evicted_sessions(self) -> int:
+        """Sessions this pool evicted: its ``pool_evictions_total`` share."""
+        return int(self._m_evictions.value)
+
     def stats(self) -> list[SessionStats]:
         """Per-session statistics, in stable (name) order."""
         with self._lock:

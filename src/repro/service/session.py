@@ -59,7 +59,7 @@ from repro.analysis.schedulability import (
 from repro.can.bus import CanBus
 from repro.can.controller import ControllerModel
 from repro.can.kmatrix import KMatrix
-from repro.obs.metrics import ITERATION_BUCKETS, SIZE_BUCKETS
+from repro.obs.metrics import ITERATION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.cancel import CancelToken
 from repro.errors.models import (
     BurstErrorModel,
@@ -315,10 +315,14 @@ class _CacheEntry:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SessionStats:
-    """Lifetime counters of one :class:`AnalysisSession`.
+    """One :class:`AnalysisSession`'s share of the registry's counters.
 
-    ``cache_hits`` counts queries answered entirely from a cached
-    fingerprint; ``cache_misses`` is the remainder.  The plan counters
+    A view, not a second record: every count is read from the session's
+    children of the ``session_*`` families of its metrics registry, so
+    the sum over the sessions sharing a registry is the family total.
+    ``queries`` counts answered queries (a cancelled query is not one);
+    ``cache_hits`` those answered entirely from a cached fingerprint or
+    the result store; ``cache_misses`` the remainder.  The plan counts
     (``reused`` / ``warm_started`` / ``cold``) aggregate the per-message
     actions of every *computed* query (cache-hit queries never plan), so
     they describe how much incremental structure the session exploited.
@@ -328,15 +332,11 @@ class SessionStats:
     cached_configs: int
     queries: int
     cache_hits: int
+    cache_misses: int
     evictions: int
     reused: int
     warm_started: int
     cold: int
-
-    @property
-    def cache_misses(self) -> int:
-        """Queries that required at least a plan (not a pure cache hit)."""
-        return self.queries - self.cache_hits
 
     def as_row(self) -> list[object]:
         """Row for :func:`repro.reporting.tables.format_session_stats`."""
@@ -468,12 +468,6 @@ class AnalysisSession:
             tuple, tuple[BusConfiguration, _Key]] = OrderedDict()
         self._lock = threading.Lock()
         self._last_key: _Key | None = None
-        self.queries = 0
-        self.cache_hits = 0
-        self.evictions = 0
-        self.plan_reused = 0
-        self.plan_warm = 0
-        self.plan_cold = 0
         # Optional repro.store.ResultStore.  Consulted when the in-memory
         # cache cannot serve a query; converged full fixed points are
         # published back so a restarted daemon warm-starts from disk.
@@ -482,27 +476,23 @@ class AnalysisSession:
         self.store = store
         self.store_hits = 0
         self._published: set[str] = set()
-        # Optional repro.obs.MetricsRegistry.  Instruments are bound once
-        # here so the per-query publication below is plain `inc` calls --
-        # the disabled path pays exactly one `is not None` compare.
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_queries = metrics.counter("session_queries_total")
-            self._m_hits = metrics.counter("session_cache_hits_total")
-            self._m_misses = metrics.counter("session_cache_misses_total")
-            self._m_plan = {
-                "reuse": metrics.counter(
-                    "session_plan_messages_total", action="reuse"),
-                "warm": metrics.counter(
-                    "session_plan_messages_total", action="warm"),
-                "cold": metrics.counter(
-                    "session_plan_messages_total", action="cold"),
-            }
-            self._m_evictions = metrics.counter("session_evictions_total")
-            self._m_iterations = metrics.histogram(
-                "solver_iterations", buckets=ITERATION_BUCKETS)
-            self._m_batch = metrics.histogram(
-                "solver_batch_size", buckets=SIZE_BUCKETS)
+        # The session's counts live in its children of the registry's
+        # session_* families (see stats()); without a shared registry the
+        # session keeps a private one.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        counter = self.metrics.counter
+        self._m_queries = counter("session_queries_total").child()
+        self._m_hits = counter("session_cache_hits_total").child()
+        self._m_misses = counter("session_cache_misses_total").child()
+        self._m_plan = {
+            action: counter(
+                "session_plan_messages_total", action=action).child()
+            for action in ("reuse", "warm", "cold")}
+        self._m_evictions = counter("session_evictions_total").child()
+        self._m_iterations = self.metrics.histogram(
+            "solver_iterations", buckets=ITERATION_BUCKETS)
+        self._m_batch = self.metrics.histogram(
+            "solver_batch_size", buckets=SIZE_BUCKETS)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -632,7 +622,6 @@ class AnalysisSession:
         # one session genuinely overlap.
         hit_stats = None
         with self._lock:
-            self.queries += 1
             entry = self._cache.get(key)
             if entry is not None:
                 self._cache.move_to_end(key)
@@ -640,7 +629,6 @@ class AnalysisSession:
                 wanted = set(needed) if needed is not None else set(
                     entry.profile.names)
                 if wanted <= covered:
-                    self.cache_hits += 1
                     self._last_key = key
                     hit_stats = QueryStats(
                         total=len(wanted), reused=len(wanted),
@@ -652,9 +640,8 @@ class AnalysisSession:
             if trace is not None:
                 trace.end(plan_span)
                 trace.record("solve", 0.0)
-            if self.metrics is not None:
-                self._m_queries.inc()
-                self._m_hits.inc()
+            self._m_queries.inc()
+            self._m_hits.inc()
             return self._finish(entry, config, tuple(deltas), needed, policy,
                                 label, hit_stats, with_report=with_report)
 
@@ -679,7 +666,6 @@ class AnalysisSession:
                         entry.results.setdefault(msg_name, value)
                     self._cache.move_to_end(key)
                     self._last_key = key
-                    self.cache_hits += 1
                     self.store_hits += 1
                 wanted = set(needed) if needed is not None \
                     else set(profile.names)
@@ -689,9 +675,8 @@ class AnalysisSession:
                 if trace is not None:
                     trace.end(plan_span)
                     trace.record("solve", 0.0)
-                if self.metrics is not None:
-                    self._m_queries.inc()
-                    self._m_hits.inc()
+                self._m_queries.inc()
+                self._m_hits.inc()
                 return self._finish(
                     entry, config, tuple(deltas), needed, policy, label,
                     hit_stats, with_report=with_report)
@@ -708,15 +693,14 @@ class AnalysisSession:
             adopt_changed=adopt_changed, fast_ok=fast_ok, cancel=cancel)
         if trace is not None:
             trace.end(solve_span)
-        if self.metrics is not None:
-            self._m_queries.inc()
-            self._m_misses.inc()
-            self._m_plan["reuse"].inc(stats.reused)
-            self._m_plan["warm"].inc(stats.warm_started)
-            self._m_plan["cold"].inc(stats.cold)
-            self._m_iterations.observe(
-                analysis.profile_iterations - iterations_before)
-            self._m_batch.observe(stats.warm_started + stats.cold)
+        self._m_queries.inc()
+        self._m_misses.inc()
+        self._m_plan["reuse"].inc(stats.reused)
+        self._m_plan["warm"].inc(stats.warm_started)
+        self._m_plan["cold"].inc(stats.cold)
+        self._m_iterations.observe(
+            analysis.profile_iterations - iterations_before)
+        self._m_batch.observe(stats.warm_started + stats.cold)
 
         with self._lock:
             entry = self._cache.get(key)
@@ -727,9 +711,6 @@ class AnalysisSession:
             entry.results.update(results)
             self._cache.move_to_end(key)
             self._last_key = key
-            self.plan_reused += stats.reused
-            self.plan_warm += stats.warm_started
-            self.plan_cold += stats.cold
             publish = None
             if self.store is not None \
                     and len(entry.results) == len(profile.names) \
@@ -749,18 +730,29 @@ class AnalysisSession:
         return (f"{self.name}: {len(self._cache)} cached configurations, "
                 f"{self.queries} queries, {self.cache_hits} cache hits")
 
+    @property
+    def queries(self) -> int:
+        """Queries this session answered."""
+        return int(self._m_queries.value)
+
+    @property
+    def cache_hits(self) -> int:
+        """Answered queries served from the cache or the result store."""
+        return int(self._m_hits.value)
+
     def stats(self) -> SessionStats:
-        """Snapshot of the session's lifetime counters (thread-safe)."""
+        """The session's share of the registry counters (thread-safe)."""
         with self._lock:
             return SessionStats(
                 name=self.name,
                 cached_configs=len(self._cache),
                 queries=self.queries,
                 cache_hits=self.cache_hits,
-                evictions=self.evictions,
-                reused=self.plan_reused,
-                warm_started=self.plan_warm,
-                cold=self.plan_cold,
+                cache_misses=int(self._m_misses.value),
+                evictions=int(self._m_evictions.value),
+                reused=int(self._m_plan["reuse"].value),
+                warm_started=int(self._m_plan["warm"].value),
+                cold=int(self._m_plan["cold"].value),
             )
 
     def input_models(self, deltas: Sequence[Delta] = (),
@@ -864,9 +856,7 @@ class AnalysisSession:
                 if key != self._base_key and key != self._last_key \
                         and key != protect:
                     del self._cache[key]
-                    self.evictions += 1
-                    if self.metrics is not None:
-                        self._m_evictions.inc()
+                    self._m_evictions.inc()
                     break
             else:
                 break

@@ -48,13 +48,11 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.server import faults as faults_mod
 from repro.store.codec import SCHEMA_VERSION
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.obs.metrics import MetricsRegistry
 
 #: Entry kinds the serving stack persists.
 KINDS = ("bus", "system")
@@ -70,9 +68,9 @@ class ResultStore:
     max_bytes:
         Optional size bound.  ``None`` disables eviction.
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; when given,
-        lookups/publishes/evictions/corruption are counted there as well
-        as in the local stats.
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` that
+        lookups/publishes/evictions/corruption are counted in (default: a
+        private one).  :meth:`stats` reads this store's share of it.
     faults:
         Optional :class:`~repro.server.faults.FaultInjector`.  Defaults to
         the ``REPRO_FAULTS`` environment spec, matching the daemon.
@@ -88,7 +86,7 @@ class ResultStore:
         root: "str | os.PathLike[str]",
         max_bytes: Optional[int] = None,
         *,
-        metrics: "Optional[MetricsRegistry]" = None,
+        metrics: Optional[MetricsRegistry] = None,
         faults: Optional[faults_mod.FaultInjector] = None,
         fsync: bool = False,
     ) -> None:
@@ -99,41 +97,20 @@ class ResultStore:
         self.fsync = fsync
         self.faults = faults if faults is not None else faults_mod.from_env()
         self._lock = threading.Lock()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # stats() key -> this store's child of the registry family.
+        counter = self.metrics.counter
         self._counters = {
-            "hits": 0,
-            "misses": 0,
-            "corrupt": 0,
-            "stale": 0,
-            "publishes": 0,
-            "publish_errors": 0,
-            "evictions": 0,
+            "hits": counter("store_lookups_total", result="hit").child(),
+            "misses": counter("store_lookups_total", result="miss").child(),
+            "corrupt": counter("store_lookups_total", result="corrupt").child(),
+            "stale": counter("store_lookups_total", result="stale").child(),
+            "publishes": counter("store_publishes_total").child(),
+            "publish_errors": counter("store_publish_errors_total").child(),
+            "evictions": counter("store_evictions_total").child(),
         }
-        self.metrics = None
-        self._m_lookups = {}
-        self._m_publishes = None
-        self._m_publish_errors = None
-        self._m_evictions = None
-        self._m_bytes = None
-        self._m_entries = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
-
-    def bind_metrics(self, metrics: "MetricsRegistry") -> None:
-        """Publish counters/gauges into ``metrics`` from now on.
-
-        Split from the constructor because the daemon adopts a store that
-        the CLI built before the daemon's registry existed.
-        """
-        self.metrics = metrics
-        self._m_lookups = {
-            outcome: metrics.counter("store_lookups_total", result=outcome)
-            for outcome in ("hit", "miss", "corrupt", "stale")
-        }
-        self._m_publishes = metrics.counter("store_publishes_total")
-        self._m_publish_errors = metrics.counter("store_publish_errors_total")
-        self._m_evictions = metrics.counter("store_evictions_total")
-        self._m_bytes = metrics.gauge("store_bytes")
-        self._m_entries = metrics.gauge("store_entries")
+        self._m_bytes = self.metrics.gauge("store_bytes")
+        self._m_entries = self.metrics.gauge("store_entries")
 
     # ------------------------------------------------------------------ #
     # Keying
@@ -163,35 +140,35 @@ class ResultStore:
         try:
             data = path.read_bytes()
         except OSError:
-            self._count("misses", "miss")
+            self._counters["misses"].inc()
             return None
         try:
             record = json.loads(data)
         except ValueError:
             self._quarantine(path)
-            self._count("corrupt", "corrupt")
+            self._counters["corrupt"].inc()
             return None
         if not isinstance(record, dict):
             self._quarantine(path)
-            self._count("corrupt", "corrupt")
+            self._counters["corrupt"].inc()
             return None
         if record.get("schema") != SCHEMA_VERSION:
             # A different schema version is not damage: another daemon
             # generation may legitimately own this entry.  Miss, keep it.
-            self._count("stale", "stale")
+            self._counters["stale"].inc()
             return None
         payload = record.get("payload")
         if record.get("kind") != kind or record.get("key") != digest or not isinstance(
             payload, dict
         ):
             self._quarantine(path)
-            self._count("corrupt", "corrupt")
+            self._counters["corrupt"].inc()
             return None
         try:  # LRU bookkeeping; best-effort (entry may be racing eviction)
             os.utime(path)
         except OSError:
             pass
-        self._count("hits", "hit")
+        self._counters["hits"].inc()
         return payload
 
     # ------------------------------------------------------------------ #
@@ -212,7 +189,7 @@ class ResultStore:
         try:
             data = json.dumps(record, separators=(",", ":"), allow_nan=False).encode("ascii")
         except (TypeError, ValueError):
-            self._count_publish(error=True)
+            self._counters["publish_errors"].inc()
             return False
         rule = self.faults.check("store.torn_write") if self.faults else None
         if rule is not None:
@@ -223,7 +200,7 @@ class ResultStore:
                     handle.write(data[: max(1, len(data) // 2)])
             except OSError:
                 pass
-            self._count_publish(error=True)
+            self._counters["publish_errors"].inc()
             return False
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
@@ -238,9 +215,9 @@ class ResultStore:
                 os.unlink(tmp)
             except OSError:
                 pass
-            self._count_publish(error=True)
+            self._counters["publish_errors"].inc()
             return False
-        self._count_publish(error=False)
+        self._counters["publishes"].inc()
         if self.max_bytes is not None:
             self._evict_to(self.max_bytes)
         return True
@@ -251,8 +228,6 @@ class ResultStore:
     def stats(self) -> dict:
         """Snapshot of counters plus on-disk entry count / byte total."""
         entries, total = self._scan()
-        with self._lock:
-            counters = dict(self._counters)
         self._publish_gauges(len(entries), total)
         return {
             "root": str(self.root),
@@ -260,7 +235,7 @@ class ResultStore:
             "max_bytes": self.max_bytes,
             "entries": len(entries),
             "bytes": total,
-            **counters,
+            **{key: int(counter.value) for key, counter in self._counters.items()},
         }
 
     def compact(self, max_bytes: Optional[int] = None) -> dict:
@@ -315,9 +290,7 @@ class ResultStore:
                 if self._quarantine(path):
                     total -= size
                     evicted += 1
-            self._counters["evictions"] += evicted
-            if self._m_evictions is not None and evicted:
-                self._m_evictions.inc(evicted)
+            self._counters["evictions"].inc(evicted)
             self._publish_gauges(len(entries) - evicted, total)
 
     def _quarantine(self, path: Path) -> bool:
@@ -327,26 +300,9 @@ class ResultStore:
         except OSError:
             return False
 
-    def _count(self, counter: str, outcome: str) -> None:
-        with self._lock:
-            self._counters[counter] += 1
-        instrument = self._m_lookups.get(outcome)
-        if instrument is not None:
-            instrument.inc()
-
-    def _count_publish(self, *, error: bool) -> None:
-        key = "publish_errors" if error else "publishes"
-        with self._lock:
-            self._counters[key] += 1
-        instrument = self._m_publish_errors if error else self._m_publishes
-        if instrument is not None:
-            instrument.inc()
-
     def _publish_gauges(self, entries: int, total: int) -> None:
-        if self._m_bytes is not None:
-            self._m_bytes.set(total)
-        if self._m_entries is not None:
-            self._m_entries.set(entries)
+        self._m_bytes.set(total)
+        self._m_entries.set(entries)
 
     def describe(self) -> str:
         """One-line summary for logs."""

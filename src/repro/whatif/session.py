@@ -48,6 +48,7 @@ from repro.core.engine import CompositionalAnalysis
 from repro.core.paths import EndToEndPath, PathLatency, path_latency_all
 from repro.core.results import SystemAnalysisResult
 from repro.core.system import SystemModel
+from repro.obs.metrics import MetricsRegistry
 from repro.service.deltas import BusConfiguration
 from repro.service.session import AnalysisSession, SessionStats
 from repro.store.codec import system_result_from_json, system_result_to_json
@@ -142,7 +143,15 @@ class SystemQueryResult:
 
 @dataclass(frozen=True)
 class SystemSessionStats:
-    """Lifetime counters of one :class:`SystemSession`."""
+    """One :class:`SystemSession`'s share of the registry's counters.
+
+    A view, not a second record: ``queries`` (answered queries; a
+    cancelled query is not one), ``cache_hits`` and
+    ``base_invalidations`` are read from the session's children of the
+    ``system_*`` families of its metrics registry, so the sum over the
+    sessions sharing a registry is the family total.  ``cached_results``
+    and ``segment_sessions`` are the current cache sizes.
+    """
 
     name: str
     queries: int
@@ -216,9 +225,6 @@ class SystemSession:
             OrderedDict()
         self._sessions: OrderedDict[tuple, AnalysisSession] = OrderedDict()
         self._pinned: set[tuple] = set()
-        self.queries = 0
-        self.cache_hits = 0
-        self.base_invalidations = 0
         # Optional repro.store.ResultStore: whole-system fixed points are
         # looked up by topology fingerprint on a miss and published after
         # every engine run, so a restarted daemon answers system queries
@@ -226,15 +232,17 @@ class SystemSession:
         self.store = store
         self.store_hits = 0
         self._published: set[str] = set()
-        # Optional repro.obs.MetricsRegistry, shared with every segment
-        # session this system session creates (see _sessions_for_locked).
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_queries = metrics.counter("system_queries_total")
-            self._m_hits = metrics.counter("system_cache_hits_total")
-            self._m_misses = metrics.counter("system_cache_misses_total")
-            self._m_invalidations = metrics.counter(
-                "system_base_invalidations_total")
+        # The session's counts live in its children of the registry's
+        # system_* families (see stats()); the registry, private when none
+        # is given, is shared with every segment session this system
+        # session creates (see _sessions_for_locked).
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        counter = self.metrics.counter
+        self._m_queries = counter("system_queries_total").child()
+        self._m_hits = counter("system_cache_hits_total").child()
+        self._m_misses = counter("system_cache_misses_total").child()
+        self._m_invalidations = counter(
+            "system_base_invalidations_total").child()
         unknown = set(sessions or {}) - set(system.buses)
         if unknown:
             raise ValueError(f"sessions for unknown buses: {sorted(unknown)}")
@@ -285,17 +293,14 @@ class SystemSession:
         with self._lock:
             self._refresh_base_locked()
             system, key, invalidated = self._resolve_locked(deltas)
-            self.queries += 1
             cached = self._results.get(key)
             if cached is not None:
                 self._results.move_to_end(key)
-                self.cache_hits += 1
                 if trace is not None:
                     trace.end(plan_span)
                     trace.record("solve", 0.0)
-                if self.metrics is not None:
-                    self._m_queries.inc()
-                    self._m_hits.inc()
+                self._m_queries.inc()
+                self._m_hits.inc()
                 return replace(
                     cached, label=label, deltas=deltas,
                     stats=replace(cached.stats, cache_hit=True))
@@ -307,14 +312,12 @@ class SystemSession:
             stored = self._store_lookup(key, system, trace)
         if stored is not None:
             with self._lock:
-                self.cache_hits += 1
                 self.store_hits += 1
             if trace is not None:
                 trace.end(plan_span)
                 trace.record("solve", 0.0)
-            if self.metrics is not None:
-                self._m_queries.inc()
-                self._m_hits.inc()
+            self._m_queries.inc()
+            self._m_hits.inc()
             stats = SystemQueryStats(
                 invalidated=tuple(sorted(invalidated)),
                 segments=len(system.buses), cache_hit=True)
@@ -334,9 +337,8 @@ class SystemSession:
             result = engine.run(cancel=cancel)
             if trace is not None:
                 trace.end(solve_span)
-            if self.metrics is not None:
-                self._m_queries.inc()
-                self._m_misses.inc()
+            self._m_queries.inc()
+            self._m_misses.inc()
             if self.store is not None:
                 self._store_publish(key, result)
             stats = SystemQueryStats(
@@ -394,15 +396,15 @@ class SystemSession:
             return self._resolve_locked(deltas)[2]
 
     def stats(self) -> SystemSessionStats:
-        """Snapshot of the session's lifetime counters (thread-safe)."""
+        """The session's share of the registry counters (thread-safe)."""
         with self._lock:
             return SystemSessionStats(
                 name=self.name,
-                queries=self.queries,
-                cache_hits=self.cache_hits,
+                queries=int(self._m_queries.value),
+                cache_hits=int(self._m_hits.value),
                 cached_results=len(self._results),
                 segment_sessions=len(self._sessions),
-                base_invalidations=self.base_invalidations,
+                base_invalidations=int(self._m_invalidations.value),
             )
 
     def session_stats(self) -> list[SessionStats]:
@@ -504,9 +506,7 @@ class SystemSession:
         self._results.clear()
         self._delta_memo.clear()
         self._pin_base_locked()
-        self.base_invalidations += 1
-        if self.metrics is not None:
-            self._m_invalidations.inc()
+        self._m_invalidations.inc()
 
     def _resolve_locked(self, deltas: tuple[SystemDelta, ...],
                         ) -> tuple[SystemModel, SystemKey, frozenset[str]]:

@@ -302,17 +302,47 @@ class TestConformanceMonitor:
         alerts.extend(monitor.flush().alerts)
         assert [a.rule for a in alerts] == ["any-violation"]
         assert registry.value("monitor_violations_total",
-                              message="Slow") == 1.0
+                              message="Slow", target="bus") == 1.0
         assert registry.value("monitor_violations_total",
-                              message="FastA") == 0.0
+                              message="FastA", target="bus") == 0.0
         assert registry.value("monitor_alerts_total",
-                              rule="any-violation") == 1.0
+                              rule="any-violation", target="bus") == 1.0
         assert registry.value("monitor_refits_total", target="bus") >= 1.0
         fired = monitor.alerts()["fired"]
         assert fired and fired[-1]["rule"] == "any-violation"
         # History carries the windowed series behind the alert.
         assert monitor.history.latest("observed_max_ms", message="Slow") \
             is not None
+
+    def test_two_targets_keep_separate_series(self, small_kmatrix,
+                                              small_bus):
+        """Monitors sharing a registry and message names count apart."""
+        registry = MetricsRegistry()
+        rules = (AlertRule.parse("any-violation", "violations > 0"),)
+        monitors = {
+            target: ConformanceMonitor(
+                AnalysisSession(small_kmatrix, small_bus, name=target),
+                target=target, rules=rules,
+                config=MonitorConfig(window_ms=100.0), metrics=registry)
+            for target in ("burst", "clean")}
+        frames = _recorded_frames(small_kmatrix, small_bus)
+        streams = {
+            "burst": inject_jitter_burst(frames, "Slow", start=500.0,
+                                         count=5, shift=120.0),
+            "clean": frames}
+        for target, monitor in monitors.items():
+            for chunk in chunked(streams[target], 256):
+                monitor.ingest(chunk)
+            monitor.flush()
+        for target, expected in (("burst", 1), ("clean", 0)):
+            status = monitors[target].status()
+            violations = registry.value(
+                "monitor_violations_total", message="Slow", target=target)
+            assert violations == status["messages"]["Slow"]["violations"] \
+                == status["violations"] == expected
+            assert registry.value("monitor_alerts_total",
+                                  rule="any-violation",
+                                  target=target) == expected
 
     def test_refits_under_trimming_match_fresh_fits(
             self, small_kmatrix, small_bus, monkeypatch):
@@ -450,9 +480,9 @@ class TestMonitorOverTheWire:
                 counters = client.metrics(
                     history=True, history_last=8)["metrics"]["counters"]
                 assert counters[
-                    'monitor_violations_total{message="Slow"}'] == 1.0
+                    'monitor_violations_total{message="Slow",target="bus"}'] == 1.0
                 assert counters[
-                    'monitor_alerts_total{rule="any-violation"}'] == 1.0
+                    'monitor_alerts_total{rule="any-violation",target="bus"}'] == 1.0
                 assert [a["rule"] for a in alerts] == ["any-violation"]
                 fired = client.monitor_alerts("bus")["fired"]
                 assert [a["rule"] for a in fired] == ["any-violation"]

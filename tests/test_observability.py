@@ -1,9 +1,11 @@
 """Tests of the observability layer: metrics, traces, slow-query log.
 
-Two properties anchor the suite.  First, exactness: counters are plain
-integers under a lock, so after any workload they must reconcile exactly
-with the requests sent -- including under concurrent increments and
-under every ``REPRO_PARALLEL`` mode.  Second, faithfulness: a request's
+Two properties anchor the suite.  First, exactness: counters are locked
+registry instruments and the only record of counts, so after any
+workload they must reconcile exactly with the requests sent -- including
+under concurrent increments and under every ``REPRO_PARALLEL`` mode --
+and every component's own stats must sum to the registry's family
+totals.  Second, faithfulness: a request's
 span tree must cover all five stages (decode -> admission ->
 session_plan -> solve -> encode) and its durations must fit inside the
 round trip the client observed.
@@ -13,11 +15,16 @@ from __future__ import annotations
 
 import logging
 import math
+import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.cancel import CancelToken, Cancelled
+from repro.monitor import ConformanceMonitor, chunked, frames_from_trace
 from repro.obs import (
     ITERATION_BUCKETS,
     MetricsRegistry,
@@ -32,7 +39,14 @@ from repro.server import (
     TcpClient,
     start_server,
 )
+from repro.server.pool import SessionPool
+from repro.server.protocol import session_stats_to_json
 from repro.service.deltas import BusConfiguration, JitterDelta
+from repro.service.session import AnalysisSession
+from repro.sim.simulator import CanBusSimulator, SimulationConfig
+from repro.store import ResultStore
+from repro.whatif import BusSpeedDelta, SystemSession
+from repro.workloads.multibus import multibus_system
 from repro.workloads.powertrain import (
     PowertrainConfig,
     powertrain_bus,
@@ -163,6 +177,22 @@ class TestMetricsRegistry:
             thread.join()
         registry.reset()
         assert counter.value == 0
+
+    def test_child_counts_into_its_family(self):
+        registry = MetricsRegistry()
+        family = registry.counter("queries_total", op="query")
+        first, second = family.child(), family.child()
+        first.inc()
+        second.inc(2)
+        family.inc(4)
+        assert (first.value, second.value) == (1, 2)
+        assert registry.value("queries_total", op="query") == 7
+        with pytest.raises(ValueError):
+            first.inc(-1)
+        assert (first.value, family.value) == (1, 7)
+        # Children are per-instance shares, not registry entries.
+        assert list(registry.snapshot()["counters"]) == \
+            ['queries_total{op="query"}']
 
     def test_prometheus_rendering(self):
         registry = MetricsRegistry()
@@ -599,3 +629,173 @@ class TestParallelModeDeterminism:
             assert hits + misses == 5
         finally:
             daemon.close()
+
+
+# --------------------------------------------------------------------------- #
+# Count agreement: per-instance stats are views over the registry
+# --------------------------------------------------------------------------- #
+_SESSION_FAMILIES = {
+    "queries": "session_queries_total",
+    "cache_hits": "session_cache_hits_total",
+    "cache_misses": "session_cache_misses_total",
+    "evictions": "session_evictions_total",
+}
+_STORE_FAMILIES = {
+    "hits": ("store_lookups_total", {"result": "hit"}),
+    "misses": ("store_lookups_total", {"result": "miss"}),
+    "corrupt": ("store_lookups_total", {"result": "corrupt"}),
+    "stale": ("store_lookups_total", {"result": "stale"}),
+    "publishes": ("store_publishes_total", {}),
+    "publish_errors": ("store_publish_errors_total", {}),
+    "evictions": ("store_evictions_total", {}),
+}
+_FRACTIONS = (0.0, 0.1, 0.2, 0.3)
+
+_agreement_frames: list = []
+
+
+def _monitor_chunks() -> list:
+    """Recorded frames of the 8-message powertrain bus, in 64-frame chunks."""
+    if not _agreement_frames:
+        config = _powertrain_config(8)
+        trace = CanBusSimulator(
+            config.kmatrix, config.bus, controllers=config.controllers,
+            config=SimulationConfig(duration=400.0, seed=5)).run()
+        _agreement_frames.extend(chunked(frames_from_trace(trace), 64))
+    return _agreement_frames
+
+
+def _family(registry: MetricsRegistry, name: str, **labels) -> int:
+    return int(registry.value(name, **labels) or 0)
+
+
+class TestCountAgreement:
+    def test_cancelled_queries_are_not_counted(self):
+        registry = MetricsRegistry()
+        session = AnalysisSession.from_config(
+            _powertrain_config(8), metrics=registry)
+        system = SystemSession(
+            multibus_system(n_buses=2, messages_per_bus=6, seed=2),
+            metrics=registry)
+        fired = CancelToken()
+        fired.cancel()
+        with pytest.raises(Cancelled):
+            session.query((JitterDelta(fraction=0.2),), cancel=fired)
+        with pytest.raises(Cancelled):
+            system.query(BusSpeedDelta("CAN-1", 250_000.0), cancel=fired)
+        families = ("session_queries_total", "session_cache_misses_total",
+                    "system_queries_total", "system_cache_misses_total")
+        assert [_family(registry, name) for name in families] == [0] * 4
+        assert (session.stats().queries, session.stats().cache_misses) \
+            == (0, 0)
+        assert (system.stats().queries, system.stats().cache_hits) == (0, 0)
+
+        session.query((JitterDelta(fraction=0.2),))
+        assert (session.stats().queries, session.stats().cache_misses) \
+            == (1, 1)
+        assert _family(registry, "session_queries_total") == 1
+        assert _family(registry, "session_cache_misses_total") == 1
+        system.query(BusSpeedDelta("CAN-1", 250_000.0))
+        assert system.stats().queries == 1
+        assert _family(registry, "system_queries_total") == 1
+        assert _family(registry, "system_cache_misses_total") == 1
+        # The engine's segment queries count on the segment sessions,
+        # which share the registry.
+        segments = system.session_stats()
+        assert _family(registry, "session_queries_total") == \
+            1 + sum(stats.queries for stats in segments)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["query", "cancelled", "put", "get", "corrupt",
+                         "register", "ingest"]),
+        st.integers(0, 1), st.integers(0, 3)), max_size=25))
+    @example(ops=[("query", 0, k) for k in range(4)]          # evicting
+             + [("query", 0, 3), ("cancelled", 1, 2), ("cancelled", 0, 3)]
+             + [("put", 0, 1), ("get", 0, 1), ("get", 1, 1),
+                ("corrupt", 0, 1)]
+             + [("register", 0, k) for k in range(3)]
+             + [("ingest", 0, 0)] * 3)
+    def test_component_stats_sum_to_registry_families(self, ops):
+        registry = MetricsRegistry()
+        config = _powertrain_config(8)
+        sessions = [AnalysisSession.from_config(
+            config, max_cached_configs=2, name=f"s{i}", metrics=registry)
+            for i in range(2)]
+        pools = [SessionPool(max_sessions=1, metrics=registry)
+                 for _ in range(2)]
+        monitor = ConformanceMonitor(
+            AnalysisSession.from_config(config, metrics=registry),
+            target="agreement", metrics=registry)
+        sessions.append(monitor.session)
+        chunks = iter(_monitor_chunks())
+        fired = CancelToken()
+        fired.cancel()
+        with tempfile.TemporaryDirectory() as root:
+            stores = [ResultStore(f"{root}/{i}", metrics=registry)
+                      for i in range(2)]
+            for op, which, arg in ops:
+                digest = f"d{arg}"
+                if op == "query":
+                    sessions[which].query(
+                        (JitterDelta(fraction=_FRACTIONS[arg]),))
+                elif op == "cancelled":
+                    try:
+                        sessions[which].query(
+                            (JitterDelta(fraction=_FRACTIONS[arg]),),
+                            cancel=fired)
+                    except Cancelled:
+                        pass
+                elif op == "put":
+                    stores[which].put("bus", digest, {"results": {}})
+                elif op == "get":
+                    stores[which].get("bus", digest)
+                elif op == "corrupt":
+                    stores[which]._path("bus", digest).write_bytes(b"{")
+                    stores[which].get("bus", digest)
+                elif op == "register":
+                    pools[which].add_config(
+                        f"t{arg}", BusConfiguration(
+                            kmatrix=config.kmatrix, bus=config.bus,
+                            assumed_jitter_fraction=_FRACTIONS[arg]),
+                        pin=False)
+                else:
+                    chunk = next(chunks, None)
+                    if chunk is not None:
+                        monitor.ingest(chunk)
+            store_stats = [store.stats() for store in stores]
+
+        all_stats = [session.stats() for session in sessions]
+        all_stats += [stats for pool in pools for stats in pool.stats()]
+        for field_name, family in _SESSION_FAMILIES.items():
+            assert sum(getattr(s, field_name) for s in all_stats) == \
+                _family(registry, family)
+        for action, field_name in (("reuse", "reused"),
+                                   ("warm", "warm_started"),
+                                   ("cold", "cold")):
+            assert sum(getattr(s, field_name) for s in all_stats) == \
+                _family(registry, "session_plan_messages_total",
+                        action=action)
+        for key, (family, labels) in _STORE_FAMILIES.items():
+            assert sum(stats[key] for stats in store_stats) == \
+                _family(registry, family, **labels)
+        assert sum(pool.evicted_sessions for pool in pools) == \
+            _family(registry, "pool_evictions_total")
+        status = monitor.status()
+        assert status["frames"] == _family(
+            registry, "monitor_frames_total", target="agreement")
+        assert status["refits"] == _family(
+            registry, "monitor_refits_total", target="agreement")
+        assert status["violations"] == sum(registry.family(
+            "monitor_violations_total", "message").values())
+
+        counts = [value for stats in all_stats
+                  for key, value in session_stats_to_json(stats).items()
+                  if key != "name"]
+        counts += [stats[key] for stats in store_stats
+                   for key in _STORE_FAMILIES]
+        counts += [status[key] for key in ("frames", "violations", "refits")]
+        counts += [entry[key] for entry in status["messages"].values()
+                   for key in ("frames", "completed", "violations")]
+        assert all(type(count) is int for count in counts)
