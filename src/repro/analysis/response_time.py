@@ -73,6 +73,11 @@ engine with non-decreased jitters, or hardening the error model along a
 sweep all satisfy the contract.  Seeds that might overshoot (e.g. results of
 a *different* priority assignment) must not be passed: the iteration could
 land on a larger fixed point and silently lose exactness.
+
+The contract's model-level half is machine-checked by
+:func:`_model_dominates` and :func:`_error_model_dominates` below; the
+what-if session planner and the compositional engine's reference sweep both
+decide their warm starts with them.
 """
 
 from __future__ import annotations
@@ -89,7 +94,13 @@ from repro.can.bus import CanBus
 from repro.can.controller import ControllerModel
 from repro.can.kmatrix import KMatrix
 from repro.can.message import CanMessage
-from repro.errors.models import ErrorModel, NoErrors
+from repro.errors.models import (
+    BurstErrorModel,
+    CompositeErrorModel,
+    ErrorModel,
+    NoErrors,
+    SporadicErrorModel,
+)
 from repro.events.model import EventModel
 
 
@@ -145,6 +156,78 @@ def best_case_response_time(message: CanMessage, bus: CanBus) -> float:
     No interference, no blocking, no stuff bits beyond the fixed format.
     """
     return bus.best_case_transmission_time(message)
+
+
+# --------------------------------------------------------------------------- #
+# Warm-start predicates (the contract of the module docstring, machine-checked)
+# --------------------------------------------------------------------------- #
+def _models_identical(old: EventModel, new: EventModel) -> bool:
+    """Bit-identical event models (same class, same parameters)."""
+    return type(old) is type(new) and old == new
+
+
+def _model_dominates(old: EventModel, new: EventModel) -> bool:
+    """Whether ``new.eta_plus >= old.eta_plus`` pointwise.
+
+    Periods must be equal, jitter must not shrink, and a burst-limiting
+    minimum distance may tighten, be dropped -- or **appear**, provided the
+    cap curve ``ceil(dt/d) + 1`` never dips below the old jitter curve
+    ``ceil((dt + J_old) / T)``.  Writing ``x_k = (k-1)*T - J_old`` for the
+    infimum window at which the old curve reaches ``k`` events, the cap
+    right after ``x_k`` is ``floor(x_k/d) + 2``, so dominance needs
+    ``floor(x_k/d) >= k - 2`` for every ``k >= 3``; the deficit shrinks by
+    at least ``T/d - 1`` per step, so with ``d <= T`` the ``k = 3`` check
+    ``2*T - J_old >= d`` settles all of them (and implies ``J_old < 2*T``,
+    which covers ``k <= 2``).  This is exactly the compositional engine's
+    iteration-2 shape: a gateway output model gains a transmission-time
+    minimum distance far below the period, which caps bursts without ever
+    lowering the curve.  Models with a custom ``eta_plus`` are only
+    accepted when literally unchanged.
+    """
+    if (type(old).eta_plus is not _BASE_ETA_PLUS
+            or type(new).eta_plus is not _BASE_ETA_PLUS):
+        return _models_identical(old, new)
+    if new.period != old.period or new.jitter < old.jitter:
+        return False
+    if new.min_distance != old.min_distance:
+        if new.min_distance == 0.0:
+            pass  # dropping the cap only raises eta_plus
+        elif 0.0 < old.min_distance and \
+                new.min_distance <= old.min_distance:
+            pass  # tightening the cap only raises eta_plus
+        elif old.min_distance == 0.0 and (
+                new.min_distance <= old.period
+                and 2.0 * old.period - old.jitter >= new.min_distance):
+            pass  # a cap appeared, entirely above the old jitter curve
+        else:
+            return False
+    return True
+
+
+def _error_model_dominates(old: ErrorModel, new: ErrorModel) -> bool:
+    """Whether ``new.overhead >= old.overhead`` pointwise (conservative).
+
+    Unknown combinations return ``False`` and force a cold start, never a
+    wrong warm start.
+    """
+    if old == new:
+        return True
+    if isinstance(old, NoErrors) or type(old) is ErrorModel:
+        return True
+    if isinstance(old, SporadicErrorModel) and isinstance(
+            new, SporadicErrorModel):
+        return new.min_interarrival <= old.min_interarrival
+    if isinstance(old, BurstErrorModel) and isinstance(new, BurstErrorModel):
+        return (new.min_interarrival <= old.min_interarrival
+                and new.burst_length >= old.burst_length
+                and new.intra_burst_gap <= old.intra_burst_gap)
+    if isinstance(old, CompositeErrorModel) and isinstance(
+            new, CompositeErrorModel):
+        if len(old.components) != len(new.components):
+            return False
+        return all(_error_model_dominates(o, n) for o, n in
+                   zip(old.components, new.components))
+    return False
 
 
 class _MessageKernel:

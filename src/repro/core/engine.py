@@ -26,9 +26,7 @@ Two performance levers keep large systems in the "within minutes" envelope:
   contention: 300 system what-ifs on a 4x30-message gateway chain took a
   median 14.7 ms with a pool per global iteration and 7.6 ms without (one
   process on a shared 2-CPU host), and at 4x150 messages the pool was no
-  faster either.  Only ``REPRO_PARALLEL=process`` fans the segments out
-  (to worker processes, through :func:`repro.parallel.parallel_map`;
-  results merge in segment order, so the mode never changes a result);
+  faster either;
 * successive global iterations are **incremental**: every bus segment is
   owned by a per-segment
   :class:`~repro.service.session.AnalysisSession`, and each iteration
@@ -39,19 +37,30 @@ Two performance levers keep large systems in the "within minutes" envelope:
   changed), warm-started (its inputs only grew -- the monotone case that
   dominates converging systems; see the warm-start contract in
   :mod:`repro.analysis.response_time`), or must be re-solved cold (an
-  oscillating gateway shrank a jitter).  All three paths are bit-identical
-  to rebuilding the :class:`~repro.analysis.response_time.CanBusAnalysis`
-  from scratch each iteration, which remains available as
-  ``incremental=False`` (and is what ``REPRO_PARALLEL=process`` uses:
-  sessions are in-process state, so process pools fall back to the
-  picklable explicit-warm-seed jobs).
+  oscillating gateway shrank a jitter).
+
+``REPRO_PARALLEL`` does not choose between algorithms: the default engine
+runs on the segment sessions in every mode.  ``incremental=False`` keeps
+the from-scratch reference, which rebuilds every segment's
+:class:`~repro.analysis.response_time.CanBusAnalysis` each iteration and is
+bit-identical to the session path.  ``process`` only changes the executor
+of that reference sweep: its picklable segment jobs fan out to worker
+processes through :func:`repro.parallel.parallel_map` (results merge in
+segment order, so the mode never changes a result).  That fan-out stays
+because a cold reference run is the one case where worker processes
+measured faster: 4x150 messages (multibus seed 7, 2 CPUs) took
+1.08-1.12 s serial and 0.72-0.84 s under ``process``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.response_time import CanBusAnalysis, MessageResponseTime
+from repro.analysis.response_time import (
+    CanBusAnalysis,
+    MessageResponseTime,
+    _model_dominates,
+)
 from repro.analysis.schedulability import report_from_results
 from repro.cancel import CancelToken
 from repro.core.results import SystemAnalysisResult
@@ -62,14 +71,10 @@ from repro.events.operations import output_event_model
 from repro.gateway.model import GatewayAnalysis
 from repro.parallel import parallel_map, resolve_mode
 from repro.service.deltas import EventModelDelta
-from repro.service.session import AnalysisSession, QueryResult
+from repro.service.session import AnalysisSession
 
 
 _MODEL_EPS = 1e-6
-
-#: Base arrival curve implementation; used to recognise event models whose
-#: eta_plus semantics are fully described by (period, jitter, min_distance).
-_BASE_ETA_PLUS = EventModel.eta_plus
 
 
 def _models_equal(first: Mapping[str, EventModel],
@@ -93,38 +98,6 @@ def _models_equal(first: Mapping[str, EventModel],
             return False
         if abs(model.min_distance - other.min_distance) > _MODEL_EPS:
             return False
-    return True
-
-
-def _warm_seed_valid(previous: Mapping[str, EventModel],
-                     current: Mapping[str, EventModel]) -> bool:
-    """Whether the previous iteration's response times lower-bound the new
-    ones, i.e. every event model only became (weakly) more demanding.
-
-    This is the segment-level guard for the warm-start contract of
-    :mod:`repro.analysis.response_time`: jitters must not shrink, periods
-    must not change, and a burst-limiting minimum distance must not grow
-    (a larger minimum distance caps ``eta_plus`` harder).  Models with a
-    custom ``eta_plus`` are only accepted when literally unchanged.
-    """
-    if previous.keys() != current.keys():
-        return False
-    for name, old in previous.items():
-        new = current[name]
-        if (type(old).eta_plus is not _BASE_ETA_PLUS
-                or type(new).eta_plus is not _BASE_ETA_PLUS):
-            if type(old) is not type(new) or old != new:
-                return False
-            continue
-        if new.period != old.period or new.jitter < old.jitter:
-            return False
-        if new.min_distance != old.min_distance:
-            # Dropping the cap (to zero) only raises eta_plus; any other
-            # change is safe only when the cap tightened.
-            if new.min_distance != 0.0 and not (
-                    0.0 < new.min_distance <= old.min_distance
-                    and old.min_distance > 0.0):
-                return False
     return True
 
 
@@ -178,7 +151,10 @@ def _analyze_segment_job(args: tuple) -> tuple:
 
     ``args`` is ``(segment, controllers, send_models, previous)`` where
     ``previous`` carries the segment's (event models, results) from the last
-    global iteration for warm starting.
+    global iteration of the same run.  Its results seed the new analysis
+    when every event model dominates its predecessor (the warm-start
+    contract of :mod:`repro.analysis.response_time`); the segment's other
+    inputs cannot change within one run.
     """
     segment, controllers, send_models, previous = args
     overrides = _segment_overrides(segment, send_models)
@@ -194,13 +170,14 @@ def _analyze_segment_job(args: tuple) -> tuple:
     seeds = None
     if previous is not None:
         previous_models, previous_results = previous
-        if _warm_seed_valid(previous_models, models):
+        if all(_model_dominates(previous_models[name], model)
+               for name, model in models.items()):
             seeds = previous_results
     results = analysis.analyze_all(warm_start=seeds)
     arrival_models = _segment_arrival_models(segment.kmatrix, models, results)
     report = report_from_results(
         segment.kmatrix, analysis, results, segment.deadline_policy)
-    return results, arrival_models, report, models
+    return results, arrival_models, report, (models, results)
 
 
 #: LRU bound of each engine-owned segment session: successive global
@@ -212,11 +189,12 @@ _SESSION_CACHE_PER_SEGMENT = 8
 class CompositionalAnalysis:
     """Global analysis of a :class:`~repro.core.system.SystemModel`.
 
-    :meth:`run` performs every global iteration on the calling thread and
-    analyses the bus segments one after another: the analysis holds the
-    GIL, so the engine starts no threads (a server handling one request per
-    thread keeps exactly that thread busy).  ``REPRO_PARALLEL=process`` is
-    the one mode that distributes the segments, to worker processes.
+    :meth:`run` performs every global iteration on the calling thread.  By
+    default it analyses the bus segments one after another on their
+    sessions, in every ``REPRO_PARALLEL`` mode: the analysis holds the GIL,
+    so the engine starts no threads (a server handling one request per
+    thread keeps exactly that thread busy).  Only the ``incremental=False``
+    reference fans out, and only under ``process``.
 
     Parameters
     ----------
@@ -235,11 +213,13 @@ class CompositionalAnalysis:
         controllers).
     incremental:
         When ``True`` (default), bus sweeps run on the per-segment sessions
-        (reuse / warm-start per message).  ``False`` forces the
-        rebuild-per-iteration path; both produce bit-identical results, and
-        ``REPRO_PARALLEL=process`` implies the rebuild path because
-        sessions are in-process state that cannot follow a job into a
-        worker process.
+        (reuse / warm-start per message), whatever ``REPRO_PARALLEL`` says.
+        ``False`` selects the from-scratch reference: every iteration
+        rebuilds each segment's analysis, warm-seeded only from the
+        previous iteration of the same run, and no state survives a
+        :meth:`run`.  Both produce bit-identical results;
+        ``REPRO_PARALLEL=process`` only hands the reference's segment jobs
+        to worker processes.
     """
 
     def __init__(self, system: SystemModel, max_iterations: int = 50,
@@ -254,15 +234,14 @@ class CompositionalAnalysis:
         self.system = system
         self.max_iterations = max_iterations
         self.incremental = incremental
-        # Per-segment sweep state of the *last* run, retained across runs:
-        # every reuse it enables is fingerprint-guarded (the incremental
-        # path carries arrival models over only on an exact query-key
-        # match; the rebuild path keys each retained seed on the segment's
-        # full configuration and additionally vets the event models via
-        # _warm_seed_valid), so a persistent engine re-analysing after an
-        # in-place segment, ECU or gateway edit stays bit-identical -- the
-        # memo invalidates by fingerprint, never by object identity.
-        self._sweep_state: dict[str, object] = {}
+        # Per-segment (query, arrival models) of the session path's *last*
+        # run, retained across runs: arrival models carry over only on an
+        # exact query-key match, so a persistent engine re-analysing after
+        # an in-place segment, ECU or gateway edit stays bit-identical --
+        # the memo invalidates by fingerprint, never by object identity.
+        # The reference path (incremental=False) neither reads nor writes
+        # it; ``process`` only changes that path's executor.
+        self._sweep_state: dict[str, tuple] = {}
         self._sessions: dict[str, AnalysisSession] = dict(sessions or {})
         unknown = set(self._sessions) - set(system.buses)
         if unknown:
@@ -342,7 +321,7 @@ class CompositionalAnalysis:
         self,
         segment: BusSegment,
         send_models: Mapping[str, EventModel],
-        previous: object,
+        previous: tuple | None,
         cancel: CancelToken | None = None,
     ) -> tuple:
         """One incremental segment analysis: issue the propagated send
@@ -360,10 +339,7 @@ class CompositionalAnalysis:
         if overrides:
             deltas = (EventModelDelta.from_mapping(
                 overrides, replace_all=True),)
-        prev_query = prev_arrivals = None
-        if isinstance(previous, tuple) and len(previous) == 2 \
-                and isinstance(previous[0], QueryResult):
-            prev_query, prev_arrivals = previous
+        prev_query, prev_arrivals = previous or (None, None)
         query = session.query(deltas, warm_from=prev_query, cancel=cancel)
         if prev_query is not None and query.key == prev_query.key:
             arrivals = prev_arrivals
@@ -376,77 +352,47 @@ class CompositionalAnalysis:
     def _bus_sweep(
         self,
         send_models: Mapping[str, EventModel],
-        previous_sweep: Mapping[str, object] | None = None,
+        previous_sweep: Mapping[str, tuple],
         cancel: CancelToken | None = None,
     ) -> tuple[dict[str, MessageResponseTime], dict[str, EventModel], dict,
-               dict[str, object]]:
+               dict[str, tuple]]:
         """Analyse all buses with the given send models.
 
-        Segments are analysed in order on the calling thread (see the
-        module docstring for why there is no thread pool).  On the
-        incremental path every segment's query runs against its cached
-        session (deltas planned per message).  With ``incremental=False``
-        -- implied by ``REPRO_PARALLEL=process``, which hands the jobs to
-        worker processes -- the sweep instead runs picklable job tuples
-        through the top-level :func:`_analyze_segment_job`, warm-seeded
-        with each segment's (event models, results) from the previous
-        iteration.
+        By default every segment's query runs, in order on the calling
+        thread, against its cached session (deltas planned per message),
+        whatever ``REPRO_PARALLEL`` says.  With ``incremental=False`` the
+        sweep instead runs picklable job tuples through the top-level
+        :func:`_analyze_segment_job`, warm-seeded with each segment's
+        (event models, results) from the previous iteration; ``process``
+        only hands those jobs to worker processes.
         """
         segments = list(self.system.buses.values())
-        previous_sweep = previous_sweep or {}
-        process = resolve_mode("auto", len(segments)) == "process"
-        message_results: dict[str, MessageResponseTime] = {}
-        arrival_models: dict[str, EventModel] = {}
-        bus_reports = {}
-        sweep_state: dict[str, object] = {}
-        if self.incremental and not process:
-            for segment in segments:
-                results, arrivals, report, state = \
-                    self._query_segment_session(
-                        segment, send_models,
-                        previous_sweep.get(segment.name), cancel=cancel)
-                message_results.update(results)
-                arrival_models.update(arrivals)
-                bus_reports[segment.name] = report
-                sweep_state[segment.name] = state
+        if self.incremental:
+            outcomes = [
+                self._query_segment_session(
+                    segment, send_models, previous_sweep.get(segment.name),
+                    cancel=cancel)
+                for segment in segments]
         else:
             controllers = dict(self.system.controllers)
-            controller_key = tuple(sorted(controllers.items()))
-            jobs = []
-            keys: dict[str, tuple] = {}
-            for segment in segments:
-                # Everything a warm seed's validity depends on *besides*
-                # the event models (_warm_seed_valid checks those):
-                # structure/priorities, bus timing, error model,
-                # assumed jitter, controllers.  A retained seed whose
-                # configuration key no longer matches -- an in-place
-                # bit-rate edit, priority swap or error-model change
-                # between runs -- could overshoot the new least fixed
-                # point, so it is discarded instead of reused.
-                key = (tuple(segment.kmatrix.messages), segment.bus,
-                       segment.error_model,
-                       segment.assumed_jitter_fraction, controller_key)
-                keys[segment.name] = key
-                previous = previous_sweep.get(segment.name)
-                if isinstance(previous, tuple) and len(previous) == 3 \
-                        and previous[0] == key:
-                    previous = previous[1:]
-                else:
-                    previous = None
-                jobs.append((segment, controllers, dict(send_models),
-                             previous))
-            if process:
+            jobs = [(segment, controllers, dict(send_models),
+                     previous_sweep.get(segment.name))
+                    for segment in segments]
+            if resolve_mode("auto", len(jobs)) == "process":
                 outcomes = parallel_map(_analyze_segment_job, jobs,
                                         mode="process")
             else:
                 outcomes = [_analyze_segment_job(job) for job in jobs]
-            for segment, (results, arrivals, report, models) in zip(
-                    segments, outcomes):
-                message_results.update(results)
-                arrival_models.update(arrivals)
-                bus_reports[segment.name] = report
-                sweep_state[segment.name] = (keys[segment.name], models,
-                                             results)
+        message_results: dict[str, MessageResponseTime] = {}
+        arrival_models: dict[str, EventModel] = {}
+        bus_reports = {}
+        sweep_state: dict[str, tuple] = {}
+        for segment, (results, arrivals, report, state) in zip(
+                segments, outcomes):
+            message_results.update(results)
+            arrival_models.update(arrivals)
+            bus_reports[segment.name] = report
+            sweep_state[segment.name] = state
         return message_results, arrival_models, bus_reports, sweep_state
 
     def _gateway_sweep(
@@ -477,13 +423,13 @@ class CompositionalAnalysis:
         """Iterate local analyses and propagation until a global fixed point.
 
         ``cancel`` (see :mod:`repro.cancel`) is threaded into every
-        incremental segment query's fixed-point loops and additionally
-        checked between global iterations, which also bounds the
-        ``REPRO_PARALLEL=process`` rebuild path (tokens cannot follow a job
-        into a worker process, so there each *global* iteration is the
-        cancellation granule).  A fired token raises out of ``run`` without
-        corrupting the retained sweep state: it is only replaced by
-        completed sweeps.
+        session query's fixed-point loops and additionally checked between
+        global iterations, which is the cancellation granule of the
+        ``incremental=False`` reference sweep (its segment jobs take no
+        token, and under ``REPRO_PARALLEL=process`` run in worker
+        processes).  A fired token raises out of ``run`` without corrupting
+        the session path's retained sweep state: it is only replaced by
+        completed sweeps.  The reference starts every run from scratch.
         """
         ecu_send_models, task_results = self._ecu_sweep()
         send_models: dict[str, EventModel] = dict(ecu_send_models)
@@ -495,7 +441,7 @@ class CompositionalAnalysis:
         converged = False
         iterations = 0
 
-        previous_sweep = self._sweep_state
+        previous_sweep = self._sweep_state if self.incremental else {}
         for iteration in range(1, self.max_iterations + 1):
             iterations = iteration
             if cancel is not None:
@@ -503,7 +449,8 @@ class CompositionalAnalysis:
             (message_results, arrival_models, bus_reports,
              previous_sweep) = self._bus_sweep(send_models, previous_sweep,
                                                cancel=cancel)
-            self._sweep_state = previous_sweep
+            if self.incremental:
+                self._sweep_state = previous_sweep
             forwarded = self._gateway_sweep(arrival_models)
             new_send = dict(ecu_send_models)
             new_send.update(forwarded)

@@ -203,13 +203,16 @@ def optimize_priorities(
         return cache[order][0]
 
     def evaluate_population(individuals: Sequence[_Individual]) -> None:
-        """Evaluate all candidates, sharing the cache and running uncached
-        ones through :func:`repro.parallel.parallel_map` (GA candidates are
-        independent; results merge in population order, deterministically).
+        """Evaluate all candidates, sharing the cache; uncached ones are
+        independent and merge in population order, deterministically.
 
         In ``process`` mode the work ships as picklable job tuples to the
-        top-level :func:`_evaluate_order_job`; other modes evaluate through
-        the shared session cache in this process.
+        top-level :func:`_evaluate_order_job` through
+        :func:`repro.parallel.parallel_map`.  Every other mode evaluates
+        the candidates in order on the calling thread, through the shared
+        session cache: the analysis holds the GIL, so a thread pool only
+        added contention (default config on the powertrain case, 2 CPUs:
+        0.91 s on the calling thread against 0.98-1.11 s on threads).
         """
         nonlocal evaluations
         pending: list[_Individual] = []
@@ -218,8 +221,7 @@ def optimize_priorities(
             if individual.order not in cache and individual.order not in seen:
                 seen.add(individual.order)
                 pending.append(individual)
-        mode = resolve_mode("auto", len(pending))
-        if mode == "process":
+        if resolve_mode("auto", len(pending)) == "process":
             jobs = []
             for individual in pending:
                 parent_entry = (cache.get(individual.parent_order)
@@ -231,9 +233,8 @@ def optimize_priorities(
                     config.sensitivity_threshold, config.analysis_backend))
             outcomes = parallel_map(_evaluate_order_job, jobs, mode="process")
         else:
-            outcomes = parallel_map(
-                lambda ind: evaluate_one(ind.order, ind.parent_order),
-                pending, mode=mode)
+            outcomes = [evaluate_one(ind.order, ind.parent_order)
+                        for ind in pending]
         for individual, outcome in zip(pending, outcomes):
             cache[individual.order] = outcome
             evaluations += 1

@@ -1,17 +1,25 @@
 """Deterministic parallel evaluation of independent analysis units.
 
 The analysis decomposes into units that share no state: bus segments inside
-one global iteration, GA candidates inside one generation, seeds of a
-scaling sweep.  :func:`parallel_map` evaluates such units concurrently while
+one global iteration, GA candidates inside one generation, scenario jobs of
+a batch.  :func:`parallel_map` evaluates such units concurrently while
 guaranteeing that results come back **in input order** -- callers aggregate
 them exactly as a serial loop would, so parallelism never changes a single
 result bit.
 
-The compositional engine's bus sweep uses this module only under
-``process``: in every other mode it analyses the segments in order on the
-calling thread.  Segment analyses are pure Python and hold the GIL, so a
-thread pool per global iteration only added contention (measured in
-:mod:`repro.core.engine`: about twice the time per system what-if).
+Who still fans out, and when:
+
+* :meth:`repro.service.batch.BatchRunner.run` hands its jobs to whatever
+  mode it resolves;
+* the compositional engine's ``incremental=False`` reference sweep and the
+  GA's population evaluation fan out only under ``process``.  Every other
+  mode runs their units in order on the calling thread: the units are pure
+  Python and hold the GIL, so a thread pool only added contention (about
+  twice the time per system what-if, measured in :mod:`repro.core.engine`).
+
+The mode never selects an algorithm.  The default engine runs on its
+segment sessions on the calling thread in every mode, so it never calls
+this module.
 
 Execution modes
 ---------------
@@ -20,12 +28,12 @@ Execution modes
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The analysis is pure
     Python, so threads only pay off when the work releases the GIL (numpy
-    batches, I/O); that is why the engine's segment sweep ignores this
-    mode (see above).
+    batches, I/O); that is why the engine and the GA ignore this mode
+    (see above).
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  Requires picklable
-    functions and arguments (no closures); the engine's segment sweep, the
-    GA's population evaluation and the service batch runner all submit
+    functions and arguments (no closures); the engine's reference sweep,
+    the GA's population evaluation and the service batch runner all submit
     top-level worker functions with picklable job tuples, so a global
     ``REPRO_PARALLEL=process`` override genuinely runs them multi-process.
     When a callable cannot be pickled the call still degrades to ``thread``

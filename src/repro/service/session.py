@@ -51,6 +51,9 @@ from repro.analysis.response_time import (
     _MAX_BUSY_PERIOD_FACTOR,
     CanBusAnalysis,
     MessageResponseTime,
+    _error_model_dominates,
+    _model_dominates,
+    _models_identical,
 )
 from repro.analysis.schedulability import (
     SchedulabilityReport,
@@ -61,19 +64,11 @@ from repro.can.controller import ControllerModel
 from repro.can.kmatrix import KMatrix
 from repro.obs.metrics import ITERATION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.cancel import CancelToken
-from repro.errors.models import (
-    BurstErrorModel,
-    CompositeErrorModel,
-    ErrorModel,
-    NoErrors,
-    SporadicErrorModel,
-)
+from repro.errors.models import ErrorModel, NoErrors
 from repro.events.model import EventModel, _ceil_div
 from repro.events.model import _EPSILON as _SNAP_EPS
 from repro.service.deltas import BusConfiguration, Delta, apply_deltas
 from repro.store.codec import bus_payload_from_json, bus_payload_to_json
-
-_BASE_ETA_PLUS = EventModel.eta_plus
 
 _REUSE = "reuse"
 _WARM = "warm"
@@ -81,52 +76,9 @@ _COLD = "cold"
 
 
 # --------------------------------------------------------------------------- #
-# Monotonicity predicates (the warm-start contract, machine-checked)
+# Seed re-verification (the warm-start predicates live in
+# repro.analysis.response_time, beside the contract they implement)
 # --------------------------------------------------------------------------- #
-def _models_identical(old: EventModel, new: EventModel) -> bool:
-    """Bit-identical event models (same class, same parameters)."""
-    return type(old) is type(new) and old == new
-
-
-def _model_dominates(old: EventModel, new: EventModel) -> bool:
-    """Whether ``new.eta_plus >= old.eta_plus`` pointwise.
-
-    Sharper than the segment-level guard of :mod:`repro.core.engine`:
-    periods must be equal, jitter must not shrink, and a burst-limiting
-    minimum distance may tighten, be dropped -- or **appear**, provided the
-    cap curve ``ceil(dt/d) + 1`` never dips below the old jitter curve
-    ``ceil((dt + J_old) / T)``.  Writing ``x_k = (k-1)*T - J_old`` for the
-    infimum window at which the old curve reaches ``k`` events, the cap
-    right after ``x_k`` is ``floor(x_k/d) + 2``, so dominance needs
-    ``floor(x_k/d) >= k - 2`` for every ``k >= 3``; the deficit shrinks by
-    at least ``T/d - 1`` per step, so with ``d <= T`` the ``k = 3`` check
-    ``2*T - J_old >= d`` settles all of them (and implies ``J_old < 2*T``,
-    which covers ``k <= 2``).  This is exactly the compositional engine's
-    iteration-2 shape: a gateway output model gains a transmission-time
-    minimum distance far below the period, which caps bursts without ever
-    lowering the curve.  Models with a custom ``eta_plus`` are only
-    accepted when literally unchanged.
-    """
-    if (type(old).eta_plus is not _BASE_ETA_PLUS
-            or type(new).eta_plus is not _BASE_ETA_PLUS):
-        return _models_identical(old, new)
-    if new.period != old.period or new.jitter < old.jitter:
-        return False
-    if new.min_distance != old.min_distance:
-        if new.min_distance == 0.0:
-            pass  # dropping the cap only raises eta_plus
-        elif 0.0 < old.min_distance and \
-                new.min_distance <= old.min_distance:
-            pass  # tightening the cap only raises eta_plus
-        elif old.min_distance == 0.0 and (
-                new.min_distance <= old.period
-                and 2.0 * old.period - old.jitter >= new.min_distance):
-            pass  # a cap appeared, entirely above the old jitter curve
-        else:
-            return False
-    return True
-
-
 def _flat_activations(dt: float, period: float, jitter: float,
                       min_distance: float) -> int:
     """Activation count of one flat model entry at window ``dt``.
@@ -186,32 +138,6 @@ def _seed_unaffected(changed_hp: Sequence[tuple], own_id: int,
                     dt, *new_params):
                 return False
     return True
-
-
-def _error_model_dominates(old: ErrorModel, new: ErrorModel) -> bool:
-    """Whether ``new.overhead >= old.overhead`` pointwise (conservative).
-
-    Unknown combinations return ``False`` and force a cold start, never a
-    wrong warm start.
-    """
-    if old == new:
-        return True
-    if isinstance(old, NoErrors) or type(old) is ErrorModel:
-        return True
-    if isinstance(old, SporadicErrorModel) and isinstance(
-            new, SporadicErrorModel):
-        return new.min_interarrival <= old.min_interarrival
-    if isinstance(old, BurstErrorModel) and isinstance(new, BurstErrorModel):
-        return (new.min_interarrival <= old.min_interarrival
-                and new.burst_length >= old.burst_length
-                and new.intra_burst_gap <= old.intra_burst_gap)
-    if isinstance(old, CompositeErrorModel) and isinstance(
-            new, CompositeErrorModel):
-        if len(old.components) != len(new.components):
-            return False
-        return all(_error_model_dominates(o, n) for o, n in
-                   zip(old.components, new.components))
-    return False
 
 
 # --------------------------------------------------------------------------- #
@@ -474,7 +400,6 @@ class AnalysisSession:
         # Every cached value is the canonical cold-start value (module
         # docstring invariant), so store round-trips stay bit-identical.
         self.store = store
-        self.store_hits = 0
         self._published: set[str] = set()
         # The session's counts live in its children of the registry's
         # session_* families (see stats()); without a shared registry the
@@ -489,6 +414,7 @@ class AnalysisSession:
                 "session_plan_messages_total", action=action).child()
             for action in ("reuse", "warm", "cold")}
         self._m_evictions = counter("session_evictions_total").child()
+        self._m_store_hits = counter("session_store_hits_total").child()
         self._m_iterations = self.metrics.histogram(
             "solver_iterations", buckets=ITERATION_BUCKETS)
         self._m_batch = self.metrics.histogram(
@@ -666,7 +592,7 @@ class AnalysisSession:
                         entry.results.setdefault(msg_name, value)
                     self._cache.move_to_end(key)
                     self._last_key = key
-                    self.store_hits += 1
+                    self._m_store_hits.inc()
                 wanted = set(needed) if needed is not None \
                     else set(profile.names)
                 hit_stats = QueryStats(
@@ -739,6 +665,11 @@ class AnalysisSession:
     def cache_hits(self) -> int:
         """Answered queries served from the cache or the result store."""
         return int(self._m_hits.value)
+
+    @property
+    def store_hits(self) -> int:
+        """Fixed points this session read back from its result store."""
+        return int(self._m_store_hits.value)
 
     def stats(self) -> SessionStats:
         """The session's share of the registry counters (thread-safe)."""

@@ -230,7 +230,6 @@ class SystemSession:
         # every engine run, so a restarted daemon answers system queries
         # without re-running the engine.
         self.store = store
-        self.store_hits = 0
         self._published: set[str] = set()
         # The session's counts live in its children of the registry's
         # system_* families (see stats()); the registry, private when none
@@ -243,6 +242,7 @@ class SystemSession:
         self._m_misses = counter("system_cache_misses_total").child()
         self._m_invalidations = counter(
             "system_base_invalidations_total").child()
+        self._m_store_hits = counter("system_store_hits_total").child()
         unknown = set(sessions or {}) - set(system.buses)
         if unknown:
             raise ValueError(f"sessions for unknown buses: {sorted(unknown)}")
@@ -258,6 +258,11 @@ class SystemSession:
     def base_system(self) -> SystemModel:
         """The session's base topology (deltas apply on top of it)."""
         return self._base
+
+    @property
+    def store_hits(self) -> int:
+        """System fixed points this session read back from its store."""
+        return int(self._m_store_hits.value)
 
     @property
     def base_fingerprint(self) -> str:
@@ -311,8 +316,7 @@ class SystemSession:
         if self.store is not None:
             stored = self._store_lookup(key, system, trace)
         if stored is not None:
-            with self._lock:
-                self.store_hits += 1
+            self._m_store_hits.inc()
             if trace is not None:
                 trace.end(plan_span)
                 trace.record("solve", 0.0)

@@ -1,12 +1,13 @@
 """Engine-on-sessions equivalence: incremental vs rebuild-per-iteration.
 
-The compositional engine now issues :class:`EventModelDelta` queries to
-per-segment :class:`AnalysisSession` objects instead of reconstructing
-``CanBusAnalysis`` every global iteration.  ``incremental=False`` retains
-the pre-refactor rebuild path (also used under ``REPRO_PARALLEL=process``),
-and everything here asserts the two are **bit-identical** -- results,
-models, reports, convergence and iteration counts -- across the multibus
-workload family and under warm re-analysis.
+The compositional engine issues :class:`EventModelDelta` queries to
+per-segment :class:`AnalysisSession` objects in every ``REPRO_PARALLEL``
+mode.  ``incremental=False`` is the from-scratch reference that
+reconstructs ``CanBusAnalysis`` every global iteration (the only sweep
+``process`` hands to worker processes), and everything here asserts the
+two are **bit-identical** -- results, models, reports, convergence and
+iteration counts -- across the multibus workload family and under warm
+re-analysis.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from dataclasses import replace
 
 import pytest
 
+import repro.core.engine
 import repro.parallel
 
 from repro.can.kmatrix import KMatrix
 from repro.core.engine import CompositionalAnalysis
+from repro.obs.metrics import MetricsRegistry
 from repro.service.session import AnalysisSession
 from repro.workloads.multibus import multibus_system
 
@@ -129,14 +132,28 @@ class TestEngineOnSessions:
         with pytest.raises(ValueError, match="unknown buses"):
             CompositionalAnalysis(system, sessions={"CAN-X": session})
 
-    def test_process_mode_falls_back_to_rebuild_path(self, monkeypatch):
-        """Sessions are in-process state; under REPRO_PARALLEL=process the
-        sweep uses the picklable rebuild jobs -- and stays bit-identical."""
+    def test_process_mode_runs_on_sessions(self, monkeypatch):
+        """``REPRO_PARALLEL=process`` does not pick the algorithm: the
+        default engine still queries its segment sessions, fans nothing
+        out, and stays bit-identical to ``serial``."""
         system = multibus_system(n_buses=3, messages_per_bus=6, seed=17)
         monkeypatch.setenv("REPRO_PARALLEL", "serial")
         serial = CompositionalAnalysis(system).run()
         monkeypatch.setenv("REPRO_PARALLEL", "process")
-        process = CompositionalAnalysis(system).run()
+
+        def no_fan_out(*args, **kwargs):
+            raise AssertionError("the session path fanned out")
+
+        monkeypatch.setattr(repro.core.engine, "parallel_map", no_fan_out)
+        registry = MetricsRegistry()
+        sessions = {
+            segment.name: AnalysisSession.from_segment(
+                segment, controllers=dict(system.controllers) or None,
+                metrics=registry)
+            for segment in system.buses.values()
+        }
+        process = CompositionalAnalysis(system, sessions=sessions).run()
+        assert registry.value("session_queries_total") > 0
         _assert_identical(serial, process)
 
     def test_thread_mode_bit_identical(self, monkeypatch):
@@ -151,8 +168,9 @@ class TestEngineOnSessions:
     @pytest.mark.parametrize("mode", [None, "thread"])
     def test_run_starts_no_thread(self, monkeypatch, mode, incremental):
         """Segment analyses hold the GIL, so every global iteration runs
-        them on the calling thread: no pool, no thread, in any mode but
-        ``process``."""
+        them on the calling thread: no pool, no thread.  (Under ``process``
+        only the ``incremental=False`` reference fans out, to worker
+        processes.)"""
         system = multibus_system(n_buses=4, messages_per_bus=8, seed=19)
         monkeypatch.setenv("REPRO_PARALLEL", "serial")
         serial = CompositionalAnalysis(system, incremental=incremental).run()

@@ -21,7 +21,12 @@ from repro.analysis.reference import ReferenceCanBusAnalysis
 from repro.analysis.response_time import CanBusAnalysis
 from repro.analysis.vector import _segment_layout, _segment_sums
 from repro.can.bus import CanBus
-from repro.errors.models import BurstErrorModel, SporadicErrorModel
+from repro.can.controller import CanControllerType, ControllerModel
+from repro.errors.models import (
+    BurstErrorModel,
+    CompositeErrorModel,
+    SporadicErrorModel,
+)
 from repro.events.model import PeriodicWithJitter
 from repro.optimize.genetic import GeneticOptimizerConfig, optimize_priorities
 from repro.optimize.objectives import (
@@ -51,12 +56,42 @@ def _matrix(seed: int):
 
 
 def _error_model(seed: int):
+    """No errors, sporadic, burst, or both superposed.
+
+    ``CompositeErrorModel`` adds its components' overheads with the
+    builtin ``sum()``, which compensates float sums since Python 3.12; the
+    kernel and the reference call the same method, so they must agree on
+    every version.
+    """
+    if seed % 4 == 0:
+        return None
+    sporadic = SporadicErrorModel(min_interarrival=25.0)
+    burst = BurstErrorModel(min_interarrival=60.0, burst_length=3,
+                            intra_burst_gap=0.5)
+    if seed % 4 == 1:
+        return sporadic
+    if seed % 4 == 2:
+        return burst
+    return CompositeErrorModel(components=(sporadic, burst))
+
+
+_CONTROLLER_KINDS = (CanControllerType.QUEUED_FIFO, CanControllerType.BASIC,
+                     CanControllerType.FULL)
+
+
+def _controllers(seed: int):
+    """Mixed controllers on two seeds in three, none on the rest.
+
+    A FIFO-queued ECU's internal blocking is a builtin ``sum()`` of the
+    transmission times queued ahead (two or three of them here), shared by
+    the kernel and the reference like the composite error overhead.
+    """
     if seed % 3 == 0:
         return None
-    if seed % 3 == 1:
-        return SporadicErrorModel(min_interarrival=25.0)
-    return BurstErrorModel(min_interarrival=60.0, burst_length=3,
-                           intra_burst_gap=0.5)
+    return {f"ECU{i + 1}": ControllerModel(
+                controller_type=_CONTROLLER_KINDS[(seed + i) % 3],
+                tx_buffers=3 + i % 2)
+            for i in range(3 + seed % 4)}
 
 
 class TestAnalyzeAllEquivalence:
@@ -65,7 +100,8 @@ class TestAnalyzeAllEquivalence:
         kmatrix = _matrix(seed)
         fraction = (seed % 5) * 0.1
         kwargs = dict(error_model=_error_model(seed),
-                      assumed_jitter_fraction=fraction)
+                      assumed_jitter_fraction=fraction,
+                      controllers=_controllers(seed))
         fast = CanBusAnalysis(kmatrix, _BUS, **kwargs).analyze_all()
         slow = ReferenceCanBusAnalysis(kmatrix, _BUS, **kwargs).analyze_all()
         assert fast == slow
@@ -97,7 +133,8 @@ class TestBackendEquivalence:
     def test_backends_bit_identical(self, seed):
         kmatrix = _matrix(seed)
         kwargs = dict(error_model=_error_model(seed),
-                      assumed_jitter_fraction=(seed % 5) * 0.1)
+                      assumed_jitter_fraction=(seed % 5) * 0.1,
+                      controllers=_controllers(seed))
         analysis = CanBusAnalysis(kmatrix, _BUS, **kwargs)
         reference = ReferenceCanBusAnalysis(
             kmatrix, _BUS, **kwargs).analyze_all()
@@ -126,7 +163,8 @@ class TestBackendEquivalence:
     def test_batch_matches_single_message_calls(self, seed):
         kmatrix = _matrix(seed)
         kwargs = dict(error_model=_error_model(seed + 1),
-                      assumed_jitter_fraction=0.2)
+                      assumed_jitter_fraction=0.2,
+                      controllers=_controllers(seed + 1))
         batch_analysis = CanBusAnalysis(kmatrix, _BUS, **kwargs)
         reference = ReferenceCanBusAnalysis(kmatrix, _BUS, **kwargs)
         singles = {m.name: reference.response_time(m) for m in kmatrix}

@@ -45,7 +45,7 @@ from repro.service.deltas import BusConfiguration, JitterDelta
 from repro.service.session import AnalysisSession
 from repro.sim.simulator import CanBusSimulator, SimulationConfig
 from repro.store import ResultStore
-from repro.whatif import BusSpeedDelta, SystemSession
+from repro.whatif import BusSpeedDelta, GatewayConfigDelta, SystemSession
 from repro.workloads.multibus import multibus_system
 from repro.workloads.powertrain import (
     PowertrainConfig,
@@ -650,6 +650,7 @@ _STORE_FAMILIES = {
     "evictions": ("store_evictions_total", {}),
 }
 _FRACTIONS = (0.0, 0.1, 0.2, 0.3)
+_POLLING_PERIODS = (1.0, 2.0, 5.0, 10.0)
 
 _agreement_frames: list = []
 
@@ -709,32 +710,41 @@ class TestCountAgreement:
               suppress_health_check=[HealthCheck.too_slow])
     @given(ops=st.lists(st.tuples(
         st.sampled_from(["query", "cancelled", "put", "get", "corrupt",
-                         "register", "ingest"]),
+                         "register", "ingest", "system"]),
         st.integers(0, 1), st.integers(0, 3)), max_size=25))
     @example(ops=[("query", 0, k) for k in range(4)]          # evicting
              + [("query", 0, 3), ("cancelled", 1, 2), ("cancelled", 0, 3)]
+             + [("query", 0, 0), ("query", 1, 1)]             # store hits
              + [("put", 0, 1), ("get", 0, 1), ("get", 1, 1),
                 ("corrupt", 0, 1)]
              + [("register", 0, k) for k in range(3)]
-             + [("ingest", 0, 0)] * 3)
+             + [("ingest", 0, 0)] * 3
+             + [("system", 0, 1), ("system", 1, 1)])          # store hit
     def test_component_stats_sum_to_registry_families(self, ops):
         registry = MetricsRegistry()
         config = _powertrain_config(8)
-        sessions = [AnalysisSession.from_config(
-            config, max_cached_configs=2, name=f"s{i}", metrics=registry)
-            for i in range(2)]
         pools = [SessionPool(max_sessions=1, metrics=registry)
                  for _ in range(2)]
-        monitor = ConformanceMonitor(
-            AnalysisSession.from_config(config, metrics=registry),
-            target="agreement", metrics=registry)
-        sessions.append(monitor.session)
         chunks = iter(_monitor_chunks())
         fired = CancelToken()
         fired.cancel()
         with tempfile.TemporaryDirectory() as root:
             stores = [ResultStore(f"{root}/{i}", metrics=registry)
                       for i in range(2)]
+            # Both what-if sessions and both system sessions publish to and
+            # read from the first store, so each can hit what the other
+            # (or its own evicted configuration) left there.
+            sessions = [AnalysisSession.from_config(
+                config, max_cached_configs=2, name=f"s{i}",
+                metrics=registry, store=stores[0]) for i in range(2)]
+            systems = [SystemSession(
+                multibus_system(n_buses=2, messages_per_bus=6, seed=2),
+                name=f"sys{i}", metrics=registry, store=stores[0])
+                for i in range(2)]
+            monitor = ConformanceMonitor(
+                AnalysisSession.from_config(config, metrics=registry),
+                target="agreement", metrics=registry)
+            sessions.append(monitor.session)
             for op, which, arg in ops:
                 digest = f"d{arg}"
                 if op == "query":
@@ -760,14 +770,19 @@ class TestCountAgreement:
                             kmatrix=config.kmatrix, bus=config.bus,
                             assumed_jitter_fraction=_FRACTIONS[arg]),
                         pin=False)
-                else:
+                elif op == "ingest":
                     chunk = next(chunks, None)
                     if chunk is not None:
                         monitor.ingest(chunk)
+                else:
+                    systems[which].query((GatewayConfigDelta(
+                        "GW0", polling_period=_POLLING_PERIODS[arg]),))
             store_stats = [store.stats() for store in stores]
 
         all_stats = [session.stats() for session in sessions]
         all_stats += [stats for pool in pools for stats in pool.stats()]
+        all_stats += [stats for system in systems
+                      for stats in system.session_stats()]
         for field_name, family in _SESSION_FAMILIES.items():
             assert sum(getattr(s, field_name) for s in all_stats) == \
                 _family(registry, family)
@@ -782,6 +797,11 @@ class TestCountAgreement:
                 _family(registry, family, **labels)
         assert sum(pool.evicted_sessions for pool in pools) == \
             _family(registry, "pool_evictions_total")
+        # Pool and segment sessions have no store, hence no store hits.
+        assert sum(session.store_hits for session in sessions) == \
+            _family(registry, "session_store_hits_total")
+        assert sum(system.store_hits for system in systems) == \
+            _family(registry, "system_store_hits_total")
         status = monitor.status()
         assert status["frames"] == _family(
             registry, "monitor_frames_total", target="agreement")

@@ -345,10 +345,10 @@ class TestFingerprintInvalidation:
         _assert_identical(_fresh_run(system), engine.run())
 
     def test_persistent_rebuild_engine_discards_stale_seeds(self):
-        """The rebuild path's retained seeds are keyed on the segment's
-        full configuration: in-place edits that leave every *event model*
-        unchanged (bit rate, priority swap, error model) must not warm
-        the next run from the old -- possibly overshooting -- results."""
+        """The rebuild path keeps no seeds across runs: in-place edits
+        that leave every *event model* unchanged (bit rate, priority
+        swap, error model) must not warm the next run from the old --
+        possibly overshooting -- results."""
         params = dict(n_buses=3, messages_per_bus=8, seed=13)
         edits = [
             lambda seg: setattr(
