@@ -169,8 +169,8 @@ def schedulability_with_results(
     warm_start: Mapping[str, MessageResponseTime] | None = None,
 ) -> tuple[SchedulabilityReport, dict[str, MessageResponseTime]]:
     """Like :func:`analyze_schedulability`, but also returns the raw
-    per-message response times so callers can chain warm starts (e.g. the
-    optimizer's scenario sweep, or an ascending jitter sweep)."""
+    per-message response times so callers can chain warm starts (e.g. an
+    ascending jitter sweep)."""
     analysis = CanBusAnalysis(
         kmatrix=kmatrix,
         bus=bus,

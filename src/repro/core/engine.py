@@ -69,7 +69,7 @@ from repro.ecu.analysis import EcuAnalysis, message_output_models
 from repro.events.model import EventModel
 from repro.events.operations import output_event_model
 from repro.gateway.model import GatewayAnalysis
-from repro.parallel import parallel_map, resolve_mode
+from repro.parallel import parallel_map
 from repro.service.deltas import EventModelDelta
 from repro.service.session import AnalysisSession
 
@@ -361,10 +361,10 @@ class CompositionalAnalysis:
         By default every segment's query runs, in order on the calling
         thread, against its cached session (deltas planned per message),
         whatever ``REPRO_PARALLEL`` says.  With ``incremental=False`` the
-        sweep instead runs picklable job tuples through the top-level
-        :func:`_analyze_segment_job`, warm-seeded with each segment's
-        (event models, results) from the previous iteration; ``process``
-        only hands those jobs to worker processes.
+        sweep instead hands picklable job tuples for the top-level
+        :func:`_analyze_segment_job` to :func:`repro.parallel.parallel_map`,
+        warm-seeded with each segment's (event models, results) from the
+        previous iteration; only ``process`` sends them to worker processes.
         """
         segments = list(self.system.buses.values())
         if self.incremental:
@@ -378,11 +378,7 @@ class CompositionalAnalysis:
             jobs = [(segment, controllers, dict(send_models),
                      previous_sweep.get(segment.name))
                     for segment in segments]
-            if resolve_mode("auto", len(jobs)) == "process":
-                outcomes = parallel_map(_analyze_segment_job, jobs,
-                                        mode="process")
-            else:
-                outcomes = [_analyze_segment_job(job) for job in jobs]
+            outcomes = parallel_map(_analyze_segment_job, jobs)
         message_results: dict[str, MessageResponseTime] = {}
         arrival_models: dict[str, EventModel] = {}
         bus_reports = {}

@@ -25,9 +25,7 @@ from repro.optimize.assignment import (
 from repro.optimize.objectives import (
     AnalysisScenario,
     ConfigurationEvaluation,
-    EvaluationContext,
     evaluate_configuration,
-    evaluate_configuration_with_context,
     paper_scenarios,
 )
 from repro.optimize.genetic import (
@@ -42,9 +40,7 @@ __all__ = [
     "audsley_assignment",
     "AnalysisScenario",
     "ConfigurationEvaluation",
-    "EvaluationContext",
     "evaluate_configuration",
-    "evaluate_configuration_with_context",
     "paper_scenarios",
     "GeneticOptimizerConfig",
     "OptimizationResult",

@@ -12,7 +12,10 @@ configurations.  This module implements the same scheme:
 * variation uses order crossover (OX) and swap/insertion mutation;
 * the initial population is seeded with the deterministic baselines
   (original, rate-monotonic, deadline-monotonic) so the GA never does worse
-  than the best known heuristic.
+  than the best known heuristic;
+* candidates are evaluated one after another on the calling thread through
+  :class:`repro.service.evaluation.SessionEvaluator`, each seeded from its
+  parent, whatever ``REPRO_PARALLEL`` says.
 """
 
 from __future__ import annotations
@@ -31,29 +34,8 @@ from repro.optimize.assignment import (
 from repro.optimize.objectives import (
     AnalysisScenario,
     ConfigurationEvaluation,
-    EvaluationContext,
-    evaluate_configuration_with_context,
+    evaluate_configuration,
 )
-from repro.parallel import parallel_map, resolve_mode
-
-
-def _evaluate_order_job(job: tuple) -> tuple[ConfigurationEvaluation,
-                                             EvaluationContext]:
-    """Evaluate one candidate order from a fully picklable job tuple.
-
-    Top-level on purpose: ``REPRO_PARALLEL=process`` pools pickle the
-    callable and every argument, which the closure-based population
-    evaluation cannot satisfy.  Worker processes share no session cache, so
-    each candidate is evaluated directly (warm starts only affect speed,
-    never results -- all modes return bit-identical evaluations).
-    """
-    (kmatrix, scenarios, order, id_pool, parent_context, threshold,
-     backend) = job
-    mapping = {name: can_id for name, can_id in zip(order, id_pool)}
-    return evaluate_configuration_with_context(
-        kmatrix.with_priorities(mapping), scenarios,
-        sensitivity_threshold=threshold, warm_start=parent_context,
-        backend=backend)
 
 
 @dataclass(frozen=True)
@@ -99,8 +81,8 @@ class _Individual:
     """One candidate: an ordering of message names (priority order).
 
     ``parent_order`` identifies the already evaluated candidate this one was
-    derived from; its evaluation context warm-starts this candidate's
-    analysis (see :mod:`repro.optimize.objectives`).
+    derived from; its cached fixed points warm-start this candidate's
+    analysis (see :mod:`repro.service.evaluation`).
     """
 
     order: tuple[str, ...]
@@ -158,15 +140,14 @@ def optimize_priorities(
     id_pool = sorted(message.can_id for message in kmatrix)
     names = [message.name for message in kmatrix]
     evaluations = 0
-    cache: dict[tuple[str, ...],
-                tuple[ConfigurationEvaluation, EvaluationContext]] = {}
+    cache: dict[tuple[str, ...], ConfigurationEvaluation] = {}
 
     # Candidate evaluations of the kernel backend run as PriorityDelta
     # queries through cached-kernel sessions: messages whose higher-priority
     # set a mutation left untouched reuse the parent's fixed point outright,
     # demoted messages warm-start from it, promoted ones go cold -- the
-    # incremental per-candidate re-analysis, bit-identical to the direct
-    # path (the reference backend keeps using it for the equivalence tests).
+    # incremental per-candidate re-analysis, bit-identical to a cold
+    # evaluation (the reference backend runs one, for the equivalence tests).
     evaluator = None
     if config.analysis_backend != "reference":
         from repro.service.evaluation import SessionEvaluator
@@ -178,68 +159,28 @@ def optimize_priorities(
         mapping = {name: can_id for name, can_id in zip(order, id_pool)}
         return kmatrix.with_priorities(mapping)
 
-    def evaluate_one(
-        order: tuple[str, ...],
-        parent_order: tuple[str, ...] | None = None,
-    ) -> tuple[ConfigurationEvaluation, EvaluationContext]:
-        parent_context = None
-        if parent_order is not None:
-            parent_entry = cache.get(parent_order)
-            if parent_entry is not None:
-                parent_context = parent_entry[1]
-        if evaluator is not None:
-            return evaluator.evaluate(order, warm_start=parent_context)
-        return evaluate_configuration_with_context(
-            matrix_for(order), scenarios,
-            sensitivity_threshold=config.sensitivity_threshold,
-            warm_start=parent_context,
-            backend=config.analysis_backend)
-
-    def evaluate(order: tuple[str, ...]) -> ConfigurationEvaluation:
+    def evaluate(order: tuple[str, ...],
+                 parent_order: tuple[str, ...] | None = None,
+                 ) -> ConfigurationEvaluation:
         nonlocal evaluations
         if order not in cache:
             evaluations += 1
-            cache[order] = evaluate_one(order)
-        return cache[order][0]
+            if evaluator is not None:
+                cache[order] = evaluator.evaluate(order, parent=parent_order)
+            else:
+                cache[order] = evaluate_configuration(
+                    matrix_for(order), scenarios,
+                    sensitivity_threshold=config.sensitivity_threshold,
+                    backend="reference")
+        return cache[order]
 
     def evaluate_population(individuals: Sequence[_Individual]) -> None:
-        """Evaluate all candidates, sharing the cache; uncached ones are
-        independent and merge in population order, deterministically.
-
-        In ``process`` mode the work ships as picklable job tuples to the
-        top-level :func:`_evaluate_order_job` through
-        :func:`repro.parallel.parallel_map`.  Every other mode evaluates
-        the candidates in order on the calling thread, through the shared
-        session cache: the analysis holds the GIL, so a thread pool only
-        added contention (default config on the powertrain case, 2 CPUs:
-        0.91 s on the calling thread against 0.98-1.11 s on threads).
-        """
-        nonlocal evaluations
-        pending: list[_Individual] = []
-        seen: set[tuple[str, ...]] = set()
+        """Evaluate all candidates in population order on the calling
+        thread, sharing the cache, so every ``REPRO_PARALLEL`` mode runs
+        the same evaluations in the same order."""
         for individual in individuals:
-            if individual.order not in cache and individual.order not in seen:
-                seen.add(individual.order)
-                pending.append(individual)
-        if resolve_mode("auto", len(pending)) == "process":
-            jobs = []
-            for individual in pending:
-                parent_entry = (cache.get(individual.parent_order)
-                                if individual.parent_order else None)
-                jobs.append((
-                    kmatrix, tuple(scenarios), individual.order,
-                    tuple(id_pool),
-                    parent_entry[1] if parent_entry else None,
-                    config.sensitivity_threshold, config.analysis_backend))
-            outcomes = parallel_map(_evaluate_order_job, jobs, mode="process")
-        else:
-            outcomes = [evaluate_one(ind.order, ind.parent_order)
-                        for ind in pending]
-        for individual, outcome in zip(pending, outcomes):
-            cache[individual.order] = outcome
-            evaluations += 1
-        for individual in individuals:
-            individual.evaluation = cache[individual.order][0]
+            individual.evaluation = evaluate(individual.order,
+                                             individual.parent_order)
 
     # --- seed population -------------------------------------------------
     # Besides the original assignment and the monotonic heuristics, the

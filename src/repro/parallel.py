@@ -1,52 +1,41 @@
 """Deterministic parallel evaluation of independent analysis units.
 
-The analysis decomposes into units that share no state: bus segments inside
-one global iteration, GA candidates inside one generation, scenario jobs of
-a batch.  :func:`parallel_map` evaluates such units concurrently while
-guaranteeing that results come back **in input order** -- callers aggregate
-them exactly as a serial loop would, so parallelism never changes a single
-result bit.
+:func:`parallel_map` applies a function to independent units and returns
+the results **in input order**, so callers aggregate them exactly as a
+serial loop would and the mode never changes a single result bit.
 
-Who still fans out, and when:
+Who fans out, and when:
 
 * :meth:`repro.service.batch.BatchRunner.run` hands its jobs to whatever
   mode it resolves;
-* the compositional engine's ``incremental=False`` reference sweep and the
-  GA's population evaluation fan out only under ``process``.  Every other
-  mode runs their units in order on the calling thread: the units are pure
-  Python and hold the GIL, so a thread pool only added contention (about
-  twice the time per system what-if, measured in :mod:`repro.core.engine`).
+* the compositional engine's ``incremental=False`` reference sweep hands
+  its segment jobs to :func:`parallel_map` in whatever mode resolves.
 
 The mode never selects an algorithm.  The default engine runs on its
-segment sessions on the calling thread in every mode, so it never calls
-this module.
+segment sessions and the GA evaluates its candidates through session
+queries, both on the calling thread in every mode, so neither calls this
+module.
 
 Execution modes
 ---------------
 ``serial``
-    Plain loop; always available, always the fallback.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  The analysis is pure
-    Python, so threads only pay off when the work releases the GIL (numpy
-    batches, I/O); that is why the engine and the GA ignore this mode
-    (see above).
+    Plain loop on the calling thread; always available, always the
+    fallback.  The analysis is pure Python and holds the GIL, so a thread
+    pool never paid off and there is no thread mode.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  Requires picklable
-    functions and arguments (no closures); the engine's reference sweep,
-    the GA's population evaluation and the service batch runner all submit
-    top-level worker functions with picklable job tuples, so a global
-    ``REPRO_PARALLEL=process`` override genuinely runs them multi-process.
-    When a callable cannot be pickled the call still degrades to ``thread``
-    instead of crashing.
+    functions and arguments (no closures); the engine's reference sweep and
+    the service batch runner submit top-level worker functions with
+    picklable job tuples, so a global ``REPRO_PARALLEL=process`` override
+    genuinely runs them multi-process.  When a callable cannot be pickled
+    the call falls back to ``serial`` instead of crashing.
 ``auto``
-    ``serial`` when the machine has one usable core, the item count is
-    smaller than two, or the environment variable ``REPRO_PARALLEL`` is set
-    to ``serial``; ``thread`` otherwise.
+    ``serial``; only an explicit ``process`` starts worker processes.
 
-``REPRO_PARALLEL`` overrides the mode globally (``serial`` / ``thread`` /
-``process``; ``auto`` and unset leave the caller's mode in charge), which
-keeps benchmarks and CI deterministic without plumbing a flag through every
-call site.  Any other value raises a :class:`ValueError` naming the allowed
+``REPRO_PARALLEL`` overrides the mode globally (``serial`` / ``process``;
+``auto`` and unset leave the caller's mode in charge), which keeps
+benchmarks and CI deterministic without plumbing a flag through every call
+site.  Any other value raises a :class:`ValueError` naming the allowed
 modes.
 """
 
@@ -54,13 +43,13 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-_MODES = ("auto", "serial", "thread", "process")
+_MODES = ("auto", "serial", "process")
 
 
 def available_workers() -> int:
@@ -69,7 +58,7 @@ def available_workers() -> int:
 
 
 def resolve_mode(mode: str = "auto", n_items: int = 2) -> str:
-    """Resolve an execution mode to ``serial``/``thread``/``process``.
+    """Resolve an execution mode to ``serial`` or ``process``.
 
     A set but invalid ``REPRO_PARALLEL`` raises immediately instead of
     silently falling through to the caller's mode: a typo like
@@ -83,11 +72,9 @@ def resolve_mode(mode: str = "auto", n_items: int = 2) -> str:
         raise ValueError(
             f"invalid REPRO_PARALLEL={override!r}; allowed modes are "
             f"{', '.join(_MODES)} (or unset, which means auto)")
-    if override in ("serial", "thread", "process"):
+    if override in ("serial", "process"):
         mode = override
-    if mode == "auto":
-        mode = "thread" if available_workers() > 1 and n_items > 1 else "serial"
-    if mode != "serial" and n_items < 2:
+    if mode == "auto" or n_items < 2:
         mode = "serial"
     return mode
 
@@ -105,16 +92,17 @@ def parallel_map(
     the pool matches ``min(len(items), available_workers())``.
     """
     materialized: Sequence[_T] = list(items)
-    resolved = resolve_mode(mode, len(materialized))
-    if resolved == "serial":
-        return [fn(item) for item in materialized]
-    if resolved == "process":
-        try:
-            pickle.dumps(fn)
-        except (pickle.PicklingError, AttributeError, TypeError):
-            resolved = "thread"
-    workers = max_workers or min(len(materialized), available_workers())
-    executor_cls = (ThreadPoolExecutor if resolved == "thread"
-                    else ProcessPoolExecutor)
-    with executor_cls(max_workers=workers) as pool:
-        return list(pool.map(fn, materialized))
+    if (resolve_mode(mode, len(materialized)) == "process"
+            and _picklable(fn)):
+        workers = max_workers or min(len(materialized), available_workers())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, materialized))
+    return [fn(item) for item in materialized]
+
+
+def _picklable(fn: Callable) -> bool:
+    try:
+        pickle.dumps(fn)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True

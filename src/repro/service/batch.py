@@ -42,7 +42,12 @@ def run_batch_job(job: BatchJob) -> ScenarioRunResult:
 
 
 class BatchRunner:
-    """Executes scenario batches with deterministic result ordering."""
+    """Executes scenario batches with deterministic result ordering.
+
+    ``mode`` is a :func:`repro.parallel.parallel_map` mode: ``"process"``
+    fans the jobs out to worker processes, ``"serial"`` and ``"auto"`` run
+    them in order on the calling thread.
+    """
 
     def __init__(self, mode: str = "auto",
                  max_workers: int | None = None) -> None:
@@ -50,7 +55,7 @@ class BatchRunner:
         self.max_workers = max_workers
 
     def run(self, jobs: Sequence[BatchJob]) -> list[ScenarioRunResult]:
-        """Run independent jobs concurrently; results come back in job order.
+        """Run independent jobs; results come back in job order.
 
         Each job gets its own session (no shared cache), so jobs are fully
         independent and safe for ``process`` pools.

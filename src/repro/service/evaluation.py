@@ -5,31 +5,28 @@ scenario set.  :class:`SessionEvaluator` routes those evaluations through
 cached-kernel sessions -- one per (bus, error model, controllers) scenario
 group -- so every candidate is expressed as a
 :class:`~repro.service.deltas.PriorityDelta` plus the scenario's jitter
-fraction.  The session's incremental planner then delivers the ROADMAP's
-"per-candidate incremental re-analysis" for free:
+fraction.  The session's incremental planner then delivers the
+per-candidate incremental re-analysis:
 
 * messages whose higher-priority set a mutation did not touch **reuse** the
   parent's converged fixed point outright (no iteration at all);
-* messages that only *lost* priority **warm-start** from the parent (the
-  ``_parent_seeds`` criterion of :mod:`repro.optimize.objectives`,
-  generalised and machine-checked);
+* messages that only *lost* priority **warm-start** from the parent;
 * messages that gained priority are analysed cold, preserving exactness.
 
-Scenario chaining (ascending jitter inside one group) also falls out of the
-planner, so the evaluator subsumes both warm-start channels of
-:func:`repro.optimize.objectives.evaluate_configuration_with_context` while
-returning bit-identical evaluations and contexts.
+Inside one group the scenarios run in ascending jitter, each warm-started
+from the previous one.  Every evaluation is bit-identical to the cold
+:func:`repro.optimize.objectives.evaluate_configuration`, and this is the
+GA's only kernel evaluation path.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.can.kmatrix import KMatrix
 from repro.optimize.objectives import (
     AnalysisScenario,
     ConfigurationEvaluation,
-    EvaluationContext,
     aggregate_reports,
 )
 from repro.service.deltas import JitterDelta, PriorityDelta
@@ -44,8 +41,7 @@ def _group_key(scenario: AnalysisScenario) -> tuple:
 class SessionEvaluator:
     """Evaluates identifier assignments through cached what-if sessions.
 
-    Drop-in (bit-identical) replacement for the ``"kernel"`` path of
-    :func:`repro.optimize.objectives.evaluate_configuration_with_context`.
+    Bit-identical to :func:`repro.optimize.objectives.evaluate_configuration`.
     Thread-safe: the underlying sessions serialise cache access and every
     analysis path is deterministic.
     """
@@ -81,7 +77,8 @@ class SessionEvaluator:
                     name=f"ga:{scenario.bus.name}",
                 )
             self._session_of.append(self._sessions[key])
-        # Ascending-jitter schedule, mirroring the direct evaluation path.
+        # Ascending-jitter schedule: each scenario warm-starts the next
+        # one of its group.
         self._schedule = sorted(
             range(len(self.scenarios)),
             key=lambda i: self.scenarios[i].assumed_jitter_fraction)
@@ -93,18 +90,18 @@ class SessionEvaluator:
     def evaluate(
         self,
         order: Sequence[str],
-        warm_start: EvaluationContext | None = None,
-    ) -> tuple[ConfigurationEvaluation, EvaluationContext]:
+        parent: Sequence[str] | None = None,
+    ) -> ConfigurationEvaluation:
         """Evaluate one priority order across all scenarios.
 
         ``order`` lists message names from highest to lowest priority; the
         base matrix's identifier pool is re-assigned along it (the GA's
-        encoding).  ``warm_start`` names the parent candidate whose cached
-        configurations seed the incremental plans.
+        encoding).  ``parent`` is the priority order of the candidate this
+        one was derived from; its cached configurations seed the
+        incremental plans.
         """
         order = tuple(order)
         reports = {}
-        results: dict[int, Mapping] = {}
         previous_in_group: dict[int, QueryResult] = {}
         for index in self._schedule:
             scenario = self.scenarios[index]
@@ -113,26 +110,19 @@ class SessionEvaluator:
             chained = previous_in_group.get(id(session))
             if chained is not None:
                 warm.append(chained)
-            if warm_start is not None:
+            if parent is not None:
                 warm.append(session.key_for(
-                    self._deltas_for(warm_start.priority_order, index)))
+                    self._deltas_for(tuple(parent), index)))
             result = session.query(
                 self._deltas_for(order, index),
                 warm_from=warm or None,
                 deadline_policy=scenario.deadline_policy,
                 label=f"{scenario.name}")
             reports[index] = result.report
-            results[index] = result.results
             previous_in_group[id(session)] = result
-        evaluation = aggregate_reports(
+        return aggregate_reports(
             [reports[i] for i in range(len(self.scenarios))],
             self.sensitivity_threshold)
-        context = EvaluationContext(
-            priority_order=order,
-            scenario_results=tuple(
-                results[i] for i in range(len(self.scenarios))),
-        )
-        return evaluation, context
 
     def describe(self) -> str:
         """Cache statistics of the underlying sessions."""

@@ -172,15 +172,18 @@ class _Profile:
         self.error_model = config.error_model
 
 
-class _Key:
-    """Analysis-key wrapper caching its (expensive, per-message) hash.
+class FingerprintKey:
+    """Fingerprint wrapper caching its (expensive, per-message) hash.
 
-    One query performs several cache operations on the same key; hashing the
-    80-message tuple once instead of per operation keeps fingerprinting off
-    the hot path.  The display ``digest`` is a *deterministic* sha1 over the
-    key's repr (process hashes are ``PYTHONHASHSEED``-randomised, and query
-    reports must stay byte-identical across runs and parallel modes); it is
-    computed lazily so pure sweeps never pay for it.
+    The one cache key of the per-bus sessions (over a configuration's
+    analysis key) and of :class:`repro.whatif.session.SystemSession` (over a
+    system fingerprint).  One query performs several cache operations on the
+    same key; hashing the 80-message tuple once instead of per operation
+    keeps fingerprinting off the hot path.  The display ``digest`` is a
+    *deterministic* sha1 over the fingerprint's repr (process hashes are
+    ``PYTHONHASHSEED``-randomised, and query reports must stay
+    byte-identical across runs and parallel modes); it is computed lazily so
+    pure sweeps never pay for it.
     """
 
     __slots__ = ("value", "_hash", "_digest")
@@ -196,12 +199,12 @@ class _Key:
     def __eq__(self, other: object) -> bool:
         if other is self:
             return True
-        if not isinstance(other, _Key):
+        if not isinstance(other, FingerprintKey):
             return NotImplemented
         return self._hash == other._hash and self.value == other.value
 
     def __repr__(self) -> str:
-        return f"cfg:{self.digest}"
+        return f"key:{self.digest}"
 
     @property
     def digest(self) -> str:
@@ -218,7 +221,7 @@ class _CacheEntry:
     __slots__ = ("key", "config", "analysis", "profile", "results",
                  "reports")
 
-    def __init__(self, key: _Key, config: BusConfiguration,
+    def __init__(self, key: FingerprintKey, config: BusConfiguration,
                  analysis: CanBusAnalysis, profile: _Profile) -> None:
         self.key = key
         self.config = config
@@ -298,7 +301,7 @@ class QueryStats:
         """Digest of the basis configuration (``None`` for cold plans)."""
         if self.basis is None:
             return None
-        return self.basis.digest if isinstance(self.basis, _Key) \
+        return self.basis.digest if isinstance(self.basis, FingerprintKey) \
             else str(self.basis)
 
     def describe(self) -> str:
@@ -330,7 +333,7 @@ class QueryResult:
     @property
     def fingerprint(self) -> str:
         """Digest of the analysed configuration (rendered lazily)."""
-        return self.key.digest if isinstance(self.key, _Key) else ""
+        return self.key.digest if isinstance(self.key, FingerprintKey) else ""
 
     def worst_case(self, name: str) -> float:
         """Worst-case response time of one message (ms)."""
@@ -384,16 +387,16 @@ class AnalysisSession:
             event_models=dict(event_models) if event_models else None,
             deadline_policy=deadline_policy,
         )
-        self._base_key = _Key(self._base.analysis_key())
+        self._base_key = FingerprintKey(self._base.analysis_key())
         self._max_cached = max_cached_configs
-        self._cache: OrderedDict[_Key, _CacheEntry] = OrderedDict()
+        self._cache: OrderedDict[FingerprintKey, _CacheEntry] = OrderedDict()
         # Applying a delta sequence rebuilds the K-Matrix; repeated
         # sequences (a sweep's points, a GA parent looked up per child)
         # resolve through this memo instead.
         self._delta_memo: OrderedDict[
-            tuple, tuple[BusConfiguration, _Key]] = OrderedDict()
+            tuple, tuple[BusConfiguration, FingerprintKey]] = OrderedDict()
         self._lock = threading.Lock()
-        self._last_key: _Key | None = None
+        self._last_key: FingerprintKey | None = None
         # Optional repro.store.ResultStore.  Consulted when the in-memory
         # cache cannot serve a query; converged full fixed points are
         # published back so a restarted daemon warm-starts from disk.
@@ -460,7 +463,7 @@ class AnalysisSession:
         """The session's base configuration (deltas apply on top of it)."""
         return self._base
 
-    def key_for(self, deltas: Sequence[Delta] = ()) -> "_Key":
+    def key_for(self, deltas: Sequence[Delta] = ()) -> "FingerprintKey":
         """Opaque cache key of the configuration a delta sequence yields.
 
         Useful to name a warm-start basis without keeping the whole
@@ -468,14 +471,15 @@ class AnalysisSession:
         """
         return self._resolve(tuple(deltas))[1]
 
-    def _resolve(self, deltas: tuple) -> tuple[BusConfiguration, "_Key"]:
+    def _resolve(self, deltas: tuple,
+                 ) -> tuple[BusConfiguration, "FingerprintKey"]:
         """Delta sequence -> (configuration, cache key), memoised."""
         if not deltas:
             return self._base, self._base_key
         entry = self._delta_memo.get(deltas)
         if entry is None:
             config = apply_deltas(self._base, deltas)
-            entry = (config, _Key(config.analysis_key()))
+            entry = (config, FingerprintKey(config.analysis_key()))
             with self._lock:
                 self._delta_memo[deltas] = entry
                 while len(self._delta_memo) > 4 * self._max_cached:
@@ -736,7 +740,7 @@ class AnalysisSession:
             label=label, deltas=deltas,
             results=results, report=report, stats=stats, key=entry.key)
 
-    def _store_lookup(self, key: "_Key", profile: _Profile,
+    def _store_lookup(self, key: "FingerprintKey", profile: _Profile,
                       trace=None) -> dict[str, MessageResponseTime] | None:
         """Fetch this fingerprint's persisted fixed points, or ``None``.
 
@@ -761,7 +765,7 @@ class AnalysisSession:
                 trace.record(
                     "store_lookup", (time.perf_counter() - started) * 1000.0)
 
-    def _store_publish(self, key: "_Key",
+    def _store_publish(self, key: "FingerprintKey",
                        results: dict[str, MessageResponseTime]) -> None:
         """Persist a complete converged fixed-point set (best-effort)."""
         digest = key.digest
@@ -775,7 +779,7 @@ class AnalysisSession:
         if self.store.put("bus", digest, payload):
             self._published.add(digest)
 
-    def _evict_locked(self, protect: "_Key | None" = None) -> None:
+    def _evict_locked(self, protect: "FingerprintKey | None" = None) -> None:
         """Drop LRU entries beyond the bound.
 
         ``protect`` names the entry being inserted right now: without it,
@@ -792,16 +796,16 @@ class AnalysisSession:
             else:
                 break
 
-    def _basis_candidates(self, warm_from, new_key: "_Key",
+    def _basis_candidates(self, warm_from, new_key: "FingerprintKey",
                           ) -> list[_CacheEntry]:
         """Cached entries to consider as incremental bases (caller-preferred
         first, then the previous query, then the base configuration)."""
-        keys: list[_Key] = []
+        keys: list[FingerprintKey] = []
         if warm_from is not None:
-            if isinstance(warm_from, (QueryResult, _Key)):
+            if isinstance(warm_from, (QueryResult, FingerprintKey)):
                 items = [warm_from]
             elif isinstance(warm_from, tuple) and not any(
-                    isinstance(item, (QueryResult, _Key))
+                    isinstance(item, (QueryResult, FingerprintKey))
                     for item in warm_from):
                 # A bare tuple of neither results nor keys is a raw
                 # analysis-key tuple, not a collection of bases.
@@ -811,7 +815,7 @@ class AnalysisSession:
             for item in items:
                 key = item.key if isinstance(item, QueryResult) else item
                 if isinstance(key, tuple):
-                    key = _Key(key)
+                    key = FingerprintKey(key)
                 keys.append(key)
         if self._last_key is not None:
             keys.append(self._last_key)
@@ -952,8 +956,8 @@ class AnalysisSession:
           is reused;
         * the old set is a subset of the new one and every shared model only
           grew -- the old solution lower-bounds the new fixed point, so it
-          warm-starts the iteration (the ``_parent_seeds`` criterion of the
-          optimizer, generalised);
+          warm-starts the iteration (a demoted message of a GA candidate
+          seeded from its parent);
         * anything else is analysed cold.
 
         The subset test runs in O(n) overall via a running maximum over the

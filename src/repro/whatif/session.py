@@ -36,7 +36,6 @@ design-exploration server of the paper's system-level claim.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import OrderedDict
@@ -50,47 +49,13 @@ from repro.core.results import SystemAnalysisResult
 from repro.core.system import SystemModel
 from repro.obs.metrics import MetricsRegistry
 from repro.service.deltas import BusConfiguration
-from repro.service.session import AnalysisSession, SessionStats
+from repro.service.session import (
+    AnalysisSession, FingerprintKey, SessionStats,
+)
 from repro.store.codec import system_result_from_json, system_result_to_json
 from repro.whatif.system_deltas import (
     SystemDelta, downstream_closure, influence_edges,
 )
-
-
-class SystemKey:
-    """System-fingerprint wrapper caching its hash and display digest.
-
-    Mirrors the per-bus session's key object: process hashes are
-    ``PYTHONHASHSEED``-randomised, so the rendered ``digest`` is a
-    deterministic sha1 over the fingerprint's repr, computed lazily.
-    """
-
-    __slots__ = ("value", "_hash", "_digest")
-
-    def __init__(self, value: tuple) -> None:
-        self.value = value
-        self._hash = hash(value)
-        self._digest: str | None = None
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if not isinstance(other, SystemKey):
-            return NotImplemented
-        return self._hash == other._hash and self.value == other.value
-
-    def __repr__(self) -> str:
-        return f"sys:{self.digest}"
-
-    @property
-    def digest(self) -> str:
-        if self._digest is None:
-            self._digest = hashlib.sha1(
-                repr(self.value).encode()).hexdigest()[:12]
-        return self._digest
 
 
 @dataclass(frozen=True)
@@ -123,7 +88,7 @@ class SystemQueryResult:
     @property
     def fingerprint(self) -> str:
         """Deterministic digest of the analysed topology."""
-        return self.key.digest if isinstance(self.key, SystemKey) else ""
+        return self.key.digest if isinstance(self.key, FingerprintKey) else ""
 
     def worst_case(self, message_name: str) -> float:
         """Worst-case response time of one message (ms)."""
@@ -217,11 +182,11 @@ class SystemSession:
         self._max_cached_results = max_cached_results
         self._max_sessions = max_sessions
         self._lock = threading.RLock()
-        self._base_key = SystemKey(system.fingerprint())
-        self._results: OrderedDict[SystemKey, SystemQueryResult] = \
+        self._base_key = FingerprintKey(system.fingerprint())
+        self._results: OrderedDict[FingerprintKey, SystemQueryResult] = \
             OrderedDict()
         self._delta_memo: OrderedDict[
-            tuple, tuple[SystemModel, SystemKey, frozenset[str]]] = \
+            tuple, tuple[SystemModel, FingerprintKey, frozenset[str]]] = \
             OrderedDict()
         self._sessions: OrderedDict[tuple, AnalysisSession] = OrderedDict()
         self._pinned: set[tuple] = set()
@@ -425,7 +390,7 @@ class SystemSession:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _store_lookup(self, key: SystemKey, system: SystemModel,
+    def _store_lookup(self, key: FingerprintKey, system: SystemModel,
                       trace=None) -> "SystemAnalysisResult | None":
         """Fetch this topology's persisted fixed point, or ``None``.
 
@@ -452,7 +417,7 @@ class SystemSession:
                 trace.record(
                     "store_lookup", (time.perf_counter() - started) * 1000.0)
 
-    def _store_publish(self, key: SystemKey,
+    def _store_publish(self, key: FingerprintKey,
                        result: SystemAnalysisResult) -> None:
         """Persist a whole-system fixed point (best-effort)."""
         digest = key.digest
@@ -503,7 +468,7 @@ class SystemSession:
         sessions are keyed by configuration value, so the surviving ones
         stay exact and keep their warm caches.
         """
-        key = SystemKey(self._base.fingerprint())
+        key = FingerprintKey(self._base.fingerprint())
         if key == self._base_key:
             return
         self._base_key = key
@@ -512,8 +477,9 @@ class SystemSession:
         self._pin_base_locked()
         self._m_invalidations.inc()
 
-    def _resolve_locked(self, deltas: tuple[SystemDelta, ...],
-                        ) -> tuple[SystemModel, SystemKey, frozenset[str]]:
+    def _resolve_locked(
+        self, deltas: tuple[SystemDelta, ...],
+    ) -> tuple[SystemModel, FingerprintKey, frozenset[str]]:
         """Delta sequence -> (edited system, key, invalidated buses)."""
         if not deltas:
             return self._base, self._base_key, frozenset()
@@ -528,7 +494,7 @@ class SystemSession:
             edges |= influence_edges(system)
             invalidated = downstream_closure(
                 frozenset(touched), frozenset(edges))
-            memo = (system, SystemKey(system.fingerprint()), invalidated)
+            memo = (system, FingerprintKey(system.fingerprint()), invalidated)
             self._delta_memo[deltas] = memo
             while len(self._delta_memo) > 4 * self._max_cached_results:
                 self._delta_memo.popitem(last=False)

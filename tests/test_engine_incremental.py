@@ -18,7 +18,6 @@ from dataclasses import replace
 import pytest
 
 import repro.core.engine
-import repro.parallel
 
 from repro.can.kmatrix import KMatrix
 from repro.core.engine import CompositionalAnalysis
@@ -156,16 +155,8 @@ class TestEngineOnSessions:
         assert registry.value("session_queries_total") > 0
         _assert_identical(serial, process)
 
-    def test_thread_mode_bit_identical(self, monkeypatch):
-        system = multibus_system(n_buses=4, messages_per_bus=8, seed=19)
-        monkeypatch.setenv("REPRO_PARALLEL", "serial")
-        serial = CompositionalAnalysis(system).run()
-        monkeypatch.setenv("REPRO_PARALLEL", "thread")
-        threaded = CompositionalAnalysis(system).run()
-        _assert_identical(serial, threaded)
-
     @pytest.mark.parametrize("incremental", [True, False])
-    @pytest.mark.parametrize("mode", [None, "thread"])
+    @pytest.mark.parametrize("mode", [None, "auto"])
     def test_run_starts_no_thread(self, monkeypatch, mode, incremental):
         """Segment analyses hold the GIL, so every global iteration runs
         them on the calling thread: no pool, no thread.  (Under ``process``
@@ -179,9 +170,6 @@ class TestEngineOnSessions:
         else:
             monkeypatch.setenv("REPRO_PARALLEL", mode)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the engine built a thread pool")
-
         started = []
         start = threading.Thread.start
 
@@ -189,7 +177,6 @@ class TestEngineOnSessions:
             started.append(thread.name)
             start(thread)
 
-        monkeypatch.setattr(repro.parallel, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(threading.Thread, "start", record_start)
         result = CompositionalAnalysis(system, incremental=incremental).run()
         monkeypatch.undo()

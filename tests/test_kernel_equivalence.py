@@ -29,13 +29,11 @@ from repro.errors.models import (
 )
 from repro.events.model import PeriodicWithJitter
 from repro.optimize.genetic import GeneticOptimizerConfig, optimize_priorities
-from repro.optimize.objectives import (
-    AnalysisScenario,
-    evaluate_configuration,
-    evaluate_configuration_with_context,
-)
+from repro.optimize.objectives import AnalysisScenario, evaluate_configuration
+import repro.parallel
 from repro.parallel import parallel_map, resolve_mode
 from repro.service.deltas import apply_deltas
+from repro.service.evaluation import SessionEvaluator
 from repro.sensitivity.jitter import jitter_sensitivity, jitter_sensitivity_all
 from repro.workloads.scaling import scaling_benchmark_case, synthetic_kmatrix
 
@@ -387,25 +385,24 @@ def _scenarios(seed: int) -> list[AnalysisScenario]:
 class TestOptimizerEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_objective_values_identical(self, seed):
-        """Kernel (chained + parent-seeded) == reference objective vector."""
+        """Kernel == reference objective vector, and the GA's session path
+        (chained + parent-seeded) == a cold evaluation."""
         kmatrix = _matrix(seed)
         scenarios = _scenarios(seed)
-        fast, context = evaluate_configuration_with_context(
-            kmatrix, scenarios)
-        slow, _ = evaluate_configuration_with_context(
-            kmatrix, scenarios, backend="reference")
+        fast = evaluate_configuration(kmatrix, scenarios)
+        slow = evaluate_configuration(kmatrix, scenarios, backend="reference")
         assert fast == slow
+        evaluator = SessionEvaluator(kmatrix, scenarios)
+        order = tuple(m.name for m in kmatrix.sorted_by_priority())
+        assert evaluator.evaluate(order) == fast
         # Parent seeding from a *different* candidate must stay exact: demote
         # the highest-priority message to the back, seed from the original.
-        order = context.priority_order
         child_order = order[1:] + order[:1]
         pool = sorted(m.can_id for m in kmatrix)
         child = kmatrix.with_priorities(
             dict(zip(child_order, pool)))
-        seeded, _ = evaluate_configuration_with_context(
-            child, scenarios, warm_start=context)
-        cold = evaluate_configuration(child, scenarios)
-        assert seeded == cold
+        seeded = evaluator.evaluate(child_order, parent=order)
+        assert seeded == evaluate_configuration(child, scenarios)
 
     @pytest.mark.parametrize("seed", (0, 5, 11, 17, 23))
     def test_ga_runs_identical(self, seed):
@@ -426,52 +423,76 @@ class TestOptimizerEquivalence:
                 == [m.can_id for m in slow.best_kmatrix])
 
 
+def _square(x):
+    return x * x
+
+
+def _uneven_work(n):
+    total = 0
+    for i in range((20 - n) * 500):
+        total += i
+    return n
+
+
+def _boom(n):
+    if n == 3:
+        raise ValueError("n=3")
+    return n
+
+
+def _analyze_at(fraction):
+    return CanBusAnalysis(
+        _matrix(7), _BUS, assumed_jitter_fraction=fraction).analyze_all()
+
+
 class TestParallelHelper:
-    def test_serial_and_thread_modes_agree(self):
+    def test_serial_and_process_modes_agree(self):
         items = list(range(20))
-        fn = lambda x: x * x  # noqa: E731
-        assert (parallel_map(fn, items, mode="serial")
-                == parallel_map(fn, items, mode="thread")
+        assert (parallel_map(_square, items, mode="serial")
+                == parallel_map(_square, items, mode="process")
                 == [x * x for x in items])
 
+    def test_unpicklable_callable_runs_serially(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a closure was shipped to a process pool")
+
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", no_pool)
+        offset = 1
+        assert parallel_map(lambda x: x + offset, [1, 2, 3],  # noqa: E731
+                            mode="process") == [2, 3, 4]
+
     def test_order_preserved_with_uneven_work(self):
-        def work(n):
-            total = 0
-            for i in range((20 - n) * 500):
-                total += i
-            return n
-        assert parallel_map(work, list(range(20)), mode="thread") == list(range(20))
+        assert (parallel_map(_uneven_work, list(range(20)), mode="process")
+                == list(range(20)))
 
     def test_exceptions_propagate(self):
-        def boom(n):
-            if n == 3:
-                raise ValueError("n=3")
-            return n
-        with pytest.raises(ValueError):
-            parallel_map(boom, [1, 2, 3, 4], mode="thread")
+        for mode in ("serial", "process"):
+            with pytest.raises(ValueError):
+                parallel_map(_boom, [1, 2, 3, 4], mode=mode)
 
     def test_resolve_mode(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         assert resolve_mode("serial", 10) == "serial"
-        assert resolve_mode("thread", 1) == "serial"
-        with pytest.raises(ValueError):
-            resolve_mode("warp", 4)
+        assert resolve_mode("auto", 10) == "serial"
+        assert resolve_mode("process", 10) == "process"
+        assert resolve_mode("process", 1) == "serial"
+        for mode in ("warp", "thread"):
+            with pytest.raises(ValueError):
+                resolve_mode(mode, 4)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "serial")
-        assert resolve_mode("thread", 10) == "serial"
+        assert resolve_mode("process", 10) == "serial"
+        monkeypatch.setenv("REPRO_PARALLEL", "process")
+        assert resolve_mode("auto", 10) == "process"
 
     def test_parallel_analysis_matches_serial(self, monkeypatch):
-        """Thread-parallel segment analysis returns bit-identical results."""
-        kmatrix = _matrix(7)
+        """Process-parallel segment analysis returns bit-identical results."""
         jobs = [0.0, 0.1, 0.2, 0.3]
-
-        def analyze(fraction):
-            return CanBusAnalysis(
-                kmatrix, _BUS, assumed_jitter_fraction=fraction).analyze_all()
-
-        monkeypatch.setenv("REPRO_PARALLEL", "thread")
-        threaded = parallel_map(analyze, jobs)
+        monkeypatch.setenv("REPRO_PARALLEL", "process")
+        processed = parallel_map(_analyze_at, jobs)
         monkeypatch.setenv("REPRO_PARALLEL", "serial")
-        serial = parallel_map(analyze, jobs)
-        assert threaded == serial
+        serial = parallel_map(_analyze_at, jobs)
+        assert processed == serial

@@ -607,7 +607,7 @@ class TestDaemonSlowLog:
 # Determinism across parallel modes
 # --------------------------------------------------------------------------- #
 class TestParallelModeDeterminism:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "auto", "process"])
     def test_counters_exact_under_mode(self, mode, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", mode)
         daemon = AnalysisDaemon(name=f"obs-{mode}")

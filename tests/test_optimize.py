@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.parallel
 from repro.can.kmatrix import KMatrix
 from repro.can.message import CanMessage
 from repro.errors.models import NoErrors
@@ -139,6 +140,32 @@ class TestGeneticOptimizer:
             sorted(m.can_id for m in inverted_matrix)
         assert {m.name for m in result.best_kmatrix} == \
             {m.name for m in inverted_matrix}
+
+    def test_process_mode_returns_the_serial_result(self, inverted_matrix,
+                                                    small_bus, monkeypatch):
+        """``REPRO_PARALLEL=process`` does not pick the GA's algorithm or
+        executor: every candidate goes through the session planner on the
+        calling thread, so no worker process starts and the run is the
+        serial one."""
+        scenarios = paper_scenarios(small_bus)
+        config = GeneticOptimizerConfig(population_size=8, archive_size=4,
+                                        generations=3, seed=5)
+        monkeypatch.setenv("REPRO_PARALLEL", "serial")
+        serial = optimize_priorities(inverted_matrix, scenarios, config)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the GA started a process pool")
+
+        monkeypatch.setenv("REPRO_PARALLEL", "process")
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", no_pool)
+        process = optimize_priorities(inverted_matrix, scenarios, config)
+        assert process.best_evaluation == serial.best_evaluation
+        assert process.original_evaluation == serial.original_evaluation
+        assert process.history == serial.history
+        assert process.evaluations == serial.evaluations
+        assert process.archive == serial.archive
+        assert ([(m.name, m.can_id) for m in process.best_kmatrix]
+                == [(m.name, m.can_id) for m in serial.best_kmatrix])
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -262,8 +262,11 @@ class TestReproParallelValidation:
         with pytest.raises(ValueError) as error:
             resolve_mode("auto", 4)
         message = str(error.value)
-        for mode in ("serial", "thread", "process", "auto"):
+        for mode in ("serial", "process", "auto"):
             assert mode in message
+        monkeypatch.setenv("REPRO_PARALLEL", "thread")
+        with pytest.raises(ValueError, match="allowed modes"):
+            resolve_mode("auto", 4)
 
     def test_auto_and_empty_overrides_are_accepted(self, monkeypatch):
         from repro.parallel import resolve_mode

@@ -23,10 +23,7 @@ from repro.can.kmatrix import KMatrix
 from repro.can.message import CanMessage
 from repro.cancel import CancelToken, Cancelled
 from repro.errors.models import BurstErrorModel, NoErrors, SporadicErrorModel
-from repro.optimize.objectives import (
-    AnalysisScenario,
-    evaluate_configuration_with_context,
-)
+from repro.optimize.objectives import AnalysisScenario, evaluate_configuration
 from repro.service import (
     AddMessageDelta,
     AnalysisSession,
@@ -512,11 +509,12 @@ class TestCatalogAndBatch:
             for seed in (1, 2, 3, 4)
         ]
         serial = BatchRunner(mode="serial").run(jobs)
-        threaded = BatchRunner(mode="thread").run(jobs)
-        assert [r.scenario for r in serial] == [r.scenario for r in threaded]
-        for left, right in zip(serial, threaded):
-            assert [q.results for q in left.queries] == [
-                q.results for q in right.queries]
+        for mode in ("auto", "process"):
+            other = BatchRunner(mode=mode).run(jobs)
+            assert [r.scenario for r in serial] == [r.scenario for r in other]
+            for left, right in zip(serial, other):
+                assert [q.results for q in left.queries] == [
+                    q.results for q in right.queries]
 
     def test_batch_runner_process_mode(self):
         """Jobs and workers must be picklable end to end."""
@@ -563,19 +561,14 @@ class TestSessionEvaluator:
         ]
         evaluator = SessionEvaluator(kmatrix, scenarios)
         order = tuple(m.name for m in kmatrix.sorted_by_priority())
-        got, context = evaluator.evaluate(order)
-        want, reference_context = evaluate_configuration_with_context(
-            kmatrix, scenarios)
-        assert got == want
-        assert context.priority_order == reference_context.priority_order
-        assert context.scenario_results == reference_context.scenario_results
+        assert (evaluator.evaluate(order)
+                == evaluate_configuration(kmatrix, scenarios))
         # A mutated child seeded from the parent stays exact.
         child = order[1:] + order[:1]
         pool = sorted(m.can_id for m in kmatrix)
         child_matrix = kmatrix.with_priorities(dict(zip(child, pool)))
-        seeded, _ = evaluator.evaluate(child, warm_start=context)
-        cold, _ = evaluate_configuration_with_context(child_matrix, scenarios)
-        assert seeded == cold
+        seeded = evaluator.evaluate(child, parent=order)
+        assert seeded == evaluate_configuration(child_matrix, scenarios)
 
     def test_repeated_candidates_hit_cache(self):
         kmatrix = _matrix(2)
@@ -585,8 +578,8 @@ class TestSessionEvaluator:
         ]
         evaluator = SessionEvaluator(kmatrix, scenarios)
         order = tuple(m.name for m in kmatrix.sorted_by_priority())
-        first, _ = evaluator.evaluate(order)
-        second, _ = evaluator.evaluate(order)
+        first = evaluator.evaluate(order)
+        second = evaluator.evaluate(order)
         assert first == second
         sessions = list(evaluator._sessions.values())
         assert sessions and all(s.cache_hits > 0 for s in sessions)

@@ -313,7 +313,7 @@ class TestSystemSessionBehaviour:
 
 
 class TestParallelModes:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "auto", "process"])
     def test_modes_bit_identical(self, mode, monkeypatch):
         params = dict(n_buses=3, messages_per_bus=6, seed=12)
         base = multibus_system(**params)
