@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import sub
-from typing import Callable, Iterable, Sequence
+from operator import gt
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -72,19 +75,20 @@ class EmpiricalEventTrace:
     eta_plus must dominate the empirical one, and the empirical eta_minus
     must dominate the analytic one).
 
-    ``add`` is O(1) amortised: new timestamps are buffered and merged with a
-    single Timsort pass the next time the (sorted) timestamps are read.  The
-    previous per-event ``list.insert`` made trace construction quadratic,
-    which dominated long simulator runs.
+    ``add`` and ``extend`` are O(1) amortised per timestamp: new timestamps
+    are buffered and merged with a single Timsort pass the next time the
+    (sorted) timestamps are read.  The previous per-event ``list.insert``
+    made trace construction quadratic, which dominated long simulator runs.
 
-    The trace also carries the fold state of :func:`fit_periodic_jitter`,
-    one entry per ``(period, max_n)``: how many sorted timestamps are
-    already folded and the jitter they require.  While timestamps arrive
-    at or above the high-water mark the folded prefix stays put, so a
-    refit costs amortised O(new arrivals x ``max_n``).  An ``add`` below
-    the mark (it may shift the sorted prefix) and any assignment to
-    :attr:`timestamps` (e.g. trimming old arrivals) clear the fold state,
-    and the next fit starts from scratch.
+    The trace also carries the fold state of :func:`fit_periodic_jitter_many`
+    (and so of :func:`fit_periodic_jitter`), one entry per
+    ``(period, max_n)``: how many sorted timestamps are already folded and
+    the jitter they require.  While timestamps arrive at or above the
+    high-water mark the folded prefix stays put, so a refit costs amortised
+    O(new arrivals x ``max_n``).  A timestamp below the mark (it may shift
+    the sorted prefix) and any assignment to :attr:`timestamps` (e.g.
+    trimming old arrivals) clear the fold state, and the next fit starts
+    from scratch.
     """
 
     def __init__(self, timestamps: Iterable[float] | None = None) -> None:
@@ -114,12 +118,21 @@ class EmpiricalEventTrace:
 
     def add(self, timestamp: float) -> None:
         """Record an event occurrence (timestamps may arrive out of order)."""
-        timestamp = float(timestamp)
-        if timestamp >= self._high:
-            self._high = timestamp
-        else:
+        self.extend((timestamp,))
+
+    def extend(self, timestamps: Iterable[float]) -> None:
+        """Record several event occurrences, in arrival order.
+
+        Equivalent to one :meth:`add` per timestamp: the fold state is
+        cleared when any of them lands below the running high-water mark.
+        """
+        values = [float(t) for t in timestamps]
+        if not values:
+            return
+        if values[0] < self._high or any(map(gt, values, values[1:])):
             self._folds.clear()
-        self._pending.append(timestamp)
+        self._high = max(self._high, max(values))
+        self._pending.extend(values)
 
     def __len__(self) -> int:
         return len(self._times) + len(self._pending)
@@ -274,35 +287,119 @@ def fit_periodic_jitter(trace: EmpiricalEventTrace, period: float,
     :func:`~repro.events.model.event_model_from_parameters`, so a fit with
     zero observed jitter is a plain :class:`PeriodicEventModel`.
 
-    The scan is a fold over event pairs ``i < j`` at most ``max_n - 1``
-    apart, keeping the largest ``(j - i) * period - (t[j] - t[i])``.  It
-    equals the per-``n`` formula bit for bit: float subtraction is monotone
-    in its subtrahend, so the largest difference is the one with the
-    smallest span.  The trace keeps the fold per ``(period, max_n)``, so
-    refitting a trace that only grew at its end folds just the new events:
-    amortised O(new x ``max_n``) per fit instead of O(len x ``max_n``).
-    Out-of-order additions and assignments to
-    :attr:`EmpiricalEventTrace.timestamps` reset the fold (see there).
+    This is the one-trace call of :func:`fit_periodic_jitter_many`, which
+    holds the fold and its incremental state (see there).
     """
     from repro.events.model import event_model_from_parameters
 
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    times = trace.timestamps
-    count = len(times)
-    key = (period, max_n)
-    folded, jitter = trace._folds.get(key, (1, 0.0))
-    reach = count - 1 if max_n is None else min(max_n - 1, count - 1)
-    if folded < count and reach > 0:
-        # offsets[reach - d] == d * period, so the tail of length k lines
-        # up with times[j - k:j] (spans d = k .. 1).
-        offsets = [d * period for d in range(reach, 0, -1)]
-        for j in range(max(folded, 1), count):
-            k = j if j < reach else reach
-            required = max(map(sub, offsets[reach - k:],
-                               map(times[j].__sub__, times[j - k:j])))
-            if required > jitter:
-                jitter = required
-    trace._folds[key] = (count, jitter)
+    (jitter,) = fit_periodic_jitter_many((trace,), (period,), max_n=max_n)
     return event_model_from_parameters(period, jitter=jitter,
                                        min_distance=min_distance)
+
+
+#: Cells of one fold temporary.  Rows are folded in blocks of at most this
+#: many ``(row, span)`` cells, so a long fold (a fresh or trimmed trace, or
+#: ``max_n=None``) never materialises rows x count at once.
+_FOLD_CELLS = 1 << 16
+
+
+def fit_periodic_jitter_many(traces: Sequence[EmpiricalEventTrace],
+                             periods: Sequence[float],
+                             max_n: int | None = 64) -> list[float]:
+    """The fitted jitter of each trace (see :func:`fit_periodic_jitter`).
+
+    The fit is a fold over event pairs ``i < j`` at most ``max_n - 1``
+    apart, keeping the largest ``(j - i) * period - (t[j] - t[i])``.  It
+    equals the per-``n`` formula bit for bit: float subtraction is monotone
+    in its subtrahend, so the largest difference is the one with the
+    smallest span.
+
+    Each trace keeps its fold per ``(period, max_n)``, so refitting a trace
+    that only grew at its end folds just the new events: amortised
+    O(new x ``max_n``) per fit instead of O(len x ``max_n``).  Out-of-order
+    additions and assignments to :attr:`EmpiricalEventTrace.timestamps`
+    reset the fold (see there).
+
+    The new events of every trace fold in one numpy pass: each trace
+    contributes its new events plus the ``max_n - 1`` before them (padded
+    in front with ``-inf``, whose spans never win), every row ``j`` is a
+    ``sliding_window_view`` window ``t[j - max_n + 1 .. j]``, and the
+    row maxima reduce per trace.  Every cell is the same IEEE
+    ``d * period - (t[j] - t[j - d])`` the scalar definition computes, so
+    the result does not depend on how traces are batched.
+    """
+    traces = list(traces)
+    periods = list(periods)
+    if len(traces) != len(periods):
+        raise ValueError(f"{len(traces)} traces but {len(periods)} periods")
+    for period in periods:
+        if period <= 0:
+            raise ValueError(f"period must be positive, got {period}")
+    jitters: list[float] = []
+    blocks: list[_RowBlock] = []
+    for index, (trace, period) in enumerate(zip(traces, periods)):
+        times = trace.timestamps
+        folded, jitter = trace._folds.get((period, max_n), (1, 0.0))
+        jitters.append(jitter)
+        width = len(times) - 1 if max_n is None else max_n - 1
+        if width < 1:
+            continue
+        step = max(_FOLD_CELLS // (width + 1), 1)
+        for first in range(max(folded, 1), len(times), step):
+            end = min(first + step, len(times))
+            blocks.append(_RowBlock(index, times, first, end, width, float(period)))
+    for batch in _batches(blocks):
+        for block, required in zip(batch, _fold_rows(batch)):
+            if required > jitters[block.trace]:
+                jitters[block.trace] = required
+    for trace, period, jitter in zip(traces, periods, jitters):
+        trace._folds[(period, max_n)] = (len(trace), jitter)
+    return jitters
+
+
+class _RowBlock(NamedTuple):
+    """Rows ``first .. end - 1`` of one trace's fold, ``width`` spans each."""
+
+    trace: int
+    times: list[float]
+    first: int
+    end: int
+    width: int
+    period: float
+
+
+def _batches(blocks: list[_RowBlock]) -> Iterator[list[_RowBlock]]:
+    """Runs of consecutive blocks of one width, at most _FOLD_CELLS cells."""
+    batch: list[_RowBlock] = []
+    cells = 0
+    for block in blocks:
+        size = (block.end - block.first) * (block.width + 1)
+        if batch and (block.width != batch[0].width or cells + size > _FOLD_CELLS):
+            yield batch
+            batch, cells = [], 0
+        batch.append(block)
+        cells += size
+    if batch:
+        yield batch
+
+
+def _fold_rows(blocks: list[_RowBlock]) -> list[float]:
+    """The largest ``d * period - (t[j] - t[j - d])`` of each row block."""
+    width = blocks[0].width
+    values: list[float] = []
+    bases = []
+    for block in blocks:
+        bases.append(len(values))
+        lead = block.first - width
+        if lead < 0:
+            values.extend([-np.inf] * -lead)
+        values.extend(block.times[max(lead, 0):block.end])
+    rows = np.array([block.end - block.first for block in blocks])
+    starts = np.cumsum(rows) - rows
+    # Row r of block b is the window at bases[b] + (r - starts[b]).
+    picks = np.arange(rows.sum()) + np.repeat(np.array(bases) - starts, rows)
+    windows = sliding_window_view(np.array(values, dtype=float), width + 1)[picks]
+    row_periods = np.repeat([block.period for block in blocks], rows)
+    spans = np.arange(width, 0, -1, dtype=float)
+    required = np.multiply.outer(row_periods, spans) - (windows[:, -1:] - windows[:, :-1])
+    return np.maximum.reduceat(required.max(axis=1), starts).tolist()

@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from repro.events.curves import EmpiricalEventTrace, fit_periodic_jitter
-from repro.events.model import EventModel
+import numpy as np
+
+from repro.events.curves import EmpiricalEventTrace, fit_periodic_jitter_many
+from repro.events.model import EventModel, event_model_from_parameters
 from repro.monitor.rules import Alert, AlertEngine, AlertRule
-from repro.monitor.stream import ObservedFrame
+from repro.monitor.stream import FrameBatch, ObservedFrame
 from repro.obs import MetricsHistory, MetricsRegistry, Trace
 from repro.service.deltas import EventModelDelta
 from repro.sim.trace import UnknownMessageError
@@ -202,6 +204,20 @@ class ConformanceMonitor:
         for message in base_config.kmatrix:
             model = base_config.effective_event_model(message.name)
             self._states[message.name] = _MessageState(message.name, message.period, model.jitter)
+        # Columnar ingest addresses states by position: frames carry a
+        # state index, and the violation limits are arrays over it.
+        self._state_list = list(self._states.values())
+        self._state_index = {name: index for index, name in enumerate(self._states)}
+        self._bound_limit = np.full(len(self._state_list), np.inf)
+        self._deadline_limit = np.full(len(self._state_list), np.inf)
+        # History series keys, computed once: each window close records
+        # ~4 points per message in one record_many call.
+        series = ("monitor_frames", "monitor_arrivals", "observed_max_ms", "observed_slack_ms")
+        self._series_keys = [
+            tuple(self.history.key(name, message=message) for name in series)
+            for message in self._states
+        ]
+        self._violations_key = self.history.key("monitor_violations")
         # Baseline bounds and policy-resolved deadlines from the session's
         # own report; every refit refreshes both through the same path.
         self._warm = session.query((), label="monitor-baseline")
@@ -226,71 +242,132 @@ class ConformanceMonitor:
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
-    def ingest(self, frames: Iterable[ObservedFrame], cancel=None) -> IngestReport:
+    def ingest(self, frames: FrameBatch | Iterable[ObservedFrame], cancel=None) -> IngestReport:
         """Feed a chunk of observed frames; returns what was concluded.
 
-        Frames are processed in completion order; windows strictly before
-        the newest completion are closed along the way (alert evaluation,
-        history recording, envelope re-checks).  Raises
-        :class:`~repro.sim.trace.UnknownMessageError` for frames naming a
-        message the registered system does not define.
+        ``frames`` is a :class:`~repro.monitor.stream.FrameBatch` (what
+        ``monitor_ingest`` decodes) or typed frames, which are put into
+        columns first.  Frames are processed in completion order (ties by
+        queuing instant, then message name); windows strictly before the
+        newest completion are closed along the way (alert evaluation,
+        history recording, envelope re-checks).
+
+        The chunk is processed a window segment at a time: counts, maxima
+        and arrivals of a segment are tallied in bulk, and only a frame
+        over its bound or deadline stops the segment, to re-derive the
+        bounds and flag it before the rest of the segment is checked
+        against the refreshed bounds.
+
+        Every message name is resolved before any state changes: a chunk
+        naming a message the registered system does not define raises
+        :class:`~repro.sim.trace.UnknownMessageError` and is rejected
+        whole.  A cancel token cuts a chunk short between segments and at
+        each window close; the frames tallied before the cut stay counted.
         """
-        ordered = sorted(frames, key=lambda f: (f.finished_at, f.queued_at, f.message))
+        batch = frames if isinstance(frames, FrameBatch) else FrameBatch.from_frames(frames)
         report = IngestReport()
+        order = np.lexsort((batch.message, batch.queued_at, batch.finished_at))
+        lookup = np.array([self._state_index.get(name, -1) for name in batch.names], dtype=np.intp)
+        states = lookup[batch.message[order]]
+        if (states < 0).any():
+            name = batch.names[batch.message[order][np.argmax(states < 0)]]
+            raise UnknownMessageError(name, self._states)
+        queued = batch.queued_at[order]
+        finished = batch.finished_at[order]
+        columns = (
+            states,
+            queued,
+            finished - queued,
+            batch.success[order],
+            batch.attempt[order] == 1,
+        )
+        # Frames are sorted by completion, so each frame's window, raised
+        # to the running maximum, splits the chunk into window segments.
+        windows = np.maximum.accumulate(np.floor_divide(finished, self.config.window_ms))
         with self._lock:
             try:
-                for index, frame in enumerate(ordered):
-                    if cancel is not None and index % 256 == 0:
+                start = 0
+                while start < len(states):
+                    if cancel is not None:
                         cancel.check()
-                    state = self._states.get(frame.message)
-                    if state is None:
-                        raise UnknownMessageError(frame.message, self._states)
-                    self._advance_windows(frame.finished_at, report, cancel)
-                    self._ingest_frame(state, frame, report, cancel)
+                    self._advance_windows(int(windows[start]), report, cancel)
+                    end = int(np.searchsorted(windows, self._window, side="right"))
+                    self._ingest_segment(columns, start, end, report, cancel)
+                    start = end
             finally:
                 # One batched increment per chunk: exact at every request
                 # boundary (status() waits for the lock), without a lock
-                # round-trip per frame -- including a chunk a cancel or an
-                # unknown message cuts short.
+                # round-trip per segment -- including a chunk a cancel
+                # cuts short.
                 if report.frames:
                     self._frames_total.inc(report.frames)
         return report
 
-    def _ingest_frame(
-        self,
-        state: _MessageState,
-        frame: ObservedFrame,
-        report: IngestReport,
-        cancel,
-    ) -> None:
-        report.frames += 1
-        state.frames += 1
-        if frame.attempt == 1:
-            state.arrivals.add(frame.queued_at)
-            state.window_arrivals += 1
-        if not frame.success:
-            return
-        observed = frame.response_time
-        state.completed += 1
-        state.window_completed += 1
-        if observed > state.window_max:
-            state.window_max = observed
-        if observed > state.observed_max:
-            state.observed_max = observed
-        bound = state.bound if state.bounded else None
-        over_bound = bound is not None and observed > bound + _VIOLATION_TOLERANCE
-        over_deadline = observed > state.deadline + _VIOLATION_TOLERANCE
-        if over_bound or over_deadline:
-            # Re-derive before flagging, so the record carries the current
-            # analytic answer for the observed arrivals, never a stale one.
-            if self._refit_if_escaped((state,), cancel):
-                report.refits += 1
-            self._flag_violations(state, frame, observed, report)
+    def _ingest_segment(self, columns, start: int, end: int, report: IngestReport, cancel) -> None:
+        """Ingest frames ``start:end`` of the sorted columns, all of them in
+        the current window."""
+        states, queued, response, success, first = columns
+        while start < end:
+            window = slice(start, end)
+            index = states[window]
+            over = success[window] & (
+                (response[window] > self._bound_limit[index])
+                | (response[window] > self._deadline_limit[index])
+            )
+            hit = int(over.argmax()) if over.any() else -1
+            stop = end if hit < 0 else start + hit + 1
+            part = slice(start, stop)
+            self._tally(states[part], queued[part], response[part], success[part], first[part])
+            report.frames += stop - start
+            if hit >= 0:
+                # Re-derive before flagging, so the record carries the
+                # current analytic answer for the observed arrivals, never a
+                # stale one; the frames after it meet the refreshed bounds.
+                state = self._state_list[int(states[stop - 1])]
+                if self._refit_if_escaped((state,), cancel):
+                    report.refits += 1
+                self._flag_violations(
+                    state, float(queued[stop - 1]), float(response[stop - 1]), report
+                )
+            start = stop
+
+    def _tally(self, states, queued, response, success, first) -> None:
+        """Fold a run of frames into the per-message counts, maxima and
+        arrival traces (first attempts, in frame order)."""
+        size = len(self._state_list)
+        frames = np.bincount(states, minlength=size).tolist()
+        arrived = states[first]
+        arrivals = np.bincount(arrived, minlength=size).tolist()
+        completed_states = states[success]
+        completed = np.bincount(completed_states, minlength=size).tolist()
+        peaks = np.full(size, -np.inf)
+        np.maximum.at(peaks, completed_states, response[success])
+        peaks = peaks.tolist()
+        # Arrival instants grouped by message, frame order kept within each.
+        arrival_times = queued[first][np.argsort(arrived, kind="stable")].tolist()
+        offset = 0
+        for index, count in enumerate(frames):
+            if not count:
+                continue
+            state = self._state_list[index]
+            state.frames += count
+            if arrivals[index]:
+                state.arrivals.extend(arrival_times[offset : offset + arrivals[index]])
+                offset += arrivals[index]
+                state.window_arrivals += arrivals[index]
+            if completed[index]:
+                state.completed += completed[index]
+                state.window_completed += completed[index]
+                peak = peaks[index]
+                if peak > state.window_max:
+                    state.window_max = peak
+                if peak > state.observed_max:
+                    state.observed_max = peak
 
     def _flag_violations(
         self,
         state: _MessageState,
-        frame: ObservedFrame,
+        queued_at: float,
         observed: float,
         report: IngestReport,
     ) -> None:
@@ -311,7 +388,7 @@ class ConformanceMonitor:
                 observed=observed,
                 bound=state.bound if state.bounded else None,
                 deadline=state.deadline,
-                queued_at=frame.queued_at,
+                queued_at=queued_at,
             )
             self._violation_counters[state.name].inc()
             self._window_violations += 1
@@ -341,10 +418,9 @@ class ConformanceMonitor:
     # ------------------------------------------------------------------ #
     # Windows, envelopes, re-derivation
     # ------------------------------------------------------------------ #
-    def _advance_windows(self, now: float, report: IngestReport, cancel) -> None:
+    def _advance_windows(self, target_window: int, report: IngestReport, cancel) -> None:
         # A frame far in the future closes one window per ``window_ms`` it
         # skips: check the token at each, so a deadline bounds the gap.
-        target_window = int(now // self.config.window_ms)
         while self._window < target_window:
             if cancel is not None:
                 cancel.check()
@@ -355,36 +431,38 @@ class ConformanceMonitor:
         window = self._window
         report.windows_closed += 1
         self._windows_total.inc()
-        escaped = [state for state in self._states.values() if state.window_arrivals]
+        escaped = [state for state in self._state_list if state.window_arrivals]
         if self._refit_if_escaped(escaped, cancel):
             report.refits += 1
         sample: dict[str | None, dict[str, float]] = {}
         scales: dict[str, dict[str, float]] = {}
+        points = []
         # Tracked on the monitor, not the report: one window may span
         # several ingest chunks.
         window_violations = self._window_violations
         self._window_violations = 0
-        for state in self._states.values():
-            name = state.name
+        for state, keys in zip(self._state_list, self._series_keys):
+            frames_key, arrivals_key, max_key, slack_key = keys
             values: dict[str, float] = {
                 "frames": float(state.window_completed),
                 "arrivals": float(state.window_arrivals),
             }
-            self.history.record(window, "monitor_frames", state.window_completed, message=name)
-            self.history.record(window, "monitor_arrivals", state.window_arrivals, message=name)
+            points.append((frames_key, state.window_completed))
+            points.append((arrivals_key, state.window_arrivals))
             if state.window_completed:
                 slack = state.deadline - state.window_max
                 values["observed_max_ms"] = state.window_max
                 values["observed_slack_ms"] = slack
-                self.history.record(window, "observed_max_ms", state.window_max, message=name)
-                self.history.record(window, "observed_slack_ms", slack, message=name)
-            sample[name] = values
+                points.append((max_key, state.window_max))
+                points.append((slack_key, slack))
+            sample[state.name] = values
             scale: dict[str, float] = {"deadline": state.deadline}
             if state.bounded and state.bound is not None:
                 scale["bound"] = state.bound
-            scales[name] = scale
+            scales[state.name] = scale
             state.reset_window()
-        self.history.record(window, "monitor_violations", window_violations)
+        points.append((self._violations_key, window_violations))
+        self.history.record_many(window, points)
         global_values: dict[str, float] = {"violations": float(window_violations)}
         for rule in self.engine.rules:
             if rule.metric not in global_values:
@@ -411,12 +489,16 @@ class ConformanceMonitor:
         re-solved once, and every message's bound/deadline refreshes from
         the same query.
         """
+        candidates = [state for state in states if len(state.arrivals) >= 2]
+        jitters = fit_periodic_jitter_many(
+            [state.arrivals for state in candidates],
+            [state.period for state in candidates],
+            max_n=self.config.fit_max_n,
+        )
         changed = False
-        for state in states:
-            if len(state.arrivals) < 2:
-                continue
-            fitted = fit_periodic_jitter(state.arrivals, state.period, max_n=self.config.fit_max_n)
-            if fitted.jitter > state.current_jitter + self.config.jitter_tolerance:
+        for state, jitter in zip(candidates, jitters):
+            if jitter > state.current_jitter + self.config.jitter_tolerance:
+                fitted = event_model_from_parameters(state.period, jitter=jitter)
                 self._overrides[state.name] = fitted
                 state.override = fitted
                 changed = True
@@ -437,10 +519,19 @@ class ConformanceMonitor:
 
     def _apply_query_result(self, result) -> None:
         for verdict in result.report.verdicts:
-            state = self._states[verdict.name]
+            index = self._state_index[verdict.name]
+            state = self._state_list[index]
             state.deadline = verdict.deadline
             state.bound = verdict.worst_case_response
             state.bounded = result.results[verdict.name].bounded
+            # An observed response time is over a limit when it exceeds
+            # limit + tolerance; an unbounded message has no bound limit.
+            self._deadline_limit[index] = state.deadline + _VIOLATION_TOLERANCE
+            self._bound_limit[index] = (
+                state.bound + _VIOLATION_TOLERANCE
+                if state.bounded and state.bound is not None
+                else np.inf
+            )
 
     def _trim_arrivals(self) -> None:
         limit = self.config.max_arrivals

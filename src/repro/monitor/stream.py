@@ -2,14 +2,16 @@
 
 An :class:`ObservedFrame` is the minimal fact the conformance monitor needs
 about one bus transmission: which message, when it was queued, when it
-finished, whether it succeeded, and which attempt it was.  Streams come from
-two places:
+finished, whether it succeeded, and which attempt it was.  A
+:class:`FrameBatch` holds a chunk of them as columns, the form the monitor
+ingests.  Streams come from two places:
 
 * live from the simulator (or, in a real deployment, a bus tap):
   :func:`frames_from_trace` flattens a recorded
   :class:`~repro.sim.trace.SimulationTrace` into queue-order frames;
 * replayed over the daemon protocol: :func:`chunked` splits a stream into
-  bounded ``monitor_ingest`` requests.
+  bounded ``monitor_ingest`` requests, and :meth:`FrameBatch.from_json`
+  decodes one request's rows straight into columns.
 
 :func:`inject_jitter_burst` perturbs a clean stream deterministically -- it
 is how the tests and the ``examples/live_monitor.py`` demo manufacture a
@@ -21,6 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import isfinite
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+#: Exclusive upper bound of ``attempt``: the batch stores it as int64.
+_ATTEMPT_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -58,34 +65,164 @@ class ObservedFrame:
     def from_json(cls, payload: Sequence) -> "ObservedFrame":
         """Inverse of :meth:`to_json`.
 
-        Raises ``ValueError`` naming the field when an instant is not a
-        finite float (``NaN``, an infinity, an integer too large for a
-        float) or the response time between two finite instants overflows:
-        such a frame would poison the arrival trace and the status report.
+        Raises ``ValueError`` naming the field when ``payload`` breaks the
+        row contract of :meth:`FrameBatch.from_json`.
         """
+        problem = _row_problem(payload)
+        if problem is not None:
+            raise ValueError(problem)
         message, queued_at, finished_at, success, attempt = payload
-        queued_at = _finite_ms("queued_at", queued_at)
-        finished_at = _finite_ms("finished_at", finished_at)
-        if not isfinite(finished_at - queued_at):
-            raise ValueError("finished_at - queued_at is not a finite response time")
-        return cls(
-            message=str(message),
-            queued_at=queued_at,
-            finished_at=finished_at,
-            success=bool(success),
-            attempt=int(attempt),
+        return cls(message, float(queued_at), float(finished_at), success, attempt)
+
+
+@dataclass(frozen=True, eq=False)
+class FrameBatch:
+    """A chunk of observed frames as columns, one entry per frame.
+
+    ``names`` are the chunk's distinct message names, sorted, and
+    ``message`` indexes them -- so index order is name order, and sorting
+    on the index sorts frames by name.  ``queued_at`` / ``finished_at`` are
+    float64, ``success`` bool and ``attempt`` int64.
+    """
+
+    names: tuple[str, ...]
+    message: np.ndarray
+    queued_at: np.ndarray
+    finished_at: np.ndarray
+    success: np.ndarray
+    attempt: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.message)
+
+    @classmethod
+    def from_frames(cls, frames: Iterable[ObservedFrame]) -> "FrameBatch":
+        """The columns of a sequence of typed frames (no validation)."""
+        frames = list(frames)
+        return cls._from_columns(
+            [frame.message for frame in frames],
+            [frame.queued_at for frame in frames],
+            [frame.finished_at for frame in frames],
+            [frame.success for frame in frames],
+            [frame.attempt for frame in frames],
         )
 
+    @classmethod
+    def from_json(cls, rows: Sequence) -> "FrameBatch":
+        """Decode ``monitor_ingest`` rows ``[message, queued_at,
+        finished_at, success, attempt]`` into columns.
 
-def _finite_ms(field: str, value) -> float:
-    """``value`` as a finite float, or a ``ValueError`` naming ``field``."""
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"{field} is too large for a float") from None
-    if not isfinite(number):
-        raise ValueError(f"{field} must be a finite number, got {number!r}")
-    return number
+        The row contract: a 5-element array; ``message`` a string; both
+        instants JSON numbers (not strings or booleans) that are finite as
+        floats, with ``finished_at >= queued_at`` and a finite difference;
+        ``success`` a boolean; ``attempt`` an integer >= 1.  The columns are
+        checked whole (one float conversion and one ``isfinite`` over all
+        response times); only when a check fails are the rows scanned, to
+        raise a ``ValueError`` naming the first bad frame's index and field.
+        """
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"observed frames must be an array, got {rows!r}")
+        batch = cls._checked_columns(rows) if rows else cls._from_columns([], [], [], [], [])
+        if batch is not None:
+            return batch
+        for index, row in enumerate(rows):
+            problem = _row_problem(row)
+            if problem is not None:
+                raise ValueError(f"malformed observed frame {index}: {problem}")
+        raise AssertionError("a column check failed but every row passed")
+
+    @classmethod
+    def _checked_columns(cls, rows: Sequence) -> "FrameBatch | None":
+        """The batch of ``rows``, or ``None`` when any row is malformed."""
+        if not _all_types(rows, (list, tuple)) or set(map(len, rows)) != {5}:
+            return None
+        messages, queued, finished, success, attempt = zip(*rows)
+        if not (
+            _all_types(messages, str)
+            and _all_types(queued, (int, float), exclude=bool)
+            and _all_types(finished, (int, float), exclude=bool)
+            and _all_types(success, bool)
+            and _all_types(attempt, int, exclude=bool)
+            and min(attempt) >= 1
+            and max(attempt) < _ATTEMPT_LIMIT
+        ):
+            return None
+        try:
+            batch = cls._from_columns(messages, queued, finished, success, attempt)
+        except OverflowError:  # an integer instant too large for a float
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            response = batch.finished_at - batch.queued_at
+        # A non-finite instant or an overflowing difference makes the
+        # response time non-finite (NaN fails both comparisons).
+        if not ((response >= 0.0) & (response < np.inf)).all():
+            return None
+        return batch
+
+    @classmethod
+    def _from_columns(cls, messages, queued, finished, success, attempt) -> "FrameBatch":
+        names = tuple(sorted(set(messages)))
+        lookup = {name: index for index, name in enumerate(names)}
+        return cls(
+            names=names,
+            message=np.fromiter(map(lookup.__getitem__, messages), np.intp, len(messages)),
+            queued_at=np.array(queued, dtype=float),
+            finished_at=np.array(finished, dtype=float),
+            success=np.array(success, dtype=bool),
+            attempt=np.array(attempt, dtype=np.int64),
+        )
+
+    def to_frames(self) -> list[ObservedFrame]:
+        """The batch as typed frames, in batch order."""
+        return [
+            ObservedFrame(self.names[message], queued_at, finished_at, success, attempt)
+            for message, queued_at, finished_at, success, attempt in zip(
+                self.message.tolist(),
+                self.queued_at.tolist(),
+                self.finished_at.tolist(),
+                self.success.tolist(),
+                self.attempt.tolist(),
+            )
+        ]
+
+
+def _all_types(values: Iterable, types, exclude: type | None = None) -> bool:
+    """True when every value is an instance of ``types`` but not ``exclude``."""
+    return all(
+        issubclass(kind, types) and (exclude is None or not issubclass(kind, exclude))
+        for kind in set(map(type, values))
+    )
+
+
+def _row_problem(row) -> str | None:
+    """What breaks the row contract of :meth:`FrameBatch.from_json`, naming
+    the field, or ``None`` for a valid row."""
+    if not _all_types((row,), (list, tuple)) or len(row) != 5:
+        return f"must be a 5-element array, got {row!r}"
+    message, queued_at, finished_at, success, attempt = row
+    if not isinstance(message, str):
+        return f"message must be a string, got {message!r}"
+    instants = []
+    for field, value in (("queued_at", queued_at), ("finished_at", finished_at)):
+        if not _all_types((value,), (int, float), exclude=bool):
+            return f"{field} must be a number, got {value!r}"
+        try:
+            number = float(value)
+        except OverflowError:
+            return f"{field} is too large for a float"
+        if not isfinite(number):
+            return f"{field} must be a finite number, got {number!r}"
+        instants.append(number)
+    queued_at, finished_at = instants
+    if finished_at < queued_at:
+        return f"finished_at {finished_at!r} precedes queued_at {queued_at!r}"
+    if not isfinite(finished_at - queued_at):
+        return "finished_at - queued_at is not a finite response time"
+    if not isinstance(success, bool):
+        return f"success must be a boolean, got {success!r}"
+    if not _all_types((attempt,), int, exclude=bool) or not 1 <= attempt < _ATTEMPT_LIMIT:
+        return f"attempt must be a positive integer, got {attempt!r}"
+    return None
 
 
 def frames_from_trace(trace) -> list[ObservedFrame]:

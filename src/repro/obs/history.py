@@ -72,11 +72,15 @@ class SeriesRing:
         return len(self._points)
 
 
-def _series_key(name: str, labels: dict[str, object]) -> tuple[str, tuple[tuple[str, str], ...]]:
+#: A series key: ``(name, sorted (label, value) pairs)``.
+SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
+
+
+def _series_key(name: str, labels: dict[str, object]) -> SeriesKey:
     return name, tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def _render_key(key: tuple[str, tuple[tuple[str, str], ...]]) -> str:
+def _render_key(key: SeriesKey) -> str:
     name, labels = key
     if not labels:
         return name
@@ -87,9 +91,10 @@ def _render_key(key: tuple[str, tuple[tuple[str, str], ...]]) -> str:
 class MetricsHistory:
     """Thread-safe windowed history keyed like registry instruments.
 
-    ``record`` appends one point to the ``(series, labels)`` ring; rings are
-    created on first use.  Readers get copies, so snapshots are safe to
-    serialise while the monitor keeps recording.
+    ``record`` appends one point to the ``(series, labels)`` ring and
+    ``record_many`` one point to each of several rings; rings are created on
+    first use.  Readers get copies, so snapshots are safe to serialise while
+    the monitor keeps recording.
     """
 
     def __init__(self, capacity: int = DEFAULT_HISTORY_WINDOWS) -> None:
@@ -97,16 +102,32 @@ class MetricsHistory:
             raise ValueError("history capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._series: dict[tuple[str, tuple[tuple[str, str], ...]], SeriesRing] = {}
+        self._series: dict[SeriesKey, SeriesRing] = {}
+
+    def key(self, name: str, **labels: object) -> SeriesKey:
+        """The key of one series, for :meth:`record_many`.
+
+        Computing a key sorts its labels; a writer that records the same
+        series every window computes its keys once.
+        """
+        return _series_key(name, labels)
 
     def record(self, window: int, name: str, value: float, **labels: object) -> None:
         """Append ``value`` for window index ``window`` to one series."""
-        key = _series_key(name, labels)
+        self.record_many(window, ((_series_key(name, labels), value),))
+
+    def record_many(self, window: int, points: Iterable[tuple[SeriesKey, float]]) -> None:
+        """Append one point per ``(key, value)`` for window index ``window``.
+
+        Keys come from :meth:`key`; the whole batch takes the lock once.
+        """
         with self._lock:
-            ring = self._series.get(key)
-            if ring is None:
-                ring = self._series[key] = SeriesRing(self.capacity)
-            ring.append(window, value)
+            series = self._series
+            for key, value in points:
+                ring = series.get(key)
+                if ring is None:
+                    ring = series[key] = SeriesRing(self.capacity)
+                ring.append(window, value)
 
     def series(self, name: str, last: int | None = None, **labels: object) -> list[SeriesPoint]:
         """Points of one series, oldest first (empty if never recorded)."""

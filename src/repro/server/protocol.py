@@ -100,7 +100,7 @@ from repro.events.model import (
     SporadicEventModel,
 )
 from repro.monitor.rules import AlertRule
-from repro.monitor.stream import ObservedFrame
+from repro.monitor.stream import FrameBatch, ObservedFrame
 from repro.service.deltas import (
     AddMessageDelta,
     BusConfiguration,
@@ -964,25 +964,21 @@ def frames_to_json(frames: Sequence[ObservedFrame]) -> list[list]:
     return [frame.to_json() for frame in frames]
 
 
-def frames_from_json(items: Sequence) -> list[ObservedFrame]:
-    """Inverse of :func:`frames_to_json`.
+def frames_from_json(items: Sequence) -> FrameBatch:
+    """Inverse of :func:`frames_to_json`, decoded straight into columns.
 
-    A malformed frame -- wrong shape, a non-finite or overflowing instant,
-    an unconvertible field -- is a :class:`ProtocolError` naming the
-    frame's index in ``items`` and the offending field.
+    A frame that breaks the row contract of
+    :meth:`~repro.monitor.stream.FrameBatch.from_json` -- wrong shape, a
+    string or boolean where a number belongs, a non-finite or overflowing
+    instant, a completion before its queuing instant, a non-boolean
+    ``success``, an ``attempt`` that is not a positive integer -- is a
+    :class:`ProtocolError` naming the frame's index in ``items`` and the
+    offending field, and rejects the whole chunk.
     """
-    frames = []
-    for index, item in enumerate(items):
-        if not isinstance(item, Sequence) or len(item) != 5:
-            raise ProtocolError(
-                f"observed frame {index} must be a 5-element array, "
-                f"got {item!r}")
-        try:
-            frames.append(ObservedFrame.from_json(item))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ProtocolError(
-                f"malformed observed frame {index}: {exc}") from None
-    return frames
+    try:
+        return FrameBatch.from_json(items)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def alert_rules_from_json(items: Sequence[Mapping]) -> tuple[AlertRule, ...]:

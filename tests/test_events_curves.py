@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.events.curves as curves
 from repro.events.curves import (
     ArrivalCurve,
     EmpiricalEventTrace,
     curve_from_event_model,
     distance_from_event_model,
     fit_periodic_jitter,
+    fit_periodic_jitter_many,
     merge_traces,
 )
 from repro.events.model import PeriodicEventModel, PeriodicWithJitter
@@ -180,3 +184,86 @@ class TestIncrementalJitterFit:
         trace.timestamps = trace.timestamps[-2:]
         assert trace._folds == {}
         assert fit_periodic_jitter(trace, 10.0).jitter == 0.0
+
+
+#: One trace of the batched-fold property: increasing arrival gaps, a
+#: period, and the fold state the trace is in when the batch fits it.
+_batched_traces = st.lists(
+    st.tuples(
+        st.lists(st.floats(min_value=0.0, max_value=25.0, allow_nan=False),
+                 max_size=30),
+        st.sampled_from([10.0, 7.3, 0.1, 10]),
+        st.sampled_from(["fresh", "partial", "late", "trim"]),
+        st.integers(min_value=0, max_value=30),
+    ),
+    max_size=8,
+)
+
+
+class TestBatchedJitterFit:
+    @settings(max_examples=200, deadline=None)
+    @given(specs=_batched_traces,
+           max_n=st.sampled_from([2, 64, None]),
+           cells=st.sampled_from([3, 64, curves._FOLD_CELLS]))
+    def test_many_equals_oracle_per_trace(self, specs, max_n, cells):
+        """One batched fit over traces in mixed fold states equals the
+        from-scratch oracle of each, however the rows are blocked."""
+        traces, periods, shadows = [], [], []
+        for gaps, period, state, cut in specs:
+            times = []
+            for gap in gaps:
+                times.append((times[-1] if times else 0.0) + gap)
+            cut = min(cut, len(times))
+            trace = EmpiricalEventTrace(times[:cut])
+            shadow = times[:cut]
+            if state != "fresh":
+                # Fold the prefix, then grow the trace at its end.
+                fit_periodic_jitter_many([trace], [period], max_n=max_n)
+                trace.extend(times[cut:])
+                shadow = list(times)
+            if state == "late":
+                trace.add(times[0] - 1.0 if times else 0.0)
+                shadow.append(times[0] - 1.0 if times else 0.0)
+            elif state == "trim":
+                trace.timestamps = trace.timestamps[len(shadow) // 2:]
+                shadow = sorted(shadow)[len(shadow) // 2:]
+            traces.append(trace)
+            periods.append(period)
+            shadows.append(shadow)
+        with patch.object(curves, "_FOLD_CELLS", cells):
+            jitters = fit_periodic_jitter_many(traces, periods, max_n=max_n)
+        expected = [_oracle_jitter(shadow, period, max_n)
+                    for shadow, period in zip(shadows, periods)]
+        assert jitters == expected
+        for trace, period, jitter in zip(traces, periods, jitters):
+            assert trace._folds[(period, max_n)] == (len(trace), jitter)
+        # A refit with nothing new folds nothing and answers the same.
+        assert fit_periodic_jitter_many(traces, periods, max_n=max_n) == expected
+
+    def test_scalar_fit_is_the_one_trace_batch(self):
+        trace = EmpiricalEventTrace([0.0, 8.0, 20.0, 29.0])
+        assert fit_periodic_jitter(trace, 10.0).jitter == \
+            fit_periodic_jitter_many([EmpiricalEventTrace(trace.timestamps)],
+                                     [10.0])[0] == 2.0
+
+    def test_rejects_bad_periods_and_lengths(self):
+        trace = EmpiricalEventTrace([0.0, 10.0])
+        with pytest.raises(ValueError, match="period"):
+            fit_periodic_jitter_many([trace, trace], [10.0, 0.0])
+        assert trace._folds == {}
+        with pytest.raises(ValueError):
+            fit_periodic_jitter_many([trace], [10.0, 5.0])
+        assert fit_periodic_jitter_many([], []) == []
+
+    def test_extend_matches_one_add_per_timestamp(self):
+        added = EmpiricalEventTrace([0.0, 10.0])
+        extended = EmpiricalEventTrace([0.0, 10.0])
+        for trace in (added, extended):
+            fit_periodic_jitter(trace, 10.0)
+        for value in (20.0, 30.0):
+            added.add(value)
+        extended.extend([20.0, 30.0])
+        assert added._folds == extended._folds != {}
+        extended.extend([40.0, 35.0])
+        assert extended._folds == {}
+        assert extended.timestamps == [0.0, 10.0, 20.0, 30.0, 35.0, 40.0]

@@ -12,10 +12,16 @@ import json
 import socket
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.response_time import CanBusAnalysis
 from repro.cancel import CancelToken, DeadlineExceeded
-from repro.events.curves import EmpiricalEventTrace, fit_periodic_jitter
+from repro.events.curves import (
+    EmpiricalEventTrace,
+    fit_periodic_jitter,
+    fit_periodic_jitter_many,
+)
 from repro.monitor import (
     AlertEngine,
     AlertRule,
@@ -69,7 +75,59 @@ _BAD_FRAMES = [
                  id="huge-int-finished"),
     pytest.param('["Slow", -1e308, 1e308, true, 1]', "finished_at - queued_at",
                  id="overflowing-response-time"),
+    pytest.param('["Slow", "1.5", 5.0, true, 1]', "queued_at",
+                 id="string-queued"),
+    pytest.param('["Slow", 1.0, true, true, 1]', "finished_at",
+                 id="bool-finished"),
+    pytest.param('["Slow", 5.0, 1.0, true, 1]', "finished_at",
+                 id="finished-before-queued"),
+    pytest.param('["Slow", 1.0, 5.0, "false", 1]', "success",
+                 id="string-success"),
+    pytest.param('["Slow", 1.0, 5.0, true, 1.9]', "attempt",
+                 id="float-attempt"),
+    pytest.param('["Slow", 1.0, 5.0, true, 0]', "attempt", id="zero-attempt"),
+    pytest.param('["Slow", 1.0, 5.0, true, -3]', "attempt",
+                 id="negative-attempt"),
+    pytest.param('[7, 1.0, 5.0, true, 1]', "message", id="int-message"),
+    pytest.param('"abcde"', "5-element array", id="bare-string"),
 ]
+
+
+@st.composite
+def _decoder_row(draw):
+    """A ``monitor_ingest`` row and the field it breaks (``""``: valid)."""
+    queued = draw(st.floats(min_value=-1e6, max_value=1e6))
+    finished = queued + draw(st.floats(min_value=0.0, max_value=1e3))
+    row = [draw(st.sampled_from(["Slow", "FastA", "Mid"])), queued, finished,
+           draw(st.booleans()), draw(st.integers(min_value=1, max_value=2**63 - 1))]
+    breaks = draw(st.sampled_from(
+        ["", "", "", "shape", "message", "queued_at", "finished_at",
+         "precedes", "response", "success", "attempt"]))
+    if breaks == "shape":
+        return draw(st.sampled_from(
+            [row[:4], row + [1], "abcde", {"message": "Slow"}, None])), \
+            "must be a 5-element array"
+    if breaks == "precedes":
+        row[2] = queued - 1.0
+        return row, "finished_at"
+    if breaks == "response":
+        return [row[0], -1e308, 1e308] + row[3:], "finished_at - queued_at"
+    bad = {
+        "message": [7, None, True, ["Slow"]],
+        "queued_at": ["1.5", True, None, float("nan"), float("-inf"),
+                      10 ** 400],
+        "finished_at": ["2", False, float("nan"), float("inf"), 10 ** 400],
+        "success": ["false", 1, 0, None],
+        "attempt": [1.9, 1.0, 0, -3, True, "1", 2 ** 63],
+    }
+    if breaks:
+        index = ["message", "queued_at", "finished_at", "success",
+                 "attempt"].index(breaks)
+        row[index] = draw(st.sampled_from(bad[breaks]))
+    return row, breaks
+
+
+_decoder_rows = st.lists(_decoder_row(), max_size=12)
 
 
 # --------------------------------------------------------------------------- #
@@ -206,9 +264,14 @@ class TestStreams:
 
     def test_protocol_codecs_and_version(self):
         assert protocol.PROTOCOL_VERSION == 6
-        frames = [ObservedFrame("M", 0.0, 1.0)]
+        frames = [ObservedFrame("M", 0.0, 1.0),
+                  ObservedFrame("A", 0.5, 2.0, success=False, attempt=2),
+                  ObservedFrame("M", 1.0, 3)]
         decoded = protocol.frames_from_json(protocol.frames_to_json(frames))
-        assert decoded == frames
+        assert decoded.names == ("A", "M")
+        assert decoded.message.tolist() == [1, 0, 1]
+        assert decoded.to_frames() == frames
+        assert len(protocol.frames_from_json([])) == 0
         with pytest.raises(protocol.ProtocolError):
             protocol.frames_from_json([[1, 2, 3]])
         rules = protocol.alert_rules_from_json(
@@ -226,6 +289,23 @@ class TestStreams:
             protocol.frames_from_json(items)
         assert "frame 1" in str(excinfo.value)
         assert field in str(excinfo.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_decoder_rows)
+    def test_frame_codec_contract(self, rows):
+        """Valid rows decode to the frames they encode; otherwise the
+        error names the first broken row and its first broken field."""
+        broken = [index for index, (_, field) in enumerate(rows) if field]
+        items = [row for row, _ in rows]
+        if not broken:
+            batch = protocol.frames_from_json(items)
+            assert batch.to_frames() == [ObservedFrame(*row) for row in items]
+            return
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.frames_from_json(items)
+        prefix = f"malformed observed frame {broken[0]}: "
+        assert str(excinfo.value).startswith(prefix + rows[broken[0]][1]), \
+            str(excinfo.value)
 
 
 # --------------------------------------------------------------------------- #
@@ -351,14 +431,16 @@ class TestConformanceMonitor:
         import repro.monitor.conformance as conformance
         fits = []
 
-        def checked_fit(trace, period, max_n):
-            fitted = fit_periodic_jitter(trace, period, max_n=max_n)
-            fresh = fit_periodic_jitter(
-                EmpiricalEventTrace(trace.timestamps), period, max_n=max_n)
-            fits.append((id(trace), len(trace), fitted.jitter, fresh.jitter))
+        def checked_fit(traces, periods, max_n):
+            fitted = fit_periodic_jitter_many(traces, periods, max_n=max_n)
+            fresh = fit_periodic_jitter_many(
+                [EmpiricalEventTrace(trace.timestamps) for trace in traces],
+                periods, max_n=max_n)
+            fits.extend(zip(map(id, traces), map(len, traces), fitted, fresh))
             return fitted
 
-        monkeypatch.setattr(conformance, "fit_periodic_jitter", checked_fit)
+        monkeypatch.setattr(conformance, "fit_periodic_jitter_many",
+                            checked_fit)
         session = AnalysisSession(small_kmatrix, small_bus,
                                   name="monitor-trim")
         monitor = ConformanceMonitor(
@@ -382,6 +464,63 @@ class TestConformanceMonitor:
         override = monitor.overrides["Slow"]
         assert override.jitter in {fitted for _, _, fitted, _ in fits}
         assert status["messages"]["Slow"]["fitted_jitter"] == override.jitter
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(start=st.floats(min_value=0.0, max_value=1500.0),
+           count=st.integers(min_value=1, max_value=8),
+           shift=st.floats(min_value=0.0, max_value=200.0),
+           max_arrivals=st.sampled_from([8, 4096]))
+    def test_chunking_does_not_change_the_outcome(
+            self, small_kmatrix, small_bus, start, count, shift,
+            max_arrivals):
+        """The same burst stream ingested in chunks of 1, 7, 64, 1024 and
+        whole (typed, or decoded from the wire) concludes the same."""
+        frames = inject_jitter_burst(
+            _recorded_frames(small_kmatrix, small_bus, duration=1200.0),
+            "Slow", start=start, count=count, shift=shift)
+        rules = (AlertRule.parse("any-violation", "violations > 0"),
+                 AlertRule.parse("tight", "observed_slack_ms < 0.5*deadline"
+                                 " for 2 windows"))
+
+        def replay(chunks):
+            monitor = ConformanceMonitor(
+                AnalysisSession(small_kmatrix, small_bus, name="chunks"),
+                target="bus", rules=rules,
+                config=MonitorConfig(window_ms=100.0,
+                                     max_arrivals=max_arrivals))
+            reports = [monitor.ingest(chunk) for chunk in chunks]
+            reports.append(monitor.flush())
+            return (
+                [v.to_json() for r in reports for v in r.violations],
+                [a.to_json() for r in reports for a in r.alerts],
+                sum(r.windows_closed for r in reports),
+                sum(r.refits for r in reports),
+                sum(r.frames for r in reports),
+                monitor.status(),
+                monitor.history.snapshot(),
+            )
+
+        whole = replay([frames])
+        assert whole[4] == len(frames)
+        assert replay([protocol.frames_from_json(
+            protocol.frames_to_json(frames))]) == whole
+        for size in (1, 7, 64, 1024):
+            assert replay(chunked(frames, size)) == whole, size
+
+    def test_ties_order_by_queuing_instant_then_name(self, small_kmatrix,
+                                                     small_bus):
+        monitor = self._monitor(small_kmatrix, small_bus)
+        # All three complete at 40 ms, far past the 10 ms deadlines.
+        report = monitor.ingest([ObservedFrame("FastB", 2.0, 40.0),
+                                 ObservedFrame("FastA", 2.0, 40.0),
+                                 ObservedFrame("FastB", 1.0, 40.0)])
+        flagged = []
+        for violation in report.violations:
+            key = (violation.message, violation.queued_at)
+            if not flagged or flagged[-1] != key:
+                flagged.append(key)
+        assert flagged == [("FastB", 1.0), ("FastA", 2.0), ("FastB", 2.0)]
 
     def test_far_future_frame_honours_the_deadline(self, small_kmatrix,
                                                     small_bus):
@@ -408,9 +547,28 @@ class TestConformanceMonitor:
     def test_unknown_message_raises_typed_error(self, small_kmatrix,
                                                 small_bus):
         from repro.sim.trace import UnknownMessageError
-        monitor = self._monitor(small_kmatrix, small_bus)
-        with pytest.raises(UnknownMessageError):
-            monitor.ingest([ObservedFrame("Nope", 0.0, 1.0)])
+        registry = MetricsRegistry()
+        session = AnalysisSession(small_kmatrix, small_bus,
+                                  name="monitor-unknown")
+        monitor = ConformanceMonitor(
+            session, target="bus", config=MonitorConfig(window_ms=100.0),
+            metrics=registry)
+        before = (monitor.status(), monitor.history.snapshot(),
+                  registry.snapshot())
+        chunk = [ObservedFrame("Slow", 1.0, 2.0),
+                 ObservedFrame("Slow", 251.0, 252.0),
+                 ObservedFrame("Nope", 301.0, 302.0)]
+        with pytest.raises(UnknownMessageError) as excinfo:
+            monitor.ingest(chunk)
+        assert excinfo.value.name == "Nope"
+        # Nothing of the chunk was applied, so a corrected retry counts
+        # each frame once.
+        assert (monitor.status(), monitor.history.snapshot(),
+                registry.snapshot()) == before
+        report = monitor.ingest(chunk[:2])
+        assert report.frames == 2
+        assert monitor.status()["frames"] == 2
+        assert monitor.status()["window"] == 2
 
 
 # --------------------------------------------------------------------------- #
