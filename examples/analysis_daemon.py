@@ -13,7 +13,9 @@ What a deployment of the daemon looks like, end to end:
    error-rate queries as one request;
 4. request the compositional fixed point of the multibus system twice --
    the second run is served from the warm per-segment session caches
-   (watch the ``hits`` column);
+   (watch the ``hits`` column) -- then run one of its topology scenarios
+   through the same ``scenario`` op, naming the system instead of a
+   target;
 5. run a traced query (``trace=True``) and print the five-stage span
    tree the daemon returns inline, then pull the slowest retained trace
    back out of the daemon's trace ring via the ``traces`` op;
@@ -141,6 +143,10 @@ def main() -> None:
                   f"converged={outcome['converged']} "
                   f"after {outcome['iterations']} iterations, "
                   f"deadlines met: {outcome['all_deadlines_met']}")
+        degradation = client.system_scenario("multibus",
+                                             "bus-speed-degradation")
+        print()
+        print(degradation["table"])
 
         # A traced query: the response carries the span tree inline --
         # decode, admission, session_plan, solve, encode --

@@ -8,7 +8,7 @@ yields end-to-end latencies along a sensor-to-actuator path -- plus a
 comparison of the same message set on a FlexRay static segment, and a
 cached what-if session per bus: the same scenario from the catalog swept
 over every segment of the system (and over a larger generated multi-bus
-chain) through the deterministic batch runner.
+chain), one session per segment.
 
 Run with:  python examples/multibus_gateway_system.py
 """
@@ -27,13 +27,7 @@ from repro.events.model import PeriodicEventModel
 from repro.flexray.analysis import compare_with_can
 from repro.gateway.model import ForwardingPolicy, GatewayModel, GatewayRoute
 from repro.reporting.tables import format_table
-from repro.service import (
-    AnalysisSession,
-    BatchRunner,
-    JitterDelta,
-    jitter_sweep_scenario,
-    system_jobs,
-)
+from repro.service import AnalysisSession, JitterDelta, jitter_sweep_scenario
 from repro.workloads.multibus import multibus_system
 
 
@@ -130,7 +124,7 @@ def main() -> None:
 
     # ---------------------------------------------------------------- #
     # Cached what-if queries per bus: one session per segment, the same
-    # catalog scenario batched deterministically over all of them.
+    # catalog scenario run on each of them in bus order.
     # ---------------------------------------------------------------- #
     session = AnalysisSession.from_system(system, "Powertrain-CAN")
     session.analyze()
@@ -143,15 +137,16 @@ def main() -> None:
     print("  " + session.describe())
 
     sweep = jitter_sweep_scenario(fractions=(0.0, 0.1, 0.2, 0.3))
-    results = BatchRunner().run(system_jobs(system, sweep))
+    results = [sweep.run(AnalysisSession.from_system(system, bus, name=bus))
+               for bus in system.buses]
     for run in results:
         print()
         print(run.to_table())
 
-    # The same batch over a generated many-bus chain (the ROADMAP's
-    # multi-bus scale-out family).
+    # The same sweep over a generated many-bus chain.
     chain = multibus_system(n_buses=4, messages_per_bus=12, seed=3)
-    results = BatchRunner().run(system_jobs(chain, sweep))
+    results = [sweep.run(AnalysisSession.from_system(chain, bus, name=bus))
+               for bus in chain.buses]
     print()
     print(f"{chain.name}: swept {len(results)} buses, "
           f"{sum(len(r.queries) for r in results)} what-if queries, "

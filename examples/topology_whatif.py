@@ -10,16 +10,16 @@ its routes migrate to a (slower) backup gateway.
 Part 1 answers it locally with a :class:`repro.whatif.SystemSession`:
 typed topology deltas, incremental re-analysis, per-step path latencies.
 Part 2 asks the *same* questions through the analysis daemon over TCP --
-``register`` (which returns the shard-name map), ``system_query``,
-``system_scenario`` and ``path_latency`` -- the way a design-exploration
-dashboard would.
+``register`` (which returns the shard-name map), ``system_query`` (also
+behind the client's ``path_latency``) and ``scenario`` -- the way a
+design-exploration dashboard would.
 
 Run with::
 
     PYTHONPATH=src python examples/topology_whatif.py
 """
 
-from repro.reporting.tables import format_path_latency_table
+from repro.reporting.tables import format_path_latency_table, format_table
 from repro.server import AnalysisDaemon, TcpClient, start_server
 from repro.whatif import (
     AddGatewayRouteDelta,
@@ -72,9 +72,17 @@ def local_walkthrough() -> None:
         session.path_latency(paths[:2], failover),
         title="first route on the standby gateway"))
 
-    # The registered scenario family runs the whole migration.
-    scenario = gateway_failover_scenario(system, "GW1", paths=paths[:2])
-    print("\n" + scenario.run(session).to_table())
+    # The registered scenario family runs the whole migration; every
+    # step's result carries its own fixed point, so the tracked paths'
+    # worst cases come from the steps without another query.
+    run = gateway_failover_scenario(system, "GW1").run(session)
+    print("\n" + run.to_table())
+    print(format_table(
+        ["step"] + [f"{path.name} [ms]" for path in paths[:2]],
+        [[step.label] + [step.path_latency(path).worst_case
+                         for path in paths[:2]]
+         for step in run.queries],
+        title="tracked path worst cases per failover step"))
     print(f"\n{session.describe()}")
 
 

@@ -27,17 +27,17 @@ The subpackages group the functionality:
 * :mod:`repro.gateway` -- store-and-forward gateways between buses;
 * :mod:`repro.core` -- the compositional system-level analysis engine;
 * :mod:`repro.service` -- the what-if analysis service: cached-kernel
-  sessions, typed deltas with incremental re-analysis, scenario catalog and
-  batch runner;
+  sessions, typed deltas with incremental re-analysis, and the one
+  scenario catalog for bus and system sessions;
 * :mod:`repro.server` -- the long-running analysis daemon: sharded session
   pool, admission control and drain, line-delimited JSON protocol over TCP
   or in-process, ``python -m repro.server`` CLI;
 * :mod:`repro.whatif` -- system-level what-if analysis: typed topology
   deltas (move message, bus speed, gateway routes, ECU budgets),
   :class:`SystemSession` with incremental end-to-end path latency, and the
-  topology scenario catalog;
-* :mod:`repro.parallel` -- deterministic parallel evaluation of independent
-  analysis units (bus segments, GA candidates, sweep points);
+  topology scenario families;
+* :mod:`repro.parallel` -- deterministic parallel evaluation of the
+  engine's ``incremental=False`` reference sweep over bus segments;
 * :mod:`repro.sim` -- a discrete-event CAN simulator for cross-validation;
 * :mod:`repro.monitor` -- the live conformance monitor: observed frame
   streams checked online against the analytic bounds (violation flagging,
@@ -91,7 +91,6 @@ from repro.server import (
 from repro.service import (
     AddMessageDelta,
     AnalysisSession,
-    BatchRunner,
     BusConfiguration,
     ErrorModelDelta,
     EventModelDelta,
@@ -113,8 +112,6 @@ from repro.whatif import (
     RemoveGatewayRouteDelta,
     SegmentConfigDelta,
     SystemQueryResult,
-    SystemScenario,
-    SystemScenarioCatalog,
     SystemSession,
     apply_system_deltas,
     builtin_system_catalog,
@@ -194,7 +191,6 @@ __all__ = [
     "RemoveMessageDelta",
     "WhatIfScenario",
     "ScenarioCatalog",
-    "BatchRunner",
     "builtin_catalog",
     "AnalysisDaemon",
     "SessionPool",
@@ -240,8 +236,6 @@ __all__ = [
     "RemoveGatewayRouteDelta",
     "SegmentConfigDelta",
     "SystemQueryResult",
-    "SystemScenario",
-    "SystemScenarioCatalog",
     "SystemSession",
     "apply_system_deltas",
     "builtin_system_catalog",

@@ -4,12 +4,9 @@
 the results **in input order**, so callers aggregate them exactly as a
 serial loop would and the mode never changes a single result bit.
 
-Who fans out, and when:
-
-* :meth:`repro.service.batch.BatchRunner.run` hands its jobs to whatever
-  mode it resolves;
-* the compositional engine's ``incremental=False`` reference sweep hands
-  its segment jobs to :func:`parallel_map` in whatever mode resolves.
+Only one caller fans out: the compositional engine's ``incremental=False``
+reference sweep hands its segment jobs to :func:`parallel_map` in
+whatever mode resolves.
 
 The mode never selects an algorithm.  The default engine runs on its
 segment sessions and the GA evaluates its candidates through session
@@ -24,10 +21,10 @@ Execution modes
     pool never paid off and there is no thread mode.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`.  Requires picklable
-    functions and arguments (no closures); the engine's reference sweep and
-    the service batch runner submit top-level worker functions with
-    picklable job tuples, so a global ``REPRO_PARALLEL=process`` override
-    genuinely runs them multi-process.  When a callable cannot be pickled
+    functions and arguments (no closures); the engine's reference sweep
+    submits a top-level worker function with picklable job tuples, so a
+    global ``REPRO_PARALLEL=process`` override genuinely runs it
+    multi-process.  When a callable cannot be pickled
     the call falls back to ``serial`` instead of crashing.
 ``auto``
     ``serial``; only an explicit ``process`` starts worker processes.

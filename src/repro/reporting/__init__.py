@@ -15,7 +15,6 @@ from repro.reporting.tables import (
     format_session_stats,
     format_table,
     format_trace,
-    format_whatif_table,
     series_to_rows,
 )
 
@@ -29,5 +28,4 @@ __all__ = [
     "format_sensitivity_table",
     "format_session_stats",
     "format_trace",
-    "format_whatif_table",
 ]

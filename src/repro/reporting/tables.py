@@ -1,4 +1,10 @@
-"""Plain-text table formatting used by benchmarks and examples."""
+"""Plain-text table formatting used by benchmarks and examples.
+
+A what-if scenario run renders through :func:`format_table` with the
+columns of its step results (``QueryResult.TABLE_HEADERS`` /
+``SystemQueryResult.TABLE_HEADERS``); the daemon clients render path
+latency tables from wire rows through :func:`format_path_latency_table`.
+"""
 
 from __future__ import annotations
 
@@ -80,28 +86,17 @@ def format_sensitivity_table(curves: Mapping[str, Sequence[tuple[float, float]]]
     return format_table(headers, rows, title=title)
 
 
-def format_whatif_table(rows: Iterable[Sequence[object]],
-                        title: str | None = None) -> str:
-    """What-if scenario table: per query the verdicts and the plan counts.
-
-    ``rows`` are ``(query, loss fraction, worst normalised slack, reused,
-    warm, cold)`` as produced by
-    :meth:`repro.service.catalog.ScenarioRunResult.rows`; the plan columns
-    show how much of each query was served from the session cache.
-    """
-    headers = ["query", "loss %", "worst slack", "reused", "warm", "cold"]
-    return format_table(headers, rows, title=title)
-
-
 def format_path_latency_table(latencies: Iterable[object],
                               title: str | None = "End-to-end path latency",
                               ) -> str:
     """Per-path latency table (the system what-if layer's path queries).
 
     ``latencies`` is an iterable of :class:`repro.core.paths.PathLatency`
-    (or anything exposing the same ``as_row``); columns are the worst and
-    best case, the end-to-end jitter bound, and the hop count.  Unbounded
-    paths render as ``unbounded`` rather than ``inf``.
+    (or anything exposing the same ``as_row``, or plain rows in that
+    shape, as the clients build from a ``system_query`` response);
+    columns are the worst and best case, the end-to-end jitter bound, and
+    the hop count.  Unbounded paths render as ``unbounded`` rather than
+    ``inf``.
     """
     headers = ["path", "worst [ms]", "best [ms]", "jitter [ms]", "hops"]
     rows = [entry.as_row() if hasattr(entry, "as_row") else list(entry)

@@ -10,7 +10,7 @@ daemon with persistent state) applied to the session/catalog layer:
   :class:`SessionPool` (one session per bus segment, LRU-bounded);
 * :mod:`repro.server.daemon` -- :class:`AnalysisDaemon`, the
   transport-independent request handler (query / scenario / batch /
-  analyze_system / stats / health / metrics / traces endpoints), which
+  system_query / stats / health / metrics / traces endpoints), which
   serves every request on its caller's thread;
 * :mod:`repro.server.tcp` -- the threading TCP front end;
 * :mod:`repro.server.client` -- :class:`InProcessClient` and

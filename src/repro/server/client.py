@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Mapping, Optional, Sequence
 
+from repro.reporting.tables import format_path_latency_table
 from repro.server.daemon import AnalysisDaemon
 from repro.server.protocol import (
     ProtocolError,
@@ -140,6 +141,17 @@ _NO_RETRY_OPS = frozenset({"shutdown"})
 #: none of them may be blindly re-sent once bytes reached the daemon.
 _CONNECT_RETRY_ONLY_OPS = frozenset(
     {"register", "monitor_start", "monitor_ingest"})
+
+#: The ``system_query`` response fields :meth:`BaseClient.analyze_system`
+#: keeps: the fixed point, without the query's label, stats and tasks.
+_ANALYZE_SYSTEM_FIELDS = ("system", "shards", "fingerprint", "converged",
+                          "iterations", "all_deadlines_met", "messages",
+                          "bus_reports")
+
+
+def _unbounded(value: Optional[float]) -> "float | str":
+    """A wire latency for a table cell: ``null`` reads ``unbounded``."""
+    return "unbounded" if value is None else value
 
 
 class BaseClient:
@@ -292,7 +304,7 @@ class BaseClient:
 
     def run_scenario(self, target: str, scenario: str,
                      deadline_ms: Optional[float] = None) -> dict:
-        """Execute a catalog scenario against a target."""
+        """Execute a per-bus catalog scenario against a target."""
         params: dict = {"target": target, "scenario": scenario}
         if deadline_ms is not None:
             params["deadline_ms"] = deadline_ms
@@ -324,15 +336,15 @@ class BaseClient:
                        deadline_ms: Optional[float] = None) -> dict:
         """Run the compositional fixed point of a registered system.
 
-        ``shards`` optionally re-keys the per-bus report sections (pass
-        the map a ``register`` call returned, or any aliasing you prefer).
+        A ``system_query`` without deltas, cut down to the fixed point:
+        the system name and shard map, fingerprint, convergence,
+        ``messages`` and ``bus_reports``.  ``shards`` optionally re-keys
+        the per-bus report sections (pass the map a ``register`` call
+        returned, or any aliasing you prefer).
         """
-        params: dict = {"system": system}
-        if shards is not None:
-            params["shards"] = dict(shards)
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return self.request("analyze_system", **params)
+        response = self.system_query(system, shards=shards,
+                                     deadline_ms=deadline_ms)
+        return {key: response[key] for key in _ANALYZE_SYSTEM_FIELDS}
 
     # -- system-level what-if ------------------------------------------- #
     def register_config(self, name: str, config: BusConfiguration) -> dict:
@@ -413,20 +425,33 @@ class BaseClient:
         params: dict = {"system": system, "scenario": scenario}
         if deadline_ms is not None:
             params["deadline_ms"] = deadline_ms
-        return self.request("system_scenario", **params)
+        return self.request("scenario", **params)
 
     def path_latency(self, system: str, paths: Sequence,
                      deltas: Sequence[SystemDelta] = (),
                      label: Optional[str] = None,
                      deadline_ms: Optional[float] = None) -> dict:
-        """End-to-end path latencies under an optional delta sequence."""
-        params: dict = {"system": system, "paths": paths_to_json(paths),
-                        "deltas": system_deltas_to_json(deltas)}
-        if label is not None:
-            params["label"] = label
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return self.request("path_latency", **params)
+        """End-to-end path latencies under an optional delta sequence.
+
+        A ``system_query`` with ``paths``, cut down to the system name,
+        fingerprint and path entries, plus a text table rendered here
+        from those entries (``unbounded`` where the wire says ``null``).
+        """
+        if not paths:
+            raise ValueError("path_latency needs paths")
+        response = self.system_query(system, deltas, paths=paths,
+                                     label=label, deadline_ms=deadline_ms)
+        rows = [[entry["path"], _unbounded(entry["worst_case"]),
+                 entry["best_case"], _unbounded(entry["jitter"]),
+                 len(entry["per_segment"])]
+                for entry in response["paths"]]
+        return {
+            "system": response["system"],
+            "fingerprint": response["fingerprint"],
+            "paths": response["paths"],
+            "table": format_path_latency_table(
+                rows, title=f"{system}: end-to-end path latency"),
+        }
 
     # -- conformance monitoring ----------------------------------------- #
     def monitor_start(self, target: str,

@@ -14,8 +14,11 @@ TCP, the connection's handler thread:
     primitive.  Results are bit-identical to a from-scratch ``analyze_all``
     of the mutated configuration (the session guarantees it).
 ``scenario``
-    A named :class:`~repro.service.catalog.WhatIfScenario` from the catalog
-    executed against a target's session.
+    A named :class:`~repro.service.catalog.WhatIfScenario` run against
+    exactly one of a ``target`` (a bus target or shard; the daemon's
+    per-bus catalog) or a ``system`` (that system's topology catalog:
+    message re-mapping sweep, bus-speed degradation, gateway failover).
+    The session kind decides how each step is encoded.
 ``batch``
     Many labelled delta queries, run one after another and returned in
     request order.
@@ -26,28 +29,18 @@ TCP, the connection's handler thread:
     with the shard-name map (bus -> ``<name>/<bus>``), so clients address
     per-segment sessions without re-deriving shard names after a
     (re-)registration.
-``analyze_system``
-    A compositional fixed point of a registered
-    :class:`~repro.core.system.SystemModel`, served through the system's
-    :class:`~repro.whatif.session.SystemSession` over the pool's
-    per-segment sessions -- repeated requests (and per-segment what-if
-    queries in between) hit the same warm caches, which is what makes
-    system re-analysis incremental across clients.  The response includes
-    the shard map.
 ``system_query``
     Typed :class:`~repro.whatif.system_deltas.SystemDelta` edits against a
-    registered system -- the topology what-if primitive.  Bit-identical to
-    a from-scratch engine run on the equivalently edited model; optionally
+    registered :class:`~repro.core.system.SystemModel` -- the one system
+    op.  Served through the system's
+    :class:`~repro.whatif.session.SystemSession` over the pool's
+    per-segment sessions, so repeated requests (and per-segment what-if
+    queries in between) hit the same warm caches.  Bit-identical to a
+    from-scratch engine run on the equivalently edited model; optionally
     evaluates end-to-end paths in the same request and re-keys per-bus
-    sections by a client-supplied shard map.
-``system_scenario``
-    A named :class:`~repro.whatif.catalog.SystemScenario` (message
-    re-mapping sweep, bus-speed degradation, gateway failover) from the
-    per-system topology catalog.
-``path_latency``
-    End-to-end latencies of a path portfolio under an optional delta
-    sequence, rendered with
-    :func:`repro.reporting.tables.format_path_latency_table`.
+    sections by a client-supplied shard map.  The clients'
+    ``analyze_system`` (no deltas) and ``path_latency`` (with paths) are
+    forms of it.
 ``metrics`` / ``traces``
     Observability: a structured snapshot of the daemon's
     :class:`~repro.obs.MetricsRegistry` (optionally rendered in the
@@ -116,21 +109,14 @@ from repro.obs.tracing import (
     Trace,
     TraceRing,
 )
-from repro.reporting.tables import (
-    format_metrics_table,
-    format_path_latency_table,
-    format_session_stats,
-)
+from repro.reporting.tables import format_metrics_table, format_session_stats
 from repro.server import faults as faults_mod
 from repro.server import protocol
 from repro.server.pool import SessionPool, UnknownTargetError
 from repro.service.catalog import ScenarioCatalog, builtin_catalog
 from repro.service.deltas import BusConfiguration
 from repro.sim.trace import UnknownMessageError
-from repro.whatif.catalog import (
-    SystemScenarioCatalog,
-    builtin_system_catalog,
-)
+from repro.whatif.catalog import builtin_system_catalog
 from repro.whatif.session import SystemSession
 from repro.workloads.registry import builtin_registry
 
@@ -216,7 +202,7 @@ class AnalysisDaemon:
         self._monitors: dict[str, ConformanceMonitor] = {}
         self._monitor_lock = threading.Lock()
         self._system_sessions: dict[str, SystemSession] = {}
-        self._system_catalogs: dict[str, SystemScenarioCatalog] = {}
+        self._system_catalogs: dict[str, ScenarioCatalog] = {}
         self._engine_lock = threading.Lock()
         self._started = time.monotonic()
         self._shutdown = threading.Event()
@@ -252,10 +238,7 @@ class AnalysisDaemon:
             "scenario": self._op_scenario,
             "batch": self._op_batch,
             "register": self._op_register,
-            "analyze_system": self._op_analyze_system,
             "system_query": self._op_system_query,
-            "system_scenario": self._op_system_scenario,
-            "path_latency": self._op_path_latency,
             "metrics": self._op_metrics,
             "traces": self._op_traces,
             "store": self._op_store,
@@ -307,7 +290,7 @@ class AnalysisDaemon:
                 self._system_sessions[name] = session
             return session
 
-    def _system_catalog(self, name: str) -> SystemScenarioCatalog:
+    def _system_catalog(self, name: str) -> ScenarioCatalog:
         """The (lazily derived) topology scenario catalog of one system."""
         system, _ = self.pool.system(name)
         with self._engine_lock:
@@ -644,15 +627,16 @@ class AnalysisDaemon:
                 "systems": self.pool.systems()}
 
     def _op_scenarios(self, request: Mapping, cancel=None) -> dict:
+        def entries(catalog: ScenarioCatalog) -> list[dict]:
+            return [{"name": scenario.name,
+                     "queries": len(scenario.queries),
+                     "description": scenario.description}
+                    for scenario in map(catalog.get, catalog.names())]
+
         return {
-            "scenarios": [
-                {"name": scenario.name,
-                 "queries": len(scenario.queries),
-                 "description": scenario.description}
-                for scenario in sorted(self.catalog,
-                                       key=lambda s: s.name)],
+            "scenarios": entries(self.catalog),
             "system_scenarios": {
-                system: self._system_catalog(system).names()
+                system: entries(self._system_catalog(system))
                 for system in self.pool.systems()},
         }
 
@@ -673,14 +657,27 @@ class AnalysisDaemon:
         return protocol.query_result_to_json(result)
 
     def _op_scenario(self, request: Mapping, cancel=None) -> dict:
-        session = self.pool.get(str(request["target"]))
-        run = self.catalog.run(str(request["scenario"]), session,
-                               cancel=cancel)
+        """A named scenario against a bus ``target`` or a ``system``."""
+        target, system = request.get("target"), request.get("system")
+        if (target is None) == (system is None):
+            raise protocol.ProtocolError(
+                "scenario needs exactly one of 'target' or 'system'")
+        if target is not None:
+            key, name = "target", str(target)
+            session = self.pool.get(name)
+            catalog, encode = self.catalog, protocol.query_result_to_json
+        else:
+            key, name = "system", str(system)
+            session = self._system_session(name)
+            catalog = self._system_catalog(name)
+            encode = protocol.system_query_result_to_json
+        run = catalog.run(str(request["scenario"]), session, cancel=cancel,
+                          trace=self._current_trace())
         return {
+            key: name,
             "scenario": run.scenario,
             "session": run.session,
-            "queries": [protocol.query_result_to_json(q)
-                        for q in run.queries],
+            "queries": [encode(query) for query in run.queries],
             "table": run.to_table(),
         }
 
@@ -707,6 +704,7 @@ class AnalysisDaemon:
         decoded = [(protocol.deltas_from_json(step.get("deltas", ())),
                     step.get("label"), bool(step.get("with_report", True)))
                    for step in steps]
+        trace = self._current_trace()
         results = []
         for deltas, label, with_report in decoded:
             rule = self.faults.check("worker.stall")
@@ -717,7 +715,7 @@ class AnalysisDaemon:
                     cancel.check()
                 result = session.query(deltas, label=label,
                                        with_report=with_report,
-                                       cancel=cancel)
+                                       cancel=cancel, trace=trace)
                 results.append(protocol.query_result_to_json(result))
             except DeadlineExceeded:
                 results.append(self._step_error(
@@ -796,29 +794,6 @@ class AnalysisDaemon:
                            for bus, alias in override.items()})
         return shards
 
-    def _op_analyze_system(self, request: Mapping, cancel=None) -> dict:
-        name = str(request["system"])
-        # Validate the client's shard map first: a typo'd bus name should
-        # cost an error response, not a discarded fixed-point computation.
-        shards = self._shard_names(name, request.get("shards"))
-        outcome = self._system_session(name).query(
-            (), cancel=cancel, trace=self._current_trace())
-        result = outcome.result
-        return {
-            "system": name,
-            "shards": shards,
-            "fingerprint": outcome.fingerprint,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "all_deadlines_met": result.all_deadlines_met,
-            "messages": {msg_name: protocol.result_to_json(value)
-                         for msg_name, value in
-                         result.message_results.items()},
-            "bus_reports": {shards.get(bus, bus):
-                            protocol.report_to_json(report)
-                            for bus, report in result.bus_reports.items()},
-        }
-
     def _op_system_query(self, request: Mapping, cancel=None) -> dict:
         """Typed topology deltas against a registered system."""
         name = str(request["system"])
@@ -840,42 +815,6 @@ class AnalysisDaemon:
                 for latency in path_latency_all(
                     paths, outcome.system, outcome.result)]
         return response
-
-    def _op_system_scenario(self, request: Mapping, cancel=None) -> dict:
-        """A named topology scenario from the per-system catalog."""
-        name = str(request["system"])
-        session = self._system_session(name)
-        catalog = self._system_catalog(name)
-        run = catalog.run(str(request["scenario"]), session, cancel=cancel)
-        return {
-            "system": name,
-            "scenario": run.scenario,
-            "session": run.session,
-            "queries": [protocol.system_query_result_to_json(q)
-                        for q in run.queries],
-            "table": run.to_table(),
-        }
-
-    def _op_path_latency(self, request: Mapping, cancel=None) -> dict:
-        """End-to-end path latencies under an optional delta sequence."""
-        name = str(request["system"])
-        session = self._system_session(name)
-        paths = protocol.paths_from_json(request.get("paths", ()))
-        if not paths:
-            raise protocol.ProtocolError("path_latency needs paths")
-        deltas = protocol.system_deltas_from_json(request.get("deltas", ()))
-        outcome = session.query(deltas, label=request.get("label"),
-                                cancel=cancel, trace=self._current_trace())
-        latencies = path_latency_all(paths, outcome.system, outcome.result)
-        return {
-            "system": name,
-            "fingerprint": outcome.fingerprint,
-            "paths": [protocol.path_latency_to_json(latency)
-                      for latency in latencies],
-            "table": format_path_latency_table(
-                latencies,
-                title=f"{name}: end-to-end path latency"),
-        }
 
     def _op_metrics(self, request: Mapping, cancel=None) -> dict:
         """Structured snapshot of the daemon's metrics registry.

@@ -156,7 +156,19 @@ from repro.whatif.system_deltas import (
 #: ``health`` and ``stats`` later dropped their job-queue fields (the
 #: ``queue`` blocks and the ``queue_depth``/``straggler_count`` signals)
 #: when batch steps moved onto the request thread; no request changed.
-PROTOCOL_VERSION = 6
+#: Version 7 folded the system ops into one: ``analyze_system`` (a
+#: ``system_query`` without deltas, whose response was a subset of
+#: ``system_query``'s) and ``path_latency`` (a ``system_query`` with
+#: ``paths``) are gone from the wire and live on as client-side forms of
+#: ``system_query``, which renders the path table from the JSON rows.
+#: ``system_scenario`` is gone too: ``scenario`` takes exactly one of
+#: ``target`` (a bus target or shard) or ``system`` and answers one typed
+#: error when given both or neither, and ``scenarios`` lists per-bus and
+#: per-system scenarios with one entry shape (``name``, ``queries``,
+#: ``description``).  ``system_query``, ``query``, ``register``,
+#: ``metrics``, ``shutdown`` and the monitor ops kept their request and
+#: response shapes.
+PROTOCOL_VERSION = 7
 
 #: The machine-readable error codes of the taxonomy documented above.
 ERROR_CODES = ("timeout", "overloaded", "draining", "unknown_target",

@@ -10,20 +10,11 @@ K-Matrix:
   frozen kernels plus converged fixed points per configuration fingerprint
   and re-analyses only what a delta actually changed;
 * :mod:`repro.service.catalog` -- named, reproducible scenario definitions
-  and the :class:`ScenarioCatalog` registry;
-* :mod:`repro.service.batch` -- deterministic (optionally multi-process)
-  execution of scenario batches;
+  (per-bus and topology alike) and the :class:`ScenarioCatalog` registry;
 * :mod:`repro.service.evaluation` -- session-backed candidate evaluation
   for the genetic priority optimizer.
 """
 
-from repro.service.batch import (
-    BatchJob,
-    BatchRunner,
-    run_batch_job,
-    scaling_jobs,
-    system_jobs,
-)
 from repro.service.catalog import (
     ScenarioCatalog,
     ScenarioQuery,
@@ -60,8 +51,6 @@ from repro.service.session import (
 __all__ = [
     "AddMessageDelta",
     "AnalysisSession",
-    "BatchJob",
-    "BatchRunner",
     "BusConfiguration",
     "BusDelta",
     "DeadlinePolicyDelta",
@@ -86,7 +75,4 @@ __all__ = [
     "message_jitter_sweep_scenario",
     "paper_operating_points_scenario",
     "priority_swap_scenario",
-    "run_batch_job",
-    "scaling_jobs",
-    "system_jobs",
 ]

@@ -2,17 +2,22 @@
 
 A :class:`WhatIfScenario` is a reproducible, picklable description of one
 exploration: an ordered sequence of :class:`ScenarioQuery` steps, each a
-delta list applied to a session's base configuration.  Steps marked
-``chain=True`` declare the previous step as their preferred incremental
-basis, which is how the paper's ascending jitter sweep and the
+labelled delta tuple applied to a session's base configuration.  One model
+serves both session kinds: the steps of a per-bus scenario hold
+:class:`~repro.service.deltas.Delta` edits and run on an
+:class:`~repro.service.session.AnalysisSession`, the steps of a topology
+scenario (:mod:`repro.whatif.catalog`) hold
+:class:`~repro.whatif.system_deltas.SystemDelta` edits and run on a
+:class:`~repro.whatif.session.SystemSession`.  Running a scenario is the
+same loop either way; the session plans every step against the previous
+query, which is how the paper's ascending jitter sweep and the
 benign-to-harsh error sweep re-use fixed points.
 
 The :class:`ScenarioCatalog` maps scenario names to definitions -- the
-pattern of oq-engine's registered, parameterised calculation runs: a batch
-runner or a CLI can execute "paper-jitter-sweep" against any session and get
-the same tracked inputs and report shape every time.  :func:`builtin_catalog`
-registers the paper's families plus the multi-bus and scaling families that
-the ROADMAP's scale-out work uses.
+pattern of oq-engine's registered, parameterised calculation runs: a
+client or a CLI can execute "paper-jitter-sweep" against any session and
+get the same tracked inputs and report shape every time.
+:func:`builtin_catalog` registers the paper's families.
 """
 
 from __future__ import annotations
@@ -28,12 +33,10 @@ from repro.errors.models import (
 from repro.service.deltas import (
     BusDelta,
     DeadlinePolicyDelta,
-    Delta,
     ErrorModelDelta,
     JitterDelta,
     PriorityDelta,
 )
-from repro.service.session import AnalysisSession, QueryResult
 
 #: The paper's Figure-4/5 jitter axis (0..60 % in 5 % steps).
 PAPER_JITTER_FRACTIONS: tuple[float, ...] = tuple(
@@ -46,44 +49,39 @@ PAPER_ERROR_INTERARRIVALS_MS: tuple[float, ...] = (
 
 @dataclass(frozen=True)
 class ScenarioQuery:
-    """One step of a scenario: a labelled delta list.
-
-    ``chain`` marks the previous step's configuration as the preferred
-    warm-start basis (exactness never depends on it -- see the session).
-    """
+    """One step of a scenario: a labelled delta tuple."""
 
     label: str
-    deltas: tuple[Delta, ...] = ()
-    chain: bool = True
+    deltas: tuple = ()
 
 
 @dataclass(frozen=True)
 class ScenarioRunResult:
-    """Deterministically ordered results of one scenario run."""
+    """Deterministically ordered results of one scenario run.
+
+    ``queries`` holds the session's own result per step
+    (:class:`~repro.service.session.QueryResult` or
+    :class:`~repro.whatif.session.SystemQueryResult`); each renders its
+    own table row.
+    """
 
     scenario: str
     session: str
-    queries: tuple[QueryResult, ...]
+    queries: tuple
 
     def rows(self) -> list[list[object]]:
-        """(query, loss fraction, worst slack, reused, warm, cold) rows."""
-        rows: list[list[object]] = []
-        for query in self.queries:
-            report = query.report
-            loss = report.loss_fraction if report is not None else float("nan")
-            slack = (report.worst_normalized_slack
-                     if report is not None else float("nan"))
-            rows.append([query.label or query.fingerprint, loss, slack,
-                        query.stats.reused, query.stats.warm_started,
-                        query.stats.cold])
-        return rows
+        """One table row per step (see the result type's ``table_row``)."""
+        return [query.table_row() for query in self.queries]
 
     def to_table(self, title: Optional[str] = None) -> str:
-        """Render via :func:`repro.reporting.tables.format_whatif_table`."""
-        from repro.reporting.tables import format_whatif_table
-        return format_whatif_table(
-            self.rows(), title=title or f"What-if scenario {self.scenario!r} "
-                                        f"on {self.session}")
+        """Render via :func:`repro.reporting.tables.format_table`."""
+        from repro.reporting.tables import format_table
+        headers = self.queries[0].TABLE_HEADERS if self.queries \
+            else ("query",)
+        return format_table(
+            headers, self.rows(),
+            title=title or f"What-if scenario {self.scenario!r} "
+                           f"on {self.session}")
 
     def describe(self) -> str:
         """Multi-line summary, one line per query."""
@@ -100,25 +98,21 @@ class WhatIfScenario:
     queries: tuple[ScenarioQuery, ...]
     description: str = ""
 
-    def run(self, session: AnalysisSession,
-            cancel=None) -> ScenarioRunResult:
+    def run(self, session, cancel=None, trace=None) -> ScenarioRunResult:
         """Execute every query against ``session`` in definition order.
 
-        ``cancel`` (a :class:`repro.cancel.CancelToken`) bounds the whole
-        run: it is threaded into every step's fixed-point loops.
+        ``session`` is an :class:`~repro.service.session.AnalysisSession`
+        or a :class:`~repro.whatif.session.SystemSession`, matching the
+        steps' delta kind.  ``cancel`` (a :class:`repro.cancel.CancelToken`)
+        bounds the whole run and ``trace`` (a :class:`repro.obs.Trace`)
+        collects every step's spans.
         """
-        previous: QueryResult | None = None
-        out: list[QueryResult] = []
-        for query in self.queries:
-            result = session.query(
-                query.deltas,
-                warm_from=previous if query.chain else None,
-                label=query.label,
-                cancel=cancel)
-            out.append(result)
-            previous = result
-        return ScenarioRunResult(scenario=self.name, session=session.name,
-                                 queries=tuple(out))
+        return ScenarioRunResult(
+            scenario=self.name, session=session.name,
+            queries=tuple(
+                session.query(step.deltas, label=step.label, cancel=cancel,
+                              trace=trace)
+                for step in self.queries))
 
     def describe(self) -> str:
         return (f"{self.name}: {len(self.queries)} queries"
@@ -161,10 +155,10 @@ class ScenarioCatalog:
     def __len__(self) -> int:
         return len(self._scenarios)
 
-    def run(self, name: str, session: AnalysisSession,
-            cancel=None) -> ScenarioRunResult:
+    def run(self, name: str, session, cancel=None,
+            trace=None) -> ScenarioRunResult:
         """Execute a registered scenario against a session."""
-        return self.get(name).run(session, cancel=cancel)
+        return self.get(name).run(session, cancel=cancel, trace=trace)
 
     def describe(self) -> str:
         """Multi-line inventory of the catalog."""
@@ -181,7 +175,7 @@ def jitter_sweep_scenario(
     fractions: Sequence[float] = PAPER_JITTER_FRACTIONS,
     name: str = "paper-jitter-sweep",
 ) -> WhatIfScenario:
-    """The paper's global jitter sweep as a chained what-if scenario."""
+    """The paper's global jitter sweep, ascending (each step warm-starts)."""
     ordered = sorted(fractions)
     queries = tuple(
         ScenarioQuery(label=f"jitter {fraction:.0%}",
@@ -214,7 +208,7 @@ def error_sweep_scenario(
     kind: str = "sporadic",
     name: str | None = None,
 ) -> WhatIfScenario:
-    """Benign-to-harsh error-rate sweep (chained warm starts stay valid)."""
+    """Benign-to-harsh error-rate sweep (each step warm-starts)."""
     if kind not in ("sporadic", "burst"):
         raise ValueError(f"unknown error model kind {kind!r}")
     ordered = sorted(interarrivals_ms, reverse=True)
@@ -243,7 +237,7 @@ def paper_operating_points_scenario(
     Mirrors :func:`repro.optimize.objectives.paper_scenarios`: per jitter
     fraction a benign interpretation (no stuffing, no errors, period
     deadlines) and a worst-case one (stuffing, burst errors, min-rearrival
-    deadlines).  Bus parameters differ between steps, so no chaining.
+    deadlines).
     """
     from repro.experiments import WORST_CASE_ERRORS
     burst = WORST_CASE_ERRORS
@@ -254,15 +248,13 @@ def paper_operating_points_scenario(
             deltas=(BusDelta(bit_stuffing=False),
                     ErrorModelDelta(NoErrors()),
                     JitterDelta(fraction=fraction),
-                    DeadlinePolicyDelta("period")),
-            chain=False))
+                    DeadlinePolicyDelta("period"))))
         queries.append(ScenarioQuery(
             label=f"worst-case@{fraction:.0%}",
             deltas=(BusDelta(bit_stuffing=True),
                     ErrorModelDelta(burst),
                     JitterDelta(fraction=fraction),
-                    DeadlinePolicyDelta("min-rearrival")),
-            chain=False))
+                    DeadlinePolicyDelta("min-rearrival"))))
     return WhatIfScenario(
         name=name, queries=tuple(queries),
         description="the four operating points of the Figure-5 GA run")
@@ -275,7 +267,7 @@ def priority_swap_scenario(
     """One query per identifier swap -- "what if we traded these two ids"."""
     queries = tuple(
         ScenarioQuery(label=f"swap {a}<->{b}",
-                      deltas=(PriorityDelta(swap=(a, b)),), chain=False)
+                      deltas=(PriorityDelta(swap=(a, b)),))
         for a, b in pairs)
     return WhatIfScenario(
         name=name, queries=queries,

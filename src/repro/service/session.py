@@ -330,10 +330,23 @@ class QueryResult:
     stats: QueryStats
     key: object = field(repr=False, compare=False, default=None)
 
+    #: Column headers of :meth:`table_row` (a scenario run's table).
+    TABLE_HEADERS = ("query", "loss %", "worst slack", "reused", "warm",
+                     "cold")
+
     @property
     def fingerprint(self) -> str:
         """Digest of the analysed configuration (rendered lazily)."""
         return self.key.digest if isinstance(self.key, FingerprintKey) else ""
+
+    def table_row(self) -> list[object]:
+        """(query, loss fraction, worst slack, reused, warm, cold)."""
+        report = self.report
+        return [self.label or self.fingerprint,
+                report.loss_fraction if report is not None else float("nan"),
+                report.worst_normalized_slack if report is not None
+                else float("nan"),
+                self.stats.reused, self.stats.warm_started, self.stats.cold]
 
     def worst_case(self, name: str) -> float:
         """Worst-case response time of one message (ms)."""

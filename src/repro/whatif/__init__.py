@@ -16,20 +16,16 @@ architecture changes.  This package is that layer:
   first-class end-to-end :meth:`~SystemSession.path_latency` queries, all
   bit-identical to a from-scratch engine run;
 * :mod:`repro.whatif.catalog` -- named topology scenario families
-  (message re-mapping sweeps, bus-speed degradation, gateway failover)
-  and :class:`SystemScenarioCatalog`.
+  (message re-mapping sweeps, bus-speed degradation, gateway failover),
+  registered in the one :class:`~repro.service.catalog.ScenarioCatalog`
+  type by :func:`builtin_system_catalog`.
 
-The analysis daemon serves this layer through the ``system_query``,
-``system_scenario`` and ``path_latency`` endpoints (see
-:mod:`repro.server.daemon`).
+The analysis daemon serves this layer through the ``system_query`` and
+``scenario`` ops (see :mod:`repro.server.daemon`).
 """
 
 from repro.whatif.catalog import (
     STANDARD_BIT_RATES_BPS,
-    SystemScenario,
-    SystemScenarioCatalog,
-    SystemScenarioQuery,
-    SystemScenarioRunResult,
     builtin_system_catalog,
     bus_speed_degradation_scenario,
     gateway_failover_scenario,
@@ -67,10 +63,6 @@ __all__ = [
     "SystemDelta",
     "SystemQueryResult",
     "SystemQueryStats",
-    "SystemScenario",
-    "SystemScenarioCatalog",
-    "SystemScenarioQuery",
-    "SystemScenarioRunResult",
     "SystemSession",
     "SystemSessionStats",
     "apply_system_deltas",

@@ -1,9 +1,9 @@
-"""Named system-level what-if scenarios and their catalog.
+"""The topology families of the what-if scenario catalog.
 
-The per-bus :class:`~repro.service.catalog.ScenarioCatalog` registers the
-paper's *parameter* families (jitter, errors, priorities); the catalog here
-registers its *topology* families -- the architecture moves Figure 3's
-integration view is actually about:
+:func:`repro.service.catalog.builtin_catalog` registers the paper's
+*parameter* families (jitter, errors, priorities); the families here are
+its *topology* families -- the architecture moves Figure 3's integration
+view is actually about:
 
 * **message re-mapping sweeps** -- one message tried on every other bus;
 * **bus-speed degradation** -- one segment stepped down through the
@@ -11,11 +11,12 @@ integration view is actually about:
 * **gateway failover** -- a gateway's routes migrated, one by one, onto a
   backup gateway.
 
-Scenarios are frozen values over typed
-:class:`~repro.whatif.system_deltas.SystemDelta` sequences, so a registered
+They are the same :class:`~repro.service.catalog.WhatIfScenario` values as
+the per-bus families, with typed
+:class:`~repro.whatif.system_deltas.SystemDelta` steps, so a registered
 scenario replays exactly -- through a local
-:class:`~repro.whatif.session.SystemSession` or the daemon's
-``system_scenario`` endpoint.  Unlike the per-bus families, topology
+:class:`~repro.whatif.session.SystemSession` or the daemon's ``scenario``
+op with a ``system``.  Unlike the per-bus families, topology
 scenarios depend on the topology: :func:`builtin_system_catalog` derives
 the standard families *from* a concrete system (which message, which bus,
 which gateway) deterministically.
@@ -23,12 +24,14 @@ which gateway) deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
-from repro.core.paths import EndToEndPath, PathLatency
 from repro.core.system import SystemModel
-from repro.whatif.session import SystemQueryResult, SystemSession
+from repro.service.catalog import (
+    ScenarioCatalog,
+    ScenarioQuery,
+    WhatIfScenario,
+)
 from repro.whatif.system_deltas import (
     AddGatewayRouteDelta,
     BusSpeedDelta,
@@ -43,152 +46,6 @@ STANDARD_BIT_RATES_BPS: tuple[float, ...] = (
     1_000_000.0, 500_000.0, 250_000.0, 125_000.0)
 
 
-@dataclass(frozen=True)
-class SystemScenarioQuery:
-    """One step of a system scenario: a labelled system-delta list."""
-
-    label: str
-    deltas: tuple[SystemDelta, ...] = ()
-
-
-@dataclass(frozen=True)
-class SystemScenarioRunResult:
-    """Deterministically ordered results of one system-scenario run."""
-
-    scenario: str
-    session: str
-    queries: tuple[SystemQueryResult, ...]
-    path_latencies: tuple[tuple[PathLatency, ...], ...] = ()
-
-    def rows(self) -> list[list[object]]:
-        """(query, converged, misses, worst path, invalidated) rows."""
-        rows: list[list[object]] = []
-        for index, query in enumerate(self.queries):
-            result = query.result
-            missed = sum(len(report.missed)
-                         for report in result.bus_reports.values())
-            worst_path = ""
-            if self.path_latencies:
-                latencies = self.path_latencies[index]
-                if latencies:
-                    worst_path = max(
-                        latency.worst_case for latency in latencies)
-            rows.append([
-                query.label or query.fingerprint,
-                "yes" if result.converged else "NO",
-                missed,
-                worst_path,
-                len(query.stats.invalidated),
-            ])
-        return rows
-
-    def to_table(self, title: Optional[str] = None) -> str:
-        """Render via :func:`repro.reporting.tables.format_table`."""
-        from repro.reporting.tables import format_table
-        headers = ["query", "converged", "missed", "worst path [ms]",
-                   "invalidated"]
-        return format_table(
-            headers, self.rows(),
-            title=title or f"System scenario {self.scenario!r} "
-                           f"on {self.session}")
-
-    def describe(self) -> str:
-        """Multi-line summary, one line per query."""
-        lines = [f"System scenario {self.scenario!r} on {self.session}:"]
-        lines.extend("  " + query.describe() for query in self.queries)
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class SystemScenario:
-    """A named, reproducible sequence of topology what-if queries.
-
-    ``paths`` optionally names end-to-end chains whose latencies are
-    tracked per step (the run result carries one latency tuple per query).
-    """
-
-    name: str
-    queries: tuple[SystemScenarioQuery, ...]
-    description: str = ""
-    paths: tuple[EndToEndPath, ...] = ()
-
-    def run(self, session: SystemSession,
-            cancel=None) -> SystemScenarioRunResult:
-        """Execute every query against ``session`` in definition order.
-
-        ``cancel`` (a :class:`repro.cancel.CancelToken`) bounds the whole
-        run: it is threaded into every step's engine run.
-        """
-        outcomes: list[SystemQueryResult] = []
-        latencies: list[tuple[PathLatency, ...]] = []
-        for query in self.queries:
-            outcome = session.query(query.deltas, label=query.label,
-                                    cancel=cancel)
-            outcomes.append(outcome)
-            if self.paths:
-                latencies.append(session.path_latency(
-                    self.paths, query.deltas, label=query.label,
-                    cancel=cancel))
-        return SystemScenarioRunResult(
-            scenario=self.name, session=session.name,
-            queries=tuple(outcomes),
-            path_latencies=tuple(latencies))
-
-    def describe(self) -> str:
-        return (f"{self.name}: {len(self.queries)} queries"
-                + (f", {len(self.paths)} tracked paths" if self.paths else "")
-                + (f" -- {self.description}" if self.description else ""))
-
-
-class SystemScenarioCatalog:
-    """Registry of named system-level what-if scenarios."""
-
-    def __init__(self) -> None:
-        self._scenarios: dict[str, SystemScenario] = {}
-
-    def register(self, scenario: SystemScenario,
-                 overwrite: bool = False) -> SystemScenario:
-        """Register a scenario under its name; returns it for chaining."""
-        if not overwrite and scenario.name in self._scenarios:
-            raise ValueError(f"scenario {scenario.name!r} already registered")
-        self._scenarios[scenario.name] = scenario
-        return scenario
-
-    def get(self, name: str) -> SystemScenario:
-        """Look up a scenario by name."""
-        try:
-            return self._scenarios[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown system scenario {name!r}; registered: "
-                f"{', '.join(sorted(self._scenarios)) or 'none'}") from None
-
-    def names(self) -> list[str]:
-        """All registered scenario names, sorted."""
-        return sorted(self._scenarios)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._scenarios
-
-    def __iter__(self) -> Iterator[SystemScenario]:
-        return iter(self._scenarios.values())
-
-    def __len__(self) -> int:
-        return len(self._scenarios)
-
-    def run(self, name: str, session: SystemSession,
-            cancel=None) -> SystemScenarioRunResult:
-        """Execute a registered scenario against a session."""
-        return self.get(name).run(session, cancel=cancel)
-
-    def describe(self) -> str:
-        """Multi-line inventory of the catalog."""
-        lines = [f"System scenario catalog ({len(self)} scenarios):"]
-        lines.extend("  " + self._scenarios[name].describe()
-                     for name in self.names())
-        return "\n".join(lines)
-
-
 # --------------------------------------------------------------------------- #
 # Scenario families
 # --------------------------------------------------------------------------- #
@@ -197,8 +54,7 @@ def message_remap_sweep_scenario(
     message_name: str,
     target_buses: Sequence[str] | None = None,
     name: str | None = None,
-    paths: Sequence[EndToEndPath] = (),
-) -> SystemScenario:
+) -> WhatIfScenario:
     """Try one message on every (other) bus -- "where should this frame go".
 
     Each step is independent (applied to the base topology); the first step
@@ -209,7 +65,7 @@ def message_remap_sweep_scenario(
     message = system.buses[home].kmatrix.get(message_name)
     if target_buses is None:
         target_buses = [bus for bus in sorted(system.buses) if bus != home]
-    queries = [SystemScenarioQuery(label=f"{message_name}@{home} (base)")]
+    queries = [ScenarioQuery(label=f"{message_name}@{home} (base)")]
     from repro.can.frame import CanFrameFormat
     max_id = 0x7FF if message.frame_format == CanFrameFormat.STANDARD \
         else 0x1FFFFFFF
@@ -229,15 +85,14 @@ def message_remap_sweep_scenario(
                  if can_id not in used), None)
             if new_can_id is None:
                 continue
-        queries.append(SystemScenarioQuery(
+        queries.append(ScenarioQuery(
             label=f"{message_name}@{bus}",
             deltas=(MoveMessageDelta(message_name=message_name,
                                      to_bus=bus, new_can_id=new_can_id),)))
-    return SystemScenario(
+    return WhatIfScenario(
         name=name or f"remap-{message_name}",
         queries=tuple(queries),
-        description=f"{message_name} re-mapped across bus segments",
-        paths=tuple(paths))
+        description=f"{message_name} re-mapped across bus segments")
 
 
 def bus_speed_degradation_scenario(
@@ -245,8 +100,7 @@ def bus_speed_degradation_scenario(
     bus_name: str,
     bit_rates_bps: Sequence[float] | None = None,
     name: str | None = None,
-    paths: Sequence[EndToEndPath] = (),
-) -> SystemScenario:
+) -> WhatIfScenario:
     """Step one segment down the standard CAN bit-rate ladder."""
     if bus_name not in system.buses:
         raise KeyError(bus_name)
@@ -254,17 +108,16 @@ def bus_speed_degradation_scenario(
     if bit_rates_bps is None:
         bit_rates_bps = [rate for rate in STANDARD_BIT_RATES_BPS
                          if rate < base_rate]
-    queries = [SystemScenarioQuery(
+    queries = [ScenarioQuery(
         label=f"{bus_name}@{base_rate / 1000:g}kbit/s (base)")]
     for rate in bit_rates_bps:
-        queries.append(SystemScenarioQuery(
+        queries.append(ScenarioQuery(
             label=f"{bus_name}@{rate / 1000:g}kbit/s",
             deltas=(BusSpeedDelta(bus_name=bus_name, bit_rate_bps=rate),)))
-    return SystemScenario(
+    return WhatIfScenario(
         name=name or f"degrade-{bus_name}",
         queries=tuple(queries),
-        description=f"{bus_name} bit rate degraded step by step",
-        paths=tuple(paths))
+        description=f"{bus_name} bit rate degraded step by step")
 
 
 def gateway_failover_scenario(
@@ -273,8 +126,7 @@ def gateway_failover_scenario(
     backup_name: str | None = None,
     backup_polling_period: float | None = None,
     name: str | None = None,
-    paths: Sequence[EndToEndPath] = (),
-) -> SystemScenario:
+) -> WhatIfScenario:
     """Migrate a gateway's routes onto a backup, one route at a time.
 
     Step 0 is the healthy baseline, step 1 degrades the primary (doubled
@@ -293,8 +145,8 @@ def gateway_failover_scenario(
                      if backup_polling_period is not None
                      else 2.0 * gateway.polling_period)
     queries = [
-        SystemScenarioQuery(label=f"{gateway_name} healthy"),
-        SystemScenarioQuery(
+        ScenarioQuery(label=f"{gateway_name} healthy"),
+        ScenarioQuery(
             label=f"{gateway_name} degraded",
             deltas=(GatewayConfigDelta(
                 gateway_name=gateway_name,
@@ -308,17 +160,16 @@ def gateway_failover_scenario(
         moved.append(AddGatewayRouteDelta(
             gateway_name=backup, route=route,
             polling_period=backup_period))
-        queries.append(SystemScenarioQuery(
+        queries.append(ScenarioQuery(
             label=f"failover {route.destination_message} -> {backup}",
             deltas=tuple(moved)))
-    return SystemScenario(
+    return WhatIfScenario(
         name=name or f"failover-{gateway_name}",
         queries=tuple(queries),
-        description=(f"routes of {gateway_name} migrated to {backup}"),
-        paths=tuple(paths))
+        description=(f"routes of {gateway_name} migrated to {backup}"))
 
 
-def builtin_system_catalog(system: SystemModel) -> SystemScenarioCatalog:
+def builtin_system_catalog(system: SystemModel) -> ScenarioCatalog:
     """The standard topology families derived from one concrete system.
 
     Deterministic: the degraded bus is the busiest segment, the re-mapped
@@ -327,7 +178,7 @@ def builtin_system_catalog(system: SystemModel) -> SystemScenarioCatalog:
     the failover scenario targets the first gateway in name order.
     Systems without gateways simply get fewer scenarios.
     """
-    catalog = SystemScenarioCatalog()
+    catalog = ScenarioCatalog()
     if not system.buses:
         return catalog
     busiest = max(sorted(system.buses),

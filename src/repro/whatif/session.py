@@ -85,10 +85,21 @@ class SystemQueryResult:
     system: SystemModel = field(repr=False, compare=False, default=None)
     key: object = field(repr=False, compare=False, default=None)
 
+    #: Column headers of :meth:`table_row` (a scenario run's table).
+    TABLE_HEADERS = ("query", "converged", "missed", "invalidated")
+
     @property
     def fingerprint(self) -> str:
         """Deterministic digest of the analysed topology."""
         return self.key.digest if isinstance(self.key, FingerprintKey) else ""
+
+    def table_row(self) -> list[object]:
+        """(query, converged, deadline misses, invalidated segments)."""
+        return [self.label or self.fingerprint,
+                "yes" if self.result.converged else "NO",
+                sum(len(report.missed)
+                    for report in self.result.bus_reports.values()),
+                len(self.stats.invalidated)]
 
     def worst_case(self, message_name: str) -> float:
         """Worst-case response time of one message (ms)."""

@@ -7,7 +7,7 @@ traffic to the next.  :func:`multibus_system` generates such a system
 deterministically from a seed -- valid under
 :meth:`~repro.core.system.SystemModel.validate`, analysable by the
 compositional engine, and sliceable into per-bus what-if sessions via
-:func:`repro.service.batch.system_jobs`.
+``AnalysisSession.from_system(system, bus)`` for each of its buses.
 """
 
 from __future__ import annotations

@@ -263,7 +263,7 @@ class TestStreams:
             [11.0, 21.0, 31.0]
 
     def test_protocol_codecs_and_version(self):
-        assert protocol.PROTOCOL_VERSION == 6
+        assert protocol.PROTOCOL_VERSION == 7
         frames = [ObservedFrame("M", 0.0, 1.0),
                   ObservedFrame("A", 0.5, 2.0, success=False, attempt=2),
                   ObservedFrame("M", 1.0, 3)]

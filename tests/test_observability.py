@@ -40,7 +40,7 @@ from repro.server import (
     start_server,
 )
 from repro.server.pool import SessionPool
-from repro.server.protocol import session_stats_to_json
+from repro.server.protocol import deltas_to_json, session_stats_to_json
 from repro.service.deltas import BusConfiguration, JitterDelta
 from repro.service.session import AnalysisSession
 from repro.sim.simulator import CanBusSimulator, SimulationConfig
@@ -369,6 +369,31 @@ class TestDaemonTracing:
             assert [s["name"] for s in trace["spans"]] == WORK_STAGES
             solve = next(s for s in trace["spans"] if s["name"] == "solve")
             assert solve["duration_ms"] == 0.0
+
+    def test_traced_scenario_has_a_solve_span_per_step(self):
+        with _daemon() as daemon:
+            daemon.add_system("plant", multibus_system(
+                n_buses=3, messages_per_bus=6, seed=2))
+            client = InProcessClient(daemon)
+            for where in ({"target": "powertrain",
+                           "scenario": "paper-jitter-sweep"},
+                          {"system": "plant",
+                           "scenario": "bus-speed-degradation"}):
+                result = client.request("scenario", trace=True, **where)
+                names = [s["name"] for s in result["trace"]["spans"]]
+                assert names.count("solve") == len(result["queries"])
+                assert names.count("session_plan") == len(result["queries"])
+
+    def test_traced_batch_has_a_solve_span_per_step(self):
+        with _daemon() as daemon:
+            client = InProcessClient(daemon)
+            steps = [{"deltas": deltas_to_json([JitterDelta(fraction=f)])}
+                     for f in (0.0, 0.1, 0.2, 0.1)]
+            result = client.request("batch", target="powertrain",
+                                    queries=steps, trace=True)
+            names = [s["name"] for s in result["trace"]["spans"]]
+            assert names.count("solve") == len(steps)
+            assert names.count("session_plan") == len(steps)
 
     def test_untraced_response_has_no_trace_keys(self):
         with _daemon() as daemon:

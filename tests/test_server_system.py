@@ -1,7 +1,8 @@
 """Daemon system endpoints: register, system_query, scenarios, paths.
 
 The wire contract under test: a system registered over the JSON protocol
-answers ``system_query`` / ``path_latency`` / ``system_scenario`` requests
+answers ``system_query`` and ``scenario`` requests (and the clients'
+``analyze_system`` / ``path_latency`` forms of ``system_query``)
 with floats that **bit-match** a local from-scratch
 ``CompositionalAnalysis`` run on the equivalently edited model (the
 protocol round-trips every finite double exactly), the ``register``
@@ -30,11 +31,13 @@ from repro.server import (
     start_server,
 )
 from repro.service.deltas import BusConfiguration, JitterDelta
+from repro.service.session import FingerprintKey
 from repro.whatif import (
     BusSpeedDelta,
     GatewayConfigDelta,
     SegmentConfigDelta,
     apply_system_deltas,
+    builtin_system_catalog,
 )
 from repro.workloads.multibus import multibus_paths, multibus_system
 from repro.workloads.powertrain import (
@@ -179,22 +182,75 @@ class TestSystemEndpointsInProcess:
     def test_path_latency_endpoint(self, served):
         _, client, system, _ = served
         paths = multibus_paths(system)
-        response = client.path_latency("plant", paths)
-        expected = path_latency_all(
-            paths, system,
-            CompositionalAnalysis(system, incremental=False).run())
-        assert [entry["worst_case"] for entry in response["paths"]] == [
-            latency.worst_case for latency in expected]
-        assert "end-to-end path latency" in response["table"]
+        deltas = (GatewayConfigDelta("GW0", polling_period=7.5),)
+        for step in ((), deltas):
+            response = client.path_latency("plant", paths, step)
+            edited = apply_system_deltas(system, step)
+            expected = path_latency_all(
+                paths, edited,
+                CompositionalAnalysis(edited, incremental=False).run())
+            assert set(response) == {"system", "fingerprint", "paths",
+                                     "table"}
+            assert response["system"] == "plant"
+            assert response["fingerprint"] == FingerprintKey(
+                edited.fingerprint()).digest
+            assert response["paths"] == [
+                protocol.path_latency_to_json(latency)
+                for latency in expected]
+            assert "end-to-end path latency" in response["table"]
+        with pytest.raises(ValueError, match="needs paths"):
+            client.path_latency("plant", ())
+
+    def test_path_latency_table_reads_unbounded_for_null(self, served,
+                                                         monkeypatch):
+        _, client, system, _ = served
+        paths = multibus_paths(system)[:1]
+        response = client.system_query("plant", paths=paths)
+        response["paths"][0].update(worst_case=None, jitter=None)
+        monkeypatch.setattr(client, "system_query",
+                            lambda *args, **kwargs: response)
+        table = client.path_latency("plant", paths)["table"]
+        assert table.count("unbounded") == 2
 
     def test_system_scenario_endpoint(self, served):
         _, client, system, _ = served
         response = client.system_scenario("plant", "bus-speed-degradation")
+        assert response["system"] == "plant"
         assert response["scenario"] == "bus-speed-degradation"
         assert len(response["queries"]) >= 2
         assert "converged" in response["table"]
-        with pytest.raises(DaemonError, match="unknown system scenario"):
+        steps = builtin_system_catalog(system).get(
+            "bus-speed-degradation").queries
+        assert [query["label"] for query in response["queries"]] == [
+            step.label for step in steps]
+        for query, step in zip(response["queries"], steps):
+            assert query["messages"] == {
+                name: protocol.result_to_json(value) for name, value in
+                CompositionalAnalysis(
+                    apply_system_deltas(system, step.deltas),
+                    incremental=False).run().message_results.items()}
+        with pytest.raises(DaemonError, match="unknown scenario"):
             client.system_scenario("plant", "no-such-scenario")
+
+    def test_analyze_system_fields_match_fresh_run(self, served):
+        _, client, system, registration = served
+        shards = registration["shards"]
+        expected = CompositionalAnalysis(system, incremental=False).run()
+        response = client.analyze_system("plant", shards=shards)
+        assert response == {
+            "system": "plant",
+            "shards": shards,
+            "fingerprint": FingerprintKey(system.fingerprint()).digest,
+            "converged": expected.converged,
+            "iterations": expected.iterations,
+            "all_deadlines_met": expected.all_deadlines_met,
+            "messages": {name: protocol.result_to_json(value)
+                         for name, value in
+                         expected.message_results.items()},
+            "bus_reports": {shards[bus]: protocol.report_to_json(report)
+                            for bus, report in
+                            expected.bus_reports.items()},
+        }
 
     def test_repeated_system_queries_hit_the_cache(self, served):
         _, client, _, _ = served
@@ -244,6 +300,51 @@ class TestSystemEndpointsInProcess:
         _, client, _, _ = served
         with pytest.raises(DaemonError, match="register needs"):
             client.request("register", name="x")
+
+
+class TestScenarioOpErrors:
+    """``scenario`` takes exactly one of ``target`` or ``system``: every
+    malformed form gets one typed error and the connection stays usable."""
+
+    CONFIG = BusConfiguration(
+        kmatrix=powertrain_kmatrix(PowertrainConfig(n_messages=16)),
+        bus=powertrain_bus(PowertrainConfig(n_messages=16)),
+        assumed_jitter_fraction=0.15)
+
+    @pytest.mark.parametrize("params, code", [
+        ({"target": "pt16", "system": "plant",
+          "scenario": "paper-jitter-sweep"}, "protocol"),
+        ({"scenario": "paper-jitter-sweep"}, "protocol"),
+        ({"target": "nope", "scenario": "paper-jitter-sweep"},
+         "unknown_target"),
+        ({"system": "nope", "scenario": "gateway-failover"},
+         "unknown_target"),
+        ({"target": "pt16", "scenario": "no-such-scenario"}, "invalid"),
+        ({"system": "plant", "scenario": "no-such-scenario"}, "invalid"),
+    ])
+    def test_one_typed_error_then_a_clean_query(self, params, code):
+        daemon = AnalysisDaemon(name="scenario-errors")
+        daemon.add_config("pt16", self.CONFIG)
+        daemon.add_system("plant", multibus_system(
+            n_buses=2, messages_per_bus=6, seed=4))
+        server = start_server(daemon, port=0)
+        try:
+            with TcpClient(*server.address) as client:
+                errors = daemon.metrics.family("daemon_errors_total", "code")
+                with pytest.raises(DaemonError) as caught:
+                    client.request("scenario", **params)
+                assert caught.value.code == code
+                after = daemon.metrics.family("daemon_errors_total", "code")
+                assert sum(after.values()) == sum(errors.values()) + 1
+                # The client checks every response id: a second response
+                # to the failed request would fail this query.
+                clean = client.query("pt16", with_report=False)
+                assert clean["results"] == {
+                    name: protocol.result_to_json(value) for name, value in
+                    self.CONFIG.build_analysis().analyze_all().items()}
+        finally:
+            server.stop()
+            daemon.close()
 
 
 class TestSystemEndpointsOverTcp:

@@ -27,8 +27,6 @@ from repro.optimize.objectives import AnalysisScenario, evaluate_configuration
 from repro.service import (
     AddMessageDelta,
     AnalysisSession,
-    BatchJob,
-    BatchRunner,
     BusConfiguration,
     ErrorModelDelta,
     EventModelDelta,
@@ -41,11 +39,10 @@ from repro.service import (
     jitter_sweep_scenario,
     message_jitter_sweep_scenario,
     priority_swap_scenario,
-    system_jobs,
 )
 from repro.service.deltas import BusDelta, DeadlinePolicyDelta, apply_deltas
 from repro.workloads.multibus import multibus_system
-from repro.workloads.scaling import synthetic_kmatrix
+from repro.workloads.scaling import scaling_benchmark_case, synthetic_kmatrix
 
 #: Same corpus shape as the kernel-equivalence suite.
 SEEDS = tuple(range(16))
@@ -500,42 +497,12 @@ class TestCatalogAndBatch:
                     apply_deltas(session.base_config, query.deltas))
                 assert query.results == expected
 
-    def test_batch_runner_is_deterministic_across_modes(self):
-        scenario = jitter_sweep_scenario(fractions=(0.0, 0.25))
-        jobs = [
-            BatchJob(label=f"seed{seed}",
-                     config=BusConfiguration(kmatrix=_matrix(seed), bus=_BUS),
-                     scenario=scenario)
-            for seed in (1, 2, 3, 4)
-        ]
-        serial = BatchRunner(mode="serial").run(jobs)
-        for mode in ("auto", "process"):
-            other = BatchRunner(mode=mode).run(jobs)
-            assert [r.scenario for r in serial] == [r.scenario for r in other]
-            for left, right in zip(serial, other):
-                assert [q.results for q in left.queries] == [
-                    q.results for q in right.queries]
-
-    def test_batch_runner_process_mode(self):
-        """Jobs and workers must be picklable end to end."""
-        scenario = jitter_sweep_scenario(fractions=(0.0, 0.3))
-        jobs = [
-            BatchJob(label=f"seed{seed}",
-                     config=BusConfiguration(kmatrix=_matrix(seed), bus=_BUS),
-                     scenario=scenario)
-            for seed in (1, 2)
-        ]
-        processed = BatchRunner(mode="process").run(jobs)
-        serial = BatchRunner(mode="serial").run(jobs)
-        for left, right in zip(processed, serial):
-            assert [q.results for q in left.queries] == [
-                q.results for q in right.queries]
-
     def test_system_jobs_cover_all_buses(self):
         system = multibus_system(n_buses=3, messages_per_bus=8, seed=2)
         scenario = jitter_sweep_scenario(fractions=(0.0, 0.2))
-        results = BatchRunner(mode="serial").run(
-            system_jobs(system, scenario))
+        results = [
+            scenario.run(AnalysisSession.from_system(system, bus, name=bus))
+            for bus in system.buses]
         assert [r.session for r in results] == list(system.buses)
         for result, segment in zip(results, system.buses.values()):
             expected = _reference(BusConfiguration(
@@ -544,6 +511,20 @@ class TestCatalogAndBatch:
                 assumed_jitter_fraction=0.2,
                 controllers=dict(system.controllers) or None))
             assert result.queries[-1].results == expected
+
+
+    @pytest.mark.parametrize("name", (
+        "paper-jitter-sweep", "jitter-sweep-fine",
+        "paper-error-sweep-sporadic", "paper-error-sweep-burst"))
+    def test_sweep_steps_warm_start_from_the_previous_step(self, name):
+        """A catalog sweep on a fresh session plans every step after the
+        first against the step before it, with no cold message: the
+        session's previous-query basis is the scenario's warm chain."""
+        kmatrix, bus = scaling_benchmark_case(100)
+        run = builtin_catalog().run(name, AnalysisSession(kmatrix, bus))
+        for previous, step in zip(run.queries, run.queries[1:]):
+            assert step.stats.basis == previous.key, step.label
+            assert step.stats.cold == 0, step.label
 
 
 class TestSessionEvaluator:

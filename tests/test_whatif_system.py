@@ -468,6 +468,25 @@ class TestSystemScenarioCatalog:
         assert len(run.queries) == 2  # base + CAN-1
         assert run.queries[-1].result.converged
 
+    def test_tracked_paths_cost_one_query_per_step(self):
+        """Path latencies of a k-step topology scenario come from the
+        steps' own fixed points: k queries, no extra cache hit, and each
+        latency equals a from-scratch run's."""
+        from repro.whatif import gateway_failover_scenario
+
+        system = multibus_system(n_buses=4, messages_per_bus=12, seed=42)
+        paths = multibus_paths(system)[:2]
+        session = SystemSession(system)
+        run = gateway_failover_scenario(system, "GW1").run(session)
+        latencies = [tuple(step.path_latency(path) for path in paths)
+                     for step in run.queries]
+        stats = session.stats()
+        assert stats.queries == len(run.queries)
+        assert stats.cache_hits == 0
+        for step, got in zip(run.queries, latencies):
+            edited = apply_system_deltas(system, step.deltas)
+            assert got == path_latency_all(paths, edited, _fresh_run(edited))
+
     def test_scenarios_are_deterministic(self):
         system = multibus_system(n_buses=3, messages_per_bus=8, seed=18)
         first = builtin_system_catalog(system)
