@@ -32,6 +32,8 @@ per violation, retained by overshoot severity) and the slow-query log.
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -63,10 +65,11 @@ class MonitorConfig:
     jitter_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.window_ms <= 0:
-            raise ValueError("window_ms must be positive")
-        if self.history_windows < 1:
-            raise ValueError("history_windows must be >= 1")
+        # NaN fails the comparison; a ring beyond sys.maxsize cannot exist.
+        if not 0 < self.window_ms < math.inf:
+            raise ValueError("window_ms must be positive and finite")
+        if not 1 <= self.history_windows <= sys.maxsize:
+            raise ValueError(f"history_windows must be >= 1 and <= {sys.maxsize}")
         if self.max_arrivals < 2:
             raise ValueError("max_arrivals must be >= 2")
         if self.fit_max_n < 2:

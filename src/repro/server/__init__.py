@@ -9,9 +9,9 @@ daemon with persistent state) applied to the session/catalog layer:
 * :mod:`repro.server.pool` -- the sharded, fingerprint-keyed
   :class:`SessionPool` (one session per bus segment, LRU-bounded);
 * :mod:`repro.server.daemon` -- :class:`AnalysisDaemon`, the
-  transport-independent request handler (query / scenario / batch /
-  system_query / stats / health / metrics / traces endpoints), which
-  serves every request on its caller's thread;
+  transport-independent request handler of every op in
+  :data:`repro.server.protocol.OPS`, which serves every request on its
+  caller's thread;
 * :mod:`repro.server.tcp` -- the threading TCP front end;
 * :mod:`repro.server.client` -- :class:`InProcessClient` and
   :class:`TcpClient`, one API over both transports, with shared

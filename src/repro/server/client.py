@@ -25,12 +25,10 @@ jitter).  What may be retried follows the protocol's error taxonomy:
 * ``overloaded`` responses are always retryable -- the daemon rejected
   the request before running it -- and the server's ``retry_after_ms``
   hint floors the backoff delay;
-* transport failures are retried for idempotent ops.  Every query op is
-  idempotent (analyses are pure; repeating one returns a bit-identical
-  result), so all of them retry.  ``register``, ``monitor_start`` and
-  ``monitor_ingest`` mutate daemon state, so they are retried only when
-  the failure happened *connecting* -- once bytes may have reached the
-  daemon, the client surfaces the error instead of re-sending;
+* transport failures are retried as each op's ``retry`` rule in
+  :data:`~repro.server.protocol.OPS` says: query ops are idempotent
+  (analyses are pure), ops that mutate daemon state are re-sent only
+  when no byte reached the daemon, and ``shutdown`` never is;
 * ``timeout``, ``draining`` and the request-fault codes (``invalid``,
   ``protocol``, ``unknown_target``) are never retried: the outcome would
   not improve, or the caller's deadline is already spent.
@@ -55,6 +53,7 @@ from typing import Mapping, Optional, Sequence
 from repro.reporting.tables import format_path_latency_table
 from repro.server.daemon import AnalysisDaemon
 from repro.server.protocol import (
+    OPS,
     ProtocolError,
     config_to_json,
     decode_line,
@@ -133,15 +132,6 @@ class RetryPolicy:
         return nominal
 
 
-#: No retry at all: fire-and-forget semantics would re-stop a daemon.
-_NO_RETRY_OPS = frozenset({"shutdown"})
-#: Retried only when the connection failed before any bytes were sent.
-#: ``register`` re-binds state; ``monitor_start`` resets a monitor's
-#: windows and alert streaks; ``monitor_ingest`` advances window state --
-#: none of them may be blindly re-sent once bytes reached the daemon.
-_CONNECT_RETRY_ONLY_OPS = frozenset(
-    {"register", "monitor_start", "monitor_ingest"})
-
 #: The ``system_query`` response fields :meth:`BaseClient.analyze_system`
 #: keeps: the fixed point, without the query's label, stats and tasks.
 _ANALYZE_SYSTEM_FIELDS = ("system", "shards", "fingerprint", "converged",
@@ -177,10 +167,16 @@ class BaseClient:
         Transparently retries per the module docstring's rules; every
         attempt uses a fresh request ``id`` and verifies the echo.
 
+        A ``None``-valued param is left out of the request, so typed
+        callers pass optional arguments straight through.
+
         Any op accepts ``trace=True`` (and an optional ``trace_id``);
         the daemon's inline span tree and echoed trace id are folded
         into the returned payload under ``"trace"`` / ``"trace_id"``.
         """
+        params = {key: value for key, value in params.items()
+                  if value is not None}
+        retry = OPS[op].retry if op in OPS else "always"
         attempt = 0
         while True:
             attempt += 1
@@ -188,8 +184,8 @@ class BaseClient:
             try:
                 response = self._roundtrip(request)
             except ConnectionLost as error:
-                may_retry = op not in _NO_RETRY_OPS and (
-                    op not in _CONNECT_RETRY_ONLY_OPS or not error.sent)
+                may_retry = retry == "always" or (
+                    retry == "connect" and not error.sent)
                 if not may_retry or attempt >= self.retry.attempts:
                     raise
                 self.retries += 1
@@ -214,7 +210,7 @@ class BaseClient:
                 return result
             code = str(response.get("code", "internal"))
             retry_after_ms = response.get("retry_after_ms")
-            if code == "overloaded" and op not in _NO_RETRY_OPS \
+            if code == "overloaded" and retry != "never" \
                     and attempt < self.retry.attempts:
                 self.retries += 1
                 time.sleep(self.retry.delay(
@@ -255,21 +251,14 @@ class BaseClient:
         running conformance monitor under ``"history"``; ``history_last``
         bounds how many windows come back per series.
         """
-        params: dict = {}
-        if format is not None:
-            params["format"] = format
-        if history or history_last is not None:
-            params["history"] = True
-        if history_last is not None:
-            params["history_last"] = history_last
-        return self.request("metrics", **params)
+        return self.request(
+            "metrics", format=format,
+            history=history or history_last is not None or None,
+            history_last=history_last)
 
     def traces(self, limit: Optional[int] = None) -> dict:
         """The slowest retained traces (span trees), slowest first."""
-        params: dict = {}
-        if limit is not None:
-            params["limit"] = limit
-        return self.request("traces", **params)
+        return self.request("traces", limit=limit)
 
     # -- analysis ------------------------------------------------------- #
     def query(self, target: str, deltas: Sequence[Delta] = (),
@@ -287,28 +276,19 @@ class BaseClient:
         request's span tree, returned under ``"trace"`` in the payload;
         a client-supplied ``trace_id`` is propagated and echoed back.
         """
-        params: dict = {"target": target,
-                        "deltas": deltas_to_json(deltas),
-                        "with_report": with_report}
-        if message_names is not None:
-            params["message_names"] = list(message_names)
-        if label is not None:
-            params["label"] = label
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        if trace:
-            params["trace"] = True
-        if trace_id is not None:
-            params["trace_id"] = trace_id
-        return self.request("query", **params)
+        return self.request(
+            "query", target=target, deltas=deltas_to_json(deltas),
+            with_report=with_report,
+            message_names=None if message_names is None
+            else list(message_names),
+            label=label, deadline_ms=deadline_ms, trace=trace or None,
+            trace_id=trace_id)
 
     def run_scenario(self, target: str, scenario: str,
                      deadline_ms: Optional[float] = None) -> dict:
         """Execute a per-bus catalog scenario against a target."""
-        params: dict = {"target": target, "scenario": scenario}
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return self.request("scenario", **params)
+        return self.request("scenario", target=target, scenario=scenario,
+                            deadline_ms=deadline_ms)
 
     def batch(self, target: str, queries: Sequence[Mapping],
               deadline_ms: Optional[float] = None) -> dict:
@@ -319,17 +299,12 @@ class BaseClient:
         whole batch; steps that miss it come back as per-step
         ``{"error": ..., "code": ...}`` entries.
         """
-        encoded = []
-        for step in queries:
-            entry = dict(step)
-            deltas = entry.get("deltas", ())
-            if deltas and isinstance(deltas[0], Delta):
-                entry["deltas"] = deltas_to_json(deltas)
-            encoded.append(entry)
-        params: dict = {"target": target, "queries": encoded}
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return self.request("batch", **params)
+        encoded = [
+            {**step, "deltas": deltas_to_json(step["deltas"])}
+            if step.get("deltas") and isinstance(step["deltas"][0], Delta)
+            else dict(step) for step in queries]
+        return self.request("batch", target=target, queries=encoded,
+                            deadline_ms=deadline_ms)
 
     def analyze_system(self, system: str,
                        shards: Optional[Mapping[str, str]] = None,
@@ -379,10 +354,7 @@ class BaseClient:
 
     def store_compact(self, max_bytes: Optional[int] = None) -> dict:
         """Evict oldest-read store entries down to ``max_bytes``."""
-        params: dict = {"action": "compact"}
-        if max_bytes is not None:
-            params["max_bytes"] = max_bytes
-        return self.request("store", **params)
+        return self.request("store", action="compact", max_bytes=max_bytes)
 
     def store_clear(self) -> dict:
         """Remove every persistent-store entry."""
@@ -403,29 +375,19 @@ class BaseClient:
         same request; ``shards`` re-keys the per-bus report sections.
         ``trace``/``trace_id`` behave as in :meth:`query`.
         """
-        params: dict = {"system": system,
-                        "deltas": system_deltas_to_json(deltas)}
-        if paths:
-            params["paths"] = paths_to_json(paths)
-        if shards is not None:
-            params["shards"] = dict(shards)
-        if label is not None:
-            params["label"] = label
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        if trace:
-            params["trace"] = True
-        if trace_id is not None:
-            params["trace_id"] = trace_id
-        return self.request("system_query", **params)
+        return self.request(
+            "system_query", system=system,
+            deltas=system_deltas_to_json(deltas),
+            paths=paths_to_json(paths) or None,
+            shards=None if shards is None else dict(shards),
+            label=label, deadline_ms=deadline_ms, trace=trace or None,
+            trace_id=trace_id)
 
     def system_scenario(self, system: str, scenario: str,
                         deadline_ms: Optional[float] = None) -> dict:
         """Execute a topology catalog scenario against a system."""
-        params: dict = {"system": system, "scenario": scenario}
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return self.request("scenario", **params)
+        return self.request("scenario", system=system, scenario=scenario,
+                            deadline_ms=deadline_ms)
 
     def path_latency(self, system: str, paths: Sequence,
                      deltas: Sequence[SystemDelta] = (),
@@ -470,22 +432,13 @@ class BaseClient:
         bytes may have reached the daemon, a blind re-send could wipe a
         monitor another request already started feeding.
         """
-        params: dict = {"target": target}
-        if rules:
-            params["rules"] = [
-                rule.to_json() if hasattr(rule, "to_json") else dict(rule)
-                for rule in rules]
-        if window_ms is not None:
-            params["window_ms"] = window_ms
-        if history_windows is not None:
-            params["history_windows"] = history_windows
-        if max_arrivals is not None:
-            params["max_arrivals"] = max_arrivals
-        if fit_max_n is not None:
-            params["fit_max_n"] = fit_max_n
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return self.request("monitor_start", **params)
+        return self.request(
+            "monitor_start", target=target,
+            rules=[rule.to_json() if hasattr(rule, "to_json") else dict(rule)
+                   for rule in rules] or None,
+            window_ms=window_ms, history_windows=history_windows,
+            max_arrivals=max_arrivals, fit_max_n=fit_max_n,
+            deadline_ms=deadline_ms)
 
     def monitor_ingest(self, target: str, frames: Sequence,
                        flush: bool = False,
@@ -499,16 +452,11 @@ class BaseClient:
         retried only when the connection failed before any bytes went
         out.
         """
-        params: dict = {"target": target,
-                        "frames": [
-                            frame.to_json() if hasattr(frame, "to_json")
-                            else list(frame)
-                            for frame in frames]}
-        if flush:
-            params["flush"] = True
-        if deadline_ms is not None:
-            params["deadline_ms"] = deadline_ms
-        return self.request("monitor_ingest", **params)
+        return self.request(
+            "monitor_ingest", target=target,
+            frames=[frame.to_json() if hasattr(frame, "to_json")
+                    else list(frame) for frame in frames],
+            flush=flush or None, deadline_ms=deadline_ms)
 
     def monitor_status(self, target: str) -> dict:
         """Snapshot of one monitor: bounds, counters, overrides, alerts."""
@@ -517,10 +465,7 @@ class BaseClient:
     def monitor_alerts(self, target: str,
                        last: Optional[int] = None) -> dict:
         """Recent fired alerts, the active set, and the installed rules."""
-        params: dict = {"target": target}
-        if last is not None:
-            params["last"] = last
-        return self.request("monitor_alerts", **params)
+        return self.request("monitor_alerts", target=target, last=last)
 
     def monitor_stop(self, target: str) -> dict:
         """Detach one monitor; final counters come back in the reply."""

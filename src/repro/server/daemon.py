@@ -41,11 +41,12 @@ TCP, the connection's handler thread:
     sections by a client-supplied shard map.  The clients'
     ``analyze_system`` (no deltas) and ``path_latency`` (with paths) are
     forms of it.
-``metrics`` / ``traces``
-    Observability: a structured snapshot of the daemon's
+``metrics`` / ``traces`` / ``store``
+    Observability and upkeep: a structured snapshot of the daemon's
     :class:`~repro.obs.MetricsRegistry` (optionally rendered in the
-    Prometheus text exposition format) and the slowest retained request
-    traces (see :mod:`repro.obs.tracing`).  Every request is traced --
+    Prometheus text exposition format), the slowest retained request
+    traces (see :mod:`repro.obs.tracing`) and the persistent result
+    store's ``stats`` / ``compact`` / ``clear``.  Every request is traced --
     stages ``decode -> admission -> session_plan -> solve -> encode`` --
     and the span tree is returned inline when a request sets
     ``trace: true``.  ``metrics`` with ``history: true`` folds in
@@ -60,10 +61,12 @@ TCP, the connection's handler thread:
     bound or deadline -- re-deriving bounds through the session when the
     observed arrival envelope escapes the registered event model, so a
     flagged bound is never stale; ``monitor_status`` / ``monitor_alerts``
-    answer from in-memory state (control ops: they keep working during
-    overload and drain); ``monitor_stop`` detaches the monitor.
+    read its in-memory state; ``monitor_stop`` detaches it.
 ``shutdown``
     Graceful stop (the TCP front end watches :attr:`shutdown_requested`).
+
+Every op and its parameters are declared once, in
+:data:`repro.server.protocol.OPS`; each op is served by ``_op_<name>``.
 
 Transport-independent by construction: :meth:`handle` consumes and
 produces plain protocol dicts, so the in-process client, the TCP server
@@ -79,8 +82,10 @@ cap.  Admission control bounds concurrently executing work requests
 (``max_inflight``); beyond it, the daemon answers a typed ``overloaded``
 error carrying a ``retry_after_ms`` backoff hint -- the request never ran,
 so clients can always retry it.  Control ops (``ping``/``health``/
-``stats``/``targets``/``scenarios``/``shutdown``) bypass admission control
-and keep answering during overload and drain.  :meth:`close` drains
+``stats``/``targets``/``scenarios``/``metrics``/``traces``/``store``/
+``monitor_status``/``monitor_alerts``/``monitor_stop``/``shutdown``; the
+table marks them) bypass admission control and keep answering during
+overload and drain.  :meth:`close` drains
 gracefully: new work is rejected with a typed ``draining`` error,
 in-flight requests get a grace window to finish, and whatever remains is
 cooperatively cancelled -- every in-flight client gets an error
@@ -93,9 +98,9 @@ See :mod:`repro.server.protocol` for the full error taxonomy and
 from __future__ import annotations
 
 import logging
-import sys
 import threading
 import time
+from dataclasses import replace
 from typing import Mapping, Optional
 
 from repro.cancel import Cancelled, CancelToken, DeadlineExceeded
@@ -129,14 +134,6 @@ DEFAULT_GRACE = 10.0
 #: How long :meth:`AnalysisDaemon.close` waits, after cancelling, for the
 #: cancelled requests to unwind and answer.
 _CANCEL_WAIT = 2.0
-
-#: Ops that answer from in-memory state: they bypass admission control and
-#: keep being served while the daemon is overloaded or draining, so
-#: monitoring (and the shutdown request itself) always gets through.
-_CONTROL_OPS = frozenset(
-    {"ping", "health", "stats", "targets", "scenarios", "metrics",
-     "traces", "store", "monitor_status", "monitor_alerts",
-     "monitor_stop", "shutdown"})
 
 
 class AnalysisDaemon:
@@ -193,12 +190,10 @@ class AnalysisDaemon:
         self.max_inflight = max_inflight
         self.grace = grace
         self.faults = faults if faults is not None else faults_mod.from_env()
-        if monitor_window_ms <= 0:
-            raise ValueError("monitor_window_ms must be positive")
-        if monitor_history < 1:
-            raise ValueError("monitor_history must be at least 1")
-        self.monitor_window_ms = float(monitor_window_ms)
-        self.monitor_history = int(monitor_history)
+        # What a monitor_start without settings gets (ranges checked).
+        self.monitor_config = MonitorConfig(
+            window_ms=float(monitor_window_ms),
+            history_windows=int(monitor_history))
         self._monitors: dict[str, ConformanceMonitor] = {}
         self._monitor_lock = threading.Lock()
         self._system_sessions: dict[str, SystemSession] = {}
@@ -227,27 +222,6 @@ class AnalysisDaemon:
                 "daemon_admission_total", decision="rejected_overload"),
             "rejected_draining": self.metrics.counter(
                 "daemon_admission_total", decision="rejected_draining"),
-        }
-        self._ops = {
-            "ping": self._op_ping,
-            "health": self._op_health,
-            "stats": self._op_stats,
-            "targets": self._op_targets,
-            "scenarios": self._op_scenarios,
-            "query": self._op_query,
-            "scenario": self._op_scenario,
-            "batch": self._op_batch,
-            "register": self._op_register,
-            "system_query": self._op_system_query,
-            "metrics": self._op_metrics,
-            "traces": self._op_traces,
-            "store": self._op_store,
-            "monitor_start": self._op_monitor_start,
-            "monitor_ingest": self._op_monitor_ingest,
-            "monitor_status": self._op_monitor_status,
-            "monitor_alerts": self._op_monitor_alerts,
-            "monitor_stop": self._op_monitor_stop,
-            "shutdown": self._op_shutdown,
         }
 
     # ------------------------------------------------------------------ #
@@ -349,6 +323,9 @@ class AnalysisDaemon:
         take down a connection.  An exception outside the taxonomy is
         answered as ``internal``.
 
+        Before admission, the request is checked against its op's entry
+        in :data:`repro.server.protocol.OPS`; its handler gets the result.
+
         Every request is traced (stages ``decode`` -> ``admission`` ->
         ``session_plan`` -> ``solve``; the transport folds in ``encode``
         via :meth:`take_trace`); the slowest traces
@@ -358,47 +335,51 @@ class AnalysisDaemon:
         """
         request_id = request.get("id")
         op = request.get("op")
-        handler = self._ops.get(op)
+        spec = protocol.OPS.get(op) if isinstance(op, str) else None
         # Label cardinality stays bounded: unknown (client-invented) op
         # strings all map to "?" in metrics and traces.
-        op_name = str(op) if handler is not None else "?"
+        op_name = op if spec is not None else "?"
         self.metrics.counter("daemon_requests_total", op=op_name).inc()
+        # Traced before the check: only strings and ``trace: true`` count.
         requested_id = request.get("trace_id")
         target = request.get("target") or request.get("system")
         trace = Trace(
             op=op_name,
-            target=str(target) if target is not None else None,
-            trace_id=str(requested_id) if requested_id is not None else None,
-            inline=bool(request.get("trace")))
+            target=target if isinstance(target, str) else None,
+            trace_id=requested_id if isinstance(requested_id, str) else None,
+            inline=request.get("trace") is True)
         if decode_ms is not None:
             trace.backdate(float(decode_ms))
             trace.record("decode", float(decode_ms))
         try:
-            response = self._dispatch(request, request_id, op, handler, trace)
+            response = self._dispatch(request, request_id, spec, trace)
         except Exception as error:  # noqa: BLE001 - outermost guard
             _log.exception("unhandled error serving op %r", op_name)
             response = self._error(f"{type(error).__name__}: {error}",
                                    request_id, code="internal")
         return self._finalize_trace(
             trace, response,
-            echo=trace.inline or requested_id is not None)
+            echo=trace.inline or isinstance(requested_id, str))
 
-    def _dispatch(self, request: Mapping, request_id, op, handler,
-                  trace: Trace) -> dict:
-        """Admission control plus op dispatch for one (traced) request."""
-        if handler is None:
+    def _dispatch(self, request: Mapping, request_id,
+                  spec: Optional[protocol.Op], trace: Trace) -> dict:
+        """Table check, admission and dispatch of one traced request."""
+        if spec is None:
             return self._error(
-                f"unknown op {op!r}; supported: "
-                f"{', '.join(sorted(self._ops))}", request_id, code="invalid")
+                f"unknown op {request.get('op')!r}; supported: "
+                f"{', '.join(sorted(protocol.OPS))}", request_id,
+                code="invalid")
         try:
-            cancel = self._cancel_for(request)
+            params = spec.check(request, spec.name)
         except protocol.ProtocolError as error:
             return self._error(str(error), request_id, code="protocol")
-        control = op in _CONTROL_OPS
+        deadline_ms = params["deadline_ms"]
+        cancel = None if deadline_ms is None \
+            else CancelToken.after_ms(float(deadline_ms))
         token_key = None
         rejection = None
         admission = trace.begin("admission")
-        if not control:
+        if not spec.control:
             with self._active_lock:
                 if self._draining:
                     self._m_admission["rejected_draining"].inc()
@@ -434,10 +415,14 @@ class AnalysisDaemon:
             return rejection
         self._trace_local.current = trace
         try:
-            return self._reply(handler(request, cancel), request_id)
+            handler = getattr(self, f"_op_{spec.name}")
+            response = {"ok": True, "result": handler(params, cancel)}
+            if request_id is not None:
+                response["id"] = request_id
+            return response
         except DeadlineExceeded:
             return self._error(
-                f"deadline of {request.get('deadline_ms')} ms exceeded",
+                f"deadline of {deadline_ms} ms exceeded",
                 request_id, code="timeout")
         except Cancelled as error:
             code = "draining" if error.reason == "draining" else "timeout"
@@ -452,14 +437,14 @@ class AnalysisDaemon:
         except protocol.ProtocolError as error:
             return self._error(str(error), request_id, code="protocol")
         except (KeyError, ValueError, TypeError, AttributeError) as error:
-            # AttributeError covers type-malformed but valid-JSON params
-            # (e.g. a string where a list of objects belongs): the contract
-            # is an error *response*, never a dead connection.
+            # AttributeError covers valid JSON of the wrong shape inside a
+            # checked parameter (a string where a delta object belongs):
+            # the contract is an error *response*, never a dead connection.
             return self._error(str(error) or repr(error), request_id,
                                code="invalid")
         finally:
             self._trace_local.current = None
-            if not control:
+            if not spec.control:
                 with self._idle:
                     self._inflight -= 1
                     self._m_inflight.set(self._inflight)
@@ -467,24 +452,6 @@ class AnalysisDaemon:
                         self._active_tokens.pop(token_key, None)
                     if self._inflight == 0:
                         self._idle.notify_all()
-
-    @staticmethod
-    def _cancel_for(request: Mapping) -> Optional[CancelToken]:
-        """The request's deadline token (``None`` without ``deadline_ms``)."""
-        deadline_ms = request.get("deadline_ms")
-        if deadline_ms is None:
-            return None
-        if isinstance(deadline_ms, bool) or \
-                not isinstance(deadline_ms, (int, float)):
-            raise protocol.ProtocolError(
-                f"deadline_ms must be a positive number, "
-                f"got {deadline_ms!r}")
-        # Also rejects NaN, inf and integers beyond the float range.
-        if not 0 < deadline_ms <= sys.float_info.max:
-            raise protocol.ProtocolError(
-                f"deadline_ms must be finite and positive, "
-                f"got {deadline_ms!r}")
-        return CancelToken.after_ms(float(deadline_ms))
 
     def _finalize_trace(self, trace: Trace, response: dict,
                         echo: bool) -> dict:
@@ -520,12 +487,6 @@ class AnalysisDaemon:
         """The trace of the request being handled on this thread."""
         return getattr(self._trace_local, "current", None)
 
-    def _reply(self, result: dict, request_id) -> dict:
-        response = {"ok": True, "result": result}
-        if request_id is not None:
-            response["id"] = request_id
-        return response
-
     def _error(self, message: str, request_id, code: str = "internal",
                retry_after_ms: Optional[int] = None) -> dict:
         """A typed error response, counted in ``daemon_errors_total``.
@@ -560,10 +521,10 @@ class AnalysisDaemon:
     # ------------------------------------------------------------------ #
     # Endpoints
     # ------------------------------------------------------------------ #
-    def _op_ping(self, request: Mapping, cancel=None) -> dict:
+    def _op_ping(self, params: dict, cancel=None) -> dict:
         return {"pong": True, "name": self.name}
 
-    def _op_health(self, request: Mapping, cancel=None) -> dict:
+    def _op_health(self, params: dict, cancel=None) -> dict:
         causes: list[str] = []
         status = "ok"
         if self._draining:
@@ -611,7 +572,7 @@ class AnalysisDaemon:
             },
         }
 
-    def _op_stats(self, request: Mapping, cancel=None) -> dict:
+    def _op_stats(self, params: dict, cancel=None) -> dict:
         stats = self.pool.stats()
         return {
             **self._counts(),
@@ -622,11 +583,11 @@ class AnalysisDaemon:
                 stats, title=f"{self.name}: session statistics"),
         }
 
-    def _op_targets(self, request: Mapping, cancel=None) -> dict:
+    def _op_targets(self, params: dict, cancel=None) -> dict:
         return {"targets": self.pool.targets(),
                 "systems": self.pool.systems()}
 
-    def _op_scenarios(self, request: Mapping, cancel=None) -> dict:
+    def _op_scenarios(self, params: dict, cancel=None) -> dict:
         def entries(catalog: ScenarioCatalog) -> list[dict]:
             return [{"name": scenario.name,
                      "queries": len(scenario.queries),
@@ -640,38 +601,30 @@ class AnalysisDaemon:
                 for system in self.pool.systems()},
         }
 
-    def _op_query(self, request: Mapping, cancel=None) -> dict:
-        session = self.pool.get(str(request["target"]))
-        deltas = protocol.deltas_from_json(request.get("deltas", ()))
-        message_names = request.get("message_names")
-        if message_names is not None:
-            message_names = [str(n) for n in message_names]
+    def _op_query(self, params: dict, cancel=None) -> dict:
+        session = self.pool.get(params["target"])
         result = session.query(
-            deltas,
-            message_names=message_names,
-            label=request.get("label"),
-            with_report=bool(request.get("with_report", True)),
+            protocol.deltas_from_json(params["deltas"]),
+            message_names=params["message_names"],
+            label=params["label"],
+            with_report=params["with_report"],
             cancel=cancel,
             trace=self._current_trace(),
         )
         return protocol.query_result_to_json(result)
 
-    def _op_scenario(self, request: Mapping, cancel=None) -> dict:
+    def _op_scenario(self, params: dict, cancel=None) -> dict:
         """A named scenario against a bus ``target`` or a ``system``."""
-        target, system = request.get("target"), request.get("system")
-        if (target is None) == (system is None):
-            raise protocol.ProtocolError(
-                "scenario needs exactly one of 'target' or 'system'")
-        if target is not None:
-            key, name = "target", str(target)
+        if params["target"] is not None:
+            key, name = "target", params["target"]
             session = self.pool.get(name)
             catalog, encode = self.catalog, protocol.query_result_to_json
         else:
-            key, name = "system", str(system)
+            key, name = "system", params["system"]
             session = self._system_session(name)
             catalog = self._system_catalog(name)
             encode = protocol.system_query_result_to_json
-        run = catalog.run(str(request["scenario"]), session, cancel=cancel,
+        run = catalog.run(params["scenario"], session, cancel=cancel,
                           trace=self._current_trace())
         return {
             key: name,
@@ -681,7 +634,7 @@ class AnalysisDaemon:
             "table": run.to_table(),
         }
 
-    def _op_batch(self, request: Mapping, cancel=None) -> dict:
+    def _op_batch(self, params: dict, cancel=None) -> dict:
         """Independent labelled delta queries, run in request order.
 
         The steps run one after another on the request's own thread,
@@ -694,16 +647,11 @@ class AnalysisDaemon:
         bit-identical to a serial run.  The batch as a whole still answers
         ``ok``; a malformed step fails it before any step runs.
         """
-        target = str(request["target"])
+        target = params["target"]
         session = self.pool.get(target)
-        steps = request.get("queries", ())
-        if not isinstance(steps, (list, tuple)) or not all(
-                isinstance(step, Mapping) for step in steps):
-            raise ValueError("batch field 'queries' must be a list of "
-                             "objects")
-        decoded = [(protocol.deltas_from_json(step.get("deltas", ())),
-                    step.get("label"), bool(step.get("with_report", True)))
-                   for step in steps]
+        decoded = [(protocol.deltas_from_json(step["deltas"]),
+                    step["label"], step["with_report"])
+                   for step in params["queries"]]
         trace = self._current_trace()
         results = []
         for deltas, label, with_report in decoded:
@@ -731,7 +679,7 @@ class AnalysisDaemon:
                     str(error) or repr(error), "internal"))
         return {"target": target, "results": results}
 
-    def _op_register(self, request: Mapping, cancel=None) -> dict:
+    def _op_register(self, params: dict, cancel=None) -> dict:
         """Server-side workload registration over the wire.
 
         ``{"name": ..., "system": {...}}`` registers a system (response
@@ -743,38 +691,27 @@ class AnalysisDaemon:
         different clients dedupe by fingerprint into the same pool
         sessions and store entries.
         """
-        name = str(request["name"])
-        if "system" in request:
-            system = protocol.system_from_json(request["system"])
+        name = params["name"]
+        if params["system"] is not None:
+            system = protocol.system_from_json(params["system"])
             shards = self.add_system(name, system)
             return {"system": name, "shards": shards,
                     "scenarios": self._system_catalog(name).names()}
-        if "config" in request:
-            config = protocol.config_from_json(request["config"])
+        if params["config"] is not None:
+            config = protocol.config_from_json(params["config"])
             self.add_config(name, config)
             return {"target": name}
-        if "workload" in request:
-            spec = request["workload"]
-            if not isinstance(spec, Mapping) or "generator" not in spec:
-                raise protocol.ProtocolError(
-                    "workload payload needs a 'generator' name")
-            generator = str(spec["generator"])
-            params = spec.get("params") or {}
-            if not isinstance(params, Mapping):
-                raise protocol.ProtocolError(
-                    "workload 'params' must be an object")
-            # UnknownWorkloadError / bad parameters are ValueErrors: the
-            # dispatcher maps them to a typed ``invalid`` error response.
-            workload = self.workloads.expand(generator, params)
-            if isinstance(workload, BusConfiguration):
-                self.add_config(name, workload)
-                return {"target": name, "generator": generator}
-            shards = self.add_system(name, workload)
-            return {"system": name, "generator": generator,
-                    "shards": shards,
-                    "scenarios": self._system_catalog(name).names()}
-        raise protocol.ProtocolError(
-            "register needs a 'system', 'config' or 'workload' payload")
+        generator = params["workload"]["generator"]
+        # UnknownWorkloadError / bad parameters are ValueErrors: the
+        # dispatcher maps them to a typed ``invalid`` error response.
+        workload = self.workloads.expand(
+            generator, params["workload"]["params"])
+        if isinstance(workload, BusConfiguration):
+            self.add_config(name, workload)
+            return {"target": name, "generator": generator}
+        shards = self.add_system(name, workload)
+        return {"system": name, "generator": generator, "shards": shards,
+                "scenarios": self._system_catalog(name).names()}
 
     def _shard_names(self, name: str,
                      override: "Mapping | None") -> dict[str, str]:
@@ -790,17 +727,16 @@ class AnalysisDaemon:
             if unknown:
                 raise protocol.ProtocolError(
                     f"shard map names unknown buses: {sorted(unknown)}")
-            shards.update({str(bus): str(alias)
-                           for bus, alias in override.items()})
+            shards.update(override)
         return shards
 
-    def _op_system_query(self, request: Mapping, cancel=None) -> dict:
+    def _op_system_query(self, params: dict, cancel=None) -> dict:
         """Typed topology deltas against a registered system."""
-        name = str(request["system"])
+        name = params["system"]
         session = self._system_session(name)
-        deltas = protocol.system_deltas_from_json(request.get("deltas", ()))
-        shards = self._shard_names(name, request.get("shards"))
-        outcome = session.query(deltas, label=request.get("label"),
+        deltas = protocol.system_deltas_from_json(params["deltas"])
+        shards = self._shard_names(name, params["shards"])
+        outcome = session.query(deltas, label=params["label"],
                                 cancel=cancel, trace=self._current_trace())
         response = protocol.system_query_result_to_json(outcome)
         response["system"] = name
@@ -808,15 +744,15 @@ class AnalysisDaemon:
         response["bus_reports"] = {
             shards.get(bus, bus): report
             for bus, report in response["bus_reports"].items()}
-        if "paths" in request:
-            paths = protocol.paths_from_json(request["paths"])
+        if params["paths"] is not None:
+            paths = protocol.paths_from_json(params["paths"])
             response["paths"] = [
                 protocol.path_latency_to_json(latency)
                 for latency in path_latency_all(
                     paths, outcome.system, outcome.result)]
         return response
 
-    def _op_metrics(self, request: Mapping, cancel=None) -> dict:
+    def _op_metrics(self, params: dict, cancel=None) -> dict:
         """Structured snapshot of the daemon's metrics registry.
 
         ``{"format": "prometheus"}`` (or ``"text"``) additionally
@@ -832,38 +768,20 @@ class AnalysisDaemon:
             "table": format_metrics_table(
                 snapshot, title=f"{self.name}: metrics"),
         }
-        fmt = request.get("format")
-        if fmt in ("text", "prometheus"):
+        if params["format"] is not None:
             result["text"] = self.metrics.render_prometheus()
-        elif fmt is not None:
-            raise protocol.ProtocolError(
-                f"unknown metrics format {fmt!r}; "
-                f"supported: 'text'/'prometheus'")
-        if request.get("history"):
-            last = request.get("history_last")
-            if last is not None and (
-                    isinstance(last, bool) or not isinstance(last, int)
-                    or last < 1):
-                raise protocol.ProtocolError(
-                    f"history_last must be a positive integer, "
-                    f"got {last!r}")
+        if params["history"]:
             with self._monitor_lock:
                 monitors = sorted(self._monitors.items())
             result["history"] = {
-                name: monitor.history.snapshot(last)
+                name: monitor.history.snapshot(params["history_last"])
                 for name, monitor in monitors}
         return result
 
-    def _op_traces(self, request: Mapping, cancel=None) -> dict:
+    def _op_traces(self, params: dict, cancel=None) -> dict:
         """The retained slowest traces, slowest first."""
-        limit = request.get("limit")
-        if limit is not None:
-            if isinstance(limit, bool) or not isinstance(limit, int) \
-                    or limit < 1:
-                raise protocol.ProtocolError(
-                    f"limit must be a positive integer, got {limit!r}")
         return {
-            "traces": self.traces.snapshot(limit),
+            "traces": self.traces.snapshot(params["limit"]),
             "retained": len(self.traces),
             "capacity": self.traces.capacity,
             "seen": self.traces.seen,
@@ -871,28 +789,17 @@ class AnalysisDaemon:
             "slow_queries_logged": self.slowlog.emitted,
         }
 
-    def _op_store(self, request: Mapping, cancel=None) -> dict:
+    def _op_store(self, params: dict, cancel=None) -> dict:
         """Persistent-store maintenance: stats (default), compact, clear.
 
         A daemon without a configured store answers ``enabled: false``
         instead of erroring, so fleet-wide monitoring can blindly poll.
         """
-        action = str(request.get("action", "stats"))
-        if action not in ("stats", "compact", "clear"):
-            raise protocol.ProtocolError(
-                f"unknown store action {action!r}; "
-                f"supported: 'stats'/'compact'/'clear'")
+        action = params["action"]
         if self.store is None:
             return {"enabled": False, "action": action}
         if action == "compact":
-            max_bytes = request.get("max_bytes")
-            if max_bytes is not None and (
-                    isinstance(max_bytes, bool)
-                    or not isinstance(max_bytes, int) or max_bytes < 0):
-                raise protocol.ProtocolError(
-                    f"max_bytes must be a non-negative integer, "
-                    f"got {max_bytes!r}")
-            stats = self.store.compact(max_bytes)
+            stats = self.store.compact(params["max_bytes"])
             return {"enabled": True, "action": action, "stats": stats}
         if action == "clear":
             removed = self.store.clear()
@@ -912,7 +819,7 @@ class AnalysisDaemon:
                 raise UnknownTargetError(target, sorted(self._monitors))
         return monitor
 
-    def _op_monitor_start(self, request: Mapping, cancel=None) -> dict:
+    def _op_monitor_start(self, params: dict, cancel=None) -> dict:
         """Bind (or re-bind) a conformance monitor to a registered target.
 
         Starting over an existing monitor replaces it wholesale -- fresh
@@ -920,34 +827,16 @@ class AnalysisDaemon:
         always begins from the registered event models, not from whatever
         a previous stream fitted.
         """
-        target = str(request["target"])
+        target = params["target"]
         session = self.pool.get(target)
-        window_ms = request.get("window_ms", self.monitor_window_ms)
-        history = request.get("history_windows", self.monitor_history)
-        if isinstance(window_ms, bool) \
-                or not isinstance(window_ms, (int, float)):
-            raise protocol.ProtocolError(
-                f"window_ms must be a positive number, got {window_ms!r}")
-        if isinstance(history, bool) or not isinstance(history, int):
-            raise protocol.ProtocolError(
-                f"history_windows must be a positive integer, "
-                f"got {history!r}")
-        extras = {}
-        for key in ("max_arrivals", "fit_max_n"):
-            value = request.get(key)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise protocol.ProtocolError(
-                    f"{key} must be an integer, got {value!r}")
-            extras[key] = value
-        # Range validation happens in MonitorConfig (ValueError -> the
-        # typed ``invalid`` response).
-        config = MonitorConfig(
-            window_ms=protocol.float_field(
-                request, "window_ms", self.monitor_window_ms),
-            history_windows=history, **extras)
-        rules = protocol.alert_rules_from_json(request.get("rules", ()))
+        settings = {key: params[key] for key in (
+            "history_windows", "max_arrivals", "fit_max_n")
+            if params[key] is not None}
+        if params["window_ms"] is not None:
+            settings["window_ms"] = protocol.float_field(params, "window_ms")
+        # MonitorConfig checks the ranges (ValueError -> ``invalid``).
+        config = replace(self.monitor_config, **settings)
+        rules = protocol.alert_rules_from_json(params["rules"])
         monitor = ConformanceMonitor(
             session, target=target, config=config, rules=rules,
             metrics=self.metrics, trace_ring=self.traces,
@@ -962,18 +851,18 @@ class AnalysisDaemon:
             "rules": [rule.describe() for rule in rules],
         }
 
-    def _op_monitor_ingest(self, request: Mapping, cancel=None) -> dict:
+    def _op_monitor_ingest(self, params: dict, cancel=None) -> dict:
         """Stream one chunk of observed frames into a running monitor.
 
         ``{"flush": true}`` additionally closes the window in progress
         after the chunk -- end-of-replay bookkeeping, so trailing alert
         evaluation is not left waiting for a frame that never comes.
         """
-        target = str(request["target"])
+        target = params["target"]
         monitor = self._monitor_for(target)
-        frames = protocol.frames_from_json(request.get("frames", ()))
+        frames = protocol.frames_from_json(params["frames"])
         report = monitor.ingest(frames, cancel=cancel)
-        if request.get("flush"):
+        if params["flush"]:
             tail = monitor.flush(cancel=cancel)
             report.windows_closed += tail.windows_closed
             report.refits += tail.refits
@@ -984,27 +873,21 @@ class AnalysisDaemon:
         result["violations_total"] = monitor.violations_total
         return result
 
-    def _op_monitor_status(self, request: Mapping, cancel=None) -> dict:
+    def _op_monitor_status(self, params: dict, cancel=None) -> dict:
         """Snapshot of one monitor: bounds, counts, overrides, alerts."""
-        return self._monitor_for(str(request["target"])).status()
+        return self._monitor_for(params["target"]).status()
 
-    def _op_monitor_alerts(self, request: Mapping, cancel=None) -> dict:
+    def _op_monitor_alerts(self, params: dict, cancel=None) -> dict:
         """Recent fired alerts, the active set, and the installed rules."""
-        monitor = self._monitor_for(str(request["target"]))
-        last = request.get("last")
-        if last is not None and (
-                isinstance(last, bool) or not isinstance(last, int)
-                or last < 1):
-            raise protocol.ProtocolError(
-                f"last must be a positive integer, got {last!r}")
-        result = monitor.alerts(last)
+        monitor = self._monitor_for(params["target"])
+        result = monitor.alerts(params["last"])
         result["rules"] = [rule.to_json()
                            for rule in monitor.engine.rules]
         return result
 
-    def _op_monitor_stop(self, request: Mapping, cancel=None) -> dict:
+    def _op_monitor_stop(self, params: dict, cancel=None) -> dict:
         """Detach one monitor; its final counters come back in the reply."""
-        target = str(request["target"])
+        target = params["target"]
         with self._monitor_lock:
             monitor = self._monitors.pop(target, None)
             if monitor is None:
@@ -1018,7 +901,7 @@ class AnalysisDaemon:
             "refits": status["refits"],
         }
 
-    def _op_shutdown(self, request: Mapping, cancel=None) -> dict:
+    def _op_shutdown(self, params: dict, cancel=None) -> dict:
         self._shutdown.set()
         return {"stopping": True}
 

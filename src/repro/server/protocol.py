@@ -21,7 +21,8 @@ a protocol violation (a desynchronised connection), never silently
 accepted.  Every request additionally accepts an optional ``deadline_ms``
 (float, milliseconds): the daemon arms a
 :class:`~repro.cancel.CancelToken` with it and aborts the request's
-fixed-point loops when it expires.
+fixed-point loops when it expires.  Every op's parameters are declared
+once, in :data:`OPS`.
 
 Error taxonomy
 --------------
@@ -45,11 +46,11 @@ to retry, back off, or give up without parsing prose:
     The named target/system is not registered (a typo, or a registration
     raced a query).
 ``protocol``
-    Malformed protocol object (unknown tags, missing payloads, shard maps
-    naming unknown buses).
+    A request :data:`OPS` rejects (a missing, undeclared, wrong-kind or
+    out-of-range parameter) or a malformed protocol object.
 ``invalid``
-    Structurally valid protocol but semantically bad parameters (unknown
-    message names, negative periods, type-malformed values).
+    An unknown op, or values :data:`OPS` accepts but a decoder or domain
+    object rejects (unknown message names, negative periods).
 ``internal``
     Unexpected server-side failure; the connection stays usable.
 
@@ -67,7 +68,10 @@ from __future__ import annotations
 
 import json
 import reprlib
-from typing import IO, Mapping, Optional, Sequence
+import sys
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Mapping, Optional, Sequence
 
 from repro.can.bus import CanBus
 from repro.can.controller import CanControllerType, ControllerModel
@@ -167,7 +171,10 @@ from repro.whatif.system_deltas import (
 #: per-system scenarios with one entry shape (``name``, ``queries``,
 #: ``description``).  ``system_query``, ``query``, ``register``,
 #: ``metrics``, ``shutdown`` and the monitor ops kept their request and
-#: response shapes.
+#: response shapes.  Later in version 7, requests came to be checked
+#: against one table (:data:`OPS`) and nested fields read by JSON kind,
+#: so coerced values (``with_report: "false"``, a can_id of 1.9) became
+#: typed errors; no request a shipped client sends changed.
 PROTOCOL_VERSION = 7
 
 #: The machine-readable error codes of the taxonomy documented above.
@@ -181,28 +188,57 @@ class ProtocolError(ValueError):
 
 _REQUIRED = object()
 
+#: JSON kind -> the Python types of a decoded value of that kind.
+_KINDS = {"string": str, "integer": int, "number": (int, float),
+          "boolean": bool, "array": (list, tuple), "object": Mapping,
+          "any": object}
 
-def float_field(data: Mapping, field: str, default=_REQUIRED):
-    """``float(data[field])``, or ``default`` when the field is absent.
 
-    Every float-valued protocol field decodes through here.  A value
-    ``float()`` rejects -- a string, a list, an integer literal too large
-    for a double -- raises a ``ValueError`` naming the field (the daemon's
-    ``invalid``; registration payloads wrap it into their ``protocol``
-    error); a missing required field raises ``KeyError(field)``.  Range
-    checks (finiteness, sign) stay with the typed objects the value feeds.
+def _expect(value, kind: str, field: str, error=ValueError):
+    """``value`` if it is of JSON ``kind`` (a boolean is no number), else
+    ``error`` naming ``field``."""
+    if not isinstance(value, _KINDS[kind]) or (
+            isinstance(value, bool) and kind in ("integer", "number")):
+        raise error(f"{field} must be a JSON {kind}, "
+                    f"got {reprlib.repr(value)}")
+    return value
+
+
+def _field(data: Mapping, field: str, default=_REQUIRED, *, kind: str):
+    """``data[field]`` of JSON ``kind``, or ``default`` when it is absent.
+
+    Every scalar field of a protocol object is read by one of the typed
+    readers below.  A value of another kind -- in a ``float`` field, one
+    ``float()`` rejects or cannot hold -- is a ``ValueError`` naming the
+    field (the daemon's ``invalid``; registration payloads wrap it into
+    ``protocol``); a missing required field is ``KeyError(field)``.  Range
+    checks stay with the typed objects the value feeds.
     """
     if field not in data:
         if default is _REQUIRED:
             raise KeyError(field)
         return default
     value = data[field]
+    if kind != "float":
+        return _expect(value, kind, field)
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"{field} must be a number representable as a float, "
             f"got {reprlib.repr(value)}") from None
+
+
+float_field = partial(_field, kind="float")
+int_field = partial(_field, kind="integer")
+bool_field = partial(_field, kind="boolean")
+str_field = partial(_field, kind="string")
+
+
+def strings_field(data: Mapping, field: str, default=_REQUIRED) -> tuple:
+    """``data[field]`` as a tuple, if it is a JSON array of strings."""
+    return tuple(_expect(item, "string", field)
+                 for item in _field(data, field, default, kind="array"))
 
 
 def error_response(message: str, code: str = "internal",
@@ -221,6 +257,159 @@ def error_response(message: str, code: str = "internal",
     if request_id is not None:
         response["id"] = request_id
     return response
+
+
+# --------------------------------------------------------------------------- #
+# Requests: one declared parameter table for every op
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class Param:
+    """One request parameter: its JSON ``kind``; its ``default`` (``null``
+    reads as absent when that is ``None``) or ``required``; the
+    ``choices``/``minimum``/``maximum`` no domain object checks; and the
+    declaration of each array element or map value (``items``) or of an
+    object's ``fields`` (a tuple, kept as a name map), exactly one of its
+    ``one_of`` fields given."""
+
+    name: str
+    kind: str
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    minimum: Optional[float] = None
+    maximum: Optional[float] = None
+    items: Optional["Param"] = None
+    fields: "Mapping[str, Param]" = ()
+    one_of: tuple = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fields", {f.name: f for f in self.fields})
+
+    def check(self, value, where: str):
+        """``value`` (containers: a checked copy, defaults filled in), or
+        a ``ProtocolError`` naming ``where`` and the field at fault."""
+        _expect(value, self.kind, where, ProtocolError)
+        if self.choices and value not in self.choices:
+            raise ProtocolError(
+                f"{where} must be one of {self.choices}, got {value!r}")
+        if (self.minimum is not None and not value >= self.minimum) or (
+                self.maximum is not None and not value <= self.maximum):
+            raise ProtocolError(
+                f"{where} must be within [{self.minimum!r}, "
+                f"{self.maximum or 'inf'}], got {reprlib.repr(value)}")
+        if self.items is not None:
+            if self.kind == "object":
+                return {key: self.items.check(item, f"{where}[{key!r}]")
+                        for key, item in value.items()}
+            return [self.items.check(item, f"{where}[{index}]")
+                    for index, item in enumerate(value)]
+        if not self.fields:
+            return value
+        for key in value:
+            if key not in self.fields:
+                raise ProtocolError(f"{where} has no parameter {key!r}; "
+                                    f"declared: {', '.join(self.fields)}")
+        checked = {}
+        for key, field in self.fields.items():
+            if key not in value:
+                if field.required:
+                    raise ProtocolError(f"{where} needs parameter {key!r}")
+                checked[key] = field.default
+            elif value[key] is None and field.default is None \
+                    and not field.required:
+                checked[key] = None
+            else:
+                checked[key] = field.check(value[key],
+                                           f"{where} parameter {key!r}")
+        if self.one_of and sum(
+                checked[key] is not None for key in self.one_of) != 1:
+            raise ProtocolError(f"{where} needs exactly one of "
+                                f"{' or '.join(map(repr, self.one_of))}")
+        return checked
+
+
+#: Parameters of every op; 5e-324 is the smallest positive double.
+COMMON_PARAMS = (
+    Param("op", "string", required=True), Param("id", "any"),
+    Param("deadline_ms", "number", minimum=5e-324,
+          maximum=sys.float_info.max),
+    Param("trace", "boolean", False), Param("trace_id", "string"))
+
+
+@dataclass(frozen=True)
+class Op(Param):
+    """A request object: the op's ``fields`` plus :data:`COMMON_PARAMS`.
+
+    A ``control`` op answers from in-memory state: it bypasses admission
+    and keeps being served during overload and drain.  ``retry``: when a
+    client re-sends it after a failed connection -- ``always``
+    (idempotent), ``connect`` (mutating: if no byte went out), ``never``.
+    """
+
+    kind: str = "object"
+    control: bool = False
+    retry: str = "always"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fields", (*self.fields, *COMMON_PARAMS))
+        super().__post_init__()
+
+
+_TARGET = Param("target", "string", required=True)
+#: Delta, path, rule and frame elements are checked by their decoders.
+_DELTAS = Param("deltas", "array", ())
+_LABEL = Param("label", "string")
+_WITH_REPORT = Param("with_report", "boolean", True)
+
+#: Every op of the protocol, declared once: the daemon checks each request
+#: against its entry before admission and dispatches by the op's name.
+OPS = {op.name: op for op in (
+    *(Op(name, control=True) for name in (
+        "ping", "health", "stats", "targets", "scenarios")),
+    Op("query", fields=(
+        _TARGET, _DELTAS, _LABEL, _WITH_REPORT,
+        Param("message_names", "array", items=Param("name", "string")))),
+    Op("scenario", fields=(
+        Param("target", "string"), Param("system", "string"),
+        Param("scenario", "string", required=True)),
+       one_of=("target", "system")),
+    Op("batch", fields=(_TARGET, Param("queries", "array", (), items=Param(
+        "query", "object", fields=(_DELTAS, _LABEL, _WITH_REPORT))))),
+    Op("register", fields=(
+        Param("name", "string", required=True), Param("system", "object"),
+        Param("config", "object"), Param("workload", "object", fields=(
+            Param("generator", "string", required=True),
+            Param("params", "object")))),
+       one_of=("system", "config", "workload"), retry="connect"),
+    Op("system_query", fields=(
+        Param("system", "string", required=True), _DELTAS, _LABEL,
+        Param("paths", "array"),
+        Param("shards", "object", items=Param("shard", "string")))),
+    Op("metrics", fields=(
+        Param("format", "string", choices=("text", "prometheus")),
+        Param("history", "boolean", False),
+        Param("history_last", "integer", minimum=1)), control=True),
+    Op("traces", fields=(Param("limit", "integer", minimum=1),),
+       control=True),
+    Op("store", fields=(
+        Param("action", "string", "stats",
+              choices=("stats", "compact", "clear")),
+        Param("max_bytes", "integer", minimum=0)), control=True),
+    # MonitorConfig checks the ranges of the monitor's settings.
+    Op("monitor_start", fields=(
+        _TARGET, Param("rules", "array", ()), Param("window_ms", "number"),
+        Param("history_windows", "integer"),
+        Param("max_arrivals", "integer"), Param("fit_max_n", "integer")),
+       retry="connect"),
+    Op("monitor_ingest", fields=(
+        _TARGET, Param("frames", "array", ()),
+        Param("flush", "boolean", False)), retry="connect"),
+    Op("monitor_status", fields=(_TARGET,), control=True),
+    Op("monitor_alerts", fields=(
+        _TARGET, Param("last", "integer", minimum=1)), control=True),
+    Op("monitor_stop", fields=(_TARGET,), control=True),
+    Op("shutdown", control=True, retry="never"),
+)}
 
 
 # --------------------------------------------------------------------------- #
@@ -291,7 +480,7 @@ def error_model_from_json(data: Mapping) -> ErrorModel:
     if kind == "burst":
         return BurstErrorModel(
             min_interarrival=float_field(data, "min_interarrival"),
-            burst_length=int(data["burst_length"]),
+            burst_length=int_field(data, "burst_length"),
             intra_burst_gap=float_field(data, "intra_burst_gap"))
     if kind == "composite":
         return CompositeErrorModel(components=tuple(
@@ -327,12 +516,12 @@ def can_message_from_json(data: Mapping) -> CanMessage:
     """Inverse of :func:`can_message_to_json`."""
     try:
         return CanMessage(
-            name=str(data["name"]),
-            can_id=int(data["can_id"]),
-            dlc=int(data["dlc"]),
+            name=str_field(data, "name"),
+            can_id=int_field(data, "can_id"),
+            dlc=int_field(data, "dlc"),
             period=float_field(data, "period"),
-            sender=str(data["sender"]),
-            receivers=tuple(str(r) for r in data.get("receivers", ())),
+            sender=str_field(data, "sender"),
+            receivers=strings_field(data, "receivers", ()),
             jitter=float_field(data, "jitter", None),
             deadline=float_field(data, "deadline", None),
             min_distance=float_field(data, "min_distance", 0.0),
@@ -397,38 +586,38 @@ def delta_from_json(data: Mapping) -> Delta:
     kind = data.get("delta")
     if kind == "jitter":
         return JitterDelta(
-            message_name=data.get("message_name"),
+            message_name=str_field(data, "message_name", None),
             jitter=float_field(data, "jitter", None),
             fraction=float_field(data, "fraction", None))
     if kind == "error-model":
         return ErrorModelDelta(error_model_from_json(data["error_model"]))
     if kind == "priority":
         if "swap" in data:
-            first, second = data["swap"]
-            return PriorityDelta(swap=(str(first), str(second)))
+            first, second = strings_field(data, "swap")
+            return PriorityDelta(swap=(first, second))
         if "order" in data:
-            return PriorityDelta(order=tuple(str(n) for n in data["order"]))
+            return PriorityDelta(order=strings_field(data, "order"))
         if "id_by_name" in data:
+            ids = _field(data, "id_by_name", kind="object")
             return PriorityDelta.from_mapping(
-                {str(n): int(i) for n, i in data["id_by_name"].items()})
+                {name: int_field(ids, name) for name in ids})
         raise ProtocolError("priority delta needs swap=, order= or "
                             "id_by_name=")
     if kind == "event-models":
         return EventModelDelta.from_mapping(
-            {str(name): event_model_from_json(model)
+            {name: event_model_from_json(model)
              for name, model in data.get("models", {}).items()},
-            replace_all=bool(data.get("replace_all", False)))
+            replace_all=bool_field(data, "replace_all", False))
     if kind == "add-message":
         return AddMessageDelta(can_message_from_json(data["message"]))
     if kind == "remove-message":
-        return RemoveMessageDelta(str(data["message_name"]))
+        return RemoveMessageDelta(str_field(data, "message_name"))
     if kind == "bus":
         return BusDelta(
             bit_rate_bps=float_field(data, "bit_rate_bps", None),
-            bit_stuffing=(bool(data["bit_stuffing"])
-                          if "bit_stuffing" in data else None))
+            bit_stuffing=bool_field(data, "bit_stuffing", None))
     if kind == "deadline-policy":
-        return DeadlinePolicyDelta(str(data["policy"]))
+        return DeadlinePolicyDelta(str_field(data, "policy"))
     raise ProtocolError(f"unknown delta tag {kind!r}")
 
 
@@ -527,9 +716,9 @@ def bus_to_json(bus: CanBus) -> dict:
 def bus_from_json(data: Mapping) -> CanBus:
     """Inverse of :func:`bus_to_json`."""
     try:
-        return CanBus(name=str(data["name"]),
+        return CanBus(name=str_field(data, "name"),
                       bit_rate_bps=float_field(data, "bit_rate_bps"),
-                      bit_stuffing=bool(data.get("bit_stuffing", True)))
+                      bit_stuffing=bool_field(data, "bit_stuffing", True))
     except KeyError as missing:
         raise ProtocolError(f"bus object lacks {missing}") from None
 
@@ -548,9 +737,9 @@ def controller_from_json(data: Mapping) -> ControllerModel:
     try:
         return ControllerModel(
             controller_type=CanControllerType(data["controller_type"]),
-            tx_buffers=int(data.get("tx_buffers", 3)),
-            abort_on_higher_priority=bool(
-                data.get("abort_on_higher_priority", False)))
+            tx_buffers=int_field(data, "tx_buffers", 3),
+            abort_on_higher_priority=bool_field(
+                data, "abort_on_higher_priority", False))
     except (KeyError, ValueError) as error:
         raise ProtocolError(f"bad controller object: {error}") from None
 
@@ -575,7 +764,7 @@ def segment_from_json(data: Mapping) -> BusSegment:
                 can_message_from_json(m) for m in data.get("messages", ())]),
             error_model=error_model_from_json(
                 data.get("error_model", {"errors": "none"})),
-            deadline_policy=str(data.get("deadline_policy", "period")),
+            deadline_policy=str_field(data, "deadline_policy", "period"),
             assumed_jitter_fraction=float_field(
                 data, "assumed_jitter_fraction", 0.0))
     except KeyError as missing:
@@ -602,25 +791,18 @@ def config_to_json(config: BusConfiguration) -> dict:
 
 
 def config_from_json(data: Mapping) -> BusConfiguration:
-    """Inverse of :func:`config_to_json`."""
+    """Inverse of :func:`config_to_json`: a segment object plus optional
+    controllers and event models."""
     try:
-        controllers = {str(name): controller_from_json(c)
+        controllers = {name: controller_from_json(c)
                        for name, c in data.get("controllers", {}).items()}
-        event_models = {str(name): event_model_from_json(m)
+        event_models = {name: event_model_from_json(m)
                         for name, m in data.get("event_models", {}).items()}
-        return BusConfiguration(
-            kmatrix=KMatrix(messages=[
-                can_message_from_json(m) for m in data.get("messages", ())]),
-            bus=bus_from_json(data["bus"]),
-            error_model=error_model_from_json(
-                data.get("error_model", {"errors": "none"})),
-            assumed_jitter_fraction=float_field(
-                data, "assumed_jitter_fraction", 0.0),
-            controllers=controllers or None,
-            event_models=event_models or None,
-            deadline_policy=str(data.get("deadline_policy", "period")))
     except KeyError as missing:
         raise ProtocolError(f"config object lacks {missing}") from None
+    return replace(
+        BusConfiguration.from_segment(segment_from_json(data), controllers),
+        event_models=event_models or None)
 
 
 def gateway_route_to_json(route: GatewayRoute) -> dict:
@@ -638,11 +820,11 @@ def gateway_route_from_json(data: Mapping) -> GatewayRoute:
     """Inverse of :func:`gateway_route_to_json`."""
     try:
         return GatewayRoute(
-            source_message=str(data["source_message"]),
-            destination_message=str(data["destination_message"]),
-            source_bus=str(data["source_bus"]),
-            destination_bus=str(data["destination_bus"]),
-            queue=str(data.get("queue", "default")))
+            source_message=str_field(data, "source_message"),
+            destination_message=str_field(data, "destination_message"),
+            source_bus=str_field(data, "source_bus"),
+            destination_bus=str_field(data, "destination_bus"),
+            queue=str_field(data, "queue", "default"))
     except KeyError as missing:
         raise ProtocolError(f"gateway route lacks {missing}") from None
 
@@ -662,16 +844,17 @@ def gateway_to_json(gateway: GatewayModel) -> dict:
 def gateway_from_json(data: Mapping) -> GatewayModel:
     """Inverse of :func:`gateway_to_json`."""
     try:
+        capacities = _field(data, "queue_capacities", {}, kind="object")
         return GatewayModel(
-            name=str(data["name"]),
+            name=str_field(data, "name"),
             routes=[gateway_route_from_json(r)
                     for r in data.get("routes", ())],
             policy=ForwardingPolicy(
                 data.get("policy", ForwardingPolicy.PERIODIC_POLLING.value)),
             polling_period=float_field(data, "polling_period", 5.0),
             copy_time=float_field(data, "copy_time", 0.05),
-            queue_capacities={str(q): int(c) for q, c in
-                              data.get("queue_capacities", {}).items()})
+            queue_capacities={queue: int_field(capacities, queue)
+                              for queue in capacities})
     except (KeyError, ValueError) as error:
         raise ProtocolError(f"bad gateway object: {error}") from None
 
@@ -696,15 +879,14 @@ def task_from_json(data: Mapping) -> Task:
     """Inverse of :func:`task_to_json`."""
     try:
         return Task(
-            name=str(data["name"]),
-            priority=int(data["priority"]),
+            name=str_field(data, "name"),
+            priority=int_field(data, "priority"),
             wcet=float_field(data, "wcet"),
             bcet=float_field(data, "bcet", 0.0),
             kind=TaskKind(data.get("kind", TaskKind.PREEMPTIVE.value)),
             activation=(event_model_from_json(data["activation"])
                         if "activation" in data else None),
-            sends_messages=tuple(
-                str(m) for m in data.get("sends_messages", ())),
+            sends_messages=strings_field(data, "sends_messages", ()),
             non_preemptable_region=float_field(
                 data, "non_preemptable_region", 0.0))
     except (KeyError, ValueError) as error:
@@ -743,11 +925,11 @@ def ecu_from_json(data: Mapping) -> EcuModel:
             timetable = TimeTable(
                 period=float_field(table, "period"),
                 entries=tuple(
-                    TimeTableEntry(task_name=str(e["task_name"]),
+                    TimeTableEntry(task_name=str_field(e, "task_name"),
                                    offset=float_field(e, "offset"))
                     for e in table.get("entries", ())))
         return EcuModel(
-            name=str(data["name"]),
+            name=str_field(data, "name"),
             tasks=[task_from_json(t) for t in data.get("tasks", ())],
             overheads=OsekOverheads(
                 activation=float_field(overheads, "activation", 0.004),
@@ -775,7 +957,7 @@ def system_to_json(system: SystemModel) -> dict:
 def system_from_json(data: Mapping) -> SystemModel:
     """Inverse of :func:`system_to_json`."""
     try:
-        system = SystemModel(name=str(data.get("name", "system")))
+        system = SystemModel(name=str_field(data, "name", "system"))
         for segment in data.get("buses", ()):
             system.add_bus(segment_from_json(segment))
         for gateway in data.get("gateways", ()):
@@ -783,7 +965,7 @@ def system_from_json(data: Mapping) -> SystemModel:
         for ecu in data.get("ecus", ()):
             system.add_ecu(ecu_from_json(ecu))
         system.controllers.update(
-            {str(name): controller_from_json(c)
+            {name: controller_from_json(c)
              for name, c in data.get("controllers", {}).items()})
     except ValueError as error:
         raise ProtocolError(f"bad system object: {error}") from None
@@ -846,40 +1028,39 @@ def system_delta_from_json(data: Mapping) -> SystemDelta:
     kind = data.get("sysdelta")
     if kind == "move-message":
         return MoveMessageDelta(
-            message_name=str(data["message_name"]),
-            to_bus=str(data["to_bus"]),
-            new_can_id=(int(data["new_can_id"])
-                        if "new_can_id" in data else None))
+            message_name=str_field(data, "message_name"),
+            to_bus=str_field(data, "to_bus"),
+            new_can_id=int_field(data, "new_can_id", None))
     if kind == "bus-speed":
-        return BusSpeedDelta(bus_name=str(data["bus"]),
+        return BusSpeedDelta(bus_name=str_field(data, "bus"),
                              bit_rate_bps=float_field(data, "bit_rate_bps"))
     if kind == "add-gateway-route":
         return AddGatewayRouteDelta(
-            gateway_name=str(data["gateway"]),
+            gateway_name=str_field(data, "gateway"),
             route=gateway_route_from_json(data["route"]),
             polling_period=float_field(data, "polling_period", None))
     if kind == "remove-gateway-route":
         return RemoveGatewayRouteDelta(
-            gateway_name=str(data["gateway"]),
-            destination_message=str(data["destination_message"]))
+            gateway_name=str_field(data, "gateway"),
+            destination_message=str_field(data, "destination_message"))
     if kind == "gateway-config":
         return GatewayConfigDelta(
-            gateway_name=str(data["gateway"]),
+            gateway_name=str_field(data, "gateway"),
             polling_period=float_field(data, "polling_period", None),
             copy_time=float_field(data, "copy_time", None),
             policy=(ForwardingPolicy(data["policy"])
                     if "policy" in data else None))
     if kind == "ecu-task":
         return EcuTaskDelta(
-            ecu_name=str(data["ecu"]),
-            task_name=str(data["task"]),
+            ecu_name=str_field(data, "ecu"),
+            task_name=str_field(data, "task"),
             wcet=float_field(data, "wcet", None),
             bcet=float_field(data, "bcet", None),
             activation=(event_model_from_json(data["activation"])
                         if "activation" in data else None))
     if kind == "segment-config":
         return SegmentConfigDelta(
-            bus_name=str(data["bus"]),
+            bus_name=str_field(data, "bus"),
             deltas=deltas_from_json(data.get("deltas", ())))
     raise ProtocolError(f"unknown system delta tag {kind!r}")
 
@@ -908,10 +1089,12 @@ def path_to_json(path: EndToEndPath) -> dict:
 def path_from_json(data: Mapping) -> EndToEndPath:
     """Inverse of :func:`path_to_json`."""
     try:
+        # EndToEndPath unpacks every segment into (kind, reference).
         segments = tuple(
-            (str(kind), str(reference))
-            for kind, reference in data.get("segments", ()))
-        return EndToEndPath(name=str(data["name"]), segments=segments)
+            tuple(_expect(part, "string", "segments")
+                  for part in _expect(segment, "array", "segments"))
+            for segment in _field(data, "segments", (), kind="array"))
+        return EndToEndPath(name=str_field(data, "name"), segments=segments)
     except (KeyError, ValueError) as error:
         raise ProtocolError(f"bad path object: {error}") from None
 
@@ -1009,11 +1192,6 @@ def alert_rules_from_json(items: Sequence[Mapping]) -> tuple[AlertRule, ...]:
     return tuple(rules)
 
 
-def alert_rules_to_json(rules: Sequence[AlertRule]) -> list[dict]:
-    """JSON array form of alert rules."""
-    return [rule.to_json() for rule in rules]
-
-
 # --------------------------------------------------------------------------- #
 # Framing
 # --------------------------------------------------------------------------- #
@@ -1039,16 +1217,3 @@ def decode_line(line: "bytes | str") -> dict:
         raise ProtocolError("protocol line must encode a JSON object")
     return obj
 
-
-def write_message(stream: IO[bytes], obj: Mapping) -> None:
-    """Write one protocol object to a binary stream and flush."""
-    stream.write(encode_line(obj))
-    stream.flush()
-
-
-def read_message(stream: IO[bytes]) -> Optional[dict]:
-    """Read one protocol object; ``None`` on a cleanly closed stream."""
-    line = stream.readline()
-    if not line:
-        return None
-    return decode_line(line)

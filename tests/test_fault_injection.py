@@ -378,7 +378,7 @@ class TestDaemonCounters:
             assert [slot["code"] for slot in batch["result"]["results"]] \
                 == ["timeout"] * len(steps)
             assert daemon.handle({"op": "batch", "target": "pt",
-                                  "queries": "abc"})["code"] == "invalid"
+                                  "queries": "abc"})["code"] == "protocol"
             assert daemon.handle({"op": "frobnicate"})["code"] == "invalid"
             assert daemon.handle({"op": "query", "target": "nope"})[
                 "code"] == "unknown_target"
@@ -395,7 +395,8 @@ class TestDaemonCounters:
             "code"] == "draining"
 
         codes = daemon.metrics.family("daemon_errors_total", "code")
-        assert codes == {"draining": 1, "invalid": 2, "overloaded": 1,
+        assert codes == {"draining": 1, "invalid": 1, "overloaded": 1,
+                         "protocol": 1,
                          "timeout": 1 + len(steps), "unknown_target": 1}
         stats = daemon.handle({"op": "stats"})["result"]
         ops = daemon.metrics.family("daemon_requests_total", "op")
@@ -419,14 +420,14 @@ class TestDaemonCounters:
         reply, in-process and over TCP, and the connection survives."""
         daemon = _fresh_daemon(config)
 
-        def overflowing(request, cancel=None):
+        def overflowing(params, cancel=None):
             raise OverflowError("int too large to convert to float")
 
         server = start_server(daemon, port=0)
         try:
             with TcpClient(*server.address) as tcp:
                 expected = tcp.query("pt")["results"]
-                monkeypatch.setitem(daemon._ops, "query", overflowing)
+                monkeypatch.setattr(daemon, "_op_query", overflowing)
                 response = daemon.handle(
                     {"op": "query", "target": "pt", "id": 7})
                 assert response["ok"] is False
@@ -438,8 +439,8 @@ class TestDaemonCounters:
                 assert caught.value.code == "internal"
                 # A result the wire codec refuses (NaN) is replaced by a
                 # typed error instead of killing the connection.
-                monkeypatch.setitem(daemon._ops, "query",
-                                    lambda request, cancel=None:
+                monkeypatch.setattr(daemon, "_op_query",
+                                    lambda params, cancel=None:
                                     {"worst_case": float("nan")})
                 with pytest.raises(DaemonError) as caught:
                     tcp.query("pt")

@@ -675,6 +675,15 @@ class TestMonitorOverTheWire:
         with pytest.raises(DaemonError, match="window_ms") as excinfo:
             client.monitor_start("bus", window_ms=10 ** 400)
         assert excinfo.value.code == "invalid"
+        # A NaN window or a history ring too large to allocate is refused
+        # at start, not on the first window close of every later ingest.
+        with pytest.raises(DaemonError, match="history_windows") as excinfo:
+            client.monitor_start("bus", history_windows=2 ** 63)
+        assert excinfo.value.code == "invalid"
+        response = daemon.handle({"op": "monitor_start", "target": "bus",
+                                  "window_ms": float("nan")})
+        assert response["code"] == "invalid"
+        assert "window_ms" in response["error"]
         daemon.close()
 
     @pytest.mark.parametrize("transport", ["in-process", "tcp"])

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 
 import pytest
 
 import repro.server.client as client_module
+import repro.server.protocol as protocol
 
 from repro.can.message import CanMessage
 from repro.errors.models import (
@@ -330,11 +332,12 @@ class TestDaemonEndpoints:
             client.request("query", target="powertrain", deltas="abc")
         with pytest.raises(DaemonError):
             client.request("batch", target="powertrain", queries=["x"])
+        # The op table declares 'queries' as an array of step objects.
         for queries in ("abc", {"deltas": []}, [{"deltas": []}, 3]):
             with pytest.raises(DaemonError, match="'queries'") as caught:
                 client.request("batch", target="powertrain",
                                queries=queries)
-            assert caught.value.code == "invalid"
+            assert caught.value.code == "protocol"
         with pytest.raises(DaemonError):
             client.request("query", target="powertrain",
                            deltas=[{"delta": "jitter", "fraction": "many"}])
@@ -423,6 +426,28 @@ class TestDaemonEndpoints:
                 ("system_query", {"system": "multibus", "deltas": [
                     {"sysdelta": "bus-speed", "bus": "CAN-0",
                      "bit_rate_bps": 10 ** 400}]}, "invalid", "bit_rate_bps"),
+                # Integer, boolean and string fields are read by kind, not
+                # coerced: no truncated float, stringly boolean or string
+                # unpacked into characters.
+                *(("query", {"target": "powertrain", "deltas": [
+                    {"delta": "add-message",
+                     "message": {**probe, field: value}}]},
+                   "invalid", field) for field, value in (
+                    ("can_id", 1.9), ("can_id", True), ("dlc", "8"))),
+                *(("query", {"target": "powertrain", "deltas": [delta]},
+                   "invalid", field) for field, delta in (
+                    ("burst_length", {"delta": "error-model",
+                                      "error_model": {
+                                          "errors": "burst",
+                                          "min_interarrival": 50.0,
+                                          "burst_length": 2.9,
+                                          "intra_burst_gap": 1.0}}),
+                    ("replace_all", {"delta": "event-models", "models": {
+                        name: {"model": "periodic", "period": 10.0}},
+                        "replace_all": "false"}),
+                    ("bit_stuffing", {"delta": "bus",
+                                      "bit_stuffing": "false"}),
+                    ("swap", {"delta": "priority", "swap": "ab"}))),
                 *(("register", {"name": "bad-bus", "system": {
                     "name": "bad-bus", "buses": [{"bus": {
                         "name": "CAN-0", "bit_rate_bps": value}}]}},
@@ -511,6 +536,133 @@ class TestDaemonEndpoints:
                        "cold"):
             assert header in table
         assert "powertrain" in table
+
+
+# --------------------------------------------------------------------------- #
+# The op table: one declared parameter check for every request
+# --------------------------------------------------------------------------- #
+class _CapturingClient(client_module.BaseClient):
+    """A client whose transport records each request line and answers ok."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lines: list[bytes] = []
+
+    def _roundtrip(self, request: dict) -> dict:
+        self.lines.append(encode_line(request))
+        return {"ok": True, "result": {}, "id": request["id"]}
+
+
+class TestOpTable:
+    @pytest.mark.parametrize("op, params, field", [
+        ("query", {"target": "powertrain", "with_report": "false"},
+         "'with_report'"),
+        ("batch", {"target": "powertrain",
+                   "queries": [{"deltas": [], "with_report": "false"}]},
+         "'with_report'"),
+        ("metrics", {"history": "no"}, "'history'"),
+        ("query", {"target": "powertrain", "trace": "false"}, "'trace'"),
+        ("register", {"name": "both",
+                      "system": protocol.system_to_json(multibus_system(
+                          n_buses=2, messages_per_bus=4, seed=3)),
+                      "config": protocol.config_to_json(
+                          _powertrain_config(8))},
+         "exactly one of 'system' or 'config' or 'workload'"),
+        ("query", {"target": "powertrain", "delta": [
+            {"delta": "jitter", "fraction": 0.4}]}, "'delta'"),
+        ("query", {"target": "powertrain", "message_names": "M1"},
+         "'message_names'"),
+    ])
+    def test_no_request_is_coerced(self, client, daemon, op, params, field):
+        """A request the table rejects answers one ``protocol`` error
+        naming the field, instead of an answer for another request."""
+        errors = sum(daemon.metrics.family(
+            "daemon_errors_total", "code").values())
+        with pytest.raises(DaemonError, match=field) as caught:
+            client.request(op, **params)
+        assert caught.value.code == "protocol"
+        assert "both" not in client.targets()["systems"]
+        assert sum(daemon.metrics.family(
+            "daemon_errors_total", "code").values()) == errors + 1
+
+    def test_client_request_lines_are_pinned(self):
+        """Typed client methods pass optional arguments straight through;
+        the request lines they send stay exactly these."""
+        from repro.core.paths import EndToEndPath
+        from repro.monitor.stream import ObservedFrame
+        from repro.whatif.system_deltas import BusSpeedDelta
+
+        fraction = (JitterDelta(fraction=0.3),)
+        path = EndToEndPath(name="p", segments=(("message", "M1"),))
+        client = _CapturingClient()
+        client.metrics()
+        client.metrics(history_last=3)
+        client.traces(limit=4)
+        client.query("t", fraction, message_names=["A", "B"])
+        client.query("t", message_names=[], label="L", with_report=False)
+        client.query("t", deadline_ms=12.5, trace=True, trace_id="abc")
+        client.query("t", trace=False)
+        client.batch("t", [{"deltas": fraction, "label": "a"}],
+                     deadline_ms=3)
+        client.register_workload("n", "g")
+        client.store_compact()
+        client.system_query(
+            "s", (BusSpeedDelta(bus_name="B", bit_rate_bps=250000.0),),
+            paths=[path], shards={"a": "b"}, trace=True)
+        client.system_query("s", paths=(), shards={})
+        client.system_scenario("s", "sc", deadline_ms=1.0)
+        client.monitor_start("t", rules=(), window_ms=5.0, fit_max_n=4)
+        client.monitor_ingest("t", [ObservedFrame("A", 0.0, 1.0)],
+                              flush=True)
+        client.monitor_ingest("t", [], flush=False)
+        client.monitor_alerts("t", last=2)
+        assert b"".join(client.lines).decode().splitlines() == [
+            '{"op":"metrics","id":1}',
+            '{"op":"metrics","id":2,"history":true,"history_last":3}',
+            '{"op":"traces","id":3,"limit":4}',
+            '{"op":"query","id":4,"target":"t","deltas":[{"delta":"jitter",'
+            '"fraction":0.3}],"with_report":true,"message_names":["A","B"]}',
+            '{"op":"query","id":5,"target":"t","deltas":[],'
+            '"with_report":false,"message_names":[],"label":"L"}',
+            '{"op":"query","id":6,"target":"t","deltas":[],'
+            '"with_report":true,"deadline_ms":12.5,"trace":true,'
+            '"trace_id":"abc"}',
+            '{"op":"query","id":7,"target":"t","deltas":[],'
+            '"with_report":true}',
+            '{"op":"batch","id":8,"target":"t","queries":[{"deltas":'
+            '[{"delta":"jitter","fraction":0.3}],"label":"a"}],'
+            '"deadline_ms":3}',
+            '{"op":"register","id":9,"name":"n","workload":'
+            '{"generator":"g"}}',
+            '{"op":"store","id":10,"action":"compact"}',
+            '{"op":"system_query","id":11,"system":"s","deltas":'
+            '[{"sysdelta":"bus-speed","bus":"B","bit_rate_bps":250000.0}],'
+            '"paths":[{"name":"p","segments":[["message","M1"]]}],'
+            '"shards":{"a":"b"},"trace":true}',
+            '{"op":"system_query","id":12,"system":"s","deltas":[],'
+            '"shards":{}}',
+            '{"op":"scenario","id":13,"system":"s","scenario":"sc",'
+            '"deadline_ms":1.0}',
+            '{"op":"monitor_start","id":14,"target":"t","window_ms":5.0,'
+            '"fit_max_n":4}',
+            '{"op":"monitor_ingest","id":15,"target":"t","frames":'
+            '[["A",0.0,1.0,true,1]],"flush":true}',
+            '{"op":"monitor_ingest","id":16,"target":"t","frames":[]}',
+            '{"op":"monitor_alerts","id":17,"target":"t","last":2}',
+        ]
+
+    def test_readme_names_the_table_ops_and_control_set(self):
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        rows = readme.split("| op | answers |", 1)[1].split("\n\n", 1)[0]
+        table_ops = [op for row in rows.splitlines()[2:]
+                     for op in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(table_ops) == sorted(protocol.OPS)
+        sentence = re.search(r"Control ops \(([^)]*)\)", readme).group(1)
+        assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(
+            op.name for op in protocol.OPS.values() if op.control)
 
 
 # --------------------------------------------------------------------------- #
