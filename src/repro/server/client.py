@@ -492,25 +492,16 @@ class InProcessClient(BaseClient):
 
     def _roundtrip(self, request: dict) -> dict:
         # Encode/decode both directions: what the daemon sees is exactly
-        # the object a TCP peer would deliver, typos and all.  The stage
-        # timing mirrors the TCP transport so traces look the same over
-        # either: decode time flows into the trace up front, encode time
-        # is folded in afterwards via ``take_trace``.
+        # the object a TCP peer would deliver, typos and all, and the
+        # reply is the line the TCP transport would write.  Decode time
+        # flows into the trace up front, as over TCP.
         wire = encode_line(request)
         decode_start = time.perf_counter()
         wire_request = decode_line(wire)
         decode_ms = (time.perf_counter() - decode_start) * 1000.0
         response = self.daemon.handle(wire_request, decode_ms=decode_ms)
-        encode_start = time.perf_counter()
-        data = encode_line(response)
-        encode_ms = (time.perf_counter() - encode_start) * 1000.0
-        trace = self.daemon.take_trace()
-        if trace is not None:
-            trace.extend("encode", encode_ms)
-            if "trace" in response:
-                response["trace"] = trace.to_json()
-                data = encode_line(response)
-        return decode_line(data)
+        return decode_line(
+            self.daemon.encode_response(wire_request, response))
 
 
 class TcpClient(BaseClient):

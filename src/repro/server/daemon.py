@@ -69,8 +69,11 @@ Every op and its parameters are declared once, in
 :data:`repro.server.protocol.OPS`; each op is served by ``_op_<name>``.
 
 Transport-independent by construction: :meth:`handle` consumes and
-produces plain protocol dicts, so the in-process client, the TCP server
-and tests all exercise literally the same code path.
+produces protocol dicts (an analysed configuration's results ride in them
+as encoded :class:`~repro.server.protocol.Fragment`\\ s) and
+:meth:`encode_response` turns one into its line, so the in-process
+client, the TCP server and tests all exercise literally the same code
+path.
 
 Fault tolerance
 ---------------
@@ -212,7 +215,7 @@ class AnalysisDaemon:
         self._draining = False
         # Per-thread stash of the request being handled (so op handlers
         # can attach session spans) and of the last finished trace (so
-        # the transport can fold in encode time; see take_trace).
+        # the transport can fold in encode time; see encode_response).
         self._trace_local = threading.local()
         self._m_inflight = self.metrics.gauge("daemon_inflight")
         self._m_admission = {
@@ -328,7 +331,7 @@ class AnalysisDaemon:
 
         Every request is traced (stages ``decode`` -> ``admission`` ->
         ``session_plan`` -> ``solve``; the transport folds in ``encode``
-        via :meth:`take_trace`); the slowest traces
+        via :meth:`encode_response`); the slowest traces
         are retained for the ``traces`` op, and the span tree is returned
         inline when the request sets ``trace: true``.  ``decode_ms`` is
         the transport's line-decode time.
@@ -471,17 +474,38 @@ class AnalysisDaemon:
         self._trace_local.finished = trace
         return response
 
-    def take_trace(self) -> Optional[Trace]:
-        """Pop the trace of the request this thread just handled.
+    def encode_response(self, request: Mapping, response: dict,
+                        encode=protocol.encode_line) -> bytes:
+        """The line of a response :meth:`handle` just made on this thread.
 
-        Transport hook: the TCP server (and the in-process client) call
-        it after :meth:`handle` to fold their line-encode time into the
-        trace's ``encode`` span -- the trace object is already retained
-        by reference, so the amendment shows up in ``traces`` output too.
+        Transport hook for the TCP server and the in-process client.
+        ``encode`` runs once per response and is timed as the trace's
+        ``encode`` span (the trace is retained by reference, so
+        ``traces`` output shows it too); the TCP server passes the
+        ``encode_line`` its own module names, so a timing wrapper put
+        there sees every reply.  An inline span tree is rendered after
+        that span closes and appended to the line.  A response the
+        encoder refuses (a NaN, say) is answered with a typed
+        ``internal`` error instead.
         """
+        inline = response.pop("trace", None) is not None
+        started = time.perf_counter()
+        try:
+            data = encode(response)
+        except Exception as error:  # noqa: BLE001 - one reply per line
+            _log.exception("unencodable response to op %r",
+                           request.get("op"))
+            inline = False
+            data = encode(self._error(
+                f"response not encodable: {error}", request.get("id")))
+        encode_ms = (time.perf_counter() - started) * 1000.0
         trace = getattr(self._trace_local, "finished", None)
         self._trace_local.finished = None
-        return trace
+        if trace is None:
+            return data
+        trace.extend("encode", encode_ms)
+        return protocol.append_member(data, "trace", trace.to_json()) \
+            if inline else data
 
     def _current_trace(self) -> Optional[Trace]:
         """The trace of the request being handled on this thread."""

@@ -634,6 +634,35 @@ def deltas_to_json(deltas: Sequence[Delta]) -> list[dict]:
 # --------------------------------------------------------------------------- #
 # Results
 # --------------------------------------------------------------------------- #
+class Fragment(Mapping):
+    """A JSON object encoded once and written verbatim by :func:`encode_line`.
+
+    Read as a mapping it decodes itself, so an in-process caller of
+    :meth:`~repro.server.daemon.AnalysisDaemon.handle` sees the object a
+    peer would read off the wire.
+    """
+
+    __slots__ = ("text", "_decoded")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._decoded: Optional[dict] = None
+
+    def _value(self) -> dict:
+        if self._decoded is None:
+            self._decoded = json.loads(self.text)
+        return self._decoded
+
+    def __getitem__(self, key):
+        return self._value()[key]
+
+    def __iter__(self):
+        return iter(self._value())
+
+    def __len__(self) -> int:
+        return len(self._value())
+
+
 def result_to_json(result) -> dict:
     """JSON object for one :class:`MessageResponseTime`."""
     return {
@@ -672,13 +701,38 @@ def report_to_json(report) -> Optional[dict]:
 
 
 def query_result_to_json(result) -> dict:
-    """JSON object for a :class:`repro.service.session.QueryResult`."""
+    """JSON object for a :class:`repro.service.session.QueryResult`.
+
+    ``results`` and ``report`` are :class:`Fragment`\\ s built from the
+    answering cache entry's memo (``result.wire``): each message's
+    ``"name":{...}`` member and each deadline policy's report is encoded
+    the first time a reply needs it, and every later reply -- the full
+    matrix, a ``message_names`` subset, a batch or scenario step -- joins
+    the members it asks for.  Only ``label``, ``fingerprint`` and
+    ``stats`` are per reply.
+    """
+    memo = result.wire if result.wire is not None else {}
+    members = memo.setdefault("results", {})
+    parts = []
+    for name, value in result.results.items():
+        part = members.get(name)
+        if part is None:
+            part = members[name] = \
+                f"{_dumps(name)}:{_dumps(result_to_json(value))}"
+        parts.append(part)
+    report = result.report
+    if report is not None:
+        reports = memo.setdefault("reports", {})
+        text = reports.get(report.deadline_policy)
+        if text is None:
+            text = reports[report.deadline_policy] = \
+                _dumps(report_to_json(report))
+        report = Fragment(text)
     return {
         "label": result.label,
         "fingerprint": result.fingerprint,
-        "results": {name: result_to_json(value)
-                    for name, value in result.results.items()},
-        "report": report_to_json(result.report),
+        "results": Fragment("{" + ",".join(parts) + "}"),
+        "report": report,
         "stats": {
             "total": result.stats.total,
             "reused": result.stats.reused,
@@ -1195,10 +1249,49 @@ def alert_rules_from_json(items: Sequence[Mapping]) -> tuple[AlertRule, ...]:
 # --------------------------------------------------------------------------- #
 # Framing
 # --------------------------------------------------------------------------- #
+class _Splice(Exception):
+    """The encoder met a :class:`Fragment`."""
+
+
+def _refuse(value):
+    if isinstance(value, Fragment):
+        raise _Splice
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False,
+                          default=_refuse).encode
+
+
+def _encode(value) -> str:
+    """``value`` as JSON text: a fragment verbatim, a container holding
+    one member by member, anything else in one ``json`` call."""
+    if isinstance(value, Fragment):
+        return value.text
+    try:
+        return _dumps(value)
+    except _Splice:
+        pass
+    if isinstance(value, Mapping):
+        return "{" + ",".join(f"{_dumps(key)}:{_encode(item)}"
+                              for key, item in value.items()) + "}"
+    return "[" + ",".join(map(_encode, value)) + "]"
+
+
 def encode_line(obj: Mapping) -> bytes:
-    """One protocol object as one newline-terminated UTF-8 line."""
-    return json.dumps(obj, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8") + b"\n"
+    """One protocol object as one newline-terminated UTF-8 line.
+
+    Bytes are those of ``json.dumps(obj, separators=(",", ":"),
+    allow_nan=False)`` with every :class:`Fragment` read as its object.
+    """
+    return _encode(obj).encode("utf-8") + b"\n"
+
+
+def append_member(line: bytes, key: str, value) -> bytes:
+    """An encoded object ``line`` with ``"key":value`` as its last member."""
+    return b"%s,%s:%s}\n" % (line[:-2], _dumps(key).encode("utf-8"),
+                              _dumps(value).encode("utf-8"))
 
 
 def decode_line(line: "bytes | str") -> dict:

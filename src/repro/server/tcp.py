@@ -23,7 +23,6 @@ daemon) after its response line is written.
 
 from __future__ import annotations
 
-import logging
 import socketserver
 import threading
 import time
@@ -36,8 +35,6 @@ from repro.server.protocol import (
     encode_line,
     error_response,
 )
-
-_log = logging.getLogger(__name__)
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7677
@@ -83,26 +80,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             rule = daemon.faults.check("tcp.slow")
             if rule is not None:
                 time.sleep(rule.arg / 1000.0)
-            encode_start = time.perf_counter()
-            try:
-                data = encode_line(response)
-            except Exception as error:  # noqa: BLE001 - one reply per line
-                _log.exception("unencodable response to op %r",
-                               request.get("op"))
-                response = daemon._error(
-                    f"response not encodable: {error}", request.get("id"))
-                data = encode_line(response)
-            encode_ms = (time.perf_counter() - encode_start) * 1000.0
-            trace = daemon.take_trace()
-            if trace is not None:
-                # Fold line-encode time into the trace (it is retained by
-                # reference, so the ``traces`` op sees it too); a traced
-                # response re-renders its inline span tree so the client
-                # receives the complete stage breakdown.
-                trace.extend("encode", encode_ms)
-                if "trace" in response:
-                    response["trace"] = trace.to_json()
-                    data = encode_line(response)
+            data = daemon.encode_response(request, response, encode_line)
             try:
                 self.wfile.write(data)
                 self.wfile.flush()

@@ -216,10 +216,12 @@ class FingerprintKey:
 
 class _CacheEntry:
     """One analysed configuration: kernel, fixed point, planning profile,
-    and the full-matrix schedulability report per deadline policy."""
+    the full-matrix schedulability report per deadline policy, and the
+    wire memo -- encoded results the protocol layer fills through
+    :attr:`QueryResult.wire` and that lives and dies with the entry."""
 
     __slots__ = ("key", "config", "analysis", "profile", "results",
-                 "reports")
+                 "reports", "wire")
 
     def __init__(self, key: FingerprintKey, config: BusConfiguration,
                  analysis: CanBusAnalysis, profile: _Profile) -> None:
@@ -229,6 +231,7 @@ class _CacheEntry:
         self.profile = profile
         self.results: dict[str, MessageResponseTime] = {}
         self.reports: dict[str, SchedulabilityReport] = {}
+        self.wire: dict = {}
 
     @property
     def digest(self) -> str:
@@ -321,6 +324,8 @@ class QueryResult:
     digest, stable across processes and parallel modes); passing the whole
     result back as ``warm_from=`` of a later query declares it the
     preferred incremental basis (sweeps chain their points this way).
+    ``wire`` is the memo of the cache entry that answered the query, so a
+    served result is encoded once per entry, not once per reply.
     """
 
     label: Optional[str]
@@ -329,6 +334,7 @@ class QueryResult:
     report: Optional[SchedulabilityReport]
     stats: QueryStats
     key: object = field(repr=False, compare=False, default=None)
+    wire: Optional[dict] = field(repr=False, compare=False, default=None)
 
     #: Column headers of :meth:`table_row` (a scenario run's table).
     TABLE_HEADERS = ("query", "loss %", "worst slack", "reused", "warm",
@@ -751,7 +757,8 @@ class AnalysisSession:
             results = {n: entry.results[n] for n in needed}
         return QueryResult(
             label=label, deltas=deltas,
-            results=results, report=report, stats=stats, key=entry.key)
+            results=results, report=report, stats=stats, key=entry.key,
+            wire=entry.wire)
 
     def _store_lookup(self, key: "FingerprintKey", profile: _Profile,
                       trace=None) -> dict[str, MessageResponseTime] | None:

@@ -17,6 +17,7 @@ and machines.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -39,14 +40,21 @@ class UnknownWorkloadError(ValueError):
         self.name = name
 
 
+#: Parameter type -> its JSON kind and the decoded values it accepts.
+_KINDS = {int: ("integer", int), float: ("number", (int, float)),
+          str: ("string", str)}
+
+
 @dataclass(frozen=True)
 class WorkloadDef:
     """One registered generator.
 
-    ``params`` maps every accepted parameter name to the type its value is
-    coerced to; unknown parameter names are rejected loudly (a typo'd
-    parameter silently falling back to a default would fingerprint -- and
-    cache -- the wrong workload).
+    ``params`` maps every accepted parameter name to its type; a value
+    must already be of that JSON kind (an ``int`` parameter takes no
+    float, string or boolean, a ``float`` one also takes an integer).
+    Unknown names and values of another kind are rejected loudly: a typo'd
+    parameter silently falling back to a default, or ``8.7`` read as 8,
+    would fingerprint -- and cache -- the wrong workload.
     """
 
     name: str
@@ -56,8 +64,8 @@ class WorkloadDef:
     description: str
 
     def expand(self, params: Mapping | None) -> "SystemModel | BusConfiguration":
-        """Validate + coerce ``params`` and run the builder."""
-        coerced = {}
+        """Check ``params`` by kind and run the builder."""
+        checked = {}
         for key, value in (params or {}).items():
             key = str(key)
             if key not in self.params:
@@ -66,13 +74,17 @@ class WorkloadDef:
                     f"accepted: {sorted(self.params)}"
                 )
             kind = self.params[key]
+            json_kind, accepts = _KINDS[kind]
             try:
-                coerced[key] = kind(value)
-            except (TypeError, ValueError) as exc:
+                if isinstance(value, bool) or not isinstance(value, accepts):
+                    raise TypeError
+                checked[key] = kind(value)  # float(2) for a float param
+            except (TypeError, OverflowError):
                 raise ValueError(
-                    f"workload {self.name!r} parameter {key!r}: {exc}"
-                ) from exc
-        return self.builder(**coerced)
+                    f"workload {self.name!r} parameter {key!r} must be "
+                    f"a JSON {json_kind}, got {reprlib.repr(value)}"
+                ) from None
+        return self.builder(**checked)
 
 
 class WorkloadRegistry:

@@ -10,9 +10,11 @@ so ``==`` is the right comparison.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
+import socket
 import threading
 
 import pytest
@@ -784,6 +786,150 @@ class TestTcpTransport:
             thread.join(timeout=120)
         try:
             assert not failures, failures
+        finally:
+            server.stop()
+
+
+# --------------------------------------------------------------------------- #
+# Wire bytes: replies spliced from a cache entry's encoded fragments
+# --------------------------------------------------------------------------- #
+def _wire_script(config: BusConfiguration) -> list[dict]:
+    """Misses, hits, subsets, ``with_report: false``, no messages, a label
+    needing escapes, two deadline policies on one entry, 69 unbounded
+    messages, a batch, a repeated scenario and two errors."""
+    names = [message.name for message in config.kmatrix][::11]
+    jitter = protocol.deltas_to_json([JitterDelta(fraction=0.3)])
+    errors = protocol.deltas_to_json(
+        [ErrorModelDelta(SporadicErrorModel(min_interarrival=0.5))])
+
+    def policy(name: str) -> list[dict]:
+        return [{"delta": "deadline-policy", "policy": name}]
+
+    query = {"op": "query", "target": "pt"}
+    return [
+        {**query, "id": 1},
+        {**query, "id": 2},
+        {**query, "message_names": names, "id": "three"},
+        {**query, "with_report": False},
+        {**query, "message_names": [], "id": 5},
+        {**query, "deltas": jitter, "message_names": names, "id": 6},
+        {**query, "deltas": jitter, "label": "j30", "id": 7},
+        {**query, "deltas": jitter, "label": "j30\u00e9\"", "id": 8},
+        {**query, "deltas": errors, "id": 9},
+        {**query, "deltas": errors, "with_report": False, "id": 10},
+        {**query, "deltas": errors, "id": 11},
+        {"op": "batch", "target": "pt", "id": 12, "queries": [
+            {"label": "base"},
+            {"deltas": protocol.deltas_to_json([JitterDelta(fraction=0.4)])},
+            {"deltas": errors, "with_report": False}, {"deltas": jitter}]},
+        {"op": "scenario", "target": "pt",
+         "scenario": "paper-operating-points", "id": 13},
+        {"op": "scenario", "target": "pt",
+         "scenario": "paper-operating-points", "id": 14},
+        {**query, "deltas": policy("min"), "id": 15},
+        {**query, "deltas": policy("min-rearrival"), "id": 16},
+        {**query, "deltas": errors + policy("min-rearrival"), "id": 17},
+        {"op": "query", "target": "nope", "id": 18},
+    ]
+
+
+def _wire_daemon() -> tuple[AnalysisDaemon, BusConfiguration]:
+    config = _powertrain_config(80)
+    daemon = AnalysisDaemon(name="wire")
+    daemon.add_config("pt", config)
+    return daemon, config
+
+
+def _tcp_reply_lines(daemon: AnalysisDaemon, requests) -> list[bytes]:
+    """Each request sent as a raw line over TCP; the raw reply lines."""
+    server = start_server(daemon, port=0)
+    try:
+        with socket.create_connection(server.address, timeout=60) as sock:
+            reader = sock.makefile("rb")
+            lines = []
+            for request in requests:
+                sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
+                lines.append(reader.readline())
+            return lines
+    finally:
+        server.stop()
+
+
+class TestWireBytes:
+    """Replies for an analysed configuration are joined from its cache
+    entry's encoded members; the bytes must stay those of one plain
+    ``json.dumps`` of the reply object."""
+
+    #: sha1 of the script's reply lines before fragments were cached.
+    PINNED = "89882a7d5a41afc6c84e042ceb0df73d463345f9"
+
+    def test_reply_lines_are_pinned(self):
+        daemon, config = _wire_daemon()
+        lines = _tcp_reply_lines(daemon, _wire_script(config))
+        assert len(lines) == 18
+        assert all(line.endswith(b"\n") for line in lines)
+        assert hashlib.sha1(b"".join(lines)).hexdigest() == self.PINNED
+
+    def test_every_line_is_its_plain_reencode(self):
+        daemon, config = _wire_daemon()
+        lines = _tcp_reply_lines(daemon, _wire_script(config))
+        for line in lines:
+            plain = json.dumps(json.loads(line), separators=(",", ":"),
+                               allow_nan=False)
+            assert line == plain.encode("utf-8") + b"\n"
+        unbounded = json.loads(lines[8])["result"]["results"]
+        assert sum(entry["worst_case"] is None
+                   for entry in unbounded.values()) == 69
+
+    def test_subset_then_full_matrix_gives_the_full_reply(self):
+        daemon, config = _wire_daemon()
+        names = [message.name for message in config.kmatrix][::7]
+        full = {"op": "query", "target": "pt", "id": 1}
+        subset = {**full, "message_names": names}
+        (want,) = _tcp_reply_lines(daemon, [full])
+        daemon, _ = _wire_daemon()
+        got_subset, got = _tcp_reply_lines(daemon, [subset, full])
+        assert list(json.loads(got_subset)["result"]["results"]) == names
+        # The second query completes the entry the subset started, so
+        # only its plan statistics differ from a first full query.
+        want, got = json.loads(want), json.loads(got)
+        assert got["result"].pop("stats")["reused"] == len(names)
+        want["result"].pop("stats")
+        assert got == want
+
+    def test_eviction_drops_the_entry_fragments(self):
+        from repro.service.session import AnalysisSession
+        session = AnalysisSession.from_config(
+            _powertrain_config(16), max_cached_configs=2)
+        evicted = (JitterDelta(fraction=0.2),)
+        first = session.query(evicted)
+        protocol.query_result_to_json(first)
+        assert len(first.wire["results"]) == 16
+        for fraction in (0.3, 0.4, 0.5):
+            protocol.query_result_to_json(
+                session.query((JitterDelta(fraction=fraction),)))
+        live = [entry.wire for entry in session._cache.values()]
+        assert len(live) == 2
+        assert all(wire is not first.wire for wire in live)
+        again = session.query(evicted)
+        assert again.wire is not first.wire and again.wire == {}
+        assert protocol.encode_line(protocol.query_result_to_json(again)) \
+            == protocol.encode_line(protocol.query_result_to_json(first))
+
+    def test_unencodable_reply_is_typed_internal_over_both_transports(
+            self, monkeypatch):
+        daemon, _ = _wire_daemon()
+        monkeypatch.setattr(daemon, "_op_ping",
+                            lambda params, cancel=None: {"x": math.nan})
+        server = start_server(daemon, port=0)
+        try:
+            with TcpClient(*server.address) as tcp:
+                for peer in (InProcessClient(daemon), tcp):
+                    with pytest.raises(DaemonError) as caught:
+                        peer.ping()
+                    assert caught.value.code == "internal"
+                    assert "not encodable" in str(caught.value)
+                    assert peer.health()["status"] == "ok"
         finally:
             server.stop()
 

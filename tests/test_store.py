@@ -459,6 +459,28 @@ class TestWorkloadRegistry:
                 client.request("register", name="x", workload={})
             assert err.value.code == "protocol"
 
+    @pytest.mark.parametrize("params, field", [
+        ({"n_messages": 8.7, "seed": 1}, "n_messages"),
+        ({"n_messages": 8, "seed": "1"}, "seed"),
+        ({"n_messages": 8, "seed": True}, "seed"),
+        ({"n_messages": 8.0}, "n_messages"),
+        ({"n_messages": 8, "bit_rate_bps": "fast"}, "bit_rate_bps"),
+        ({"n_messages": 8, "bit_rate_bps": 10 ** 400}, "bit_rate_bps"),
+        ({"n_messages": 8, "id_policy": 1}, "id_policy"),
+    ])
+    def test_workload_params_are_not_coerced(self, params, field):
+        with AnalysisDaemon() as daemon:
+            client = InProcessClient(daemon)
+            with pytest.raises(DaemonError, match=repr(field)) as err:
+                client.register_workload("x", "synthetic_bus", params)
+            assert err.value.code == "invalid"
+            assert daemon.pool.targets() == []
+            # A float parameter still takes an integer.
+            client.register_workload("x", "synthetic_bus",
+                                     {"n_messages": 8, "bit_rate_bps": 250000})
+            bus = daemon.pool.get("x").base_config.bus
+            assert bus.bit_rate_bps == 250000.0
+
     def test_identical_workloads_dedupe_into_one_session(self):
         with AnalysisDaemon() as daemon:
             client = InProcessClient(daemon)
