@@ -210,7 +210,11 @@ class CompositionalAnalysis:
         segments get a private session on first use.  Each provided session
         must have been built over exactly the segment's configuration
         (e.g. via :meth:`AnalysisSession.from_segment` with the system's
-        controllers).
+        controllers).  The engine's segment queries pass
+        ``use_store=False``: a store-backed session neither looks up nor
+        publishes the intermediate configurations of a run, whose fixed
+        point the caller persists whole (``SystemSession`` writes one
+        ``system`` entry per topology).
     incremental:
         When ``True`` (default), bus sweeps run on the per-segment sessions
         (reuse / warm-start per message), whatever ``REPRO_PARALLEL`` says.
@@ -340,7 +344,8 @@ class CompositionalAnalysis:
             deltas = (EventModelDelta.from_mapping(
                 overrides, replace_all=True),)
         prev_query, prev_arrivals = previous or (None, None)
-        query = session.query(deltas, warm_from=prev_query, cancel=cancel)
+        query = session.query(deltas, warm_from=prev_query, cancel=cancel,
+                              use_store=False)
         if prev_query is not None and query.key == prev_query.key:
             arrivals = prev_arrivals
         else:

@@ -204,6 +204,19 @@ class SporadicEventModel(EventModel):
         return 0
 
 
+#: Stable tag of every standard event model class, shared by the wire
+#: protocol and the result store so both formats name a model alike.
+EVENT_MODEL_CLASSES: dict[str, type[EventModel]] = {
+    "event": EventModel,
+    "periodic": PeriodicEventModel,
+    "periodic-jitter": PeriodicWithJitter,
+    "periodic-burst": PeriodicWithBurst,
+    "sporadic": SporadicEventModel,
+}
+EVENT_MODEL_TAGS: dict[type[EventModel], str] = {
+    cls: tag for tag, cls in EVENT_MODEL_CLASSES.items()}
+
+
 def event_model_from_parameters(
     period: float,
     jitter: float = 0.0,

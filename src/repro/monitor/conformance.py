@@ -171,6 +171,20 @@ class _MessageState:
             return self.override.jitter
         return self.registered_jitter
 
+    def alert_sample(self) -> tuple[dict[str, float], dict[str, float]]:
+        """The closing window's metric values and threshold scales."""
+        values: dict[str, float] = {
+            "frames": float(self.window_completed),
+            "arrivals": float(self.window_arrivals),
+        }
+        if self.window_completed:
+            values["observed_max_ms"] = self.window_max
+            values["observed_slack_ms"] = self.deadline - self.window_max
+        scale: dict[str, float] = {"deadline": self.deadline}
+        if self.bounded and self.bound is not None:
+            scale["bound"] = self.bound
+        return values, scale
+
     def reset_window(self) -> None:
         self.window_arrivals = 0
         self.window_completed = 0
@@ -437,6 +451,8 @@ class ConformanceMonitor:
         escaped = [state for state in self._state_list if state.window_arrivals]
         if self._refit_if_escaped(escaped, cancel):
             report.refits += 1
+        # Without rules nothing reads the alert sample, so it is not built.
+        alerting = bool(self.engine.rules)
         sample: dict[str | None, dict[str, float]] = {}
         scales: dict[str, dict[str, float]] = {}
         points = []
@@ -446,26 +462,18 @@ class ConformanceMonitor:
         self._window_violations = 0
         for state, keys in zip(self._state_list, self._series_keys):
             frames_key, arrivals_key, max_key, slack_key = keys
-            values: dict[str, float] = {
-                "frames": float(state.window_completed),
-                "arrivals": float(state.window_arrivals),
-            }
             points.append((frames_key, state.window_completed))
             points.append((arrivals_key, state.window_arrivals))
             if state.window_completed:
-                slack = state.deadline - state.window_max
-                values["observed_max_ms"] = state.window_max
-                values["observed_slack_ms"] = slack
                 points.append((max_key, state.window_max))
-                points.append((slack_key, slack))
-            sample[state.name] = values
-            scale: dict[str, float] = {"deadline": state.deadline}
-            if state.bounded and state.bound is not None:
-                scale["bound"] = state.bound
-            scales[state.name] = scale
+                points.append((slack_key, state.deadline - state.window_max))
+            if alerting:
+                sample[state.name], scales[state.name] = state.alert_sample()
             state.reset_window()
         points.append((self._violations_key, window_violations))
         self.history.record_many(window, points)
+        if not alerting:
+            return
         global_values: dict[str, float] = {"violations": float(window_violations)}
         for rule in self.engine.rules:
             if rule.metric not in global_values:

@@ -97,11 +97,9 @@ from repro.errors.models import (
     SporadicErrorModel,
 )
 from repro.events.model import (
+    EVENT_MODEL_CLASSES,
+    EVENT_MODEL_TAGS,
     EventModel,
-    PeriodicEventModel,
-    PeriodicWithBurst,
-    PeriodicWithJitter,
-    SporadicEventModel,
 )
 from repro.monitor.rules import AlertRule
 from repro.monitor.stream import FrameBatch, ObservedFrame
@@ -415,19 +413,11 @@ OPS = {op.name: op for op in (
 # --------------------------------------------------------------------------- #
 # Event models
 # --------------------------------------------------------------------------- #
-_EVENT_MODEL_CLASSES = {
-    "event": EventModel,
-    "periodic": PeriodicEventModel,
-    "periodic-jitter": PeriodicWithJitter,
-    "periodic-burst": PeriodicWithBurst,
-    "sporadic": SporadicEventModel,
-}
-_EVENT_MODEL_TAGS = {cls: tag for tag, cls in _EVENT_MODEL_CLASSES.items()}
 
 
 def event_model_to_json(model: EventModel) -> dict:
     """Tagged JSON object for a standard event model."""
-    tag = _EVENT_MODEL_TAGS.get(type(model))
+    tag = EVENT_MODEL_TAGS.get(type(model))
     if tag is None:
         raise ProtocolError(
             f"cannot serialise event model type {type(model).__name__}")
@@ -437,7 +427,7 @@ def event_model_to_json(model: EventModel) -> dict:
 
 def event_model_from_json(data: Mapping) -> EventModel:
     """Inverse of :func:`event_model_to_json`."""
-    cls = _EVENT_MODEL_CLASSES.get(data.get("model"))
+    cls = EVENT_MODEL_CLASSES.get(data.get("model"))
     if cls is None:
         raise ProtocolError(f"unknown event model tag {data.get('model')!r}")
     return cls(period=float_field(data, "period"),

@@ -68,7 +68,6 @@ from repro.errors.models import ErrorModel, NoErrors
 from repro.events.model import EventModel, _ceil_div
 from repro.events.model import _EPSILON as _SNAP_EPS
 from repro.service.deltas import BusConfiguration, Delta, apply_deltas
-from repro.store.codec import bus_payload_from_json, bus_payload_to_json
 
 _REUSE = "reuse"
 _WARM = "warm"
@@ -422,6 +421,7 @@ class AnalysisSession:
         # Every cached value is the canonical cold-start value (module
         # docstring invariant), so store round-trips stay bit-identical.
         self.store = store
+        # Digests read from the store or claimed for one publish attempt.
         self._published: set[str] = set()
         # The session's counts live in its children of the registry's
         # session_* families (see stats()); without a shared registry the
@@ -520,6 +520,7 @@ class AnalysisSession:
         with_report: bool = True,
         cancel: "CancelToken | None" = None,
         trace=None,
+        use_store: bool = True,
     ) -> QueryResult:
         """Run one what-if query.
 
@@ -555,6 +556,13 @@ class AnalysisSession:
             Optional :class:`repro.obs.Trace`; when present the session
             records ``session_plan`` (delta resolution, cache lookup,
             plan choice) and ``solve`` (fixed-point execution) spans.
+        use_store:
+            When ``False``, the query neither reads nor publishes the result
+            store entry of its configuration.  The compositional engine's
+            segment queries pass it: their intermediate configurations are
+            rarely asked for again, and the system entry already persists
+            the whole fixed point.  A later query with the default publishes
+            a complete cached fixed point that is not yet in the store.
         """
         plan_span = None if trace is None else trace.begin("session_plan")
         config, key = self._resolve(tuple(deltas))
@@ -569,7 +577,9 @@ class AnalysisSession:
         # Only cache bookkeeping runs under the lock; analyses and report
         # construction (both pure) happen outside so concurrent queries on
         # one session genuinely overlap.
+        use_store = use_store and self.store is not None
         hit_stats = None
+        publish = None
         with self._lock:
             entry = self._cache.get(key)
             if entry is not None:
@@ -583,9 +593,13 @@ class AnalysisSession:
                         total=len(wanted), reused=len(wanted),
                         warm_started=0, cold=0, cache_hit=True,
                         basis=entry.key)
+                    if use_store:
+                        publish = self._claim_publish_locked(entry)
             if hit_stats is None:
                 bases = self._basis_candidates(warm_from, key)
         if hit_stats is not None:
+            if publish is not None:
+                self._store_publish(key, publish)
             if trace is not None:
                 trace.end(plan_span)
                 trace.record("solve", 0.0)
@@ -602,7 +616,7 @@ class AnalysisSession:
         # Persistent-store lookup: the in-memory cache cannot serve this
         # query, but a prior process may have persisted the converged fixed
         # point for exactly this fingerprint.
-        if self.store is not None:
+        if use_store:
             stored = self._store_lookup(key, profile, trace)
             if stored is not None:
                 with self._lock:
@@ -615,6 +629,7 @@ class AnalysisSession:
                         entry.results.setdefault(msg_name, value)
                     self._cache.move_to_end(key)
                     self._last_key = key
+                    self._published.add(key.digest)
                     self._m_store_hits.inc()
                 wanted = set(needed) if needed is not None \
                     else set(profile.names)
@@ -660,11 +675,8 @@ class AnalysisSession:
             entry.results.update(results)
             self._cache.move_to_end(key)
             self._last_key = key
-            publish = None
-            if self.store is not None \
-                    and len(entry.results) == len(profile.names) \
-                    and key.digest not in self._published:
-                publish = dict(entry.results)
+            if use_store:
+                publish = self._claim_publish_locked(entry)
         if publish is not None:
             self._store_publish(key, publish)
         stats = QueryStats(
@@ -765,39 +777,36 @@ class AnalysisSession:
         """Fetch this fingerprint's persisted fixed points, or ``None``.
 
         A payload only counts when it decodes cleanly *and* covers exactly
-        the configuration's message set; anything else is treated as a miss
-        (the store already counted the corruption) and the query cold-solves.
+        the configuration's message set; anything else is a miss (the store
+        counts and quarantines it) and the query cold-solves.
         """
         started = time.perf_counter()
         try:
-            payload = self.store.get("bus", key.digest)
-            if payload is None:
-                return None
-            try:
-                results = bus_payload_from_json(payload)
-            except Exception:
-                return None
-            if set(results) != set(profile.names):
-                return None
-            return results
+            return self.store.get("bus", key.digest, names=profile.message_set)
         finally:
             if trace is not None:
                 trace.record(
                     "store_lookup", (time.perf_counter() - started) * 1000.0)
 
+    def _claim_publish_locked(self, entry: _CacheEntry,
+                              ) -> dict[str, MessageResponseTime] | None:
+        """A copy of the entry's fixed points for the store, once per
+        configuration: ``None`` while they are incomplete or after an
+        earlier query claimed them (caller holds the lock).  A failed
+        publish is not retried, so a store that keeps failing costs no
+        encoding on every cache hit."""
+        digest = entry.key.digest
+        if len(entry.results) != len(entry.profile.names) \
+                or digest in self._published:
+            return None
+        self._published.add(digest)
+        return dict(entry.results)
+
     def _store_publish(self, key: "FingerprintKey",
                        results: dict[str, MessageResponseTime]) -> None:
         """Persist a complete converged fixed-point set (best-effort)."""
-        digest = key.digest
-        if self.store.contains("bus", digest):
-            self._published.add(digest)
-            return
-        try:
-            payload = bus_payload_to_json(results)
-        except Exception:
-            return
-        if self.store.put("bus", digest, payload):
-            self._published.add(digest)
+        if not self.store.contains("bus", key.digest):
+            self.store.put("bus", key.digest, results)
 
     def _evict_locked(self, protect: "FingerprintKey | None" = None) -> None:
         """Drop LRU entries beyond the bound.

@@ -6,23 +6,31 @@ One JSON file per entry::
 
     <root>/
       entries/
-        bus-<digest>.json        # AnalysisSession fixed points
-        system-<digest>.json     # SystemAnalysisResult
+        bus-<digest>.v2.json     # AnalysisSession fixed points
+        system-<digest>.v2.json  # SystemAnalysisResult
 
 Every file is an envelope ``{"schema": N, "kind": ..., "key": ...,
-"payload": ...}`` written to a unique temp name in the same directory and
-published with ``os.replace`` -- readers only ever see a complete old entry
-or a complete new one, never a torn write, and two daemons sharing one
-store directory race benignly (last rename wins; both sides wrote the same
-canonical fixed point).
+"payload": ...}`` whose payload is the kind's columnar table set (see
+:mod:`repro.store.codec`).  The store owns the codecs: :meth:`ResultStore.put`
+takes the result object and :meth:`ResultStore.get` hands one back.  An entry
+is written to a unique temp name in the same directory and published with
+``os.replace`` -- readers only ever see a complete old entry or a complete
+new one, never a torn write, and two daemons sharing one store directory
+race benignly (last rename wins; both sides wrote the same canonical fixed
+point).  File names carry the schema version, so daemon generations with
+different schemas sharing a directory never shadow each other's entries;
+the other generation's files only age out through eviction.
 
 Corruption tolerance
 --------------------
-``get`` never raises.  Unparseable bytes (a torn write that *bypassed* the
-rename, disk rot) are counted as ``corrupt``, quarantined by unlinking, and
-reported as a miss; an envelope with the wrong ``schema`` version is counted
-as ``stale`` and reported as a miss *without* deleting it (a newer daemon
-may own it).  Either way the caller falls back to a cold solve.
+``get`` never raises on store content.  Unparseable bytes (a torn write that
+*bypassed* the rename, disk rot), a foreign envelope, a payload the kind's
+decoder rejects, or one covering another message set than the caller
+expects are counted as ``corrupt``, quarantined by unlinking (so the next
+publish replaces them), and reported as a miss; an envelope with the wrong
+``schema`` version is counted as ``stale`` and reported as a miss *without*
+deleting it (a newer daemon may own it).  Either way the caller falls back
+to a cold solve.
 
 Eviction
 --------
@@ -48,14 +56,25 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import AbstractSet, Any, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.server import faults as faults_mod
-from repro.store.codec import SCHEMA_VERSION
+from repro.store.codec import (
+    SCHEMA_VERSION,
+    StoreCodecError,
+    bus_payload_from_json,
+    bus_payload_to_json,
+    system_result_from_json,
+    system_result_to_json,
+)
 
-#: Entry kinds the serving stack persists.
-KINDS = ("bus", "system")
+#: Entry kinds the serving stack persists, each with its (encode, decode)
+#: codec pair.
+CODECS = {
+    "bus": (bus_payload_to_json, bus_payload_from_json),
+    "system": (system_result_to_json, system_result_from_json),
+}
 
 
 class ResultStore:
@@ -116,12 +135,12 @@ class ResultStore:
     # Keying
     # ------------------------------------------------------------------ #
     def _path(self, kind: str, digest: str) -> Path:
-        if kind not in KINDS:
+        if kind not in CODECS:
             raise ValueError(f"unknown store kind {kind!r}")
         safe = "".join(c for c in digest if c.isalnum() or c in "-_")
         if not safe or safe != digest:
             raise ValueError(f"bad store digest {digest!r}")
-        return self.entries_dir / f"{kind}-{digest}.json"
+        return self.entries_dir / f"{kind}-{digest}.v{SCHEMA_VERSION}.json"
 
     def contains(self, kind: str, digest: str) -> bool:
         """Cheap existence probe (no counters, no mtime touch)."""
@@ -130,11 +149,15 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def get(self, kind: str, digest: str) -> Optional[dict]:
-        """Return the decoded payload for ``(kind, digest)`` or ``None``.
+    def get(self, kind: str, digest: str, *, names: Optional[AbstractSet[str]] = None) -> Any:
+        """Return the decoded entry for ``(kind, digest)`` or ``None``.
 
-        Never raises on store content: torn, foreign, or stale entries are
-        counted and reported as misses so the caller cold-solves.
+        ``bus`` entries decode to ``{name: MessageResponseTime}``, ``system``
+        entries to a :class:`~repro.core.results.SystemAnalysisResult`.
+        ``names``, when given, is the message set the entry must cover.
+        Never raises on store content: torn, foreign, undecodable or stale
+        entries are counted and reported as misses so the caller
+        cold-solves.
         """
         path = self._path(kind, digest)
         try:
@@ -145,13 +168,9 @@ class ResultStore:
         try:
             record = json.loads(data)
         except ValueError:
-            self._quarantine(path)
-            self._counters["corrupt"].inc()
-            return None
+            return self._corrupt(path)
         if not isinstance(record, dict):
-            self._quarantine(path)
-            self._counters["corrupt"].inc()
-            return None
+            return self._corrupt(path)
         if record.get("schema") != SCHEMA_VERSION:
             # A different schema version is not damage: another daemon
             # generation may legitimately own this entry.  Miss, keep it.
@@ -161,34 +180,38 @@ class ResultStore:
         if record.get("kind") != kind or record.get("key") != digest or not isinstance(
             payload, dict
         ):
-            self._quarantine(path)
-            self._counters["corrupt"].inc()
-            return None
+            return self._corrupt(path)
+        try:
+            value = CODECS[kind][1](payload, names)
+        except StoreCodecError:
+            return self._corrupt(path)
         try:  # LRU bookkeeping; best-effort (entry may be racing eviction)
             os.utime(path)
         except OSError:
             pass
         self._counters["hits"].inc()
-        return payload
+        return value
 
     # ------------------------------------------------------------------ #
     # Publish
     # ------------------------------------------------------------------ #
-    def put(self, kind: str, digest: str, payload: dict) -> bool:
-        """Atomically persist ``payload``; return True on success.
+    def put(self, kind: str, digest: str, value: Any) -> bool:
+        """Atomically persist ``value`` (what :meth:`get` returns for the
+        kind); return True on success.
 
         Never raises: encoding or filesystem failures are counted as
         ``publish_errors`` and reported as False (the store is a cache --
         losing a publish costs a future cold solve, nothing more).
         """
         path = self._path(kind, digest)
-        record = {"schema": SCHEMA_VERSION, "kind": kind, "key": digest, "payload": payload}
-        rule = self.faults.check("store.stale_schema") if self.faults else None
-        if rule is not None:
-            record["schema"] = SCHEMA_VERSION + 1
         try:
+            payload = CODECS[kind][0](value)
+            record = {"schema": SCHEMA_VERSION, "kind": kind, "key": digest, "payload": payload}
+            rule = self.faults.check("store.stale_schema") if self.faults else None
+            if rule is not None:
+                record["schema"] = SCHEMA_VERSION + 1
             data = json.dumps(record, separators=(",", ":"), allow_nan=False).encode("ascii")
-        except (TypeError, ValueError):
+        except (AttributeError, TypeError, ValueError):
             self._counters["publish_errors"].inc()
             return False
         rule = self.faults.check("store.torn_write") if self.faults else None
@@ -292,6 +315,12 @@ class ResultStore:
                     evicted += 1
             self._counters["evictions"].inc(evicted)
             self._publish_gauges(len(entries) - evicted, total)
+
+    def _corrupt(self, path: Path) -> None:
+        """Count a damaged entry and unlink it so a publish can replace it."""
+        self._quarantine(path)
+        self._counters["corrupt"].inc()
+        return None
 
     def _quarantine(self, path: Path) -> bool:
         try:

@@ -52,7 +52,6 @@ from repro.service.deltas import BusConfiguration
 from repro.service.session import (
     AnalysisSession, FingerprintKey, SessionStats,
 )
-from repro.store.codec import system_result_from_json, system_result_to_json
 from repro.whatif.system_deltas import (
     SystemDelta, downstream_closure, influence_edges,
 )
@@ -407,22 +406,13 @@ class SystemSession:
 
         The payload only counts when it decodes cleanly and covers exactly
         the topology's message set; anything else is a miss (the store
-        already counted the corruption) and the engine runs cold.
+        counts and quarantines it) and the engine runs cold.
         """
         started = time.perf_counter()
         try:
-            payload = self.store.get("system", key.digest)
-            if payload is None:
-                return None
-            try:
-                result = system_result_from_json(payload)
-            except Exception:
-                return None
             expected = {m.name for segment in system.buses.values()
                         for m in segment.kmatrix}
-            if set(result.message_results) != expected:
-                return None
-            return result
+            return self.store.get("system", key.digest, names=expected)
         finally:
             if trace is not None:
                 trace.record(
@@ -434,16 +424,8 @@ class SystemSession:
         digest = key.digest
         if digest in self._published:
             return
-        if self.store.contains("system", digest):
-            self._published.add(digest)
-            return
-        try:
-            payload = system_result_to_json(result)
-        except Exception:
-            # An event model the wire codec cannot express, or similar:
-            # the store is a cache, so just skip persisting this result.
-            return
-        if self.store.put("system", digest, payload):
+        if self.store.contains("system", digest) \
+                or self.store.put("system", digest, result):
             self._published.add(digest)
 
     @staticmethod

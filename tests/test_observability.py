@@ -783,7 +783,7 @@ class TestCountAgreement:
                     except Cancelled:
                         pass
                 elif op == "put":
-                    stores[which].put("bus", digest, {"results": {}})
+                    stores[which].put("bus", digest, {})
                 elif op == "get":
                     stores[which].get("bus", digest)
                 elif op == "corrupt":

@@ -10,14 +10,30 @@ exception out of a request.
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import json
 import math
+import struct
 import threading
+from typing import Mapping
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.response_time import MessageResponseTime
+from repro.analysis.schedulability import MessageVerdict, SchedulabilityReport
 from repro.can.bus import CanBus
+from repro.core.results import SystemAnalysisResult
+from repro.ecu.analysis import TaskResponseTime
+from repro.events.model import (
+    EventModel,
+    PeriodicEventModel,
+    PeriodicWithBurst,
+    PeriodicWithJitter,
+    SporadicEventModel,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.server import AnalysisDaemon, DaemonError, InProcessClient, TcpClient
 from repro.server.faults import FaultInjector
@@ -28,8 +44,8 @@ from repro.store.codec import (
     SCHEMA_VERSION,
     bus_payload_from_json,
     bus_payload_to_json,
-    float_from_json,
-    float_to_json,
+    floats_from_json,
+    floats_to_json,
     system_result_from_json,
     system_result_to_json,
 )
@@ -49,21 +65,55 @@ def _fleet(seed=7):
     return multibus_system(n_buses=3, messages_per_bus=8, seed=seed)
 
 
+def _result(name="M1", delays=(0.3, 0.7)) -> MessageResponseTime:
+    return MessageResponseTime(
+        name=name, can_id=0x80, transmission_time=0.26, blocking=0.26,
+        jitter=1.5, worst_case=2.0, best_case=0.26, busy_period=3.0,
+        instances_analyzed=len(delays), bounded=True,
+        queuing_delays=tuple(delays))
+
+
+def _bits(value):
+    """A comparable image of ``value`` in which every float is its bytes.
+
+    ``==`` cannot see ``-0.0`` vs ``0.0`` and fails on ``nan``; the image
+    tells them apart and matches identical doubles, NaN payloads included.
+    """
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, Mapping):
+        return tuple((key, _bits(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(item) for item in value)
+    return (type(value).__name__, value)
+
+
+def _entry(store: ResultStore, kind: str, digest: str) -> dict:
+    return json.loads(store._path(kind, digest).read_bytes())
+
+
+def _rewrite(store: ResultStore, kind: str, digest: str, record: dict) -> None:
+    store._path(kind, digest).write_text(json.dumps(record))
+
+
 # --------------------------------------------------------------------------- #
 # Codec: bit-exact round trips
 # --------------------------------------------------------------------------- #
 class TestCodec:
     def test_floats_round_trip_bit_exactly(self):
-        values = [0.0, -0.0, 1e-308, 0.1 + 0.2, 123456.789, math.pi,
+        values = [0.0, -0.0, 5e-324, 1e-308, 0.1 + 0.2, 123456.789, math.pi,
                   math.inf, -math.inf]
-        for value in values:
-            token = float_to_json(value)
-            back = float_from_json(json.loads(json.dumps(token)))
-            assert math.copysign(1.0, back) == math.copysign(1.0, value)
-            assert back == value or (math.isnan(back) and math.isnan(value))
+        text = json.loads(json.dumps(floats_to_json(values)))
+        assert _bits(floats_from_json(text, len(values))) == _bits(values)
 
     def test_nan_round_trips(self):
-        assert math.isnan(float_from_json(float_to_json(math.nan)))
+        quiet = struct.unpack("<d", bytes.fromhex("010000000000f87f"))[0]
+        values = [math.nan, -math.nan, quiet]
+        back = floats_from_json(floats_to_json(values), 3)
+        assert _bits(back) == _bits(values)
 
     def test_unbounded_result_round_trips(self):
         result = MessageResponseTime(
@@ -79,7 +129,152 @@ class TestCodec:
         outcome = SystemSession(_fleet()).analyze().result
         payload = system_result_to_json(outcome)
         wire = json.loads(json.dumps(payload, allow_nan=False))
-        assert system_result_from_json(wire) == outcome
+        assert _bits(system_result_from_json(wire)) == _bits(outcome)
+
+    def test_payload_is_columnar(self):
+        outcome = SystemSession(_fleet()).analyze().result
+        payload = system_result_to_json(outcome)
+        messages = payload["messages"]
+        assert messages["name"] == list(outcome.message_results)
+        assert len(base64.b64decode(messages["times"])) \
+            == 8 * 6 * len(outcome.message_results)
+        assert sum(messages["queuing_count"]) == sum(
+            len(r.queuing_delays) for r in outcome.message_results.values())
+
+
+# Every double the codec must carry by its bytes: the non-finite worst cases,
+# signed zeros, subnormals and NaNs with payloads among ordinary values.
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                     2.225073858507201e-308]))
+_NONNEG = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, math.inf, 5e-324]))
+_PERIOD = st.floats(min_value=5e-324, max_value=1e300, allow_subnormal=True)
+_NAMES = st.text(max_size=6)
+_INTS = st.integers(min_value=-(2 ** 31), max_value=2 ** 31)
+
+
+@st.composite
+def _message_results(draw, names):
+    bounded = draw(st.booleans())
+    delays = draw(st.lists(_ANY_FLOAT, max_size=4))
+    worst = draw(_ANY_FLOAT) if bounded else math.inf
+    return {name: MessageResponseTime(
+        name, draw(_INTS), draw(_ANY_FLOAT), draw(_ANY_FLOAT),
+        draw(_ANY_FLOAT), worst, draw(_ANY_FLOAT), draw(_ANY_FLOAT),
+        draw(_INTS), bounded, tuple(delays)) for name in names}
+
+
+@st.composite
+def _bus_results(draw):
+    return draw(_message_results(
+        draw(st.lists(_NAMES, max_size=6, unique=True))))
+
+
+@st.composite
+def _event_model(draw):
+    cls = draw(st.sampled_from([EventModel, PeriodicEventModel,
+                                PeriodicWithJitter, PeriodicWithBurst,
+                                SporadicEventModel]))
+    period = draw(_PERIOD)
+    jitter = 0.0 if cls is PeriodicEventModel else draw(_NONNEG)
+    distance = draw(_NONNEG)
+    if cls is PeriodicWithBurst:
+        distance = draw(st.floats(min_value=5e-324, allow_infinity=True))
+    return cls(period, jitter, distance)
+
+
+@st.composite
+def _report(draw):
+    verdicts = tuple(
+        MessageVerdict(name, draw(_INTS), draw(_ANY_FLOAT), draw(_ANY_FLOAT),
+                       draw(_ANY_FLOAT), draw(st.booleans()),
+                       draw(st.booleans()))
+        for name in draw(st.lists(_NAMES, max_size=4)))
+    return SchedulabilityReport(
+        verdicts, draw(st.sampled_from(["period", "min_interarrival"])),
+        draw(_ANY_FLOAT))
+
+
+@st.composite
+def _system_results(draw):
+    names = draw(st.lists(_NAMES, max_size=6, unique=True))
+    tasks = {key: TaskResponseTime(
+        draw(_NAMES), draw(_ANY_FLOAT), draw(_ANY_FLOAT), draw(_ANY_FLOAT),
+        draw(_ANY_FLOAT), draw(_INTS), draw(st.booleans()))
+        for key in draw(st.lists(_NAMES, max_size=3, unique=True))}
+    models = st.dictionaries(_NAMES, _event_model(), max_size=5)
+    return SystemAnalysisResult(
+        converged=draw(st.booleans()), iterations=draw(_INTS),
+        message_results=draw(_message_results(names)),
+        task_results=tasks,
+        bus_reports=draw(st.dictionaries(_NAMES, _report(), max_size=3)),
+        send_models=draw(models), arrival_models=draw(models))
+
+
+def _columns(table: dict, path: tuple = ()):
+    """Every (path, value) column of a payload, nested tables included."""
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from _columns(value, path + (key,))
+        elif isinstance(value, (list, str)):
+            yield path + (key,), value
+
+
+def _malform(payload: dict, path: tuple, how: str) -> None:
+    """Damage one column so that no decoder can accept it."""
+    *parents, field = path
+    table = payload
+    for key in parents:
+        table = table[key]
+    column = table[field]
+    if isinstance(column, list):
+        # A ragged column: one value too many, of the column's own type.
+        table[field] = column + [column[0] if column else 0]
+    elif how == "base64":
+        table[field] = "*not base64*"
+    else:
+        table[field] = base64.b64encode(
+            base64.b64decode(column) + b"\0").decode("ascii")
+
+
+class TestCodecProperties:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(results=_bus_results())
+    def test_bus_payload_round_trips_bit_identically(self, results):
+        wire = json.loads(json.dumps(bus_payload_to_json(results),
+                                     allow_nan=False))
+        assert _bits(bus_payload_from_json(wire, names=set(results))) \
+            == _bits(results)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(result=_system_results())
+    def test_system_result_round_trips_bit_identically(self, result):
+        wire = json.loads(json.dumps(system_result_to_json(result),
+                                     allow_nan=False))
+        assert _bits(system_result_from_json(wire)) == _bits(result)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(result=_system_results(), data=st.data(),
+           how=st.sampled_from(["base64", "bytes"]))
+    def test_malformed_column_is_a_counted_corrupt_miss(
+            self, tmp_path_factory, result, data, how):
+        store = ResultStore(tmp_path_factory.mktemp("store"))
+        assert store.put("system", "aa", result)
+        record = _entry(store, "system", "aa")
+        paths = [path for path, _ in _columns(record["payload"])]
+        _malform(record["payload"], data.draw(st.sampled_from(paths)), how)
+        _rewrite(store, "system", "aa", record)
+        assert store.get("system", "aa") is None
+        stats = store.stats()
+        assert (stats["corrupt"], stats["hits"]) == (1, 0)
+        assert not store.contains("system", "aa")
 
 
 # --------------------------------------------------------------------------- #
@@ -88,8 +283,8 @@ class TestCodec:
 class TestResultStore:
     def test_put_get_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.put("bus", "abc123", {"results": {}})
-        assert store.get("bus", "abc123") == {"results": {}}
+        assert store.put("bus", "abc123", {"M1": _result()})
+        assert store.get("bus", "abc123") == {"M1": _result()}
         assert store.contains("bus", "abc123")
         assert store.get("bus", "feed00") is None
         stats = store.stats()
@@ -98,7 +293,7 @@ class TestResultStore:
 
     def test_kinds_are_disjoint(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("bus", "aa", {"results": {}})
+        store.put("bus", "aa", {})
         assert store.get("system", "aa") is None
 
     def test_bad_digest_rejected(self, tmp_path):
@@ -108,9 +303,16 @@ class TestResultStore:
         with pytest.raises(ValueError):
             store.get("bus", "")
 
+    def test_unencodable_value_is_a_publish_error(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert not store.put("bus", "aa", {"M2": _result("M1")})
+        assert not store.put("system", "aa", {"not": "a result"})
+        stats = store.stats()
+        assert (stats["publish_errors"], stats["entries"]) == (2, 0)
+
     def test_torn_bytes_are_a_counted_miss(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("bus", "aa", {"results": {}})
+        store.put("bus", "aa", {})
         path = store._path("bus", "aa")
         path.write_bytes(path.read_bytes()[:11])
         assert store.get("bus", "aa") is None
@@ -125,11 +327,28 @@ class TestResultStore:
 
     def test_key_mismatch_is_corrupt(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put("bus", "aa", {"results": {}})
+        store.put("bus", "aa", {})
         raw = store._path("bus", "aa").read_bytes()
         store._path("bus", "bb").write_bytes(raw)
         assert store.get("bus", "bb") is None
         assert store.stats()["corrupt"] == 1
+
+    def test_undecodable_payload_is_corrupt(self, tmp_path):
+        store = ResultStore(tmp_path)
+        record = {"schema": SCHEMA_VERSION, "kind": "bus", "key": "aa",
+                  "payload": {"results": {}}}
+        _rewrite(store, "bus", "aa", record)
+        assert store.get("bus", "aa") is None
+        stats = store.stats()
+        assert (stats["corrupt"], stats["hits"]) == (1, 0)
+        assert not store.contains("bus", "aa")
+
+    def test_message_set_mismatch_is_corrupt(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("bus", "aa", {"M1": _result()})
+        assert store.get("bus", "aa", names={"M1", "M2"}) is None
+        assert store.stats()["corrupt"] == 1
+        assert not store.contains("bus", "aa")
 
     def test_stale_schema_is_a_miss_but_not_deleted(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -143,11 +362,12 @@ class TestResultStore:
 
     def test_eviction_under_size_pressure(self, tmp_path):
         store = ResultStore(tmp_path)
+        padded = {"M1": _result(delays=[0.5] * 25)}
         for index in range(10):
-            store.put("bus", f"d{index:02d}", {"results": {"pad": "x" * 200}})
+            store.put("bus", f"d{index:02d}", padded)
         total = store.stats()["bytes"]
         store.max_bytes = total // 2
-        store.put("bus", "d10", {"results": {"pad": "x" * 200}})
+        store.put("bus", "d10", padded)
         stats = store.stats()
         assert stats["bytes"] <= store.max_bytes
         assert stats["evictions"] > 0
@@ -157,8 +377,8 @@ class TestResultStore:
     def test_lru_touch_on_read(self, tmp_path):
         import os
         store = ResultStore(tmp_path)
-        store.put("bus", "old", {"results": {}})
-        store.put("bus", "new", {"results": {}})
+        store.put("bus", "old", {})
+        store.put("bus", "new", {})
         # Make "old" genuinely oldest, then read it to refresh it.
         past = store._path("bus", "old")
         os.utime(past, (1, 1))
@@ -170,17 +390,17 @@ class TestResultStore:
     def test_compact_and_clear(self, tmp_path):
         store = ResultStore(tmp_path)
         for index in range(4):
-            store.put("bus", f"e{index}", {"results": {}})
+            store.put("bus", f"e{index}", {})
         stats = store.compact(max_bytes=0)
         assert stats["entries"] == 0 and stats["evictions"] == 4
-        store.put("bus", "f0", {"results": {}})
+        store.put("bus", "f0", {})
         assert store.clear() == 1
         assert store.stats()["entries"] == 0
 
     def test_metrics_binding(self, tmp_path):
         registry = MetricsRegistry()
         store = ResultStore(tmp_path, metrics=registry)
-        store.put("bus", "aa", {"results": {}})
+        store.put("bus", "aa", {})
         store.get("bus", "aa")
         store.get("bus", "bb")
         assert registry.value("store_publishes_total") == 1
@@ -221,6 +441,76 @@ class TestStoreFaults:
         assert reader.analyze().results == cold.results
         assert reader.store_hits == 0
         assert store.stats()["stale"] == 1
+
+    def test_undecodable_bus_entry_is_corrupt_and_replaced(self, tmp_path):
+        cold = _bus_session().analyze()
+        publisher = _bus_session(store=ResultStore(tmp_path))
+        publisher.analyze()
+        digest = publisher.key_for(()).digest
+        store = ResultStore(tmp_path)
+        record = _entry(store, "bus", digest)
+        record["payload"]["messages"]["can_id"].pop()
+        _rewrite(store, "bus", digest, record)
+        reader = _bus_session(store=store)
+        assert reader.analyze().results == cold.results
+        stats = store.stats()
+        assert (stats["hits"], stats["corrupt"]) == (0, 1)
+        assert reader.store_hits == 0
+        assert stats["publishes"] == 1, "the next publish replaces the entry"
+        third = _bus_session(store=ResultStore(tmp_path))
+        assert third.analyze().results == cold.results
+        assert third.store_hits == 1
+
+    def test_foreign_message_set_is_corrupt_and_replaced(self, tmp_path):
+        # Another configuration's fixed points filed under this digest
+        # decode cleanly but cover the wrong messages.
+        cold = _bus_session(seed=2).analyze()
+        foreign = _bus_session(n_messages=6, seed=2).analyze().results
+        digest = _bus_session(seed=2).key_for(()).digest
+        store = ResultStore(tmp_path)
+        store.put("bus", digest, foreign)
+        reader = _bus_session(seed=2, store=store)
+        assert reader.analyze().results == cold.results
+        stats = store.stats()
+        assert (stats["hits"], stats["corrupt"]) == (0, 1)
+        assert store.get("bus", digest) == cold.results
+
+    def test_undecodable_system_entry_is_corrupt_and_replaced(self, tmp_path):
+        system = _fleet()
+        cold = SystemSession(system).analyze()
+        SystemSession(system, store=ResultStore(tmp_path)).analyze()
+        store = ResultStore(tmp_path)
+        digest = cold.key.digest
+        record = _entry(store, "system", digest)
+        record["payload"]["send_models"]["params"] = "*"
+        _rewrite(store, "system", digest, record)
+        reader = SystemSession(system, store=store)
+        assert reader.analyze().result == cold.result
+        stats = store.stats()
+        assert (stats["hits"], stats["corrupt"]) == (0, 1)
+        assert reader.store_hits == 0
+        assert stats["publishes"] == 1
+        third = SystemSession(system, store=ResultStore(tmp_path))
+        assert third.analyze().result == cold.result
+        assert third.store_hits == 1
+
+    def test_older_schema_generation_does_not_block_publishing(self, tmp_path):
+        # An entry an older daemon generation left for the same key sits
+        # under its own file name: it neither shadows nor blocks this
+        # generation's entry, and only ages out through eviction.
+        cold = _bus_session().analyze()
+        digest = _bus_session().key_for(()).digest
+        old = tmp_path / "entries" / f"bus-{digest}.json"
+        old.parent.mkdir(parents=True)
+        old.write_text(json.dumps({"schema": SCHEMA_VERSION - 1, "kind": "bus",
+                                   "key": digest, "payload": {"results": {}}}))
+        for generation in range(2):
+            store = ResultStore(tmp_path)
+            session = _bus_session(store=store)
+            assert session.analyze().results == cold.results
+            assert session.store_hits == generation
+        assert old.exists()
+        assert store.stats()["entries"] == 2
 
     def test_torn_write_through_daemon_requests_never_fail(self, tmp_path):
         system = _fleet()
@@ -320,7 +610,25 @@ class TestDaemonRestart:
         with AnalysisDaemon(name="b", store=ResultStore(tmp_path)) as b:
             b.add_system("fleet", system)
             got = InProcessClient(b).query("fleet/CAN-0")
+            hits = b.metrics.value("store_lookups_total", result="hit")
         assert got["results"] == want["results"]
+        assert hits == 1
+
+    def test_system_query_persists_one_system_entry(self, tmp_path):
+        # The engine's segment queries run on the pool's store-backed
+        # shard sessions but neither read nor write bus entries: the
+        # system entry already holds the whole fixed point.
+        store = ResultStore(tmp_path)
+        with AnalysisDaemon(store=store) as daemon:
+            daemon.add_system("fleet", _fleet())
+            client = InProcessClient(daemon)
+            client.system_query("fleet", [BusSpeedDelta("CAN-1", 250_000.0)])
+            stats = store.stats()
+            names = sorted(path.name.split("-")[0]
+                           for path in store.entries_dir.iterdir())
+        assert names == ["system"]
+        assert (stats["publishes"], stats["hits"]) == (1, 0)
+        assert stats["misses"] == 1, "only the system entry was looked up"
 
     def test_store_op_compact_and_clear(self, tmp_path):
         with AnalysisDaemon(store=ResultStore(tmp_path)) as daemon:
