@@ -310,12 +310,11 @@ class CanBusAnalysis:
         # of the naive formulation always evaluates to this global value).
         self._horizon = _MAX_BUSY_PERIOD_FACTOR * max(
             (m.period for m in kmatrix), default=1.0)
-        # Profiling accumulators (monotonic plain ints, mirroring
-        # BatchSolver's): total lockstep iterations and the largest active
-        # set.  Always-on; the service layer reads deltas and publishes them
-        # to its metrics registry once per solve.
+        # Profiling accumulator (a monotonic plain int, mirroring
+        # BatchSolver's): total lockstep iterations.  Always-on; the
+        # service layer reads deltas and publishes them to its metrics
+        # registry once per solve.
         self.profile_iterations = 0
-        self.profile_max_active = 0
         # Per-message kernels, built lazily so single-message queries do not
         # pay the full O(n^2) higher-priority row construction.
         self._kernels: dict[str, _MessageKernel] = {}
@@ -480,8 +479,6 @@ class CanBusAnalysis:
         delays_w, delays_ok = solver.queuing_delays(
             item_kernel, item_instance, item_seeds)
         self.profile_iterations += solver.iterations
-        if solver.max_active > self.profile_max_active:
-            self.profile_max_active = solver.max_active
         busy_list = busy.tolist()
         w_list = delays_w.tolist()
         ok_list = delays_ok.tolist()

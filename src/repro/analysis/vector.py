@@ -159,12 +159,11 @@ class BatchSolver:
         self.horizon = horizon
         self.error_model = error_model
         self.cancel = cancel
-        # Profiling accumulators: total lockstep rounds and the largest
-        # active set seen.  Plain int adds paid identically whether or
-        # not a MetricsRegistry is attached upstream; callers publish
-        # them once per solve (service layer), never per iteration.
+        # Profiling accumulator: total lockstep rounds.  A plain int add
+        # paid identically whether or not a MetricsRegistry is attached
+        # upstream; callers publish it once per solve (service layer),
+        # never per iteration.
         self.iterations = 0
-        self.max_active = 0
         n = len(self.kernels)
         self.own_c = np.array([k.own_c for k in self.kernels],
                               dtype=np.float64)
@@ -286,8 +285,6 @@ class BatchSolver:
         out_ok = np.zeros(n_items, dtype=bool)
         if n_items == 0:
             return out_w, out_ok
-        if n_items > self.max_active:
-            self.max_active = n_items
         counts = self.counts[kidx]
         seg = _segment_indices(self.starts[kidx], counts)
         c = self.hp_c[seg]

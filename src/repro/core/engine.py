@@ -54,6 +54,7 @@ measured faster: 4x150 messages (multibus seed 7, 2 CPUs) took
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.analysis.response_time import (
@@ -70,7 +71,7 @@ from repro.events.model import EventModel
 from repro.events.operations import output_event_model
 from repro.gateway.model import GatewayAnalysis
 from repro.parallel import parallel_map
-from repro.service.deltas import EventModelDelta
+from repro.service.deltas import BusConfiguration, Delta, EventModelDelta
 from repro.service.session import AnalysisSession
 
 
@@ -180,6 +181,19 @@ def _analyze_segment_job(args: tuple) -> tuple:
     return results, arrival_models, report, (models, results)
 
 
+@dataclass(frozen=True, eq=False)
+class _SegmentRebase(Delta):
+    """Engine-internal delta: the segment's own configuration replaces the
+    session's base configuration (see
+    :meth:`CompositionalAnalysis._segment_queries`).  The session keys what
+    it yields by value, like every other configuration."""
+
+    config: BusConfiguration
+
+    def apply(self, config: BusConfiguration) -> BusConfiguration:
+        return self.config
+
+
 #: LRU bound of each engine-owned segment session: successive global
 #: iterations only ever chain off the previous configuration and the base,
 #: so a small cache keeps memory flat on hundreds-of-messages segments.
@@ -207,14 +221,15 @@ class CompositionalAnalysis:
         :class:`~repro.service.session.AnalysisSession` for that segment
         (the analysis daemon shares its sharded session pool this way, so
         repeated system analyses hit warm caches across requests).  Missing
-        segments get a private session on first use.  Each provided session
-        must have been built over exactly the segment's configuration
-        (e.g. via :meth:`AnalysisSession.from_segment` with the system's
-        controllers).  The engine's segment queries pass
-        ``use_store=False``: a store-backed session neither looks up nor
-        publishes the intermediate configurations of a run, whose fixed
-        point the caller persists whole (``SystemSession`` writes one
-        ``system`` entry per topology).
+        segments get a private session on first use.  A session serves its
+        bus whatever the segment's configuration: one whose base
+        configuration differs from the segment's (a what-if topology, an
+        in-place edit between runs) is re-based by value on every run, not
+        replaced, so the bus keeps its one warm cache.  The engine's
+        segment queries pass ``use_store=False``: a store-backed session
+        neither looks up nor publishes the intermediate configurations of
+        a run, whose fixed point the caller persists whole
+        (``SystemSession`` writes one ``system`` entry per topology).
     incremental:
         When ``True`` (default), bus sweeps run on the per-segment sessions
         (reuse / warm-start per message), whatever ``REPRO_PARALLEL`` says.
@@ -265,13 +280,6 @@ class CompositionalAnalysis:
 
     def _session_for(self, segment: BusSegment) -> AnalysisSession:
         session = self._sessions.get(segment.name)
-        if session is not None and not self._session_matches(session, segment):
-            # The segment was reconfigured between runs (the system model is
-            # mutable); a stale base configuration would silently answer for
-            # the old matrix, so the session is rebuilt.  Unchanged segments
-            # keep their warm caches, which is what makes re-analysis after
-            # a local edit incremental.
-            session = None
         if session is None:
             session = AnalysisSession.from_segment(
                 segment,
@@ -281,17 +289,26 @@ class CompositionalAnalysis:
             self._sessions[segment.name] = session
         return session
 
-    def _session_matches(self, session: AnalysisSession,
-                         segment: BusSegment) -> bool:
-        base = session.base_config
-        return (base.kmatrix == segment.kmatrix
-                and base.bus == segment.bus
-                and base.error_model == segment.error_model
-                and base.assumed_jitter_fraction
-                == segment.assumed_jitter_fraction
-                and base.deadline_policy == segment.deadline_policy
-                and dict(base.controllers or {})
-                == dict(self.system.controllers))
+    def _segment_queries(self) -> dict[str, tuple[AnalysisSession, tuple]]:
+        """Each bus's session and the deltas its queries lead with.
+
+        A segment whose configuration differs from its session's base (a
+        system what-if edited it, or it was reconfigured in place since) is
+        re-based: its configuration, built once per :meth:`run`, goes in
+        front of every iteration's :class:`EventModelDelta`.  The session
+        stays the bus's one session, so the edited segment plans against
+        every configuration the bus has cached.
+        """
+        controllers = dict(self.system.controllers) or None
+        queries: dict[str, tuple[AnalysisSession, tuple]] = {}
+        for segment in self.system.buses.values():
+            session = self._session_for(segment)
+            config = BusConfiguration.from_segment(
+                segment, controllers=controllers)
+            prefix = () if config == session.base_config \
+                else (_SegmentRebase(config),)
+            queries[segment.name] = (session, prefix)
+        return queries
 
     # ------------------------------------------------------------------ #
     # Local sweeps
@@ -324,6 +341,7 @@ class CompositionalAnalysis:
     def _query_segment_session(
         self,
         segment: BusSegment,
+        segment_query: tuple[AnalysisSession, tuple],
         send_models: Mapping[str, EventModel],
         previous: tuple | None,
         cancel: CancelToken | None = None,
@@ -331,18 +349,19 @@ class CompositionalAnalysis:
         """One incremental segment analysis: issue the propagated send
         models as an :class:`EventModelDelta` to the segment's session.
 
-        ``previous`` is the segment's ``(query, arrival models)`` pair from
-        the last iteration; when the new query lands on the same
-        configuration fingerprint the arrival models are carried over
-        verbatim (same analysis inputs imply the same outputs), so converged
-        segments cost a cache lookup per iteration, not a propagation pass.
+        ``segment_query`` is the bus's ``(session, leading deltas)`` pair
+        from :meth:`_segment_queries`.  ``previous`` is the segment's
+        ``(query, arrival models)`` pair from the last iteration; when the
+        new query lands on the same configuration fingerprint the arrival
+        models are carried over verbatim (same analysis inputs imply the
+        same outputs), so converged segments cost a cache lookup per
+        iteration, not a propagation pass.
         """
-        session = self._session_for(segment)
+        session, deltas = segment_query
         overrides = _segment_overrides(segment, send_models)
-        deltas: tuple = ()
         if overrides:
-            deltas = (EventModelDelta.from_mapping(
-                overrides, replace_all=True),)
+            deltas = (*deltas, EventModelDelta.from_mapping(
+                overrides, replace_all=True))
         prev_query, prev_arrivals = previous or (None, None)
         query = session.query(deltas, warm_from=prev_query, cancel=cancel,
                               use_store=False)
@@ -358,6 +377,7 @@ class CompositionalAnalysis:
         self,
         send_models: Mapping[str, EventModel],
         previous_sweep: Mapping[str, tuple],
+        segment_queries: Mapping[str, tuple] | None,
         cancel: CancelToken | None = None,
     ) -> tuple[dict[str, MessageResponseTime], dict[str, EventModel], dict,
                dict[str, tuple]]:
@@ -365,7 +385,8 @@ class CompositionalAnalysis:
 
         By default every segment's query runs, in order on the calling
         thread, against its cached session (deltas planned per message),
-        whatever ``REPRO_PARALLEL`` says.  With ``incremental=False`` the
+        whatever ``REPRO_PARALLEL`` says; ``segment_queries`` is the run's
+        :meth:`_segment_queries`.  With ``incremental=False`` the
         sweep instead hands picklable job tuples for the top-level
         :func:`_analyze_segment_job` to :func:`repro.parallel.parallel_map`,
         warm-seeded with each segment's (event models, results) from the
@@ -375,8 +396,8 @@ class CompositionalAnalysis:
         if self.incremental:
             outcomes = [
                 self._query_segment_session(
-                    segment, send_models, previous_sweep.get(segment.name),
-                    cancel=cancel)
+                    segment, segment_queries[segment.name], send_models,
+                    previous_sweep.get(segment.name), cancel=cancel)
                 for segment in segments]
         else:
             controllers = dict(self.system.controllers)
@@ -443,13 +464,15 @@ class CompositionalAnalysis:
         iterations = 0
 
         previous_sweep = self._sweep_state if self.incremental else {}
+        segment_queries = self._segment_queries() if self.incremental \
+            else None
         for iteration in range(1, self.max_iterations + 1):
             iterations = iteration
             if cancel is not None:
                 cancel.check()
             (message_results, arrival_models, bus_reports,
-             previous_sweep) = self._bus_sweep(send_models, previous_sweep,
-                                               cancel=cancel)
+             previous_sweep) = self._bus_sweep(
+                send_models, previous_sweep, segment_queries, cancel=cancel)
             if self.incremental:
                 self._sweep_state = previous_sweep
             forwarded = self._gateway_sweep(arrival_models)

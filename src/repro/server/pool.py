@@ -36,6 +36,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.deltas import BusConfiguration
 from repro.service.session import AnalysisSession, SessionStats
 
+#: Cached-configuration bound of every session the pool creates.  A system's
+#: shard is that bus's one session for every topology its system what-ifs
+#: explore (see :class:`~repro.whatif.session.SystemSession`), so this bound
+#: also caps the configurations all those topologies leave on the bus.
+_SHARD_CACHED_CONFIGS = 64
 
 class UnknownTargetError(KeyError):
     """A request named a target the pool does not serve."""
@@ -53,13 +58,11 @@ class UnknownTargetError(KeyError):
 class SessionPool:
     """Fingerprint-keyed, LRU-bounded pool of analysis sessions."""
 
-    def __init__(self, max_sessions: int = 64,
-                 max_cached_configs: int = 64, metrics=None,
+    def __init__(self, max_sessions: int = 64, metrics=None,
                  store=None) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be at least 1")
         self._max_sessions = max_sessions
-        self._max_cached_configs = max_cached_configs
         self._lock = threading.RLock()
         # Fingerprint -> session (LRU order); name -> fingerprint aliases.
         self._sessions: OrderedDict[object, AnalysisSession] = OrderedDict()
@@ -132,7 +135,7 @@ class SessionPool:
         session = self._sessions.get(key)
         if session is None:
             session = AnalysisSession.from_config(
-                config, max_cached_configs=self._max_cached_configs,
+                config, max_cached_configs=_SHARD_CACHED_CONFIGS,
                 name=name, metrics=self.metrics, store=self.store)
             self._sessions[key] = session
         self._sessions.move_to_end(key)

@@ -597,27 +597,16 @@ class AnalysisSession:
                         publish = self._claim_publish_locked(entry)
             if hit_stats is None:
                 bases = self._basis_candidates(warm_from, key)
-        if hit_stats is not None:
-            if publish is not None:
-                self._store_publish(key, publish)
-            if trace is not None:
-                trace.end(plan_span)
-                trace.record("solve", 0.0)
-            self._m_queries.inc()
-            self._m_hits.inc()
-            return self._finish(entry, config, tuple(deltas), needed, policy,
-                                label, hit_stats, with_report=with_report)
-
-        analysis = entry.analysis if entry is not None \
-            else config.build_analysis()
-        profile = entry.profile if entry is not None \
-            else _Profile(config, analysis)
-
-        # Persistent-store lookup: the in-memory cache cannot serve this
-        # query, but a prior process may have persisted the converged fixed
-        # point for exactly this fingerprint.
-        if use_store:
-            stored = self._store_lookup(key, profile, trace)
+        if hit_stats is None:
+            analysis = entry.analysis if entry is not None \
+                else config.build_analysis()
+            profile = entry.profile if entry is not None \
+                else _Profile(config, analysis)
+            # Persistent-store lookup: the in-memory cache cannot serve this
+            # query, but a prior process may have persisted the converged
+            # fixed point for exactly this fingerprint.
+            stored = self._store_lookup(key, profile, trace) \
+                if use_store else None
             if stored is not None:
                 with self._lock:
                     entry = self._cache.get(key)
@@ -636,14 +625,16 @@ class AnalysisSession:
                 hit_stats = QueryStats(
                     total=len(wanted), reused=len(wanted),
                     warm_started=0, cold=0, cache_hit=True, basis=entry.key)
-                if trace is not None:
-                    trace.end(plan_span)
-                    trace.record("solve", 0.0)
-                self._m_queries.inc()
-                self._m_hits.inc()
-                return self._finish(
-                    entry, config, tuple(deltas), needed, policy, label,
-                    hit_stats, with_report=with_report)
+        if hit_stats is not None:
+            if publish is not None:
+                self._store_publish(key, publish)
+            if trace is not None:
+                trace.end(plan_span)
+                trace.record("solve", 0.0)
+            self._m_queries.inc()
+            self._m_hits.inc()
+            return self._finish(entry, config, tuple(deltas), needed, policy,
+                                label, hit_stats, with_report=with_report)
 
         plan, basis, adopt_changed, fast_ok = self._choose_plan(
             profile, analysis, config, bases, needed)

@@ -35,8 +35,11 @@ to a cold solve.
 Eviction
 --------
 Reads touch the entry's mtime, so mtime order is LRU order.  When
-``max_bytes`` is set, every publish trims oldest-read entries until the
-store fits; ``compact()`` applies the same policy on demand.
+``max_bytes`` is set, a publish that passes the bound trims oldest-read
+entries until the store fits; ``compact()`` applies the same policy on
+demand.  A publish only rescans the directory when the byte total of the
+last scan plus the bytes written since passes the bound, so bytes another
+process adds to a shared directory are seen at the next rescan.
 
 Fault injection sites (``REPRO_FAULTS``)
 ----------------------------------------
@@ -53,6 +56,7 @@ Fault injection sites (``REPRO_FAULTS``)
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from pathlib import Path
@@ -116,6 +120,8 @@ class ResultStore:
         self.fsync = fsync
         self.faults = faults if faults is not None else faults_mod.from_env()
         self._lock = threading.Lock()
+        # Byte total of the last scan plus the bytes written since.
+        self._written = math.inf
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # stats() key -> this store's child of the registry family.
         counter = self.metrics.counter
@@ -242,7 +248,11 @@ class ResultStore:
             return False
         self._counters["publishes"].inc()
         if self.max_bytes is not None:
-            self._evict_to(self.max_bytes)
+            with self._lock:
+                self._written += len(data)
+                fits = self._written <= self.max_bytes
+            if not fits:
+                self._evict_to(self.max_bytes)
         return True
 
     # ------------------------------------------------------------------ #
@@ -303,6 +313,7 @@ class ResultStore:
         with self._lock:
             entries, total = self._scan()
             if total <= limit:
+                self._written = total
                 self._publish_gauges(len(entries), total)
                 return
             entries.sort(key=lambda item: item[2])  # oldest mtime first
@@ -314,6 +325,7 @@ class ResultStore:
                     total -= size
                     evicted += 1
             self._counters["evictions"].inc(evicted)
+            self._written = total
             self._publish_gauges(len(entries) - evicted, total)
 
     def _corrupt(self, path: Path) -> None:

@@ -11,10 +11,11 @@ architecture changes.  This package is that layer:
   :class:`SegmentConfigDelta` wrapping any per-bus service delta) applied
   copy-on-write to a :class:`~repro.core.system.SystemModel`;
 * :mod:`repro.whatif.session` -- :class:`SystemSession`, the incremental
-  query engine: shared per-segment analysis sessions, a fingerprint-keyed
-  whole-result cache, gateway-reachability-aware invalidation, and
-  first-class end-to-end :meth:`~SystemSession.path_latency` queries, all
-  bit-identical to a from-scratch engine run;
+  query engine: one analysis session per bus shared by every topology, a
+  fingerprint-keyed whole-result cache, gateway-reachability-aware
+  invalidation, and first-class end-to-end
+  :meth:`~SystemSession.path_latency` queries, all bit-identical to a
+  from-scratch engine run;
 * :mod:`repro.whatif.catalog` -- named topology scenario families
   (message re-mapping sweeps, bus-speed degradation, gateway failover),
   registered in the one :class:`~repro.service.catalog.ScenarioCatalog`

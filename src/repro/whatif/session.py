@@ -8,12 +8,15 @@ repeated exploration incremental -- while staying **bit-identical** to a
 from-scratch :class:`~repro.core.engine.CompositionalAnalysis` run on the
 equivalently edited system.  Three mechanisms provide the incrementality:
 
-* **shared per-segment sessions** -- the session owns one
-  :class:`AnalysisSession` per (bus, configuration fingerprint) and injects
-  them into every engine run, so segments a delta does not touch answer
-  their per-iteration queries from warm caches (the PR 4
-  engine-on-sessions machinery); sessions for edited segment variants are
-  LRU-cached too, so sweeps revisiting a configuration reuse its kernels;
+* **one session per bus** -- every bus segment of the base topology has
+  exactly one :class:`AnalysisSession` (a daemon pool shard, or one the
+  system session creates), injected into every engine run whatever the
+  topology.  Segments a delta does not touch answer their per-iteration
+  queries from warm caches; an edited segment re-bases its query on the
+  bus's session (see :class:`~repro.core.engine.CompositionalAnalysis`),
+  so its configurations land in the same cache and the planner
+  warm-starts or reuses them from every configuration that bus has
+  analysed, in any topology;
 * **a whole-result cache** keyed by the edited system's *fingerprint*
   (:meth:`~repro.core.system.SystemModel.fingerprint`): repeating a query
   -- or asking for path latencies after it -- costs a dictionary lookup.
@@ -55,6 +58,11 @@ from repro.service.session import (
 from repro.whatif.system_deltas import (
     SystemDelta, downstream_closure, influence_edges,
 )
+
+#: LRU bound on a system session's cached whole-system fixed points (the
+#: base topology's result is never evicted).  Delta resolution is memoised
+#: for four times as many delta sequences.
+_MAX_CACHED_RESULTS = 128
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,8 @@ class SystemSessionStats:
     ``base_invalidations`` are read from the session's children of the
     ``system_*`` families of its metrics registry, so the sum over the
     sessions sharing a registry is the family total.  ``cached_results``
-    and ``segment_sessions`` are the current cache sizes.
+    is the current result-cache size and ``segment_sessions`` the number
+    of per-bus sessions (one per bus of the base topology).
     """
 
     name: str
@@ -152,25 +161,19 @@ class SystemSession:
         in-place edits of this model between queries by re-fingerprinting
         it (the base is then treated as a new topology and every cached
         result is dropped).
-    max_cached_results:
-        LRU bound on cached whole-system fixed points (the base topology's
-        result is never evicted).
-    max_sessions:
-        LRU bound on per-segment analysis sessions across all topology
-        variants (the base topology's sessions are never evicted).
     max_iterations:
         Global iteration bound handed to every engine run.
     sessions:
         Optional pre-existing per-segment sessions of the *base* topology,
         keyed by bus name -- the daemon injects its pool shards here so
         system queries and per-shard what-if queries share one warm cache.
+        The session creates one for every other bus.  These are the only
+        segment sessions: every topology's engine run queries them.
     """
 
     def __init__(
         self,
         system: SystemModel,
-        max_cached_results: int = 128,
-        max_sessions: int = 64,
         max_iterations: int = 50,
         name: str | None = None,
         sessions: Mapping[str, AnalysisSession] | None = None,
@@ -181,16 +184,9 @@ class SystemSession:
         if problems:
             raise ValueError(
                 "inconsistent system model:\n  " + "\n  ".join(problems))
-        if max_cached_results < 1:
-            raise ValueError("max_cached_results must be at least 1")
-        if max_sessions < len(system.buses):
-            raise ValueError(
-                "max_sessions must cover at least the base topology")
         self.name = name or f"system:{system.name}"
         self.max_iterations = max_iterations
         self._base = system
-        self._max_cached_results = max_cached_results
-        self._max_sessions = max_sessions
         self._lock = threading.RLock()
         self._base_key = FingerprintKey(system.fingerprint())
         self._results: OrderedDict[FingerprintKey, SystemQueryResult] = \
@@ -198,8 +194,8 @@ class SystemSession:
         self._delta_memo: OrderedDict[
             tuple, tuple[SystemModel, FingerprintKey, frozenset[str]]] = \
             OrderedDict()
-        self._sessions: OrderedDict[tuple, AnalysisSession] = OrderedDict()
-        self._pinned: set[tuple] = set()
+        # Bus name -> that bus's one segment session.
+        self._sessions: dict[str, AnalysisSession] = dict(sessions or {})
         # Optional repro.store.ResultStore: whole-system fixed points are
         # looked up by topology fingerprint on a miss and published after
         # every engine run, so a restarted daemon answers system queries
@@ -209,7 +205,7 @@ class SystemSession:
         # The session's counts live in its children of the registry's
         # system_* families (see stats()); the registry, private when none
         # is given, is shared with every segment session this system
-        # session creates (see _sessions_for_locked).
+        # session creates (see _add_base_sessions_locked).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         counter = self.metrics.counter
         self._m_queries = counter("system_queries_total").child()
@@ -218,13 +214,10 @@ class SystemSession:
         self._m_invalidations = counter(
             "system_base_invalidations_total").child()
         self._m_store_hits = counter("system_store_hits_total").child()
-        unknown = set(sessions or {}) - set(system.buses)
+        unknown = set(self._sessions) - set(system.buses)
         if unknown:
             raise ValueError(f"sessions for unknown buses: {sorted(unknown)}")
-        for bus_name, session in (sessions or {}).items():
-            key = self._segment_key(bus_name, session.base_config)
-            self._sessions[key] = session
-        self._pin_base_locked()
+        self._add_base_sessions_locked()
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -284,7 +277,8 @@ class SystemSession:
                 return replace(
                     cached, label=label, deltas=deltas,
                     stats=replace(cached.stats, cache_hit=True))
-            sessions = self._sessions_for_locked(system)
+            sessions = {name: self._sessions[name]
+                        for name in system.buses if name in self._sessions}
         # Persistent-store lookup: a prior process may have published the
         # whole-system fixed point for exactly this topology fingerprint.
         stored = None
@@ -330,7 +324,7 @@ class SystemSession:
             if key not in self._results:
                 self._results[key] = outcome
             self._results.move_to_end(key)
-            while len(self._results) > self._max_cached_results:
+            while len(self._results) > _MAX_CACHED_RESULTS:
                 for candidate in self._results:
                     if candidate != self._base_key and candidate != key:
                         del self._results[candidate]
@@ -440,26 +434,25 @@ class SystemSession:
                     "wrap per-bus deltas in SegmentConfigDelta")
         return deltas
 
-    @staticmethod
-    def _segment_key(bus_name: str, config: BusConfiguration) -> tuple:
-        return (bus_name, config.analysis_key(), config.deadline_policy)
-
-    def _pin_base_locked(self) -> None:
-        """(Re)compute the always-resident base segment-session keys."""
-        self._pinned = set()
+    def _add_base_sessions_locked(self) -> None:
+        """Create the session of every base bus that has none yet."""
+        controllers = dict(self._base.controllers) or None
         for segment in self._base.buses.values():
-            config = BusConfiguration.from_segment(
-                segment, controllers=self._base.controllers or None)
-            self._pinned.add(self._segment_key(segment.name, config))
+            if segment.name not in self._sessions:
+                self._sessions[segment.name] = AnalysisSession.from_config(
+                    BusConfiguration.from_segment(
+                        segment, controllers=controllers),
+                    name=f"{self.name}:{segment.name}", metrics=self.metrics)
 
     def _refresh_base_locked(self) -> None:
         """Detect in-place edits of the base system between queries.
 
         Gateway and ECU models are mutable; if the base topology's
         fingerprint changed since the last query, every cached result and
-        resolved delta is potentially stale and is dropped.  Per-segment
-        sessions are keyed by configuration value, so the surviving ones
-        stay exact and keep their warm caches.
+        resolved delta is potentially stale and is dropped.  Each bus keeps
+        its session and warm cache: the session's cache is keyed by
+        configuration value, and the engine re-bases a segment whose
+        configuration no longer matches the session's base.
         """
         key = FingerprintKey(self._base.fingerprint())
         if key == self._base_key:
@@ -467,7 +460,7 @@ class SystemSession:
         self._base_key = key
         self._results.clear()
         self._delta_memo.clear()
-        self._pin_base_locked()
+        self._add_base_sessions_locked()
         self._m_invalidations.inc()
 
     def _resolve_locked(
@@ -489,39 +482,6 @@ class SystemSession:
                 frozenset(touched), frozenset(edges))
             memo = (system, FingerprintKey(system.fingerprint()), invalidated)
             self._delta_memo[deltas] = memo
-            while len(self._delta_memo) > 4 * self._max_cached_results:
+            while len(self._delta_memo) > 4 * _MAX_CACHED_RESULTS:
                 self._delta_memo.popitem(last=False)
         return memo
-
-    def _sessions_for_locked(self, system: SystemModel,
-                             ) -> dict[str, AnalysisSession]:
-        """Per-segment sessions of one topology, shared across queries.
-
-        Unchanged segments resolve to the *same* session objects every
-        query (that is where the incrementality lives); edited variants
-        get their own LRU-cached sessions so a sweep revisiting a
-        configuration finds its kernels warm.
-        """
-        controllers = dict(system.controllers) or None
-        sessions: dict[str, AnalysisSession] = {}
-        for segment in system.buses.values():
-            config = BusConfiguration.from_segment(
-                segment, controllers=controllers)
-            key = self._segment_key(segment.name, config)
-            session = self._sessions.get(key)
-            if session is None:
-                session = AnalysisSession.from_config(
-                    config, name=f"{self.name}:{segment.name}",
-                    metrics=self.metrics)
-                self._sessions[key] = session
-            self._sessions.move_to_end(key)
-            sessions[segment.name] = session
-        while len(self._sessions) > self._max_sessions:
-            for candidate in self._sessions:
-                if candidate not in self._pinned and \
-                        self._sessions[candidate] not in sessions.values():
-                    del self._sessions[candidate]
-                    break
-            else:
-                break
-        return sessions

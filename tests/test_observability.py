@@ -45,7 +45,9 @@ from repro.service.deltas import BusConfiguration, JitterDelta
 from repro.service.session import AnalysisSession
 from repro.sim.simulator import CanBusSimulator, SimulationConfig
 from repro.store import ResultStore
-from repro.whatif import BusSpeedDelta, GatewayConfigDelta, SystemSession
+from repro.whatif import (
+    BusSpeedDelta, GatewayConfigDelta, SegmentConfigDelta, SystemSession,
+)
 from repro.workloads.multibus import multibus_system
 from repro.workloads.powertrain import (
     PowertrainConfig,
@@ -735,7 +737,7 @@ class TestCountAgreement:
               suppress_health_check=[HealthCheck.too_slow])
     @given(ops=st.lists(st.tuples(
         st.sampled_from(["query", "cancelled", "put", "get", "corrupt",
-                         "register", "ingest", "system"]),
+                         "register", "ingest", "system", "system_edit"]),
         st.integers(0, 1), st.integers(0, 3)), max_size=25))
     @example(ops=[("query", 0, k) for k in range(4)]          # evicting
              + [("query", 0, 3), ("cancelled", 1, 2), ("cancelled", 0, 3)]
@@ -744,7 +746,8 @@ class TestCountAgreement:
                 ("corrupt", 0, 1)]
              + [("register", 0, k) for k in range(3)]
              + [("ingest", 0, 0)] * 3
-             + [("system", 0, 1), ("system", 1, 1)])          # store hit
+             + [("system", 0, 1), ("system", 1, 1)]           # store hit
+             + [("system_edit", 0, k) for k in range(4)])     # re-based
     def test_component_stats_sum_to_registry_families(self, ops):
         registry = MetricsRegistry()
         config = _powertrain_config(8)
@@ -799,9 +802,12 @@ class TestCountAgreement:
                     chunk = next(chunks, None)
                     if chunk is not None:
                         monitor.ingest(chunk)
-                else:
+                elif op == "system":
                     systems[which].query((GatewayConfigDelta(
                         "GW0", polling_period=_POLLING_PERIODS[arg]),))
+                else:
+                    systems[which].query((SegmentConfigDelta(
+                        "CAN-1", (JitterDelta(fraction=_FRACTIONS[arg]),)),))
             store_stats = [store.stats() for store in stores]
 
         all_stats = [session.stats() for session in sessions]

@@ -374,6 +374,23 @@ class TestResultStore:
         # The newest entry survives (oldest-read go first).
         assert store.contains("bus", "d10")
 
+    def test_bounded_publishes_rescan_only_past_the_bound(
+            self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path, max_bytes=1 << 30)
+        scans = []
+        scan = store._scan
+        monkeypatch.setattr(
+            store, "_scan", lambda: scans.append(None) or scan())
+        for index in range(50):
+            assert store.put("bus", f"p{index:02d}", {"M1": _result()})
+        assert len(scans) <= 1
+        # A publish that passes the bound still rescans and evicts.
+        store.max_bytes = store.stats()["bytes"]
+        store.put("bus", "p50", {"M1": _result()})
+        stats = store.stats()
+        assert stats["bytes"] <= store.max_bytes and stats["evictions"] > 0
+        assert store.contains("bus", "p50")
+
     def test_lru_touch_on_read(self, tmp_path):
         import os
         store = ResultStore(tmp_path)

@@ -12,6 +12,7 @@ containers, stable identities) and the ``REPRO_PARALLEL`` modes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from repro.service.deltas import (
     JitterDelta,
     PriorityDelta,
 )
+from repro.service.session import AnalysisSession
 from repro.whatif import (
     AddGatewayRouteDelta,
     BusSpeedDelta,
@@ -310,6 +312,79 @@ class TestSystemSessionBehaviour:
             session.query(GatewayConfigDelta("GW9", polling_period=1.0))
         with pytest.raises(KeyError):
             session.query(MoveMessageDelta("NoSuchMessage", "CAN-0"))
+
+
+class TestOneSessionPerBus:
+    """Every topology's engine run queries the base buses' sessions: an
+    edited segment is re-based on its bus's session, never given one."""
+
+    @staticmethod
+    def _cold_on(session: SystemSession, bus: str) -> int:
+        return sum(stats.cold for stats in session.session_stats()
+                   if stats.name.endswith(f":{bus}"))
+
+    def test_edited_segment_plans_from_the_bus_cache(self, monkeypatch):
+        params = dict(n_buses=3, messages_per_bus=10, seed=1)
+        delta = SegmentConfigDelta("CAN-1", (JitterDelta(fraction=0.3),))
+        fresh = SystemSession(multibus_system(**params))
+        fresh.query(delta)
+        warm = SystemSession(multibus_system(**params))
+        warm.analyze()
+        before = self._cold_on(warm, "CAN-1")
+        created = []
+        init = AnalysisSession.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(kwargs.get("name"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisSession, "__init__", counting_init)
+        outcome = warm.query(delta)
+        _assert_identical(outcome.result, _fresh_run(
+            apply_system_deltas(multibus_system(**params), (delta,))))
+        assert self._cold_on(warm, "CAN-1") - before \
+            < self._cold_on(fresh, "CAN-1")
+        base = warm.base_system
+        victim = base.buses["CAN-2"].kmatrix.sorted_by_priority()[-1]
+        free_id = max(m.can_id for m in base.buses["CAN-0"].kmatrix) + 7
+        warm.query(BusSpeedDelta("CAN-0", 250_000.0))
+        warm.query(MoveMessageDelta(victim.name, "CAN-0", new_can_id=free_id))
+        assert created == []
+        assert warm.stats().segment_sessions == len(base.buses)
+
+    def test_seeded_walk_is_exact(self):
+        params = dict(n_buses=3, messages_per_bus=8, seed=5)
+        base = multibus_system(**params)
+        session = SystemSession(base)
+        route = base.gateways["GW0"].routes[0]
+        endpoints = {name for gateway in base.gateways.values()
+                     for r in gateway.routes
+                     for name in (r.source_message, r.destination_message)}
+        victim = next(m for m in reversed(
+            base.buses["CAN-2"].kmatrix.sorted_by_priority())
+            if m.name not in endpoints)
+        free_id = max(m.can_id for m in base.buses["CAN-0"].kmatrix) + 7
+        edits = [
+            (BusSpeedDelta("CAN-1", 250_000.0),),
+            (BusSpeedDelta("CAN-1", 1_000_000.0),),
+            (SegmentConfigDelta("CAN-0", (JitterDelta(fraction=0.3),)),),
+            (SegmentConfigDelta("CAN-0", (JitterDelta(fraction=0.05),)),),
+            (MoveMessageDelta(victim.name, "CAN-0", new_can_id=free_id),),
+            (GatewayConfigDelta("GW0", polling_period=6.0),),
+            (RemoveGatewayRouteDelta("GW0", route.destination_message),
+             AddGatewayRouteDelta("GW0-backup", route, polling_period=5.0)),
+        ]
+        rng = random.Random(25)
+        for _ in range(15):
+            # One or two edits per step: segment configurations recur
+            # under topologies that differ elsewhere, so the per-bus
+            # caches serve other topologies' configurations as bases.
+            deltas = tuple(delta for edit in rng.sample(
+                edits, rng.choice((1, 2))) for delta in edit)
+            outcome = session.query(deltas)
+            _assert_identical(outcome.result, _fresh_run(
+                apply_system_deltas(multibus_system(**params), deltas)))
+        assert session.stats().segment_sessions == len(base.buses)
 
 
 class TestParallelModes:
