@@ -1,36 +1,46 @@
 """The compositional fixed-point iteration.
 
-One global iteration performs three local analysis sweeps and one
-propagation step:
+Every detailed ECU model is analysed once per run with
+:class:`~repro.ecu.analysis.EcuAnalysis`: the response-time intervals of
+its sender tasks yield *send* event models for the messages they queue.
+Then the buses and gateways are swept in **gateway order** until the
+gateway outputs stop changing.  The order is planned once per :meth:`run`
+from the bus-influence graph (:func:`~repro.core.system.influence_edges`):
+its strongly connected components in topological order, the buses of a
+component in ``system.buses`` order, and each gateway attached to the last
+component holding one of its routes' source buses.  One *pass* (the
+``iterations`` unit) visits every component in that order:
 
-1. **ECUs**: every detailed ECU model is analysed with
-   :class:`~repro.ecu.analysis.EcuAnalysis`; the response-time intervals of
-   its sender tasks yield *send* event models for the messages they queue.
-2. **Buses**: every bus is analysed with
-   :class:`~repro.analysis.response_time.CanBusAnalysis`, using the
-   propagated send models where available and the K-Matrix assumptions
-   everywhere else; the message response-time intervals yield *arrival*
-   event models at the receivers.
-3. **Gateways**: every gateway turns the arrival models of its source
-   messages into send models of its destination messages (adding forwarding
-   latency and jitter), which feed the next iteration's bus analyses.
+1. **Buses**: each bus of the component is analysed with
+   :class:`~repro.analysis.response_time.CanBusAnalysis`, using the current
+   send models where available and the K-Matrix assumptions everywhere
+   else; the message response-time intervals yield *arrival* event models
+   at the receivers.  All buses of one component see the same send models,
+   so inside a gateway cycle the pass is a Jacobi step.
+2. **Gateways**: every gateway attached to the component turns the arrival
+   models of its source messages into send models of its destination
+   messages (adding forwarding latency and jitter), which the components
+   after it see within the same pass.
 
-The iteration stops when no event model changed (fixed point) or when the
-iteration limit is reached (reported as non-convergence -- the system is
-overloaded or has a cyclic dependency that keeps amplifying jitter).
+Each gateway runs once per pass, after all of its sources are fresh, so on
+an acyclic topology one pass reaches the fixed point and a second pass
+confirms it.  The run stops when a pass leaves the send models unchanged
+(fixed point), when they return to the values of the pass before
+(oscillation, reported as converged), or when the iteration limit is
+reached (reported as non-convergence -- the system is overloaded or has a
+cyclic dependency that keeps amplifying jitter).
 
 Two performance levers keep large systems in the "within minutes" envelope:
 
-* one global iteration analyses its bus segments in order on the calling
+* the engine analyses its bus segments one after another on the calling
   thread.  The segment analyses hold the GIL, so a thread pool only adds
   contention: 300 system what-ifs on a 4x30-message gateway chain took a
   median 14.7 ms with a pool per global iteration and 7.6 ms without (one
   process on a shared 2-CPU host), and at 4x150 messages the pool was no
   faster either;
-* successive global iterations are **incremental**: every bus segment is
-  owned by a per-segment
-  :class:`~repro.service.session.AnalysisSession`, and each iteration
-  issues the propagated send models as one
+* successive passes are **incremental**: every bus segment is owned by a
+  per-segment :class:`~repro.service.session.AnalysisSession`, and each
+  pass issues the propagated send models as one
   :class:`~repro.service.deltas.EventModelDelta` to that session.  The
   session's planner then decides *per message* whether the cached fixed
   point can be reused outright (nothing at or above the message's priority
@@ -42,20 +52,22 @@ Two performance levers keep large systems in the "within minutes" envelope:
 ``REPRO_PARALLEL`` does not choose between algorithms: the default engine
 runs on the segment sessions in every mode.  ``incremental=False`` keeps
 the from-scratch reference, which rebuilds every segment's
-:class:`~repro.analysis.response_time.CanBusAnalysis` each iteration and is
-bit-identical to the session path.  ``process`` only changes the executor
-of that reference sweep: its picklable segment jobs fan out to worker
-processes through :func:`repro.parallel.parallel_map` (results merge in
-segment order, so the mode never changes a result).  That fan-out stays
-because a cold reference run is the one case where worker processes
-measured faster: 4x150 messages (multibus seed 7, 2 CPUs) took
-1.08-1.12 s serial and 0.72-0.84 s under ``process``.
+:class:`~repro.analysis.response_time.CanBusAnalysis` each pass and is
+bit-identical to the session path (both follow one sweep plan, so their
+iteration counts agree too).  ``process`` only changes the executor of
+that reference sweep: the picklable jobs of one component's buses fan out
+to worker processes through :func:`repro.parallel.parallel_map` (results
+merge in segment order, so the mode never changes a result).  A component
+of one bus -- every component of a gateway chain -- runs inline, so no
+builtin workload, example or benchmark reaches the fan-out any more: the
+4x150-message reference (multibus seed 7) starts no worker pool and took
+0.77-0.98 s serial and 0.86-1.06 s under ``process`` (2-CPU shared host).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.analysis.response_time import (
     CanBusAnalysis,
@@ -63,9 +75,15 @@ from repro.analysis.response_time import (
     _model_dominates,
 )
 from repro.analysis.schedulability import report_from_results
+from repro.can.message import CanMessage
 from repro.cancel import CancelToken
 from repro.core.results import SystemAnalysisResult
-from repro.core.system import BusSegment, SystemModel
+from repro.core.system import (
+    BusSegment,
+    SystemModel,
+    downstream_closure,
+    influence_edges,
+)
 from repro.ecu.analysis import EcuAnalysis, message_output_models
 from repro.events.model import EventModel
 from repro.events.operations import output_event_model
@@ -74,6 +92,13 @@ from repro.parallel import parallel_map
 from repro.service.deltas import BusConfiguration, Delta, EventModelDelta
 from repro.service.session import AnalysisSession
 
+
+#: Names the pass order of :meth:`CompositionalAnalysis.run`.  A result's
+#: ``iterations`` counts that order's passes, so
+#: :class:`~repro.whatif.session.SystemSession` folds the tag into the
+#: store digest of every whole-system fixed point: an entry an engine of
+#: another order wrote misses instead of answering its count.
+SWEEP_ORDER = "gateway-order"
 
 _MODEL_EPS = 1e-6
 
@@ -152,7 +177,7 @@ def _analyze_segment_job(args: tuple) -> tuple:
 
     ``args`` is ``(segment, controllers, send_models, previous)`` where
     ``previous`` carries the segment's (event models, results) from the last
-    global iteration of the same run.  Its results seed the new analysis
+    pass of the same run.  Its results seed the new analysis
     when every event model dominates its predecessor (the warm-start
     contract of :mod:`repro.analysis.response_time`); the segment's other
     inputs cannot change within one run.
@@ -181,6 +206,51 @@ def _analyze_segment_job(args: tuple) -> tuple:
     return results, arrival_models, report, (models, results)
 
 
+def _sweep_components(buses: Sequence[str],
+                      edges: frozenset[tuple[str, str]]) -> list[list[str]]:
+    """The strongly connected components of the bus-influence graph, in
+    topological order, each holding its buses in ``buses`` order.
+
+    A component's buses all reach one another.  Sorting the components by
+    how many buses reach them is topological: when one component reaches
+    another, every bus upstream of the first is upstream of the second,
+    and so are the second's own buses.  The sort is stable, so unrelated
+    components keep the ``buses`` order of their first bus.
+    """
+    reach = {bus: downstream_closure(frozenset((bus,)), edges)
+             for bus in buses}
+    components: list[list[str]] = []
+    placed: set[str] = set()
+    for bus in buses:
+        if bus not in placed:
+            component = [other for other in buses
+                         if other in reach[bus] and bus in reach[other]]
+            placed.update(component)
+            components.append(component)
+    upstream = {bus: sum(bus in reach[other] for other in buses)
+                for bus in buses}
+    components.sort(key=lambda component: upstream[component[0]])
+    return components
+
+
+@dataclass(frozen=True)
+class _GatewayStep:
+    """One gateway of a sweep plan with its per-run constants."""
+
+    name: str
+    analysis: GatewayAnalysis
+    min_output_distance: float
+
+
+@dataclass(frozen=True)
+class _SweepStage:
+    """One component of a sweep plan: its buses, analysed against the same
+    send models, then the gateways whose last source bus is among them."""
+
+    segments: tuple[BusSegment, ...]
+    gateways: tuple[_GatewayStep, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class _SegmentRebase(Delta):
     """Engine-internal delta: the segment's own configuration replaces the
@@ -194,8 +264,8 @@ class _SegmentRebase(Delta):
         return self.config
 
 
-#: LRU bound of each engine-owned segment session: successive global
-#: iterations only ever chain off the previous configuration and the base,
+#: LRU bound of each engine-owned segment session: successive passes only
+#: ever chain off the previous configuration and the base,
 #: so a small cache keeps memory flat on hundreds-of-messages segments.
 _SESSION_CACHE_PER_SEGMENT = 8
 
@@ -203,7 +273,7 @@ _SESSION_CACHE_PER_SEGMENT = 8
 class CompositionalAnalysis:
     """Global analysis of a :class:`~repro.core.system.SystemModel`.
 
-    :meth:`run` performs every global iteration on the calling thread.  By
+    :meth:`run` performs every pass on the calling thread.  By
     default it analyses the bus segments one after another on their
     sessions, in every ``REPRO_PARALLEL`` mode: the analysis holds the GIL,
     so the engine starts no threads (a server handling one request per
@@ -215,7 +285,7 @@ class CompositionalAnalysis:
     system:
         The integration model to analyse.
     max_iterations:
-        Bound on global fixed-point iterations.
+        Bound on fixed-point passes (``iterations``).
     sessions:
         Optional mapping of bus name to an existing
         :class:`~repro.service.session.AnalysisSession` for that segment
@@ -233,9 +303,9 @@ class CompositionalAnalysis:
     incremental:
         When ``True`` (default), bus sweeps run on the per-segment sessions
         (reuse / warm-start per message), whatever ``REPRO_PARALLEL`` says.
-        ``False`` selects the from-scratch reference: every iteration
+        ``False`` selects the from-scratch reference: every pass
         rebuilds each segment's analysis, warm-seeded only from the
-        previous iteration of the same run, and no state survives a
+        previous pass of the same run, and no state survives a
         :meth:`run`.  Both produce bit-identical results;
         ``REPRO_PARALLEL=process`` only hands the reference's segment jobs
         to worker processes.
@@ -295,7 +365,7 @@ class CompositionalAnalysis:
         A segment whose configuration differs from its session's base (a
         system what-if edited it, or it was reconfigured in place since) is
         re-based: its configuration, built once per :meth:`run`, goes in
-        front of every iteration's :class:`EventModelDelta`.  The session
+        front of every pass's :class:`EventModelDelta`.  The session
         stays the bus's one session, so the edited segment plans against
         every configuration the bus has cached.
         """
@@ -313,8 +383,15 @@ class CompositionalAnalysis:
     # ------------------------------------------------------------------ #
     # Local sweeps
     # ------------------------------------------------------------------ #
-    def _ecu_sweep(self) -> tuple[dict[str, EventModel], dict[str, object]]:
-        """Analyse all detailed ECUs; return send models and task results."""
+    def _ecu_sweep(
+        self,
+        carriers: Mapping[str, tuple[BusSegment, CanMessage]],
+    ) -> tuple[dict[str, EventModel], dict[str, object]]:
+        """Analyse all detailed ECUs; return send models and task results.
+
+        ``carriers`` maps each message name to its ``(segment, message)``
+        (see :meth:`_carriers`).
+        """
         send_models: dict[str, EventModel] = {}
         task_results: dict[str, object] = {}
         for ecu_name, ecu in self.system.ecus.items():
@@ -324,19 +401,59 @@ class CompositionalAnalysis:
                 task_results[f"{ecu_name}.{task_name}"] = result
             # Minimum output distance: the transmission time of the shortest
             # frame the ECU sends on its bus keeps burst models physical.
-            min_distance = 0.0
-            for message_name in {
-                    m for task in ecu.tasks for m in task.sends_messages}:
-                try:
-                    segment = self.system.bus_of_message(message_name)
-                except KeyError:
-                    continue
-                message = segment.kmatrix.get(message_name)
-                tx = segment.bus.best_case_transmission_time(message)
-                min_distance = min(min_distance, tx) if min_distance else tx
             send_models.update(message_output_models(
-                ecu, min_output_distance=min_distance))
+                ecu, min_output_distance=_min_transmission_time(
+                    carriers,
+                    {m for task in ecu.tasks for m in task.sends_messages})))
         return send_models, task_results
+
+    def _carriers(self) -> dict[str, tuple[BusSegment, CanMessage]]:
+        """Each message name's ``(segment, message)``, built once per run:
+        the first bus carrying it, as :meth:`SystemModel.bus_of_message`
+        finds it, without a scan of every K-Matrix per lookup."""
+        carriers: dict[str, tuple[BusSegment, CanMessage]] = {}
+        for segment in self.system.buses.values():
+            for message in segment.kmatrix:
+                carriers.setdefault(message.name, (segment, message))
+        return carriers
+
+    def _sweep_plan(
+        self,
+        carriers: Mapping[str, tuple[BusSegment, CanMessage]],
+    ) -> list[_SweepStage]:
+        """The run's sweep plan (see the module docstring).
+
+        Each gateway is attached to the last component holding one of its
+        routes' source buses, so it runs once per pass with every source
+        fresh -- queue-coupled routes from several source buses included.
+        (Routes in separate queues of one gateway are not coupled: a
+        destination bus swept before the gateway's last source bus sees
+        the previous pass's output, which can cost a pass, not exactness.)
+        A gateway naming no bus of the system runs after the last
+        component.  Its :class:`GatewayAnalysis` and minimum output
+        distance are built here, once per run.
+        """
+        buses = list(self.system.buses)
+        components = _sweep_components(buses, influence_edges(self.system))
+        stage_of = {bus: index for index, component in enumerate(components)
+                    for bus in component}
+        attached: list[list[_GatewayStep]] = [[] for _ in components]
+        for name, gateway in self.system.gateways.items():
+            stage = max((stage_of[route.source_bus]
+                         for route in gateway.routes
+                         if route.source_bus in stage_of),
+                        default=len(components) - 1)
+            attached[stage].append(_GatewayStep(
+                name=name,
+                analysis=GatewayAnalysis(gateway),
+                min_output_distance=_min_transmission_time(
+                    carriers,
+                    [route.destination_message for route in gateway.routes])))
+        return [
+            _SweepStage(
+                segments=tuple(self.system.buses[bus] for bus in component),
+                gateways=tuple(steps))
+            for component, steps in zip(components, attached)]
 
     def _query_segment_session(
         self,
@@ -351,11 +468,11 @@ class CompositionalAnalysis:
 
         ``segment_query`` is the bus's ``(session, leading deltas)`` pair
         from :meth:`_segment_queries`.  ``previous`` is the segment's
-        ``(query, arrival models)`` pair from the last iteration; when the
+        ``(query, arrival models)`` pair from the last pass; when the
         new query lands on the same configuration fingerprint the arrival
         models are carried over verbatim (same analysis inputs imply the
         same outputs), so converged segments cost a cache lookup per
-        iteration, not a propagation pass.
+        pass, not a propagation pass.
         """
         session, deltas = segment_query
         overrides = _segment_overrides(segment, send_models)
@@ -373,93 +490,83 @@ class CompositionalAnalysis:
                 segment.kmatrix, models, query.results)
         return query.results, arrivals, query.report, (query, arrivals)
 
-    def _bus_sweep(
+    def _stage_sweep(
         self,
+        stage: _SweepStage,
         send_models: Mapping[str, EventModel],
         previous_sweep: Mapping[str, tuple],
         segment_queries: Mapping[str, tuple] | None,
         cancel: CancelToken | None = None,
-    ) -> tuple[dict[str, MessageResponseTime], dict[str, EventModel], dict,
-               dict[str, tuple]]:
-        """Analyse all buses with the given send models.
+    ) -> list[tuple]:
+        """Analyse one component's buses against the same send models.
 
         By default every segment's query runs, in order on the calling
         thread, against its cached session (deltas planned per message),
         whatever ``REPRO_PARALLEL`` says; ``segment_queries`` is the run's
         :meth:`_segment_queries`.  With ``incremental=False`` the
-        sweep instead hands picklable job tuples for the top-level
+        stage instead hands picklable job tuples for the top-level
         :func:`_analyze_segment_job` to :func:`repro.parallel.parallel_map`,
         warm-seeded with each segment's (event models, results) from the
-        previous iteration; only ``process`` sends them to worker processes.
+        previous pass; only ``process`` sends them to worker processes.
+        Returns one ``(results, arrivals, report, state)`` per segment.
         """
-        segments = list(self.system.buses.values())
         if self.incremental:
-            outcomes = [
+            return [
                 self._query_segment_session(
                     segment, segment_queries[segment.name], send_models,
                     previous_sweep.get(segment.name), cancel=cancel)
-                for segment in segments]
-        else:
-            controllers = dict(self.system.controllers)
-            jobs = [(segment, controllers, dict(send_models),
-                     previous_sweep.get(segment.name))
-                    for segment in segments]
-            outcomes = parallel_map(_analyze_segment_job, jobs)
-        message_results: dict[str, MessageResponseTime] = {}
-        arrival_models: dict[str, EventModel] = {}
-        bus_reports = {}
-        sweep_state: dict[str, tuple] = {}
-        for segment, (results, arrivals, report, state) in zip(
-                segments, outcomes):
-            message_results.update(results)
-            arrival_models.update(arrivals)
-            bus_reports[segment.name] = report
-            sweep_state[segment.name] = state
-        return message_results, arrival_models, bus_reports, sweep_state
-
-    def _gateway_sweep(
-        self,
-        arrival_models: Mapping[str, EventModel],
-    ) -> dict[str, EventModel]:
-        """Propagate arrival models through all gateways."""
-        forwarded: dict[str, EventModel] = {}
-        for gateway in self.system.gateways.values():
-            analysis = GatewayAnalysis(gateway)
-            min_distance = 0.0
-            for route in gateway.routes:
-                try:
-                    segment = self.system.bus_of_message(route.destination_message)
-                except KeyError:
-                    continue
-                message = segment.kmatrix.get(route.destination_message)
-                tx = segment.bus.best_case_transmission_time(message)
-                min_distance = min(min_distance, tx) if min_distance else tx
-            forwarded.update(analysis.output_event_models(
-                arrival_models, min_output_distance=min_distance))
-        return forwarded
+                for segment in stage.segments]
+        controllers = dict(self.system.controllers)
+        jobs = [(segment, controllers, dict(send_models),
+                 previous_sweep.get(segment.name))
+                for segment in stage.segments]
+        return parallel_map(_analyze_segment_job, jobs)
 
     # ------------------------------------------------------------------ #
     # Fixed point
     # ------------------------------------------------------------------ #
     def run(self, cancel: CancelToken | None = None) -> SystemAnalysisResult:
-        """Iterate local analyses and propagation until a global fixed point.
+        """Sweep the buses and gateways in gateway order until a fixed point.
+
+        Each pass (one unit of ``iterations``) visits the sweep plan's
+        components in topological order: a component's buses are analysed
+        against the current send models, then its gateways fold their
+        outputs into those models for the components after it.  A pass
+        converges when the send models at its end equal those at its start;
+        each gateway runs once per pass, so no bus saw an intermediate
+        value.  On an acyclic topology that takes one pass plus one
+        confirming pass.  ``message_results``, ``arrival_models`` and
+        ``bus_reports`` are built in ``system.buses`` order from each
+        bus's last analysis.
 
         ``cancel`` (see :mod:`repro.cancel`) is threaded into every
-        session query's fixed-point loops and additionally checked between
-        global iterations, which is the cancellation granule of the
+        session query's fixed-point loops and additionally checked before
+        each component, which is the cancellation granule of the
         ``incremental=False`` reference sweep (its segment jobs take no
         token, and under ``REPRO_PARALLEL=process`` run in worker
         processes).  A fired token raises out of ``run`` without corrupting
         the session path's retained sweep state: it is only replaced by
-        completed sweeps.  The reference starts every run from scratch.
+        completed passes.  The reference starts every run from scratch.
         """
-        ecu_send_models, task_results = self._ecu_sweep()
+        carriers = self._carriers()
+        ecu_send_models, task_results = self._ecu_sweep(carriers)
+        plan = self._sweep_plan(carriers)
         send_models: dict[str, EventModel] = dict(ecu_send_models)
+        # Each gateway's latest outputs, in ``system.gateways`` order: the
+        # send models are the ECU models overridden by these, gateway by
+        # gateway, exactly as one whole gateway sweep would fold them.
+        forwarded: dict[str, dict[str, EventModel]] = {
+            name: {} for name in self.system.gateways}
+
+        def current_send() -> dict[str, EventModel]:
+            send = dict(ecu_send_models)
+            for outputs in forwarded.values():
+                send.update(outputs)
+            return send
 
         previous_send: dict[str, EventModel] = {}
-        message_results: dict[str, MessageResponseTime] = {}
-        arrival_models: dict[str, EventModel] = {}
-        bus_reports: dict = {}
+        outcomes: dict[str, tuple] = {}
+        arrivals: dict[str, EventModel] = {}
         converged = False
         iterations = 0
 
@@ -468,16 +575,27 @@ class CompositionalAnalysis:
             else None
         for iteration in range(1, self.max_iterations + 1):
             iterations = iteration
-            if cancel is not None:
-                cancel.check()
-            (message_results, arrival_models, bus_reports,
-             previous_sweep) = self._bus_sweep(
-                send_models, previous_sweep, segment_queries, cancel=cancel)
+            sweep: dict[str, tuple] = {}
+            seen = send_models
+            for stage in plan:
+                if cancel is not None:
+                    cancel.check()
+                stage_outcomes = self._stage_sweep(
+                    stage, seen, previous_sweep, segment_queries,
+                    cancel=cancel)
+                for segment, outcome in zip(stage.segments, stage_outcomes):
+                    outcomes[segment.name] = outcome
+                    arrivals.update(outcome[1])
+                    sweep[segment.name] = outcome[3]
+                if stage.gateways:
+                    for step in stage.gateways:
+                        forwarded[step.name] = step.analysis.output_event_models(
+                            arrivals, min_output_distance=step.min_output_distance)
+                    seen = current_send()
+            previous_sweep = sweep
             if self.incremental:
-                self._sweep_state = previous_sweep
-            forwarded = self._gateway_sweep(arrival_models)
-            new_send = dict(ecu_send_models)
-            new_send.update(forwarded)
+                self._sweep_state = sweep
+            new_send = current_send()
             if _models_equal(new_send, send_models) and iteration > 1:
                 converged = True
                 break
@@ -496,6 +614,14 @@ class CompositionalAnalysis:
             # A single-bus system without propagation converges trivially.
             converged = True
 
+        message_results: dict[str, MessageResponseTime] = {}
+        arrival_models: dict[str, EventModel] = {}
+        bus_reports: dict = {}
+        for name in self.system.buses:
+            results, segment_arrivals, report, _ = outcomes[name]
+            message_results.update(results)
+            arrival_models.update(segment_arrivals)
+            bus_reports[name] = report
         return SystemAnalysisResult(
             converged=converged,
             iterations=iterations,
@@ -505,3 +631,21 @@ class CompositionalAnalysis:
             send_models=send_models,
             arrival_models=arrival_models,
         )
+
+
+def _min_transmission_time(
+    carriers: Mapping[str, tuple[BusSegment, CanMessage]],
+    message_names,
+) -> float:
+    """Best-case transmission time of the shortest named frame (0.0 when
+    none is carried): the minimum output distance that keeps a sender's
+    burst models physical.  Unknown names are skipped."""
+    min_distance = 0.0
+    for name in message_names:
+        carrier = carriers.get(name)
+        if carrier is None:
+            continue
+        segment, message = carrier
+        tx = segment.bus.best_case_transmission_time(message)
+        min_distance = min(min_distance, tx) if min_distance else tx
+    return min_distance

@@ -23,7 +23,9 @@ class SystemAnalysisResult:
         non-converged system is overloaded somewhere (jitters keep growing),
         which the paper calls a transient overload / bottleneck situation.
     iterations:
-        Number of global iterations performed.
+        Number of engine passes performed.  Each pass sweeps every bus and
+        gateway once in gateway order, so an acyclic topology typically
+        takes two: one to reach the fixed point, one to confirm it.
     message_results:
         Per-message response-time results, keyed by message name.
     task_results:

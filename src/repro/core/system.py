@@ -16,7 +16,7 @@ from repro.can.controller import ControllerModel
 from repro.can.kmatrix import KMatrix
 from repro.ecu.task import EcuModel
 from repro.errors.models import ErrorModel, NoErrors
-from repro.gateway.model import GatewayModel
+from repro.gateway.model import GatewayModel, GatewayRoute
 
 
 @dataclass
@@ -213,3 +213,39 @@ class SystemModel:
         lines.append(f"  detailed ECU models: {sorted(self.ecus) or 'none'}")
         lines.append(f"  gateways: {sorted(self.gateways) or 'none'}")
         return "\n".join(lines)
+
+
+def influence_edges(system: SystemModel) -> frozenset[tuple[str, str]]:
+    """Directed bus-influence edges the gateways induce.
+
+    ``(A, B)`` means a change on bus ``A`` can change the analysis inputs
+    of bus ``B`` within one propagation step: a gateway forwards a message
+    from ``A`` to ``B``, or a route sourced on ``A`` shares an output queue
+    with a route destined for ``B`` (queueing couples their forwarding
+    latencies and the queue-length bound).
+    """
+    edges: set[tuple[str, str]] = set()
+    for gateway in system.gateways.values():
+        by_queue: dict[str, list[GatewayRoute]] = {}
+        for route in gateway.routes:
+            edges.add((route.source_bus, route.destination_bus))
+            by_queue.setdefault(route.queue, []).append(route)
+        for routes in by_queue.values():
+            for first in routes:
+                for second in routes:
+                    edges.add((first.source_bus, second.destination_bus))
+    return frozenset(edges)
+
+
+def downstream_closure(seeds: frozenset[str],
+                       edges: frozenset[tuple[str, str]]) -> frozenset[str]:
+    """Buses reachable from ``seeds`` along the influence edges."""
+    reached = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        bus = frontier.pop()
+        for source, destination in edges:
+            if source == bus and destination not in reached:
+                reached.add(destination)
+                frontier.append(destination)
+    return frozenset(reached)

@@ -332,9 +332,11 @@ class AnalysisDaemon:
         Every request is traced (stages ``decode`` -> ``admission`` ->
         ``session_plan`` -> ``solve``; the transport folds in ``encode``
         via :meth:`encode_response`); the slowest traces
-        are retained for the ``traces`` op, and the span tree is returned
-        inline when the request sets ``trace: true``.  ``decode_ms`` is
-        the transport's line-decode time.
+        are retained for the ``traces`` op.  When the request sets ``trace:
+        true``, :meth:`encode_response` appends the span tree to the reply
+        line, after the ``encode`` span; the returned dict carries only
+        the ``trace_id``.  ``decode_ms`` is the transport's line-decode
+        time.
         """
         request_id = request.get("id")
         op = request.get("op")
@@ -469,8 +471,6 @@ class AnalysisDaemon:
             self.slowlog.maybe_log(trace, fingerprint=fingerprint)
         if echo:
             response["trace_id"] = trace.trace_id
-        if trace.inline:
-            response["trace"] = trace.to_json()
         self._trace_local.finished = trace
         return response
 
@@ -483,19 +483,19 @@ class AnalysisDaemon:
         ``encode`` span (the trace is retained by reference, so
         ``traces`` output shows it too); the TCP server passes the
         ``encode_line`` its own module names, so a timing wrapper put
-        there sees every reply.  An inline span tree is rendered after
-        that span closes and appended to the line.  A response the
-        encoder refuses (a NaN, say) is answered with a typed
-        ``internal`` error instead.
+        there sees every reply.  The span tree of a request that set
+        ``trace: true`` is rendered once, after that span closes, and
+        appended to the line.  A response the encoder refuses (a NaN,
+        say) is answered with a typed ``internal`` error instead.
         """
-        inline = response.pop("trace", None) is not None
+        encoded = True
         started = time.perf_counter()
         try:
             data = encode(response)
         except Exception as error:  # noqa: BLE001 - one reply per line
             _log.exception("unencodable response to op %r",
                            request.get("op"))
-            inline = False
+            encoded = False
             data = encode(self._error(
                 f"response not encodable: {error}", request.get("id")))
         encode_ms = (time.perf_counter() - started) * 1000.0
@@ -505,7 +505,7 @@ class AnalysisDaemon:
             return data
         trace.extend("encode", encode_ms)
         return protocol.append_member(data, "trace", trace.to_json()) \
-            if inline else data
+            if encoded and trace.inline else data
 
     def _current_trace(self) -> Optional[Trace]:
         """The trace of the request being handled on this thread."""

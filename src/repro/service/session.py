@@ -636,7 +636,7 @@ class AnalysisSession:
             return self._finish(entry, config, tuple(deltas), needed, policy,
                                 label, hit_stats, with_report=with_report)
 
-        plan, basis, adopt_changed, fast_ok = self._choose_plan(
+        plan, basis, adopt_changed, fast_ok, donor = self._choose_plan(
             profile, analysis, config, bases, needed)
         if trace is not None:
             trace.end(plan_span)
@@ -645,7 +645,8 @@ class AnalysisSession:
         stats, results = self._execute(
             config, analysis, profile, plan, basis, needed,
             existing=entry.results if entry is not None else None,
-            adopt_changed=adopt_changed, fast_ok=fast_ok, cancel=cancel)
+            adopt_changed=adopt_changed, fast_ok=fast_ok, donor=donor,
+            cancel=cancel)
         if trace is not None:
             trace.end(solve_span)
         self._m_queries.inc()
@@ -856,7 +857,7 @@ class AnalysisSession:
                      bases: Sequence[_CacheEntry],
                      needed: Sequence[str] | None,
                      ) -> tuple[dict[str, str], _CacheEntry | None,
-                                set[str] | None, bool]:
+                                set[str] | None, bool, _CacheEntry | None]:
         """Plan against each candidate basis; keep the cheapest.
 
         The third element names the changed event models when the winning
@@ -865,7 +866,12 @@ class AnalysisSession:
         fourth flags whether warm seeds may additionally go through the
         :func:`_seed_unaffected` re-verification shortcut (structure,
         blocking, error model and horizon all carried over), which reads
-        the changed names.
+        the changed names.  The fifth is the candidate whose kernels the
+        new analysis adopts: the winning basis when it satisfies that
+        precondition, else the first candidate that does -- a plan that
+        solves every message cold still shares the kernels of a
+        same-structure configuration instead of building and caching its
+        own copy.
         """
         wanted = list(needed) if needed is not None else list(profile.names)
         best_plan = {name: _COLD for name in wanted}
@@ -873,11 +879,14 @@ class AnalysisSession:
         best_changed: set[str] | None = None
         best_fast = False
         best_cost = len(wanted) * 10
+        donor = None
         for basis in bases:
             outcome = self._plan(profile, analysis, config, basis, wanted)
             if outcome is None:
                 continue
             plan, adopt_changed, fast_ok = outcome
+            if donor is None and adopt_changed is not None:
+                donor = basis
             colds = sum(1 for a in plan.values() if a == _COLD)
             warms = sum(1 for a in plan.values() if a == _WARM)
             cost = 10 * colds + warms
@@ -890,7 +899,9 @@ class AnalysisSession:
                 # could at best turn warm starts into reuses, which a later
                 # exact-fingerprint hit handles anyway.
                 break
-        return best_plan, best_basis, best_changed, best_fast
+        if best_changed is not None:
+            donor = best_basis
+        return best_plan, best_basis, best_changed, best_fast, donor
 
     def _plan(self, new: _Profile, analysis: CanBusAnalysis,
               config: BusConfiguration, basis: _CacheEntry,
@@ -1033,6 +1044,7 @@ class AnalysisSession:
                  existing: Mapping[str, MessageResponseTime] | None,
                  adopt_changed: set[str] | None = None,
                  fast_ok: bool = False,
+                 donor: _CacheEntry | None = None,
                  cancel: "CancelToken | None" = None,
                  ) -> tuple[QueryStats, dict[str, MessageResponseTime]]:
         """Run the plan; every fall-back lands on an exact cold start."""
@@ -1042,24 +1054,24 @@ class AnalysisSession:
         horizon = profile.horizon
         changed_hp: list[tuple] | None = None
         bit_time = 0.0
-        if basis is not None and adopt_changed is not None:
-            # Structure-preserving basis: share its kernels instead of
+        if donor is not None:
+            # Structure-preserving candidate: share its kernels instead of
             # rebuilding them (see adopt_kernels).
-            analysis.adopt_kernels(basis.analysis)
-            if fast_ok and adopt_changed:
-                # Warm seeds of messages whose own model is untouched can
-                # be re-verified in O(|changed|) per seed window instead of
-                # re-solved (see _seed_unaffected); all changed models are
-                # flat-parameter ones here (all_dominate vetted them).
-                old_models = basis.profile.models
-                changed_hp = sorted(
-                    (profile.ids[name],
-                     (old_models[name].period, old_models[name].jitter,
-                      old_models[name].min_distance),
-                     (profile.models[name].period, profile.models[name].jitter,
-                      profile.models[name].min_distance))
-                    for name in adopt_changed)
-                bit_time = profile.bus.bit_time_ms
+            analysis.adopt_kernels(donor.analysis)
+        if fast_ok and adopt_changed:
+            # Warm seeds of messages whose own model is untouched can
+            # be re-verified in O(|changed|) per seed window instead of
+            # re-solved (see _seed_unaffected); all changed models are
+            # flat-parameter ones here (all_dominate vetted them).
+            old_models = basis.profile.models
+            changed_hp = sorted(
+                (profile.ids[name],
+                 (old_models[name].period, old_models[name].jitter,
+                  old_models[name].min_distance),
+                 (profile.models[name].period, profile.models[name].jitter,
+                  profile.models[name].min_distance))
+                for name in adopt_changed)
+            bit_time = profile.bus.bit_time_ms
         # First pass: settle every reuse decision and collect the messages
         # that actually need a fixed point, with their warm seeds.  The
         # solves then run as ONE batched pass (`response_times_batch`): the

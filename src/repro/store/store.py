@@ -7,7 +7,8 @@ One JSON file per entry::
     <root>/
       entries/
         bus-<digest>.v2.json     # AnalysisSession fixed points
-        system-<digest>.v2.json  # SystemAnalysisResult
+        system-<digest>.v2.json  # SystemAnalysisResult (the digest
+                                 # names the engine's pass order too)
 
 Every file is an envelope ``{"schema": N, "kind": ..., "key": ...,
 "payload": ...}`` whose payload is the kind's columnar table set (see

@@ -25,6 +25,7 @@ The analysis daemon serves this layer through the ``system_query`` and
 ``scenario`` ops (see :mod:`repro.server.daemon`).
 """
 
+from repro.core.system import downstream_closure, influence_edges
 from repro.whatif.catalog import (
     STANDARD_BIT_RATES_BPS,
     builtin_system_catalog,
@@ -48,8 +49,6 @@ from repro.whatif.system_deltas import (
     SegmentConfigDelta,
     SystemDelta,
     apply_system_deltas,
-    downstream_closure,
-    influence_edges,
 )
 
 __all__ = [

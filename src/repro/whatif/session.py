@@ -26,7 +26,7 @@ equivalently edited system.  Three mechanisms provide the incrementality:
   invalidates every cached result rather than serving a stale fixed point;
 * **gateway-aware invalidation accounting** -- each query reports which
   shards its deltas invalidate: the directly touched buses closed under
-  the gateway influence graph (:func:`~repro.whatif.system_deltas.
+  the gateway influence graph (:func:`~repro.core.system.
   influence_edges`).  Segments outside that set are provably served from
   cache at every global iteration.
 
@@ -46,23 +46,30 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from repro.cancel import CancelToken
-from repro.core.engine import CompositionalAnalysis
+from repro.core.engine import SWEEP_ORDER, CompositionalAnalysis
 from repro.core.paths import EndToEndPath, PathLatency, path_latency_all
 from repro.core.results import SystemAnalysisResult
-from repro.core.system import SystemModel
+from repro.core.system import (
+    SystemModel, downstream_closure, influence_edges,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.service.deltas import BusConfiguration
 from repro.service.session import (
     AnalysisSession, FingerprintKey, SessionStats,
 )
-from repro.whatif.system_deltas import (
-    SystemDelta, downstream_closure, influence_edges,
-)
+from repro.whatif.system_deltas import SystemDelta
 
 #: LRU bound on a system session's cached whole-system fixed points (the
 #: base topology's result is never evicted).  Delta resolution is memoised
 #: for four times as many delta sequences.
 _MAX_CACHED_RESULTS = 128
+
+
+def _store_digest(key: FingerprintKey) -> str:
+    """Store digest of a topology's fixed point: its fingerprint digest
+    tagged with the engine's pass order (:data:`~repro.core.engine.
+    SWEEP_ORDER`), which its ``iterations`` count depends on."""
+    return f"{key.digest}-{SWEEP_ORDER}"
 
 
 @dataclass(frozen=True)
@@ -406,7 +413,8 @@ class SystemSession:
         try:
             expected = {m.name for segment in system.buses.values()
                         for m in segment.kmatrix}
-            return self.store.get("system", key.digest, names=expected)
+            return self.store.get("system", _store_digest(key),
+                                  names=expected)
         finally:
             if trace is not None:
                 trace.record(
@@ -415,7 +423,7 @@ class SystemSession:
     def _store_publish(self, key: FingerprintKey,
                        result: SystemAnalysisResult) -> None:
         """Persist a whole-system fixed point (best-effort)."""
-        digest = key.digest
+        digest = _store_digest(key)
         if digest in self._published:
             return
         if self.store.contains("system", digest) \

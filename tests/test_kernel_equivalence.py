@@ -334,6 +334,33 @@ class TestEtaPlusOverride:
             config.kmatrix, _BUS, assumed_jitter_fraction=0.1,
             event_models=overrides).analyze_all()
 
+    @pytest.mark.parametrize("seed", (1, 5, 10))
+    def test_cold_what_if_still_shares_basis_kernels(self, seed):
+        """Shrinking the top message's jitter leaves no usable seed, so
+        every message is solved cold and the plan reports no basis -- but
+        the structure is the basis's, so the kernels are still shared, not
+        rebuilt."""
+        from repro.service import AnalysisSession, JitterDelta
+
+        kmatrix, ordered, _ = self._setup(seed)
+        session = AnalysisSession(kmatrix, _BUS, assumed_jitter_fraction=0.2)
+        base = session.query()
+        basis = session._cache[base.key].analysis
+        top = ordered[0].name
+        assert base.results[top].jitter > 0.0
+        deltas = (JitterDelta(message_name=top,
+                              jitter=0.5 * base.results[top].jitter),)
+        result = session.query(deltas, warm_from=base)
+        assert result.stats.cold == result.stats.total
+        assert result.stats.basis_fingerprint is None
+        analysis = session._cache[result.key].analysis
+        assert analysis._kernels is basis._kernels
+        config = apply_deltas(session.base_config, deltas)
+        assert result.results == ReferenceCanBusAnalysis(
+            config.kmatrix, _BUS, error_model=config.error_model,
+            assumed_jitter_fraction=config.assumed_jitter_fraction,
+            event_models=config.event_models).analyze_all()
+
 
 class TestSensitivityEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)

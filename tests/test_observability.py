@@ -40,7 +40,8 @@ from repro.server import (
     start_server,
 )
 from repro.server.pool import SessionPool
-from repro.server.protocol import deltas_to_json, session_stats_to_json
+from repro.server.protocol import (
+    decode_line, deltas_to_json, session_stats_to_json)
 from repro.service.deltas import BusConfiguration, JitterDelta
 from repro.service.session import AnalysisSession
 from repro.sim.simulator import CanBusSimulator, SimulationConfig
@@ -362,6 +363,31 @@ class TestDaemonTracing:
             # The root total covers every stage and fits the round trip.
             assert stage_sum <= trace["duration_ms"] <= round_trip_ms
 
+    def test_transport_renders_the_span_tree_once(self, monkeypatch):
+        """``handle`` leaves the tree out of the response dict and
+        ``encode_response`` renders it once, after the ``encode`` span."""
+        renders = []
+        to_json = Trace.to_json
+        monkeypatch.setattr(
+            Trace, "to_json",
+            lambda trace: renders.append(trace.op) or to_json(trace))
+        with _daemon() as daemon:
+            client = InProcessClient(daemon)
+            result = client.query("powertrain", trace=True)
+            assert renders == ["query"]
+            assert [s["name"] for s in result["trace"]["spans"]] == \
+                WORK_STAGES
+            client.query("powertrain")
+            assert renders == ["query"]
+            request = {"op": "query", "target": "powertrain", "trace": True}
+            response = daemon.handle(request)
+            assert "trace" not in response
+            assert renders == ["query"]
+            line = decode_line(daemon.encode_response(request, response))
+            assert renders == ["query", "query"]
+            assert [s["name"] for s in line["trace"]["spans"]][-1] == \
+                "encode"
+
     def test_cache_hit_trace_has_zero_solve(self):
         with _daemon() as daemon:
             client = InProcessClient(daemon)
@@ -451,9 +477,10 @@ class TestDaemonTracing:
             # Fill the only in-flight slot from another thread, then the
             # next work request is rejected -- but still traced.
             daemon._inflight = 1
+            request = {"op": "query", "target": "powertrain", "trace": True}
             try:
-                response = daemon.handle(
-                    {"op": "query", "target": "powertrain", "trace": True})
+                response = decode_line(daemon.encode_response(
+                    request, daemon.handle(request)))
             finally:
                 daemon._inflight = 0
             assert response["ok"] is False

@@ -49,7 +49,7 @@ from repro.store.codec import (
     system_result_from_json,
     system_result_to_json,
 )
-from repro.whatif.session import SystemSession
+from repro.whatif.session import SystemSession, _store_digest
 from repro.whatif.system_deltas import BusSpeedDelta, SegmentConfigDelta
 from repro.workloads import builtin_registry, multibus_system, synthetic_kmatrix
 from repro.service.deltas import JitterDelta
@@ -497,7 +497,7 @@ class TestStoreFaults:
         cold = SystemSession(system).analyze()
         SystemSession(system, store=ResultStore(tmp_path)).analyze()
         store = ResultStore(tmp_path)
-        digest = cold.key.digest
+        digest = _store_digest(cold.key)
         record = _entry(store, "system", digest)
         record["payload"]["send_models"]["params"] = "*"
         _rewrite(store, "system", digest, record)
@@ -510,6 +510,22 @@ class TestStoreFaults:
         third = SystemSession(system, store=ResultStore(tmp_path))
         assert third.analyze().result == cold.result
         assert third.store_hits == 1
+
+    def test_system_entry_of_another_pass_order_misses(self, tmp_path):
+        # An entry under the bare fingerprint digest -- where an engine
+        # of the Jacobi pass order kept its fixed points, with that
+        # order's larger ``iterations`` -- is neither served nor removed.
+        system = _fleet()
+        cold = SystemSession(system).analyze()
+        store = ResultStore(tmp_path)
+        jacobi = dataclasses.replace(
+            cold.result, iterations=cold.result.iterations + 2)
+        assert store.put("system", cold.key.digest, jacobi)
+        reader = SystemSession(system, store=store)
+        assert reader.analyze().result == cold.result
+        assert reader.store_hits == 0
+        assert store.get("system", cold.key.digest) == jacobi
+        assert store.get("system", _store_digest(cold.key)) == cold.result
 
     def test_older_schema_generation_does_not_block_publishing(self, tmp_path):
         # An entry an older daemon generation left for the same key sits

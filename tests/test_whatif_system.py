@@ -18,11 +18,23 @@ from dataclasses import replace
 import pytest
 
 from repro.can.kmatrix import KMatrix
-from repro.core.engine import CompositionalAnalysis
+from repro.can.message import CanMessage
+from repro.core.engine import (
+    CompositionalAnalysis,
+    _analyze_segment_job,
+    _models_equal,
+)
 from repro.core.paths import path_latency_all
+from repro.core.results import SystemAnalysisResult
 from repro.core.system import SystemModel
+from repro.ecu.analysis import EcuAnalysis, message_output_models
 from repro.errors.models import SporadicErrorModel
-from repro.gateway.model import GatewayRoute
+from repro.gateway.model import (
+    ForwardingPolicy,
+    GatewayAnalysis,
+    GatewayModel,
+    GatewayRoute,
+)
 from repro.service.deltas import (
     ErrorModelDelta,
     EventModelDelta,
@@ -77,6 +89,38 @@ PARAMS = [
     dict(n_buses=3, messages_per_bus=10, seed=1),
     dict(n_buses=4, messages_per_bus=8, seed=2),
 ]
+
+
+WALK_PARAMS = dict(n_buses=3, messages_per_bus=8, seed=5)
+
+
+def _seeded_walk(base: SystemModel):
+    """Fifteen seeded steps of one or two topology edits on ``base`` (a
+    ``multibus_system(**WALK_PARAMS)``): segment configurations recur
+    under topologies that differ elsewhere, so the per-bus caches serve
+    other topologies' configurations as bases."""
+    route = base.gateways["GW0"].routes[0]
+    endpoints = {name for gateway in base.gateways.values()
+                 for r in gateway.routes
+                 for name in (r.source_message, r.destination_message)}
+    victim = next(m for m in reversed(
+        base.buses["CAN-2"].kmatrix.sorted_by_priority())
+        if m.name not in endpoints)
+    free_id = max(m.can_id for m in base.buses["CAN-0"].kmatrix) + 7
+    edits = [
+        (BusSpeedDelta("CAN-1", 250_000.0),),
+        (BusSpeedDelta("CAN-1", 1_000_000.0),),
+        (SegmentConfigDelta("CAN-0", (JitterDelta(fraction=0.3),)),),
+        (SegmentConfigDelta("CAN-0", (JitterDelta(fraction=0.05),)),),
+        (MoveMessageDelta(victim.name, "CAN-0", new_can_id=free_id),),
+        (GatewayConfigDelta("GW0", polling_period=6.0),),
+        (RemoveGatewayRouteDelta("GW0", route.destination_message),
+         AddGatewayRouteDelta("GW0-backup", route, polling_period=5.0)),
+    ]
+    rng = random.Random(25)
+    for _ in range(15):
+        yield tuple(delta for edit in rng.sample(
+            edits, rng.choice((1, 2))) for delta in edit)
 
 
 class TestSystemDeltaBitIdentity:
@@ -353,34 +397,10 @@ class TestOneSessionPerBus:
         assert warm.stats().segment_sessions == len(base.buses)
 
     def test_seeded_walk_is_exact(self):
-        params = dict(n_buses=3, messages_per_bus=8, seed=5)
+        params = WALK_PARAMS
         base = multibus_system(**params)
         session = SystemSession(base)
-        route = base.gateways["GW0"].routes[0]
-        endpoints = {name for gateway in base.gateways.values()
-                     for r in gateway.routes
-                     for name in (r.source_message, r.destination_message)}
-        victim = next(m for m in reversed(
-            base.buses["CAN-2"].kmatrix.sorted_by_priority())
-            if m.name not in endpoints)
-        free_id = max(m.can_id for m in base.buses["CAN-0"].kmatrix) + 7
-        edits = [
-            (BusSpeedDelta("CAN-1", 250_000.0),),
-            (BusSpeedDelta("CAN-1", 1_000_000.0),),
-            (SegmentConfigDelta("CAN-0", (JitterDelta(fraction=0.3),)),),
-            (SegmentConfigDelta("CAN-0", (JitterDelta(fraction=0.05),)),),
-            (MoveMessageDelta(victim.name, "CAN-0", new_can_id=free_id),),
-            (GatewayConfigDelta("GW0", polling_period=6.0),),
-            (RemoveGatewayRouteDelta("GW0", route.destination_message),
-             AddGatewayRouteDelta("GW0-backup", route, polling_period=5.0)),
-        ]
-        rng = random.Random(25)
-        for _ in range(15):
-            # One or two edits per step: segment configurations recur
-            # under topologies that differ elsewhere, so the per-bus
-            # caches serve other topologies' configurations as bases.
-            deltas = tuple(delta for edit in rng.sample(
-                edits, rng.choice((1, 2))) for delta in edit)
+        for deltas in _seeded_walk(base):
             outcome = session.query(deltas)
             _assert_identical(outcome.result, _fresh_run(
                 apply_system_deltas(multibus_system(**params), deltas)))
@@ -577,3 +597,247 @@ class TestInfluenceGraph:
         assert ("CAN-0", "CAN-1") in edges
         assert ("CAN-1", "CAN-2") in edges
         assert ("CAN-2", "CAN-1") not in edges
+
+
+# --------------------------------------------------------------------------- #
+# Gateway-order sweep vs an independent Jacobi oracle
+# --------------------------------------------------------------------------- #
+def _min_transmission_time(system: SystemModel, message_names) -> float:
+    min_distance = 0.0
+    for name in message_names:
+        try:
+            segment = system.bus_of_message(name)
+        except KeyError:
+            continue
+        tx = segment.bus.best_case_transmission_time(
+            segment.kmatrix.get(name))
+        min_distance = min(min_distance, tx) if min_distance else tx
+    return min_distance
+
+
+def _jacobi_run(system: SystemModel, max_iterations: int = 50):
+    """The compositional fixed point in Jacobi order: every iteration
+    analyses every bus against the previous iteration's gateway outputs.
+    Test-local, over the engine's segment job only, so the engine's sweep
+    plan is checked against an order that does not share it."""
+    ecu_send: dict = {}
+    task_results: dict = {}
+    for ecu_name, ecu in system.ecus.items():
+        for task_name, result in EcuAnalysis(ecu).analyze_all().items():
+            task_results[f"{ecu_name}.{task_name}"] = result
+        ecu_send.update(message_output_models(
+            ecu, min_output_distance=_min_transmission_time(
+                system, {m for task in ecu.tasks
+                         for m in task.sends_messages})))
+    controllers = dict(system.controllers)
+    send, previous_send, states = dict(ecu_send), {}, {}
+    converged = False
+    for iteration in range(1, max_iterations + 1):
+        message_results, arrivals, reports = {}, {}, {}
+        for name, segment in system.buses.items():
+            results, segment_arrivals, report, states[name] = \
+                _analyze_segment_job(
+                    (segment, controllers, dict(send), states.get(name)))
+            message_results.update(results)
+            arrivals.update(segment_arrivals)
+            reports[name] = report
+        new_send = dict(ecu_send)
+        for gateway in system.gateways.values():
+            new_send.update(GatewayAnalysis(gateway).output_event_models(
+                arrivals, min_output_distance=_min_transmission_time(
+                    system, [r.destination_message for r in gateway.routes])))
+        if _models_equal(new_send, send) and iteration > 1:
+            converged = True
+            break
+        if _models_equal(new_send, previous_send):
+            converged, send = True, new_send
+            break
+        previous_send, send = send, new_send
+    if not system.gateways and not system.ecus:
+        converged = True
+    return SystemAnalysisResult(
+        converged=converged, iterations=iteration,
+        message_results=message_results, task_results=task_results,
+        bus_reports=reports, send_models=send, arrival_models=arrivals)
+
+
+def _assert_matches_jacobi(result, jacobi, iterations: bool = False) -> None:
+    """Every field but ``iterations`` (unless asked), dict order included:
+    reply bytes follow the order of these maps."""
+    assert result.converged == jacobi.converged
+    for field in ("message_results", "send_models", "arrival_models",
+                  "task_results", "bus_reports"):
+        got, want = getattr(result, field), getattr(jacobi, field)
+        assert got == want, field
+        assert list(got) == list(want), field
+    if iterations:
+        assert result.iterations == jacobi.iterations
+
+
+def _forward(system: SystemModel, gateway: str, source: str,
+             source_bus: str, destination_bus: str, can_id: int,
+             queue: str = "default") -> GatewayRoute:
+    """Add ``gateway``'s copy of ``source`` to ``destination_bus`` and
+    return the route that forwards it."""
+    message = system.buses[source_bus].kmatrix.get(source)
+    kmatrix = system.buses[destination_bus].kmatrix
+    kmatrix.add(CanMessage(
+        name=f"{gateway}_{source}", can_id=can_id, dlc=message.dlc,
+        period=message.period, sender=gateway,
+        receivers=tuple(kmatrix.senders()[:1])))
+    return GatewayRoute(
+        source_message=source, destination_message=f"{gateway}_{source}",
+        source_bus=source_bus, destination_bus=destination_bus, queue=queue)
+
+
+def _original(system: SystemModel, bus: str, rank: int) -> str:
+    """The ``rank``-th highest-priority message of ``bus`` that no gateway
+    put there."""
+    return [m.name for m in system.buses[bus].kmatrix.sorted_by_priority()
+            if m.sender not in system.gateways][rank]
+
+
+def _cycle_system() -> SystemModel:
+    """Two buses forwarding to each other: GW0 CAN-0 -> CAN-1 and GW1
+    CAN-1 -> CAN-0, the back route at top priority.  Jacobi converges in
+    4 iterations here."""
+    system = multibus_system(n_buses=2, messages_per_bus=8, seed=1,
+                             bit_rate_bps=125_000.0)
+    route = _forward(system, "GW1", _original(system, "CAN-1", 0),
+                     "CAN-1", "CAN-0", can_id=0x41)
+    system.add_gateway(GatewayModel(
+        name="GW1", policy=ForwardingPolicy.PERIODIC_POLLING,
+        polling_period=2.5, copy_time=0.05, routes=[route]))
+    return system
+
+
+def _queue_coupled_system(capacity=None) -> SystemModel:
+    """A 3-bus chain plus GW2, whose routes from CAN-0 and from CAN-1 to
+    CAN-2 share one output queue."""
+    system = multibus_system(n_buses=3, messages_per_bus=8, seed=4)
+    routes = [
+        _forward(system, "GW2", _original(system, "CAN-0", 2),
+                 "CAN-0", "CAN-2", can_id=0x48, queue="shared"),
+        _forward(system, "GW2", _original(system, "CAN-1", 0),
+                 "CAN-1", "CAN-2", can_id=0x49, queue="shared"),
+    ]
+    system.add_gateway(GatewayModel(
+        name="GW2", policy=ForwardingPolicy.PERIODIC_POLLING,
+        polling_period=2.5, copy_time=0.05, routes=routes,
+        queue_capacities={} if capacity is None else {"shared": capacity}))
+    return system
+
+
+def _cut_cycle_system() -> SystemModel:
+    """A 3-bus chain at 62.5 kbit/s plus GWB, which forwards GW0's copy
+    on CAN-1 back to CAN-0 at top priority: the cycle CAN-0 <-> CAN-1
+    feeds CAN-2 through GW1 and needs 17 passes to converge."""
+    system = multibus_system(n_buses=3, messages_per_bus=6, seed=2,
+                             bit_rate_bps=62_500.0)
+    route = _forward(system, "GWB",
+                     system.gateways["GW0"].routes[0].destination_message,
+                     "CAN-1", "CAN-0", can_id=0x01)
+    system.add_gateway(GatewayModel(
+        name="GWB", policy=ForwardingPolicy.PERIODIC_POLLING,
+        polling_period=2.5, copy_time=0.05, routes=[route]))
+    return system
+
+
+class TestGatewayOrderSweep:
+    """The engine sweeps in gateway order; the Jacobi order reaches the
+    same fixed point in more iterations."""
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_builtin_catalog_matches_jacobi(self, params):
+        system = multibus_system(**params)
+        catalog = builtin_system_catalog(system)
+        session = SystemSession(system)
+        for name in catalog.names():
+            for query in catalog.run(name, session).queries:
+                edited = apply_system_deltas(system, query.deltas)
+                jacobi = _jacobi_run(edited)
+                _assert_matches_jacobi(query.result, jacobi)
+                _assert_matches_jacobi(_fresh_run(edited), jacobi)
+                assert query.result.iterations <= jacobi.iterations
+
+    def test_seeded_walk_matches_jacobi(self):
+        base = multibus_system(**WALK_PARAMS)
+        session = SystemSession(base)
+        for deltas in _seeded_walk(base):
+            jacobi = _jacobi_run(
+                apply_system_deltas(multibus_system(**WALK_PARAMS), deltas))
+            _assert_matches_jacobi(session.query(deltas).result, jacobi)
+
+    def test_chain_converges_in_one_pass_plus_confirmation(self):
+        system = multibus_system(n_buses=4, messages_per_bus=30, seed=0)
+        result = CompositionalAnalysis(system).run()
+        jacobi = _jacobi_run(system)
+        assert result.converged
+        assert result.iterations == 2
+        assert jacobi.iterations == 4
+        _assert_matches_jacobi(result, jacobi)
+        _assert_identical(result, _fresh_run(system))
+
+    def test_bus_order_does_not_change_the_pass_count(self):
+        """A chain listed downstream-first is swept in gateway order all
+        the same, and its maps keep ``system.buses`` order."""
+        system = multibus_system(n_buses=4, messages_per_bus=10, seed=6)
+        system.buses = dict(reversed(system.buses.items()))
+        result = CompositionalAnalysis(system).run()
+        assert result.iterations == 2
+        assert list(result.bus_reports) == list(system.buses)
+        _assert_matches_jacobi(result, _jacobi_run(system))
+        _assert_identical(result, _fresh_run(system))
+
+    def test_gateway_cycle_is_swept_jacobi_style(self):
+        system = _cycle_system()
+        edges = influence_edges(system)
+        assert {("CAN-0", "CAN-1"), ("CAN-1", "CAN-0")} <= edges
+        result = CompositionalAnalysis(system).run()
+        jacobi = _jacobi_run(system)
+        assert result.converged
+        assert jacobi.iterations == 4
+        _assert_matches_jacobi(result, jacobi, iterations=True)
+        _assert_identical(result, _fresh_run(system))
+
+    @pytest.mark.parametrize("max_iterations", [4, 8])
+    def test_cut_cycle_feeding_a_downstream_bus(self, max_iterations):
+        """A run the iteration limit cuts short: both orders report it
+        unconverged after the same count and agree on the cycle's buses,
+        the send models and the tasks.  The downstream bus was analysed
+        against the cycle's outputs of the current pass, which the Jacobi
+        order reaches one iteration later."""
+        system = _cut_cycle_system()
+        assert CompositionalAnalysis(system).run().iterations == 17
+        result = CompositionalAnalysis(
+            system, max_iterations=max_iterations).run()
+        jacobi = _jacobi_run(system, max_iterations)
+        later = _jacobi_run(system, max_iterations + 1)
+        assert not result.converged and not jacobi.converged
+        assert result.iterations == jacobi.iterations == max_iterations
+        assert result.send_models == jacobi.send_models
+        assert result.task_results == jacobi.task_results
+        downstream = {m.name for m in system.buses["CAN-2"].kmatrix}
+        for field in ("message_results", "arrival_models"):
+            got = getattr(result, field)
+            assert list(got) == list(getattr(jacobi, field))
+            for name, value in got.items():
+                oracle = later if name in downstream else jacobi
+                assert value == getattr(oracle, field)[name], (field, name)
+        assert result.bus_reports["CAN-2"] != jacobi.bus_reports["CAN-2"]
+        assert result.bus_reports == {**jacobi.bus_reports,
+                                      "CAN-2": later.bus_reports["CAN-2"]}
+        _assert_identical(result, CompositionalAnalysis(
+            system, max_iterations=max_iterations, incremental=False).run())
+
+    @pytest.mark.parametrize("capacity", [None, 2])
+    def test_queue_coupled_routes_from_two_buses(self, capacity):
+        system = _queue_coupled_system(capacity)
+        assert ("CAN-0", "CAN-2") in influence_edges(system)
+        result = CompositionalAnalysis(system).run()
+        jacobi = _jacobi_run(system)
+        assert result.converged
+        assert result.iterations == 2
+        assert jacobi.iterations == 3
+        _assert_matches_jacobi(result, jacobi)
+        _assert_identical(result, _fresh_run(system))
