@@ -435,10 +435,12 @@ class CanBusAnalysis:
         All messages are solved in lockstep by :class:`repro.analysis.
         vector.BatchSolver`: one busy-period pass over all messages, then
         one queuing-delay pass over all analysed instances, each evaluating
-        every higher-priority activation count as array operations.  Warm
-        seeds follow the lower-bound contract of the module docstring and
-        are applied in the same batch (this is what makes a warm what-if
-        re-verification a couple of numpy passes).
+        every activation count with :func:`repro.analysis.vector.
+        _eta_plus_vec` as array operations.  Warm seeds follow the
+        lower-bound contract of the module docstring and are applied in
+        the same batch, so a warm what-if re-converges in a couple of
+        numpy passes.  A seed the what-if session proves still exact with
+        that same count is reused and never reaches this method.
 
         The returned dict preserves ``items`` order.
         """

@@ -12,10 +12,14 @@ messages run in lockstep:
 
 * every higher-priority activation count of every candidate window is
   evaluated as one array operation over the row table (instead of one
-  Python-level ``ceil`` per message per iteration);
+  Python-level ``ceil`` per message per iteration).  The count is
+  :func:`_eta_plus_vec`, the one vector copy of the standard
+  ``eta_plus``: the interference rows, the own-instance counts and the
+  what-if session's warm-seed re-verification
+  (:func:`repro.service.session._unaffected_seeds`) all evaluate it;
 * the ~2 warm-start right-hand-side evaluations per message of a what-if
-  query are batched *across* messages, so re-verifying a whole bus costs a
-  couple of numpy passes;
+  query are batched *across* messages, so re-converging a whole bus from
+  warm seeds costs a couple of numpy passes;
 * messages converge (or diverge past the horizon) individually and drop out
   of the active set, so the lockstep sweep does no row work for settled
   messages.
@@ -122,6 +126,25 @@ def _ceil_div_vec(numerator: "np.ndarray", denominator) -> "np.ndarray":
     return np.where(snap, nearest, np.ceil(value))
 
 
+def _eta_plus_vec(dt: "np.ndarray", period, jitter, min_distance,
+                  ) -> "np.ndarray":
+    """Vector replica of the standard :meth:`EventModel.eta_plus
+    <repro.events.model.EventModel.eta_plus>`, as integer-valued doubles.
+
+    The one copy of the activation count: the solver's interference rows,
+    its own-instance counts and the what-if session's seed
+    re-verification all evaluate it here.  Arguments broadcast.
+    """
+    counts = _ceil_div_vec(dt + jitter, period)
+    has_d = min_distance > 0.0
+    if has_d.any():
+        capped = _ceil_div_vec(dt, np.where(has_d, min_distance, 1.0)) + 1.0
+        counts = np.where(has_d & (capped < counts), capped, counts)
+    if (dt <= 0.0).any():
+        counts = np.where(dt <= 0.0, 0.0, counts)
+    return counts
+
+
 def _arrivals_vec(t: "np.ndarray", period: float) -> "np.ndarray":
     """Vector replica of :func:`repro.errors.models._count_arrivals`."""
     value = t / period
@@ -197,21 +220,6 @@ class BatchSolver:
     # ------------------------------------------------------------------ #
     # Element-wise replicas of the reference arithmetic
     # ------------------------------------------------------------------ #
-    def _products(self, dt, c, period, jitter, dmin, has_d, dmin_safe):
-        """Per-row ``activations * c`` of the standard ``eta_plus``."""
-        value = (dt + jitter) / period
-        nearest = np.rint(value)
-        snap = np.abs(value - nearest) <= _EPSILON * np.maximum(nearest, 1.0)
-        activations = np.where(snap, nearest, np.ceil(value))
-        if has_d is not None:
-            capped = _ceil_div_vec(dt, dmin_safe) + 1.0
-            activations = np.where(has_d & (capped < activations),
-                                   capped, activations)
-        products = activations * c
-        if (dt <= 0.0).any():
-            products = np.where(dt <= 0.0, 0.0, products)
-        return products
-
     def _override_products(self, products, dt, c, rows):
         """Overwrite the rows whose model overrides ``eta_plus``.
 
@@ -226,13 +234,7 @@ class BatchSolver:
     def _own_eta(self, w, period, jitter, dmin, flat_mask, own_rows):
         """Own-model ``eta_plus`` per item (overriding models one by one,
         looked up by the item's bus row in ``own_rows``)."""
-        activations = _ceil_div_vec(w + jitter, period)
-        has_d = dmin > 0.0
-        if has_d.any():
-            capped = _ceil_div_vec(w, np.where(has_d, dmin, 1.0)) + 1.0
-            activations = np.where(has_d & (capped < activations),
-                                   capped, activations)
-        activations = np.where(w <= 0.0, 0.0, activations)
+        activations = _eta_plus_vec(w, period, jitter, dmin)
         if not flat_mask.all():
             custom = self.custom
             for index in np.flatnonzero(~flat_mask):
@@ -291,11 +293,6 @@ class BatchSolver:
         period = self.hp_period[seg]
         jitter = self.hp_jitter[seg]
         dmin = self.hp_dmin[seg]
-        has_d = dmin > 0.0
-        if has_d.any():
-            dmin_safe = np.where(has_d, dmin, 1.0)
-        else:
-            has_d = dmin_safe = None
         rows = self.hp_rows[seg] if self.hp_any_custom else None
         own_c = self.own_c[kidx]
         retransmit = self.retransmit[kidx]
@@ -317,8 +314,7 @@ class BatchSolver:
             if cancel is not None:
                 cancel.check()
             dt_rows = np.repeat(w + self.bit_time, counts)
-            products = self._products(dt_rows, c, period, jitter, dmin,
-                                      has_d, dmin_safe)
+            products = _eta_plus_vec(dt_rows, period, jitter, dmin) * c
             if rows is not None:
                 self._override_products(products, dt_rows, c, rows)
             interference = _segment_sums(products, layout)
@@ -355,9 +351,6 @@ class BatchSolver:
             period = period[row_keep]
             jitter = jitter[row_keep]
             dmin = dmin[row_keep]
-            if has_d is not None:
-                has_d = has_d[row_keep]
-                dmin_safe = dmin_safe[row_keep]
             if rows is not None:
                 rows = rows[row_keep]
             own_c = own_c[keep]

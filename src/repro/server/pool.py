@@ -34,7 +34,7 @@ from typing import Iterable
 from repro.core.system import SystemModel
 from repro.obs.metrics import MetricsRegistry
 from repro.service.deltas import BusConfiguration
-from repro.service.session import AnalysisSession, SessionStats
+from repro.service.session import AnalysisSession, FingerprintKey, SessionStats
 
 #: Cached-configuration bound of every session the pool creates.  A system's
 #: shard is that bus's one session for every topology its system what-ifs
@@ -130,8 +130,9 @@ class SessionPool:
                   pin: bool) -> AnalysisSession:
         # The analysis key excludes the deadline policy (it never changes
         # response times), but sessions default their *reports* to the base
-        # policy -- so it is part of the sharing key here.
-        key = (config.analysis_key(), config.deadline_policy)
+        # policy -- so it is part of the sharing key here.  Every lookup
+        # and LRU touch hashes the key, so it caches its hash.
+        key = FingerprintKey((config.analysis_key(), config.deadline_policy))
         session = self._sessions.get(key)
         if session is None:
             session = AnalysisSession.from_config(

@@ -40,12 +40,13 @@ path is deterministic.
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.analysis.response_time import (
     _MAX_BUSY_PERIOD_FACTOR,
@@ -59,14 +60,14 @@ from repro.analysis.schedulability import (
     SchedulabilityReport,
     report_from_results,
 )
+from repro.analysis.vector import _eta_plus_vec
 from repro.can.bus import CanBus
 from repro.can.controller import ControllerModel
 from repro.can.kmatrix import KMatrix
 from repro.obs.metrics import ITERATION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.cancel import CancelToken
 from repro.errors.models import ErrorModel, NoErrors
-from repro.events.model import EventModel, _ceil_div
-from repro.events.model import _EPSILON as _SNAP_EPS
+from repro.events.model import EventModel
 from repro.service.deltas import BusConfiguration, Delta, apply_deltas
 
 _REUSE = "reuse"
@@ -78,65 +79,42 @@ _COLD = "cold"
 # Seed re-verification (the warm-start predicates live in
 # repro.analysis.response_time, beside the contract they implement)
 # --------------------------------------------------------------------------- #
-def _flat_activations(dt: float, period: float, jitter: float,
-                      min_distance: float) -> int:
-    """Activation count of one flat model entry at window ``dt``.
+def _unaffected_seeds(old: CanBusAnalysis, new: CanBusAnalysis,
+                      changed: Iterable[str],
+                      seeds: Mapping[str, MessageResponseTime]) -> set[str]:
+    """The converged ``seeds`` that are *provably still the exact fixed
+    point* under ``new``.
 
-    Replicates the standard ``EventModel.eta_plus`` row arithmetic of
-    :meth:`repro.analysis.vector.BatchSolver._products` operation for
-    operation, so a count compared equal here guarantees the interference
-    *sum* is bit-identical (same values, same summation order).
+    ``old`` and ``new`` share structure, blocking, error model and
+    horizon, and differ only in the ``changed`` (standard ``eta_plus``)
+    event models; no seed's own model is among them.  A seed's busy
+    period and queuing delays are exact fixed points of the old
+    right-hand side, which differs from the new one only in the changed
+    higher-priority rows' activation counts.  Where none of those counts
+    moves at any of the seed's windows, the new right-hand side
+    reproduces the seed bit-for-bit, and the dominance precondition
+    (seed <= new least fixed point) pins it to *the* least fixed point.
+    All seeds' windows are checked in one pass of the solver's own count
+    over the rows of the tables it reads.
     """
-    if dt <= 0:
-        return 0
-    value = (dt + jitter) / period
-    nearest = round(value)
-    if abs(value - nearest) <= _SNAP_EPS * (
-            nearest if nearest > 1.0 else 1.0):
-        activations = nearest
-    else:
-        activations = math.ceil(value)
-    if min_distance > 0.0:
-        capped = _ceil_div(dt, min_distance) + 1
-        if capped < activations:
-            activations = capped
-    return activations
-
-
-def _seed_unaffected(changed_hp: Sequence[tuple], own_id: int,
-                     seed: MessageResponseTime, bit_time: float) -> bool:
-    """Whether a converged seed is *provably still the exact fixed point*.
-
-    ``changed_hp`` lists ``(can_id, old_params, new_params)`` for every
-    re-modelled message (params are ``(period, jitter, min_distance)``).
-    The seed's busy period and per-instance queuing delays are exact fixed
-    points of the old right-hand side (the kernel iterates to exact float
-    equality); the new right-hand side differs only in the changed entries'
-    activation counts.  If every changed higher-priority count is unchanged
-    at every seed window, the new RHS reproduces the seed bit-for-bit, and
-    a reproduced seed is a fixed point that the dominance precondition
-    (seed <= new least fixed point) pins to *the* least fixed point -- so
-    the cached result can be returned without touching the other
-    ``|hp| - |changed|`` interference terms at all.
-
-    Only sound for messages whose **own** model is unchanged (jitter and
-    arrival offsets enter the response assembly directly) under a plan
-    whose basis shares structure, blocking, error model and horizon -- the
-    caller guarantees all of that.
-    """
-    for can_id, old_params, new_params in changed_hp:
-        if can_id >= own_id:
-            continue
-        dt = seed.busy_period + bit_time
-        if _flat_activations(dt, *old_params) != _flat_activations(
-                dt, *new_params):
-            return False
-        for window in seed.queuing_delays:
-            dt = window + bit_time
-            if _flat_activations(dt, *old_params) != _flat_activations(
-                    dt, *new_params):
-                return False
-    return True
+    windows: list[float] = []
+    owners: list[int] = []
+    starts: list[int] = []
+    for seed in seeds.values():
+        starts.append(len(windows))
+        windows.append(seed.busy_period)
+        windows.extend(seed.queuing_delays)
+        owners.extend([seed.can_id] * (1 + len(seed.queuing_delays)))
+    dt = np.array(windows, dtype=np.float64) + new._bit_time
+    rows = np.array([new._rows[name] for name in changed], dtype=np.int64)
+    # Old rows above new rows: both counts in one call.
+    period, jitter, min_distance = np.concatenate(
+        (old._table[rows, 1:], new._table[rows, 1:])).T[..., None]
+    counts = _eta_plus_vec(dt, period, jitter, min_distance)
+    moved = ((counts[:rows.size] != counts[rows.size:])
+             & (new._ids[rows][:, None] < np.array(owners))).any(axis=0)
+    affected = np.logical_or.reduceat(moved, starts)
+    return {name for name, hit in zip(seeds, affected.tolist()) if not hit}
 
 
 # --------------------------------------------------------------------------- #
@@ -864,7 +842,7 @@ class AnalysisSession:
         basis satisfies the kernel-sharing precondition of
         :meth:`CanBusAnalysis.adopt_kernels` (``None`` otherwise); the
         fourth flags whether warm seeds may additionally go through the
-        :func:`_seed_unaffected` re-verification shortcut (structure,
+        :func:`_unaffected_seeds` re-verification shortcut (structure,
         blocking, error model and horizon all carried over), which reads
         the changed names.  The fifth is the candidate whose kernels the
         new analysis adopts: the winning basis when it satisfies that
@@ -941,9 +919,9 @@ class AnalysisSession:
 
         if new.names == old.names and new.ids == old.ids:
             # Same structure: the basis's kernels are shared outright, and
-            # warm seeds may be re-verified through the O(|changed|) count
-            # check (sound only when the error model and the divergence
-            # horizon also carried over -- _seed_unaffected assumes both).
+            # warm seeds may be re-verified by the changed rows' counts
+            # alone (sound only when the error model and the divergence
+            # horizon also carried over -- _unaffected_seeds assumes both).
             return (self._plan_same_priorities(
                 new, wanted, changed, error_same, all_dominate, horizon_same),
                 changed, error_same and horizon_same)
@@ -1052,26 +1030,23 @@ class AnalysisSession:
         results: dict[str, MessageResponseTime] = {}
         wanted = None if needed is None else set(needed)
         horizon = profile.horizon
-        changed_hp: list[tuple] | None = None
-        bit_time = 0.0
         if donor is not None:
             # Structure-preserving candidate: share its kernels instead of
             # rebuilding them (see adopt_kernels).
             analysis.adopt_kernels(donor.analysis)
+        unaffected: set[str] = set()
         if fast_ok and adopt_changed:
-            # Warm seeds of messages whose own model is untouched can
-            # be re-verified in O(|changed|) per seed window instead of
-            # re-solved (see _seed_unaffected); all changed models are
-            # flat-parameter ones here (all_dominate vetted them).
-            old_models = basis.profile.models
-            changed_hp = sorted(
-                (profile.ids[name],
-                 (old_models[name].period, old_models[name].jitter,
-                  old_models[name].min_distance),
-                 (profile.models[name].period, profile.models[name].jitter,
-                  profile.models[name].min_distance))
-                for name in adopt_changed)
-            bit_time = profile.bus.bit_time_ms
+            # Warm seeds of messages whose own model is untouched are
+            # re-verified in one vector pass instead of re-solved (see
+            # _unaffected_seeds); all changed models are standard-
+            # ``eta_plus`` ones here (all_dominate vetted them).
+            seeds = {name: basis.results[name] for name, action in plan.items()
+                     if action == _WARM and name not in adopt_changed
+                     and name in basis.results
+                     and basis.results[name].bounded}
+            if seeds:
+                unaffected = _unaffected_seeds(
+                    basis.analysis, analysis, adopt_changed, seeds)
         # First pass: settle every reuse decision and collect the messages
         # that actually need a fixed point, with their warm seeds.  The
         # solves then run as ONE batched pass (`response_times_batch`): the
@@ -1089,11 +1064,7 @@ class AnalysisSession:
                 continue
             action = plan.get(name, _COLD)
             seed = basis.results.get(name) if basis is not None else None
-            if (action == _WARM and changed_hp is not None
-                    and seed is not None and seed.bounded
-                    and name not in adopt_changed
-                    and _seed_unaffected(changed_hp, profile.ids[name],
-                                         seed, bit_time)):
+            if name in unaffected:
                 results[name] = seed
                 reused += 1
                 continue

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.reference import ReferenceCanBusAnalysis
 from repro.analysis.response_time import CanBusAnalysis
-from repro.analysis.vector import _segment_layout, _segment_sums
+from repro.analysis.vector import _eta_plus_vec, _segment_layout, _segment_sums
 from repro.can.bus import CanBus
 from repro.can.controller import CanControllerType, ControllerModel
 from repro.errors.models import (
@@ -27,7 +29,7 @@ from repro.errors.models import (
     CompositeErrorModel,
     SporadicErrorModel,
 )
-from repro.events.model import PeriodicWithJitter
+from repro.events.model import EventModel, PeriodicWithJitter
 from repro.optimize.genetic import GeneticOptimizerConfig, optimize_priorities
 from repro.optimize.objectives import AnalysisScenario, evaluate_configuration
 import repro.parallel
@@ -219,6 +221,76 @@ class TestBackendEquivalence:
         full = ReferenceCanBusAnalysis(kmatrix, _BUS).analyze_all()
         for message in subset:
             assert results[message.name] == full[message.name]
+
+
+def _snap_windows(models: list, ks: list) -> list:
+    """Windows on and one ulp around every model's count steps.
+
+    ``k * period - jitter`` is where the jitter count steps (the snap
+    boundary of its ceiling), ``k * min_distance`` where the cap does;
+    ``k`` runs from below zero, so windows ``<= 0`` occur too.
+    """
+    steps = [0.0, -0.0]
+    for model in models:
+        for k in ks:
+            steps.append(k * model.period - model.jitter)
+            if model.min_distance > 0.0:
+                steps.append(k * model.min_distance)
+    return [value for step in steps
+            for value in (np.nextafter(step, -np.inf), step,
+                          np.nextafter(step, np.inf))]
+
+
+_flat_models = st.builds(
+    lambda period, jitter_factor, cap: EventModel(
+        period=period, jitter=jitter_factor * period,
+        min_distance=cap * period),
+    period=st.floats(min_value=0.05, max_value=1000.0),
+    # Up to three periods of jitter: bursts, where a cap can bind.
+    jitter_factor=st.floats(min_value=0.0, max_value=3.0),
+    # No cap, caps far below the period (they bind once the jitter
+    # exceeds it) and caps at or above it (they never bind).
+    cap=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.5),
+                  st.floats(min_value=1.0, max_value=4.0)))
+
+
+class TestEtaPlusCount:
+    """The solver's one activation count vs the scalar ``eta_plus``.
+
+    :func:`~repro.analysis.vector._eta_plus_vec` feeds the interference
+    rows, the own-instance counts and the session's seed re-verification;
+    it must equal :meth:`EventModel.eta_plus` bit for bit at every
+    window, above all where a float rounding could tip a ceiling.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(models=st.lists(_flat_models, min_size=1, max_size=4),
+           ks=st.lists(st.integers(min_value=-2, max_value=60),
+                       min_size=1, max_size=6),
+           extra=st.lists(st.floats(min_value=-50.0, max_value=5e4),
+                          max_size=6))
+    @example(models=[EventModel(period=10.0, jitter=25.0, min_distance=0.5),
+                     EventModel(period=10.0, jitter=2.0, min_distance=40.0),
+                     EventModel(period=0.1, jitter=0.3)],
+             ks=[0, 1, 3, 7], extra=[-1.0, 1e-300, 0.35])
+    def test_matches_scalar_eta_plus(self, models, ks, extra):
+        windows = np.array(_snap_windows(models, ks) + extra,
+                           dtype=np.float64)
+        params = np.array([(m.period, m.jitter, m.min_distance)
+                           for m in models], dtype=np.float64)
+        # Rows x windows, broadcast the way the session evaluates the
+        # changed rows over every seed window.
+        counts = _eta_plus_vec(windows, *params.T[..., None])
+        expected = np.array([[model.eta_plus(float(dt)) for dt in windows]
+                             for model in models], dtype=np.float64)
+        assert counts.tobytes() == expected.tobytes()
+        # One row per window, the solver's own layout.
+        for model, row in zip(models, expected):
+            flat = _eta_plus_vec(
+                windows, np.full(windows.size, model.period),
+                np.full(windows.size, model.jitter),
+                np.full(windows.size, model.min_distance))
+            assert flat.tobytes() == row.tobytes()
 
 
 @dataclass(frozen=True)

@@ -294,6 +294,87 @@ class TestEventModelDeltaExactness:
             EventModelDelta(models=(("M", 5.0),))
 
 
+def _seed_check_script(kmatrix: KMatrix) -> list[tuple]:
+    """Same-structure what-ifs whose warm seeds go through the session's
+    seed re-verification: single-message jitter growth (counts that move
+    for few or many lower-priority windows), then engine-shaped
+    injections on the three highest-priority messages (growing jitter,
+    an appearing minimum distance), a return to the base shape, and a
+    changed top row beside a changed lowest-priority one."""
+    from repro.events.model import PeriodicWithBurst, PeriodicWithJitter
+    order = kmatrix.sorted_by_priority()
+    top = order[:3]
+    script = [(JitterDelta(message_name=message.name, jitter=jitter),)
+              for message, jitter in ((order[0], 0.01), (order[0], 0.02),
+                                      (order[1], 0.3), (order[0], 1.5),
+                                      (order[2], 4.0), (order[1], 6.0))]
+    for step in range(4):
+        models = {}
+        for index, message in enumerate(top):
+            jitter = (0.05 + 0.3 * step) * message.period * (index + 1)
+            if step < 2:
+                models[message.name] = PeriodicWithJitter(
+                    period=message.period, jitter=jitter)
+            else:
+                models[message.name] = PeriodicWithBurst(
+                    period=message.period,
+                    jitter=max(jitter, message.period * 1.01),
+                    min_distance=0.25)
+        script.append(
+            (EventModelDelta.from_mapping(models, replace_all=True),))
+    script.append((EventModelDelta.from_mapping(
+        {top[0].name: PeriodicWithJitter(period=top[0].period, jitter=0.0)},
+        replace_all=True),))
+    # The lowest row's counts move at every other seed's windows, but it
+    # interferes with none of them.
+    last = order[-1]
+    script.append((EventModelDelta.from_mapping(
+        {top[0].name: PeriodicWithJitter(period=top[0].period, jitter=0.01),
+         last.name: PeriodicWithJitter(period=last.period,
+                                       jitter=1.5 * last.period)},
+        replace_all=True),))
+    return script
+
+
+class TestSeedReverification:
+    """The warm-seed shortcut: exact, and exactly as eager as it was.
+
+    A seed whose changed higher-priority counts do not move at any of its
+    windows is returned as reused without a solve.  Every answer, reused
+    messages included, must equal a cold analysis, and the per-query
+    reused/warm/cold split is pinned, so an edit that makes the shortcut
+    stricter (more solves) or looser (more reuse) fails here.
+    """
+
+    #: Per-query (reused, warm_started, cold) of the script, by seed.
+    PINNED = {
+        0: [(23, 1, 0), (23, 1, 0), (19, 5, 0), (13, 11, 0), (4, 20, 0),
+            (1, 23, 0), (0, 0, 24), (0, 24, 0), (0, 24, 0), (1, 23, 0),
+            (23, 1, 0), (22, 2, 0)],
+        3: [(23, 1, 0), (23, 1, 0), (21, 3, 0), (11, 13, 0), (2, 22, 0),
+            (1, 23, 0), (14, 10, 0), (0, 24, 0), (0, 24, 0), (1, 23, 0),
+            (23, 1, 0), (22, 2, 0)],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_decisions_pinned_and_exact(self, seed):
+        kmatrix = synthetic_kmatrix(
+            n_messages=24, n_ecus=4, seed=seed, id_policy="rate-monotonic",
+            known_jitter_probability=0.3)
+        session = AnalysisSession(kmatrix, _BUS)
+        previous = session.analyze()
+        decisions = []
+        for deltas in _seed_check_script(kmatrix):
+            result = session.query(deltas, warm_from=previous)
+            # Reused messages included: the cold analysis is the oracle.
+            assert result.results == _reference(
+                apply_deltas(session.base_config, deltas))
+            decisions.append((result.stats.reused,
+                              result.stats.warm_started, result.stats.cold))
+            previous = result
+        assert decisions == self.PINNED[seed]
+
+
 class TestSessionMechanics:
     def test_repeated_query_hits_cache(self):
         session = _session(2)
