@@ -14,13 +14,12 @@ two targets registered with identical configurations (two clients exploring
 the same K-Matrix) share a single session, which is what turns N clients
 into one warm cache instead of N cold ones.
 
-The pool is LRU-bounded (``max_sessions``), with a pinning rule: sessions
-whose name is currently registered (the default, ``pin=True``) are immune
-to eviction -- a live serving target never silently loses its cache, so
-the bound is effectively a cap on *unpinned* sessions and can be exceeded
-by pinned ones.  A session becomes unpinned (and LRU-evictable) when
-registered with ``pin=False`` or when every name aliasing it is
-re-registered to a different configuration.  All operations are
+The pool is LRU-bounded (:data:`_MAX_SESSIONS`), with a pinning rule: a
+session that a registered target names is immune to eviction -- a live
+serving target never silently loses its cache, so the bound is a cap on
+*orphaned* sessions and can be exceeded by named ones.  A session is
+orphaned (and LRU-evictable) once every name aliasing it is re-registered
+to a different configuration.  All operations are
 thread-safe -- the TCP front end serves each connection from its own
 thread.
 """
@@ -28,19 +27,25 @@ thread.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Iterable
 
 from repro.core.system import SystemModel
 from repro.obs.metrics import MetricsRegistry
 from repro.service.deltas import BusConfiguration
-from repro.service.session import AnalysisSession, FingerprintKey, SessionStats
+from repro.service.session import (
+    AnalysisSession, BoundedLRU, FingerprintKey, SessionStats,
+)
 
 #: Cached-configuration bound of every session the pool creates.  A system's
 #: shard is that bus's one session for every topology its system what-ifs
 #: explore (see :class:`~repro.whatif.session.SystemSession`), so this bound
 #: also caps the configurations all those topologies leave on the bus.
 _SHARD_CACHED_CONFIGS = 64
+
+#: LRU bound on the pool's sessions; sessions a target names are kept
+#: beyond it.
+_MAX_SESSIONS = 64
+
 
 class UnknownTargetError(KeyError):
     """A request named a target the pool does not serve."""
@@ -58,18 +63,8 @@ class UnknownTargetError(KeyError):
 class SessionPool:
     """Fingerprint-keyed, LRU-bounded pool of analysis sessions."""
 
-    def __init__(self, max_sessions: int = 64, metrics=None,
-                 store=None) -> None:
-        if max_sessions < 1:
-            raise ValueError("max_sessions must be at least 1")
-        self._max_sessions = max_sessions
+    def __init__(self, metrics=None, store=None) -> None:
         self._lock = threading.RLock()
-        # Fingerprint -> session (LRU order); name -> fingerprint aliases.
-        self._sessions: OrderedDict[object, AnalysisSession] = OrderedDict()
-        self._targets: dict[str, object] = {}
-        self._pinned: set[object] = set()
-        self._systems: dict[str, SystemModel] = {}
-        self._system_shards: dict[str, list[str]] = {}
         # Registry handed to every session the pool creates (private when
         # none is given); the daemon passes its own so one `metrics`
         # request covers the whole serving stack.
@@ -77,6 +72,11 @@ class SessionPool:
         self._m_evictions = self.metrics.counter(
             "pool_evictions_total").child()
         self._m_sessions = self.metrics.gauge("pool_sessions")
+        # Fingerprint -> session (LRU order); name -> fingerprint aliases.
+        self._sessions = BoundedLRU(_MAX_SESSIONS, self._m_evictions)
+        self._targets: dict[str, object] = {}
+        self._systems: dict[str, SystemModel] = {}
+        self._system_shards: dict[str, list[str]] = {}
         # Optional repro.store.ResultStore, handed to every session the
         # pool creates so per-bus fixed points persist across restarts.
         self.store = store
@@ -84,15 +84,14 @@ class SessionPool:
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
-    def add_config(self, name: str, config: BusConfiguration,
-                   pin: bool = True) -> AnalysisSession:
+    def add_config(self, name: str,
+                   config: BusConfiguration) -> AnalysisSession:
         """Register a single-bus target; returns its (possibly shared)
         session."""
         with self._lock:
-            return self._register(name, config, pin)
+            return self._register(name, config)
 
-    def add_system(self, name: str, system: SystemModel,
-                   pin: bool = True) -> dict[str, str]:
+    def add_system(self, name: str, system: SystemModel) -> dict[str, str]:
         """Register a system: one session shard per bus segment.
 
         Returns the shard-name map (bus name -> ``<name>/<bus>`` target),
@@ -112,7 +111,7 @@ class SessionPool:
                 shard = f"{name}/{segment.name}"
                 config = BusConfiguration.from_segment(
                     segment, controllers=dict(system.controllers) or None)
-                self._register(shard, config, pin)
+                self._register(shard, config)
                 shards[segment.name] = shard
             self._systems[name] = system
             self._system_shards[name] = list(shards.values())
@@ -126,50 +125,25 @@ class SessionPool:
             return {shard[len(name) + 1:]: shard
                     for shard in self._system_shards.get(name, ())}
 
-    def _register(self, name: str, config: BusConfiguration,
-                  pin: bool) -> AnalysisSession:
+    def _register(self, name: str,
+                  config: BusConfiguration) -> AnalysisSession:
         # The analysis key excludes the deadline policy (it never changes
         # response times), but sessions default their *reports* to the base
         # policy -- so it is part of the sharing key here.  Every lookup
         # and LRU touch hashes the key, so it caches its hash.
         key = FingerprintKey((config.analysis_key(), config.deadline_policy))
-        session = self._sessions.get(key)
+        session = self._sessions.peek(key)
         if session is None:
             session = AnalysisSession.from_config(
                 config, max_cached_configs=_SHARD_CACHED_CONFIGS,
                 name=name, metrics=self.metrics, store=self.store)
-            self._sessions[key] = session
-        self._sessions.move_to_end(key)
-        previous = self._targets.get(name)
         self._targets[name] = key
-        if pin:
-            self._pinned.add(key)
-        if previous is not None and previous != key:
-            # Re-registration under a changed configuration: the old
-            # fingerprint loses this alias; once no target references it,
-            # it loses its pin too and becomes ordinary LRU prey instead
-            # of an unreclaimable leak.
-            if previous not in set(self._targets.values()):
-                self._pinned.discard(previous)
-        self._evict_locked()
+        # A re-registration under a changed configuration may orphan the
+        # old fingerprint: no target names it any more, so the bound can
+        # reclaim it instead of leaking it.
+        self._sessions.put(key, session, keep=set(self._targets.values()))
         self._m_sessions.set(len(self._sessions))
         return session
-
-    def _evict_locked(self) -> None:
-        while len(self._sessions) > self._max_sessions:
-            for key in self._sessions:
-                if key not in self._pinned:
-                    del self._sessions[key]
-                    self._m_evictions.inc()
-                    # Aliases of an evicted session are dropped too: a
-                    # later lookup re-registers from the configuration
-                    # rather than silently answering from a missing shard.
-                    for name in [n for n, k in self._targets.items()
-                                 if k == key]:
-                        del self._targets[name]
-                    break
-            else:
-                break
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -178,11 +152,9 @@ class SessionPool:
         """Session of a registered target (LRU-touching)."""
         with self._lock:
             key = self._targets.get(name)
-            session = self._sessions.get(key) if key is not None else None
-            if session is None:
+            if key is None:
                 raise UnknownTargetError(name, self.targets())
-            self._sessions.move_to_end(key)
-            return session
+            return self._sessions.get(key)
 
     def system(self, name: str) -> tuple[SystemModel,
                                          dict[str, AnalysisSession]]:
@@ -190,29 +162,22 @@ class SessionPool:
 
         The returned mapping is keyed by *bus name* (what
         :class:`~repro.core.engine.CompositionalAnalysis` expects as its
-        ``sessions=``); missing shards (evicted) are simply absent -- the
-        engine recreates private ones.
+        ``sessions=``).  Shards are named targets, so never evicted.
         """
         with self._lock:
             system = self._systems.get(name)
             if system is None:
                 raise UnknownTargetError(name, self._systems)
-            sessions: dict[str, AnalysisSession] = {}
-            for shard in self._system_shards.get(name, ()):
-                key = self._targets.get(shard)
-                session = self._sessions.get(key) if key is not None else None
-                if session is not None:
-                    # Strip the "<system name>/" prefix; a plain split would
-                    # mis-parse system names that themselves contain "/".
-                    sessions[shard[len(name) + 1:]] = session
-                    self._sessions.move_to_end(key)
-            return system, sessions
+            # Strip the "<system name>/" prefix; a plain split would
+            # mis-parse system names that themselves contain "/".
+            return system, {
+                shard[len(name) + 1:]: self._sessions.get(self._targets[shard])
+                for shard in self._system_shards[name]}
 
     def targets(self) -> list[str]:
-        """All live target names, sorted."""
+        """All registered target names, sorted."""
         with self._lock:
-            return sorted(n for n, k in self._targets.items()
-                          if k in self._sessions)
+            return sorted(self._targets)
 
     def systems(self) -> list[str]:
         """All registered system names, sorted."""
@@ -225,8 +190,7 @@ class SessionPool:
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
-            key = self._targets.get(name)
-            return key is not None and key in self._sessions
+            return name in self._targets
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -189,6 +188,45 @@ class FingerprintKey:
             self._digest = hashlib.sha1(
                 repr(self.value).encode()).hexdigest()[:12]
         return self._digest
+
+
+class BoundedLRU(OrderedDict):
+    """Map of at most ``bound`` entries, least recently used first.
+
+    The one bounded cache of the serving stack: a session's analysed
+    configurations, a system session's results, both delta memos and the
+    daemon pool's sessions.  :meth:`get` touches the entry it finds;
+    ``[]``, ``in`` and :meth:`peek` do not.  :meth:`put` inserts (or
+    refreshes) an entry, then evicts the oldest entries outside the
+    caller's ``keep`` set, counting each in ``evictions`` (a counter
+    child) when one is given.  It has no lock of its own: every access
+    runs under the owner's lock.
+    """
+
+    def __init__(self, bound: int, evictions=None) -> None:
+        super().__init__()
+        self.bound = bound
+        self.evictions = evictions
+
+    #: Lookup that leaves the LRU order alone.
+    peek = OrderedDict.get
+
+    def get(self, key):
+        value = OrderedDict.get(self, key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def put(self, key, value, keep=()) -> None:
+        self[key] = value
+        self.move_to_end(key)
+        while len(self) > self.bound:
+            victim = next((k for k in self if k not in keep), None)
+            if victim is None:
+                return
+            del self[victim]
+            if self.evictions is not None:
+                self.evictions.inc()
 
 
 class _CacheEntry:
@@ -384,13 +422,6 @@ class AnalysisSession:
             deadline_policy=deadline_policy,
         )
         self._base_key = FingerprintKey(self._base.analysis_key())
-        self._max_cached = max_cached_configs
-        self._cache: OrderedDict[FingerprintKey, _CacheEntry] = OrderedDict()
-        # Applying a delta sequence rebuilds the K-Matrix; repeated
-        # sequences (a sweep's points, a GA parent looked up per child)
-        # resolve through this memo instead.
-        self._delta_memo: OrderedDict[
-            tuple, tuple[BusConfiguration, FingerprintKey]] = OrderedDict()
         self._lock = threading.Lock()
         self._last_key: FingerprintKey | None = None
         # Optional repro.store.ResultStore.  Consulted when the in-memory
@@ -399,13 +430,17 @@ class AnalysisSession:
         # Every cached value is the canonical cold-start value (module
         # docstring invariant), so store round-trips stay bit-identical.
         self.store = store
-        # Digests read from the store or claimed for one publish attempt.
-        self._published: set[str] = set()
         # The session's counts live in its children of the registry's
         # session_* families (see stats()); without a shared registry the
         # session keeps a private one.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         counter = self.metrics.counter
+        self._m_evictions = counter("session_evictions_total").child()
+        self._cache = BoundedLRU(max_cached_configs, self._m_evictions)
+        # Applying a delta sequence rebuilds the K-Matrix; repeated
+        # sequences (a sweep's points, a GA parent looked up per child)
+        # resolve through this memo instead.
+        self._delta_memo = BoundedLRU(4 * max_cached_configs)
         self._m_queries = counter("session_queries_total").child()
         self._m_hits = counter("session_cache_hits_total").child()
         self._m_misses = counter("session_cache_misses_total").child()
@@ -413,7 +448,6 @@ class AnalysisSession:
             action: counter(
                 "session_plan_messages_total", action=action).child()
             for action in ("reuse", "warm", "cold")}
-        self._m_evictions = counter("session_evictions_total").child()
         self._m_store_hits = counter("session_store_hits_total").child()
         self._m_iterations = self.metrics.histogram(
             "solver_iterations", buckets=ITERATION_BUCKETS)
@@ -473,14 +507,13 @@ class AnalysisSession:
         """Delta sequence -> (configuration, cache key), memoised."""
         if not deltas:
             return self._base, self._base_key
-        entry = self._delta_memo.get(deltas)
+        with self._lock:
+            entry = self._delta_memo.get(deltas)
         if entry is None:
             config = apply_deltas(self._base, deltas)
             entry = (config, FingerprintKey(config.analysis_key()))
             with self._lock:
-                self._delta_memo[deltas] = entry
-                while len(self._delta_memo) > 4 * self._max_cached:
-                    self._delta_memo.popitem(last=False)
+                self._delta_memo.put(deltas, entry)
         return entry
 
     def analyze(self) -> QueryResult:
@@ -556,26 +589,22 @@ class AnalysisSession:
         # construction (both pure) happen outside so concurrent queries on
         # one session genuinely overlap.
         use_store = use_store and self.store is not None
-        hit_stats = None
-        publish = None
+        stats = None
         with self._lock:
             entry = self._cache.get(key)
             if entry is not None:
-                self._cache.move_to_end(key)
                 covered = set(entry.results)
                 wanted = set(needed) if needed is not None else set(
                     entry.profile.names)
                 if wanted <= covered:
                     self._last_key = key
-                    hit_stats = QueryStats(
+                    stats = QueryStats(
                         total=len(wanted), reused=len(wanted),
                         warm_started=0, cold=0, cache_hit=True,
                         basis=entry.key)
-                    if use_store:
-                        publish = self._claim_publish_locked(entry)
-            if hit_stats is None:
+            if stats is None:
                 bases = self._basis_candidates(warm_from, key)
-        if hit_stats is None:
+        if stats is None:
             analysis = entry.analysis if entry is not None \
                 else config.build_analysis()
             profile = entry.profile if entry is not None \
@@ -583,36 +612,29 @@ class AnalysisSession:
             # Persistent-store lookup: the in-memory cache cannot serve this
             # query, but a prior process may have persisted the converged
             # fixed point for exactly this fingerprint.
-            stored = self._store_lookup(key, profile, trace) \
-                if use_store else None
+            stored = self.store.get(
+                "bus", key.digest, names=profile.message_set,
+                trace=trace) if use_store else None
             if stored is not None:
                 with self._lock:
-                    entry = self._cache.get(key)
-                    if entry is None:
-                        entry = _CacheEntry(key, config, analysis, profile)
-                        self._cache[key] = entry
-                        self._evict_locked(protect=key)
+                    entry = self._entry_locked(key, config, analysis, profile)
                     for msg_name, value in stored.items():
                         entry.results.setdefault(msg_name, value)
-                    self._cache.move_to_end(key)
                     self._last_key = key
-                    self._published.add(key.digest)
                     self._m_store_hits.inc()
                 wanted = set(needed) if needed is not None \
                     else set(profile.names)
-                hit_stats = QueryStats(
+                stats = QueryStats(
                     total=len(wanted), reused=len(wanted),
                     warm_started=0, cold=0, cache_hit=True, basis=entry.key)
-        if hit_stats is not None:
-            if publish is not None:
-                self._store_publish(key, publish)
+        if stats is not None:
             if trace is not None:
                 trace.end(plan_span)
                 trace.record("solve", 0.0)
             self._m_queries.inc()
             self._m_hits.inc()
             return self._finish(entry, config, tuple(deltas), needed, policy,
-                                label, hit_stats, with_report=with_report)
+                                label, stats, with_report, use_store)
 
         plan, basis, adopt_changed, fast_ok, donor = self._choose_plan(
             profile, analysis, config, bases, needed)
@@ -637,24 +659,15 @@ class AnalysisSession:
         self._m_batch.observe(stats.warm_started + stats.cold)
 
         with self._lock:
-            entry = self._cache.get(key)
-            if entry is None:
-                entry = _CacheEntry(key, config, analysis, profile)
-                self._cache[key] = entry
-                self._evict_locked(protect=key)
+            entry = self._entry_locked(key, config, analysis, profile)
             entry.results.update(results)
-            self._cache.move_to_end(key)
             self._last_key = key
-            if use_store:
-                publish = self._claim_publish_locked(entry)
-        if publish is not None:
-            self._store_publish(key, publish)
         stats = QueryStats(
             total=stats.total, reused=stats.reused,
             warm_started=stats.warm_started, cold=stats.cold,
             basis=basis.key if basis is not None else None)
         return self._finish(entry, config, tuple(deltas), needed, policy,
-                            label, stats, with_report=with_report)
+                            label, stats, with_report, use_store)
 
     def describe(self) -> str:
         """One-line session summary (cache occupancy and hit statistics)."""
@@ -703,7 +716,7 @@ class AnalysisSession:
         """
         config, key = self._resolve(tuple(deltas))
         with self._lock:
-            entry = self._cache.get(key)
+            entry = self._cache.peek(key)
         if entry is not None:
             return dict(entry.profile.models)
         overrides = dict(config.event_models or {})
@@ -721,7 +734,10 @@ class AnalysisSession:
     def _finish(self, entry: _CacheEntry, config: BusConfiguration,
                 deltas: tuple, needed: list[str] | None, policy: str,
                 label: str | None, stats: QueryStats,
-                with_report: bool = True) -> QueryResult:
+                with_report: bool, publish: bool) -> QueryResult:
+        if publish and len(entry.results) == len(entry.profile.names):
+            # The store keeps one attempt per entry (ResultStore.publish).
+            self.store.publish("bus", entry.digest, entry.results)
         report = None
         if needed is None:
             results = {m.name: entry.results[m.name]
@@ -742,58 +758,17 @@ class AnalysisSession:
             results=results, report=report, stats=stats, key=entry.key,
             wire=entry.wire)
 
-    def _store_lookup(self, key: "FingerprintKey", profile: _Profile,
-                      trace=None) -> dict[str, MessageResponseTime] | None:
-        """Fetch this fingerprint's persisted fixed points, or ``None``.
-
-        A payload only counts when it decodes cleanly *and* covers exactly
-        the configuration's message set; anything else is a miss (the store
-        counts and quarantines it) and the query cold-solves.
-        """
-        started = time.perf_counter()
-        try:
-            return self.store.get("bus", key.digest, names=profile.message_set)
-        finally:
-            if trace is not None:
-                trace.record(
-                    "store_lookup", (time.perf_counter() - started) * 1000.0)
-
-    def _claim_publish_locked(self, entry: _CacheEntry,
-                              ) -> dict[str, MessageResponseTime] | None:
-        """A copy of the entry's fixed points for the store, once per
-        configuration: ``None`` while they are incomplete or after an
-        earlier query claimed them (caller holds the lock).  A failed
-        publish is not retried, so a store that keeps failing costs no
-        encoding on every cache hit."""
-        digest = entry.key.digest
-        if len(entry.results) != len(entry.profile.names) \
-                or digest in self._published:
-            return None
-        self._published.add(digest)
-        return dict(entry.results)
-
-    def _store_publish(self, key: "FingerprintKey",
-                       results: dict[str, MessageResponseTime]) -> None:
-        """Persist a complete converged fixed-point set (best-effort)."""
-        if not self.store.contains("bus", key.digest):
-            self.store.put("bus", key.digest, results)
-
-    def _evict_locked(self, protect: "FingerprintKey | None" = None) -> None:
-        """Drop LRU entries beyond the bound.
-
-        ``protect`` names the entry being inserted right now: without it,
-        a full cache would evict the newcomer itself (base and last are
-        already immune) and the subsequent bookkeeping would KeyError.
-        """
-        while len(self._cache) > self._max_cached:
-            for key in self._cache:
-                if key != self._base_key and key != self._last_key \
-                        and key != protect:
-                    del self._cache[key]
-                    self._m_evictions.inc()
-                    break
-            else:
-                break
+    def _entry_locked(self, key: FingerprintKey, config: BusConfiguration,
+                      analysis: CanBusAnalysis, profile: _Profile,
+                      ) -> _CacheEntry:
+        """The cache entry of ``key``, touched or inserted (caller holds
+        the lock).  An insert keeps the base, the last query and itself."""
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = _CacheEntry(key, config, analysis, profile)
+            self._cache.put(key, entry,
+                            keep=(self._base_key, self._last_key, key))
+        return entry
 
     def _basis_candidates(self, warm_from, new_key: "FingerprintKey",
                           ) -> list[_CacheEntry]:
@@ -824,7 +799,7 @@ class AnalysisSession:
         for key in keys:
             if key == new_key:
                 continue
-            entry = self._cache.get(key)
+            entry = self._cache.peek(key)
             if entry is not None and id(entry) not in seen:
                 seen.add(id(entry))
                 entries.append(entry)

@@ -33,6 +33,16 @@ publish replaces them), and reported as a miss; an envelope with the wrong
 deleting it (a newer daemon may own it).  Either way the caller falls back
 to a cold solve.
 
+Publish claims
+--------------
+:meth:`ResultStore.publish` is the serving stack's one publish rule: the
+sessions offer every complete fixed point they answer with, and the store
+makes one attempt per entry.  A :meth:`~ResultStore.get` hit or the first
+publish takes the entry's claim; a failed write keeps it, so a store that
+keeps failing costs no encoding per answer.  Unlinking the entry's file
+(``clear``, eviction, a corrupt read) releases the claim, so a
+configuration whose entry is gone is published again.
+
 Eviction
 --------
 Reads touch the entry's mtime, so mtime order is LRU order.  When
@@ -60,6 +70,7 @@ import json
 import math
 import os
 import threading
+import time
 from pathlib import Path
 from typing import AbstractSet, Any, Optional
 
@@ -80,6 +91,10 @@ CODECS = {
     "bus": (bus_payload_to_json, bus_payload_from_json),
     "system": (system_result_to_json, system_result_from_json),
 }
+
+
+def _file_name(kind: str, digest: str) -> str:
+    return f"{kind}-{digest}.v{SCHEMA_VERSION}.json"
 
 
 class ResultStore:
@@ -120,9 +135,12 @@ class ResultStore:
         self.max_bytes = max_bytes
         self.fsync = fsync
         self.faults = faults if faults is not None else faults_mod.from_env()
-        self._lock = threading.Lock()
+        # Re-entrant: eviction holds it while _quarantine releases claims.
+        self._lock = threading.RLock()
         # Byte total of the last scan plus the bytes written since.
         self._written = math.inf
+        # File names whose one publish attempt is taken (see publish()).
+        self._claimed: set[str] = set()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # stats() key -> this store's child of the registry family.
         counter = self.metrics.counter
@@ -147,7 +165,7 @@ class ResultStore:
         safe = "".join(c for c in digest if c.isalnum() or c in "-_")
         if not safe or safe != digest:
             raise ValueError(f"bad store digest {digest!r}")
-        return self.entries_dir / f"{kind}-{digest}.v{SCHEMA_VERSION}.json"
+        return self.entries_dir / _file_name(kind, digest)
 
     def contains(self, kind: str, digest: str) -> bool:
         """Cheap existence probe (no counters, no mtime touch)."""
@@ -156,7 +174,9 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def get(self, kind: str, digest: str, *, names: Optional[AbstractSet[str]] = None) -> Any:
+    def get(
+        self, kind: str, digest: str, *, names: Optional[AbstractSet[str]] = None, trace=None
+    ) -> Any:
         """Return the decoded entry for ``(kind, digest)`` or ``None``.
 
         ``bus`` entries decode to ``{name: MessageResponseTime}``, ``system``
@@ -164,8 +184,18 @@ class ResultStore:
         ``names``, when given, is the message set the entry must cover.
         Never raises on store content: torn, foreign, undecodable or stale
         entries are counted and reported as misses so the caller
-        cold-solves.
+        cold-solves.  A hit takes the entry's publish claim (see
+        :meth:`publish`); ``trace`` (a :class:`repro.obs.Trace`) records
+        the lookup as a ``store_lookup`` span.
         """
+        started = time.perf_counter()
+        try:
+            return self._read(kind, digest, names)
+        finally:
+            if trace is not None:
+                trace.record("store_lookup", (time.perf_counter() - started) * 1000.0)
+
+    def _read(self, kind: str, digest: str, names: Optional[AbstractSet[str]]) -> Any:
         path = self._path(kind, digest)
         try:
             data = path.read_bytes()
@@ -196,12 +226,25 @@ class ResultStore:
             os.utime(path)
         except OSError:
             pass
+        with self._lock:
+            self._claimed.add(path.name)
         self._counters["hits"].inc()
         return value
 
     # ------------------------------------------------------------------ #
     # Publish
     # ------------------------------------------------------------------ #
+    def publish(self, kind: str, digest: str, value: Any) -> None:
+        """Persist ``value`` unless this entry's publish claim is taken
+        (see "Publish claims" in the module docstring)."""
+        name = _file_name(kind, digest)
+        with self._lock:
+            if name in self._claimed:
+                return
+            self._claimed.add(name)
+        if not self.contains(kind, digest):
+            self.put(kind, digest, value)
+
     def put(self, kind: str, digest: str, value: Any) -> bool:
         """Atomically persist ``value`` (what :meth:`get` returns for the
         kind); return True on success.
@@ -336,6 +379,8 @@ class ResultStore:
         return None
 
     def _quarantine(self, path: Path) -> bool:
+        with self._lock:
+            self._claimed.discard(path.name)
         try:
             os.unlink(path)
             return True

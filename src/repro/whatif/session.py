@@ -20,8 +20,13 @@ equivalently edited system.  Three mechanisms provide the incrementality:
 * **a whole-result cache** keyed by the edited system's *fingerprint*
   (:meth:`~repro.core.system.SystemModel.fingerprint`): repeating a query
   -- or asking for path latencies after it -- costs a dictionary lookup.
-  Gateway and ECU containers are mutable, so the fingerprint covers their
-  values; an in-place edit of the base system (e.g.
+  It is the serving stack's one bounded LRU
+  (:class:`~repro.service.session.BoundedLRU`, :data:`_MAX_CACHED_RESULTS`
+  entries, the base topology's result always kept, evictions counted in
+  ``system_evictions_total``); a result the store serves joins it, and
+  every hit answers with its own query's label, deltas and invalidated
+  set.  Gateway and ECU containers are mutable, so the fingerprint
+  covers their values; an in-place edit of the base system (e.g.
   :meth:`GatewayModel.add_route`) is detected on the next query and
   invalidates every cached result rather than serving a stale fixed point;
 * **gateway-aware invalidation accounting** -- each query reports which
@@ -40,8 +45,6 @@ design-exploration server of the paper's system-level claim.
 from __future__ import annotations
 
 import threading
-import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -55,7 +58,7 @@ from repro.core.system import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service.deltas import BusConfiguration
 from repro.service.session import (
-    AnalysisSession, FingerprintKey, SessionStats,
+    AnalysisSession, BoundedLRU, FingerprintKey, SessionStats,
 )
 from repro.whatif.system_deltas import SystemDelta
 
@@ -136,12 +139,13 @@ class SystemSessionStats:
     """One :class:`SystemSession`'s share of the registry's counters.
 
     A view, not a second record: ``queries`` (answered queries; a
-    cancelled query is not one), ``cache_hits`` and
-    ``base_invalidations`` are read from the session's children of the
-    ``system_*`` families of its metrics registry, so the sum over the
-    sessions sharing a registry is the family total.  ``cached_results``
-    is the current result-cache size and ``segment_sessions`` the number
-    of per-bus sessions (one per bus of the base topology).
+    cancelled query is not one), ``cache_hits``, ``base_invalidations``
+    and ``evictions`` (results the bounded cache dropped) are read from
+    the session's children of the ``system_*`` families of its metrics
+    registry, so the sum over the sessions sharing a registry is the
+    family total.  ``cached_results`` is the current result-cache size and
+    ``segment_sessions`` the number of per-bus sessions (one per bus of
+    the base topology).
     """
 
     name: str
@@ -150,6 +154,7 @@ class SystemSessionStats:
     cached_results: int
     segment_sessions: int
     base_invalidations: int
+    evictions: int
 
     def describe(self) -> str:
         return (f"{self.name}: {self.queries} queries "
@@ -196,19 +201,14 @@ class SystemSession:
         self._base = system
         self._lock = threading.RLock()
         self._base_key = FingerprintKey(system.fingerprint())
-        self._results: OrderedDict[FingerprintKey, SystemQueryResult] = \
-            OrderedDict()
-        self._delta_memo: OrderedDict[
-            tuple, tuple[SystemModel, FingerprintKey, frozenset[str]]] = \
-            OrderedDict()
         # Bus name -> that bus's one segment session.
         self._sessions: dict[str, AnalysisSession] = dict(sessions or {})
         # Optional repro.store.ResultStore: whole-system fixed points are
-        # looked up by topology fingerprint on a miss and published after
-        # every engine run, so a restarted daemon answers system queries
-        # without re-running the engine.
+        # looked up by topology fingerprint on a miss and published with
+        # every answer (the store keeps one attempt per entry), so a
+        # restarted daemon answers system queries without re-running the
+        # engine.
         self.store = store
-        self._published: set[str] = set()
         # The session's counts live in its children of the registry's
         # system_* families (see stats()); the registry, private when none
         # is given, is shared with every segment session this system
@@ -221,6 +221,9 @@ class SystemSession:
         self._m_invalidations = counter(
             "system_base_invalidations_total").child()
         self._m_store_hits = counter("system_store_hits_total").child()
+        self._m_evictions = counter("system_evictions_total").child()
+        self._results = BoundedLRU(_MAX_CACHED_RESULTS, self._m_evictions)
+        self._delta_memo = BoundedLRU(4 * _MAX_CACHED_RESULTS)
         unknown = set(self._sessions) - set(system.buses)
         if unknown:
             raise ValueError(f"sessions for unknown buses: {sorted(unknown)}")
@@ -274,36 +277,31 @@ class SystemSession:
             self._refresh_base_locked()
             system, key, invalidated = self._resolve_locked(deltas)
             cached = self._results.get(key)
-            if cached is not None:
-                self._results.move_to_end(key)
-                if trace is not None:
-                    trace.end(plan_span)
-                    trace.record("solve", 0.0)
-                self._m_queries.inc()
-                self._m_hits.inc()
-                return replace(
-                    cached, label=label, deltas=deltas,
-                    stats=replace(cached.stats, cache_hit=True))
             sessions = {name: self._sessions[name]
                         for name in system.buses if name in self._sessions}
-        # Persistent-store lookup: a prior process may have published the
-        # whole-system fixed point for exactly this topology fingerprint.
-        stored = None
-        if self.store is not None:
-            stored = self._store_lookup(key, system, trace)
-        if stored is not None:
-            self._m_store_hits.inc()
+        stats = SystemQueryStats(
+            invalidated=tuple(sorted(invalidated)),
+            segments=len(system.buses), cache_hit=True)
+        if cached is None and self.store is not None:
+            # A prior process may have published the whole-system fixed
+            # point for exactly this topology fingerprint.
+            stored = self.store.get("system", _store_digest(key), names={
+                m.name for segment in system.buses.values()
+                for m in segment.kmatrix}, trace=trace)
+            if stored is not None:
+                self._m_store_hits.inc()
+                cached = SystemQueryResult(
+                    label=label, deltas=deltas, result=stored, stats=stats,
+                    system=system, key=key)
+                with self._lock:
+                    self._results.put(key, cached, keep=(self._base_key, key))
+        if cached is not None:
             if trace is not None:
                 trace.end(plan_span)
                 trace.record("solve", 0.0)
             self._m_queries.inc()
             self._m_hits.inc()
-            stats = SystemQueryStats(
-                invalidated=tuple(sorted(invalidated)),
-                segments=len(system.buses), cache_hit=True)
-            outcome = SystemQueryResult(
-                label=label, deltas=deltas, result=stored, stats=stats,
-                system=system, key=key)
+            outcome = replace(cached, label=label, deltas=deltas, stats=stats)
         else:
             # The engine run is pure and deterministic; it happens outside
             # the lock so concurrent queries genuinely overlap (a
@@ -319,25 +317,13 @@ class SystemSession:
                 trace.end(solve_span)
             self._m_queries.inc()
             self._m_misses.inc()
-            if self.store is not None:
-                self._store_publish(key, result)
-            stats = SystemQueryStats(
-                invalidated=tuple(sorted(invalidated)),
-                segments=len(system.buses))
             outcome = SystemQueryResult(
-                label=label, deltas=deltas, result=result, stats=stats,
-                system=system, key=key)
-        with self._lock:
-            if key not in self._results:
-                self._results[key] = outcome
-            self._results.move_to_end(key)
-            while len(self._results) > _MAX_CACHED_RESULTS:
-                for candidate in self._results:
-                    if candidate != self._base_key and candidate != key:
-                        del self._results[candidate]
-                        break
-                else:
-                    break
+                label=label, deltas=deltas, result=result,
+                stats=replace(stats, cache_hit=False), system=system, key=key)
+            with self._lock:
+                self._results.put(key, outcome, keep=(self._base_key, key))
+        if self.store is not None:
+            self.store.publish("system", _store_digest(key), outcome.result)
         return outcome
 
     def path_latency(
@@ -385,6 +371,7 @@ class SystemSession:
                 cached_results=len(self._results),
                 segment_sessions=len(self._sessions),
                 base_invalidations=int(self._m_invalidations.value),
+                evictions=int(self._m_evictions.value),
             )
 
     def session_stats(self) -> list[SessionStats]:
@@ -401,35 +388,6 @@ class SystemSession:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _store_lookup(self, key: FingerprintKey, system: SystemModel,
-                      trace=None) -> "SystemAnalysisResult | None":
-        """Fetch this topology's persisted fixed point, or ``None``.
-
-        The payload only counts when it decodes cleanly and covers exactly
-        the topology's message set; anything else is a miss (the store
-        counts and quarantines it) and the engine runs cold.
-        """
-        started = time.perf_counter()
-        try:
-            expected = {m.name for segment in system.buses.values()
-                        for m in segment.kmatrix}
-            return self.store.get("system", _store_digest(key),
-                                  names=expected)
-        finally:
-            if trace is not None:
-                trace.record(
-                    "store_lookup", (time.perf_counter() - started) * 1000.0)
-
-    def _store_publish(self, key: FingerprintKey,
-                       result: SystemAnalysisResult) -> None:
-        """Persist a whole-system fixed point (best-effort)."""
-        digest = _store_digest(key)
-        if digest in self._published:
-            return
-        if self.store.contains("system", digest) \
-                or self.store.put("system", digest, result):
-            self._published.add(digest)
-
     @staticmethod
     def _normalize(deltas) -> tuple[SystemDelta, ...]:
         if isinstance(deltas, SystemDelta):
@@ -489,7 +447,5 @@ class SystemSession:
             invalidated = downstream_closure(
                 frozenset(touched), frozenset(edges))
             memo = (system, FingerprintKey(system.fingerprint()), invalidated)
-            self._delta_memo[deltas] = memo
-            while len(self._delta_memo) > 4 * _MAX_CACHED_RESULTS:
-                self._delta_memo.popitem(last=False)
+            self._delta_memo.put(deltas, memo)
         return memo

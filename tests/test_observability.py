@@ -18,11 +18,14 @@ import math
 import tempfile
 import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.server.pool as pool_module
+import repro.whatif.session as whatif_session
 from repro.cancel import CancelToken, Cancelled
 from repro.monitor import ConformanceMonitor, chunked, frames_from_trace
 from repro.obs import (
@@ -778,8 +781,9 @@ class TestCountAgreement:
     def test_component_stats_sum_to_registry_families(self, ops):
         registry = MetricsRegistry()
         config = _powertrain_config(8)
-        pools = [SessionPool(max_sessions=1, metrics=registry)
-                 for _ in range(2)]
+        # One session per pool, so re-registering a target evicts.
+        with mock.patch.object(pool_module, "_MAX_SESSIONS", 1):
+            pools = [SessionPool(metrics=registry) for _ in range(2)]
         chunks = iter(_monitor_chunks())
         fired = CancelToken()
         fired.cancel()
@@ -792,10 +796,12 @@ class TestCountAgreement:
             sessions = [AnalysisSession.from_config(
                 config, max_cached_configs=2, name=f"s{i}",
                 metrics=registry, store=stores[0]) for i in range(2)]
-            systems = [SystemSession(
-                multibus_system(n_buses=2, messages_per_bus=6, seed=2),
-                name=f"sys{i}", metrics=registry, store=stores[0])
-                for i in range(2)]
+            # Two results per system session, so a third topology evicts.
+            with mock.patch.object(whatif_session, "_MAX_CACHED_RESULTS", 2):
+                systems = [SystemSession(
+                    multibus_system(n_buses=2, messages_per_bus=6, seed=2),
+                    name=f"sys{i}", metrics=registry, store=stores[0])
+                    for i in range(2)]
             monitor = ConformanceMonitor(
                 AnalysisSession.from_config(config, metrics=registry),
                 target="agreement", metrics=registry)
@@ -820,11 +826,11 @@ class TestCountAgreement:
                     stores[which]._path("bus", digest).write_bytes(b"{")
                     stores[which].get("bus", digest)
                 elif op == "register":
+                    # One name under a new configuration orphans the last.
                     pools[which].add_config(
-                        f"t{arg}", BusConfiguration(
+                        "t", BusConfiguration(
                             kmatrix=config.kmatrix, bus=config.bus,
-                            assumed_jitter_fraction=_FRACTIONS[arg]),
-                        pin=False)
+                            assumed_jitter_fraction=_FRACTIONS[arg]))
                 elif op == "ingest":
                     chunk = next(chunks, None)
                     if chunk is not None:
@@ -855,6 +861,8 @@ class TestCountAgreement:
                 _family(registry, family, **labels)
         assert sum(pool.evicted_sessions for pool in pools) == \
             _family(registry, "pool_evictions_total")
+        assert sum(system.stats().evictions for system in systems) == \
+            _family(registry, "system_evictions_total")
         # Pool and segment sessions have no store, hence no store hits.
         assert sum(session.store_hits for session in sessions) == \
             _family(registry, "session_store_hits_total")

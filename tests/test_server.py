@@ -20,6 +20,7 @@ import threading
 import pytest
 
 import repro.server.client as client_module
+import repro.server.pool as pool_module
 import repro.server.protocol as protocol
 
 from repro.can.message import CanMessage
@@ -217,13 +218,21 @@ class TestSessionPool:
             pool.get("missing")
         assert "only" in str(error.value)
 
-    def test_lru_eviction_of_unpinned_sessions(self):
-        pool = SessionPool(max_sessions=2)
+    def test_lru_eviction_of_unpinned_sessions(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_MAX_SESSIONS", 2)
+        pool = SessionPool()
         for index, size in enumerate((16, 20, 24)):
-            pool.add_config(f"t{index}", _powertrain_config(size), pin=False)
+            pool.add_config(f"t{index}", _powertrain_config(size))
+        # Every session is named by a target, so none is evictable yet.
+        assert len(pool) == 3
+        assert pool.evicted_sessions == 0
+        # Re-registering t0, then t1, orphans their first sessions; the
+        # bound reclaims the oldest orphan (t0's) and keeps t1's.
+        for index in (0, 1):
+            pool.add_config(f"t{index}", _powertrain_config(24))
         assert len(pool) == 2
         assert pool.evicted_sessions == 1
-        assert "t0" not in pool
+        assert [stats.name for stats in pool.stats()] == ["t1", "t2"]
         assert "t2" in pool
 
     def test_system_sharding(self):
@@ -245,8 +254,9 @@ class TestSessionPool:
         _, sessions = pool.system("plant/line1")
         assert sorted(sessions) == ["CAN-0", "CAN-1"]
 
-    def test_reregistration_unpins_the_orphaned_session(self):
-        pool = SessionPool(max_sessions=1)
+    def test_reregistration_unpins_the_orphaned_session(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_MAX_SESSIONS", 1)
+        pool = SessionPool()
         pool.add_config("target", _powertrain_config(16))
         # Same name, new configuration: the old fingerprint loses its
         # alias and its pin, so the bound can reclaim it.

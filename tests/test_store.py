@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import struct
+import sys
 import threading
 from typing import Mapping
 
@@ -414,6 +415,54 @@ class TestResultStore:
         assert store.clear() == 1
         assert store.stats()["entries"] == 0
 
+    def test_publish_claims_each_entry_until_its_file_goes(self, tmp_path):
+        results = {"M1": _result()}
+        store = ResultStore(tmp_path)
+        # A failed attempt keeps the claim: it is not retried.
+        store.publish("bus", "bad", {"M2": _result("M1")})
+        store.publish("bus", "bad", results)
+        store.publish("bus", "aa", results)
+        store.publish("bus", "aa", results)
+        stats = store.stats()
+        assert (stats["publish_errors"], stats["publishes"]) == (1, 1)
+        store.clear()
+        store.publish("bus", "aa", results)
+        assert store.stats()["publishes"] == 2
+        # A hit takes the claim; the corrupt read that unlinks the file
+        # releases it.
+        reader = ResultStore(tmp_path)
+        assert reader.get("bus", "aa") == results
+        reader.publish("bus", "aa", results)
+        reader._path("bus", "aa").write_bytes(b"{")
+        assert reader.get("bus", "aa") is None
+        reader.publish("bus", "aa", results)
+        assert reader.stats()["publishes"] == 1
+        assert reader.get("bus", "aa") == results
+
+    def test_concurrent_publishes_write_each_entry_once(self, tmp_path):
+        store = ResultStore(tmp_path)
+        results = {"M1": _result()}
+        barrier = threading.Barrier(8)
+
+        def worker() -> None:
+            barrier.wait(timeout=30)
+            for index in range(20):
+                store.publish("bus", f"e{index}", results)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = store.stats()
+        assert (stats["publishes"], stats["entries"]) == (20, 20)
+
     def test_metrics_binding(self, tmp_path):
         registry = MetricsRegistry()
         store = ResultStore(tmp_path, metrics=registry)
@@ -674,6 +723,23 @@ class TestDaemonRestart:
             client.analyze_system("fleet")  # in-memory caches still serve
             cleared = client.store_clear()
             assert cleared["stats"]["entries"] == 0
+
+    def test_cleared_entries_are_published_again(self, tmp_path):
+        # Clearing releases each entry's publish claim with its file, so
+        # the next answer for a configuration still cached in memory
+        # persists it again.
+        store = ResultStore(tmp_path)
+        with AnalysisDaemon(store=store) as daemon:
+            daemon.add_config("bus", _bus_session().base_config)
+            daemon.add_system("fleet", _fleet())
+            client = InProcessClient(daemon)
+            for _ in range(2):
+                client.query("bus")
+                client.system_query("fleet")
+                kinds = sorted(path.name.split("-")[0]
+                               for path in store.entries_dir.iterdir())
+                assert kinds == ["bus", "system"]
+                assert client.store_clear()["stats"]["entries"] == 0
 
     def test_store_op_validates_input(self, tmp_path):
         with AnalysisDaemon(store=ResultStore(tmp_path)) as daemon:

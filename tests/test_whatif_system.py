@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.whatif.session as whatif_session
 from repro.can.kmatrix import KMatrix
 from repro.can.message import CanMessage
 from repro.core.engine import (
@@ -41,6 +42,7 @@ from repro.service.deltas import (
     JitterDelta,
     PriorityDelta,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.service.session import AnalysisSession
 from repro.whatif import (
     AddGatewayRouteDelta,
@@ -336,6 +338,45 @@ class TestSystemSessionBehaviour:
             for name, result in outcome.result.message_results.items()
             if result != baseline.message_results[name]}
         assert changed_buses <= set(outcome.stats.invalidated)
+
+    def test_cache_hit_reports_this_querys_invalidated_set(self):
+        base = multibus_system(n_buses=3, messages_per_bus=6, seed=2)
+        # The bus's own rate: the edited topology is the base topology.
+        delta = BusSpeedDelta("CAN-0", base.buses["CAN-0"].bus.bit_rate_bps)
+        every = ("CAN-0", "CAN-1", "CAN-2")
+        assert SystemSession(base).query(delta).stats.invalidated == every
+        session = SystemSession(base)
+        session.analyze()
+        hit = session.query(delta, label="same rate")
+        assert hit.stats.cache_hit
+        assert (hit.label, hit.deltas) == ("same rate", (delta,))
+        assert hit.stats.invalidated == every
+        again = session.analyze()
+        assert again.stats.cache_hit
+        assert (again.label, again.deltas) == (None, ())
+        assert again.stats.invalidated == ()
+
+    def test_bounded_result_cache_keeps_the_base(self, monkeypatch):
+        monkeypatch.setattr(whatif_session, "_MAX_CACHED_RESULTS", 2)
+        registry = MetricsRegistry()
+        params = dict(n_buses=3, messages_per_bus=8, seed=6)
+        session = SystemSession(multibus_system(**params), metrics=registry)
+        session.analyze()
+        edited = {}
+        for rate in (400_000.0, 250_000.0, 125_000.0):
+            edited[rate] = multibus_system(**params)
+            segment = edited[rate].buses["CAN-1"]
+            segment.bus = segment.bus.with_bit_rate(rate)
+            _check(session, BusSpeedDelta("CAN-1", rate), edited[rate])
+        stats = session.stats()
+        assert (stats.cached_results, stats.evictions) == (2, 2)
+        assert session.analyze().stats.cache_hit
+        # An evicted topology is recomputed, still exactly.
+        again = session.query(BusSpeedDelta("CAN-1", 400_000.0))
+        assert not again.stats.cache_hit
+        _assert_identical(again.result, _fresh_run(edited[400_000.0]))
+        assert session.stats().evictions == 3
+        assert registry.value("system_evictions_total") == 3
 
     def test_rejects_bare_service_deltas(self):
         base = multibus_system(n_buses=2, messages_per_bus=6, seed=0)
