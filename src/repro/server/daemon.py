@@ -33,9 +33,9 @@ TCP, the connection's handler thread:
     Typed :class:`~repro.whatif.system_deltas.SystemDelta` edits against a
     registered :class:`~repro.core.system.SystemModel` -- the one system
     op.  Served through the system's
-    :class:`~repro.whatif.session.SystemSession` over the pool's
-    per-segment sessions, so repeated requests (and per-segment what-if
-    queries in between) hit the same warm caches.  Bit-identical to a
+    :class:`~repro.whatif.session.SystemSession`, which the pool keeps
+    over its per-segment sessions, so repeated requests (and per-segment
+    what-if queries in between) hit the same warm caches.  Bit-identical to a
     from-scratch engine run on the equivalently edited model; optionally
     evaluates end-to-end paths in the same request and re-keys per-bus
     sections by a client-supplied shard map.  The clients'
@@ -125,7 +125,6 @@ from repro.service.catalog import ScenarioCatalog, builtin_catalog
 from repro.service.deltas import BusConfiguration
 from repro.sim.trace import UnknownMessageError
 from repro.whatif.catalog import builtin_system_catalog
-from repro.whatif.session import SystemSession
 from repro.workloads.registry import builtin_registry
 
 _log = logging.getLogger(__name__)
@@ -199,9 +198,6 @@ class AnalysisDaemon:
             history_windows=int(monitor_history))
         self._monitors: dict[str, ConformanceMonitor] = {}
         self._monitor_lock = threading.Lock()
-        self._system_sessions: dict[str, SystemSession] = {}
-        self._system_catalogs: dict[str, ScenarioCatalog] = {}
-        self._engine_lock = threading.Lock()
         self._started = time.monotonic()
         self._shutdown = threading.Event()
         # In-flight work-request accounting: the token registry is what a
@@ -238,44 +234,12 @@ class AnalysisDaemon:
         """Serve a system model; returns its shard-name map.
 
         The map (bus name -> ``<name>/<bus>`` shard target) is what the
-        ``register`` response forwards to clients.  Re-registering a name
-        drops any cached system session and topology catalog for it, so
-        later system requests analyse the new model, not the old one.
+        ``register`` response forwards to clients.  The pool keeps the
+        system as its system session: re-registering a name replaces it,
+        so later system requests analyse the new model, not the old one,
+        and drops the old shards the new model has no bus for.
         """
-        shards = self.pool.add_system(name, system)
-        with self._engine_lock:
-            self._system_sessions.pop(name, None)
-            self._system_catalogs.pop(name, None)
-        return shards
-
-    def _system_session(self, name: str) -> SystemSession:
-        """The (lazily created) system session of a registered system.
-
-        Built over the pool's shard sessions, so per-shard ``query``
-        requests and system-level requests share one warm cache; the
-        session itself re-fingerprints the registered model per query, so
-        even in-place gateway or ECU edits between requests can never
-        serve a stale fixed point.
-        """
-        system, sessions = self.pool.system(name)
-        with self._engine_lock:
-            session = self._system_sessions.get(name)
-            if session is None or session.base_system is not system:
-                session = SystemSession(
-                    system, sessions=sessions, name=f"{self.name}:{name}",
-                    metrics=self.metrics, store=self.store)
-                self._system_sessions[name] = session
-            return session
-
-    def _system_catalog(self, name: str) -> ScenarioCatalog:
-        """The (lazily derived) topology scenario catalog of one system."""
-        system, _ = self.pool.system(name)
-        with self._engine_lock:
-            catalog = self._system_catalogs.get(name)
-            if catalog is None:
-                catalog = builtin_system_catalog(system)
-                self._system_catalogs[name] = catalog
-            return catalog
+        return self.pool.add_system(name, system)
 
     @property
     def shutdown_requested(self) -> bool:
@@ -621,7 +585,8 @@ class AnalysisDaemon:
         return {
             "scenarios": entries(self.catalog),
             "system_scenarios": {
-                system: entries(self._system_catalog(system))
+                system: entries(builtin_system_catalog(
+                    self.pool.system(system).base_system))
                 for system in self.pool.systems()},
         }
 
@@ -645,8 +610,8 @@ class AnalysisDaemon:
             catalog, encode = self.catalog, protocol.query_result_to_json
         else:
             key, name = "system", params["system"]
-            session = self._system_session(name)
-            catalog = self._system_catalog(name)
+            session = self.pool.system(name)
+            catalog = builtin_system_catalog(session.base_system)
             encode = protocol.system_query_result_to_json
         run = catalog.run(params["scenario"], session, cancel=cancel,
                           trace=self._current_trace())
@@ -720,7 +685,7 @@ class AnalysisDaemon:
             system = protocol.system_from_json(params["system"])
             shards = self.add_system(name, system)
             return {"system": name, "shards": shards,
-                    "scenarios": self._system_catalog(name).names()}
+                    "scenarios": builtin_system_catalog(system).names()}
         if params["config"] is not None:
             config = protocol.config_from_json(params["config"])
             self.add_config(name, config)
@@ -735,7 +700,7 @@ class AnalysisDaemon:
             return {"target": name, "generator": generator}
         shards = self.add_system(name, workload)
         return {"system": name, "generator": generator, "shards": shards,
-                "scenarios": self._system_catalog(name).names()}
+                "scenarios": builtin_system_catalog(workload).names()}
 
     def _shard_names(self, name: str,
                      override: "Mapping | None") -> dict[str, str]:
@@ -757,7 +722,7 @@ class AnalysisDaemon:
     def _op_system_query(self, params: dict, cancel=None) -> dict:
         """Typed topology deltas against a registered system."""
         name = params["system"]
-        session = self._system_session(name)
+        session = self.pool.system(name)
         deltas = protocol.system_deltas_from_json(params["deltas"])
         shards = self._shard_names(name, params["shards"])
         outcome = session.query(deltas, label=params["label"],

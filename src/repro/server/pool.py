@@ -1,27 +1,29 @@
 """Sharded session pool: the daemon's unit of state.
 
 A :class:`SessionPool` owns every :class:`~repro.service.session.AnalysisSession`
-the daemon serves queries through.  Sessions are *sharded by bus segment*:
-registering a single-bus target creates one session, registering a
-:class:`~repro.core.system.SystemModel` creates one session per bus segment
-(named ``<target>/<bus>``) plus keeps the system itself so the
-compositional engine can run **on the same sessions** -- a system-level
+the daemon serves queries through, and every system it serves.  Sessions
+are *sharded by bus segment*: registering a single-bus target creates one
+session, registering a :class:`~repro.core.system.SystemModel` creates one
+session per bus segment (named ``<target>/<bus>``) and the system's
+:class:`~repro.whatif.session.SystemSession` over those shards, so the
+compositional engine runs **on the same sessions** -- a system-level
 analysis request and a per-segment what-if query therefore hit one shared
-cache.
+cache.  Registering a system name again replaces its system session and
+unregisters the old shards the new topology does not have.
 
 Sessions are additionally keyed by their base-configuration fingerprint:
 two targets registered with identical configurations (two clients exploring
 the same K-Matrix) share a single session, which is what turns N clients
 into one warm cache instead of N cold ones.
 
-The pool is LRU-bounded (:data:`_MAX_SESSIONS`), with a pinning rule: a
-session that a registered target names is immune to eviction -- a live
-serving target never silently loses its cache, so the bound is a cap on
-*orphaned* sessions and can be exceeded by named ones.  A session is
-orphaned (and LRU-evictable) once every name aliasing it is re-registered
-to a different configuration.  All operations are
-thread-safe -- the TCP front end serves each connection from its own
-thread.
+The pool is LRU-bounded (:data:`_MAX_SESSIONS`), and a session that a
+registered target names is never evicted -- a live serving target never
+silently loses its cache, so the bound is a cap on *orphaned* sessions and
+can be exceeded by named ones.  A session is orphaned (and LRU-evictable)
+once no target names it: every name aliasing it was re-registered to a
+different configuration, or its system was re-registered without its bus.
+All operations are thread-safe -- the TCP front end serves each connection
+from its own thread.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.service.deltas import BusConfiguration
 from repro.service.session import (
     AnalysisSession, BoundedLRU, FingerprintKey, SessionStats,
 )
+from repro.whatif.session import SystemSession
 
 #: Cached-configuration bound of every session the pool creates.  A system's
 #: shard is that bus's one session for every topology its system what-ifs
@@ -61,7 +64,8 @@ class UnknownTargetError(KeyError):
 
 
 class SessionPool:
-    """Fingerprint-keyed, LRU-bounded pool of analysis sessions."""
+    """Fingerprint-keyed, LRU-bounded pool of analysis sessions, and the
+    registry of the systems served over them."""
 
     def __init__(self, metrics=None, store=None) -> None:
         self._lock = threading.RLock()
@@ -75,8 +79,8 @@ class SessionPool:
         # Fingerprint -> session (LRU order); name -> fingerprint aliases.
         self._sessions = BoundedLRU(_MAX_SESSIONS, self._m_evictions)
         self._targets: dict[str, object] = {}
-        self._systems: dict[str, SystemModel] = {}
-        self._system_shards: dict[str, list[str]] = {}
+        # System name -> its system session over the shard sessions.
+        self._systems: dict[str, SystemSession] = {}
         # Optional repro.store.ResultStore, handed to every session the
         # pool creates so per-bus fixed points persist across restarts.
         self.store = store
@@ -92,38 +96,41 @@ class SessionPool:
             return self._register(name, config)
 
     def add_system(self, name: str, system: SystemModel) -> dict[str, str]:
-        """Register a system: one session shard per bus segment.
+        """Register a system: one session shard per bus segment, and the
+        system's :class:`~repro.whatif.session.SystemSession` over them.
 
         Returns the shard-name map (bus name -> ``<name>/<bus>`` target),
         which is what the daemon's ``register`` response hands to clients
         so they never have to re-derive shard names after a
-        (re-)registration.  The system model itself is kept so
-        :meth:`system` can hand it (plus its shard sessions) to the
-        compositional engine.
+        (re-)registration.  Re-registering ``name`` replaces its system
+        session, so later system requests analyse the new model, and
+        unregisters the old shards whose bus the new model lacks.
         """
         problems = system.validate()
         if problems:
             raise ValueError(
                 "inconsistent system model:\n  " + "\n  ".join(problems))
-        shards: dict[str, str] = {}
+        controllers = dict(system.controllers) or None
         with self._lock:
-            for segment in system.buses.values():
-                shard = f"{name}/{segment.name}"
-                config = BusConfiguration.from_segment(
-                    segment, controllers=dict(system.controllers) or None)
-                self._register(shard, config)
-                shards[segment.name] = shard
-            self._systems[name] = system
-            self._system_shards[name] = list(shards.values())
-        return shards
+            old = self._systems.get(name)
+            if old is not None:
+                for bus in old.base_system.buses.keys() - system.buses.keys():
+                    self._targets.pop(f"{name}/{bus}", None)
+            sessions = {
+                segment.name: self._register(
+                    f"{name}/{segment.name}",
+                    BusConfiguration.from_segment(
+                        segment, controllers=controllers))
+                for segment in system.buses.values()}
+            self._systems[name] = SystemSession(
+                system, sessions=sessions, name=name, metrics=self.metrics,
+                store=self.store)
+            return self.shard_map(name)
 
     def shard_map(self, name: str) -> dict[str, str]:
         """Bus name -> shard target map of one registered system."""
-        with self._lock:
-            if name not in self._systems:
-                raise UnknownTargetError(name, self._systems)
-            return {shard[len(name) + 1:]: shard
-                    for shard in self._system_shards.get(name, ())}
+        return {bus: f"{name}/{bus}"
+                for bus in self.system(name).base_system.buses}
 
     def _register(self, name: str,
                   config: BusConfiguration) -> AnalysisSession:
@@ -156,23 +163,17 @@ class SessionPool:
                 raise UnknownTargetError(name, self.targets())
             return self._sessions.get(key)
 
-    def system(self, name: str) -> tuple[SystemModel,
-                                         dict[str, AnalysisSession]]:
-        """A registered system and its per-segment shard sessions.
+    def system(self, name: str) -> SystemSession:
+        """The system session of a registered system.
 
-        The returned mapping is keyed by *bus name* (what
-        :class:`~repro.core.engine.CompositionalAnalysis` expects as its
-        ``sessions=``).  Shards are named targets, so never evicted.
+        It queries the system's shard sessions, so per-shard ``query``
+        requests and system-level requests share one warm cache.
         """
         with self._lock:
-            system = self._systems.get(name)
-            if system is None:
+            session = self._systems.get(name)
+            if session is None:
                 raise UnknownTargetError(name, self._systems)
-            # Strip the "<system name>/" prefix; a plain split would
-            # mis-parse system names that themselves contain "/".
-            return system, {
-                shard[len(name) + 1:]: self._sessions.get(self._targets[shard])
-                for shard in self._system_shards[name]}
+            return session
 
     def targets(self) -> list[str]:
         """All registered target names, sorted."""

@@ -51,7 +51,6 @@ class SessionEvaluator:
         kmatrix: KMatrix,
         scenarios: Sequence[AnalysisScenario],
         sensitivity_threshold: float = 0.10,
-        max_cached_configs: int = 128,
     ) -> None:
         self.kmatrix = kmatrix
         self.scenarios = tuple(scenarios)
@@ -73,7 +72,6 @@ class SessionEvaluator:
                     error_model=scenario.error_model,
                     assumed_jitter_fraction=base_fraction[key],
                     controllers=scenario.controllers,
-                    max_cached_configs=max_cached_configs,
                     name=f"ga:{scenario.bus.name}",
                 )
             self._session_of.append(self._sessions[key])

@@ -48,7 +48,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.analysis.response_time import (
-    _MAX_BUSY_PERIOD_FACTOR,
     CanBusAnalysis,
     MessageResponseTime,
     _error_model_dominates,
@@ -140,8 +139,7 @@ class _Profile:
         order = sorted(self.names, key=lambda n: self.ids[n])
         self.order: tuple[str, ...] = tuple(order)
         self.pos: dict[str, int] = {n: i for i, n in enumerate(order)}
-        self.horizon: float = _MAX_BUSY_PERIOD_FACTOR * max(
-            (m.period for m in kmatrix), default=1.0)
+        self.horizon: float = analysis._horizon
         self.message_set: frozenset[str] = frozenset(self.names)
         self.bus = config.bus
         self.controllers = dict(config.controllers or {})
@@ -524,7 +522,7 @@ class AnalysisSession:
         self,
         deltas: Sequence[Delta] = (),
         *,
-        warm_from: "QueryResult | tuple | Iterable | None" = None,
+        warm_from: "QueryResult | FingerprintKey | Iterable | None" = None,
         message_names: Sequence[str] | None = None,
         deadline_policy: str | None = None,
         label: str | None = None,
@@ -540,11 +538,11 @@ class AnalysisSession:
         deltas:
             Typed deltas applied (left to right) to the base configuration.
         warm_from:
-            Preferred incremental bases: previous :class:`QueryResult`
-            objects or ``key_for`` keys.  The session additionally considers
-            the previous query and the base configuration and picks the
-            basis whose plan does the least work; an unusable basis only
-            costs speed, never exactness.
+            Preferred incremental bases: a previous :class:`QueryResult`
+            or a ``key_for`` key, or an iterable of them.  The session
+            additionally considers the previous query and the base
+            configuration and picks the basis whose plan does the least
+            work; an unusable basis only costs speed, never exactness.
         message_names:
             Restrict the query to these messages (their results depend only
             on higher-priority *models*, so a subset query returns exactly
@@ -777,20 +775,9 @@ class AnalysisSession:
         keys: list[FingerprintKey] = []
         if warm_from is not None:
             if isinstance(warm_from, (QueryResult, FingerprintKey)):
-                items = [warm_from]
-            elif isinstance(warm_from, tuple) and not any(
-                    isinstance(item, (QueryResult, FingerprintKey))
-                    for item in warm_from):
-                # A bare tuple of neither results nor keys is a raw
-                # analysis-key tuple, not a collection of bases.
-                items = [warm_from]
-            else:
-                items = warm_from
-            for item in items:
-                key = item.key if isinstance(item, QueryResult) else item
-                if isinstance(key, tuple):
-                    key = FingerprintKey(key)
-                keys.append(key)
+                warm_from = (warm_from,)
+            keys.extend(item.key if isinstance(item, QueryResult) else item
+                        for item in warm_from)
         if self._last_key is not None:
             keys.append(self._last_key)
         keys.append(self._base_key)

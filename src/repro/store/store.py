@@ -39,9 +39,11 @@ Publish claims
 sessions offer every complete fixed point they answer with, and the store
 makes one attempt per entry.  A :meth:`~ResultStore.get` hit or the first
 publish takes the entry's claim; a failed write keeps it, so a store that
-keeps failing costs no encoding per answer.  Unlinking the entry's file
-(``clear``, eviction, a corrupt read) releases the claim, so a
-configuration whose entry is gone is published again.
+keeps failing costs no encoding per answer.  A claim taken by a hit or a
+successful write holds only while the entry's file exists (one ``stat`` per
+claimed publish), so a configuration whose entry is gone is published
+again, whichever store sharing the directory unlinked it (``clear``,
+eviction, a corrupt read).
 
 Eviction
 --------
@@ -139,8 +141,9 @@ class ResultStore:
         self._lock = threading.RLock()
         # Byte total of the last scan plus the bytes written since.
         self._written = math.inf
-        # File names whose one publish attempt is taken (see publish()).
-        self._claimed: set[str] = set()
+        # File name -> whether its taken publish claim stands on a file this
+        # store wrote or read (False: the attempt is running or failed).
+        self._claimed: dict[str, bool] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # stats() key -> this store's child of the registry family.
         counter = self.metrics.counter
@@ -227,7 +230,7 @@ class ResultStore:
         except OSError:
             pass
         with self._lock:
-            self._claimed.add(path.name)
+            self._claimed[path.name] = True
         self._counters["hits"].inc()
         return value
 
@@ -239,11 +242,13 @@ class ResultStore:
         (see "Publish claims" in the module docstring)."""
         name = _file_name(kind, digest)
         with self._lock:
-            if name in self._claimed:
+            written = self._claimed.get(name)
+            if written is False or (written and self.contains(kind, digest)):
                 return
-            self._claimed.add(name)
-        if not self.contains(kind, digest):
-            self.put(kind, digest, value)
+            self._claimed[name] = False
+        if self.contains(kind, digest) or self.put(kind, digest, value):
+            with self._lock:
+                self._claimed[name] = True
 
     def put(self, kind: str, digest: str, value: Any) -> bool:
         """Atomically persist ``value`` (what :meth:`get` returns for the
@@ -380,7 +385,7 @@ class ResultStore:
 
     def _quarantine(self, path: Path) -> bool:
         with self._lock:
-            self._claimed.discard(path.name)
+            self._claimed.pop(path.name, None)
         try:
             os.unlink(path)
             return True

@@ -242,8 +242,10 @@ class TestSessionPool:
         assert shards == {"CAN-0": "chain/CAN-0", "CAN-1": "chain/CAN-1",
                           "CAN-2": "chain/CAN-2"}
         assert pool.shard_map("chain") == shards
-        got_system, sessions = pool.system("chain")
-        assert got_system is system
+        session = pool.system("chain")
+        assert session.base_system is system
+        # The system session queries the pool's shards, not copies.
+        sessions = session._sessions
         assert sorted(sessions) == ["CAN-0", "CAN-1", "CAN-2"]
         assert sessions["CAN-1"] is pool.get("chain/CAN-1")
 
@@ -251,8 +253,22 @@ class TestSessionPool:
         pool = SessionPool()
         system = multibus_system(n_buses=2, messages_per_bus=6, seed=2)
         pool.add_system("plant/line1", system)
-        _, sessions = pool.system("plant/line1")
-        assert sorted(sessions) == ["CAN-0", "CAN-1"]
+        assert pool.shard_map("plant/line1") == {
+            "CAN-0": "plant/line1/CAN-0", "CAN-1": "plant/line1/CAN-1"}
+        assert sorted(pool.system("plant/line1")._sessions) == [
+            "CAN-0", "CAN-1"]
+
+    def test_reregistered_system_drops_the_shards_it_lost(self):
+        pool = SessionPool()
+        pool.add_system("f", multibus_system(4, 6, seed=2))
+        replacement = multibus_system(3, 6, seed=3)
+        shards = pool.add_system("f", replacement)
+        assert pool.targets() == ["f/CAN-0", "f/CAN-1", "f/CAN-2"]
+        assert sorted(pool.shard_map("f").values()) == pool.targets()
+        assert shards == pool.shard_map("f")
+        assert pool.system("f").base_system is replacement
+        with pytest.raises(UnknownTargetError):
+            pool.get("f/CAN-3")
 
     def test_reregistration_unpins_the_orphaned_session(self, monkeypatch):
         monkeypatch.setattr(pool_module, "_MAX_SESSIONS", 1)

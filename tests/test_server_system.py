@@ -58,6 +58,14 @@ def _expected_wire_results(system, deltas=()):
             for name, value in result.message_results.items()}
 
 
+def _catalog_entries(system):
+    """The ``scenarios`` op's listing of a system's topology catalog."""
+    catalog = builtin_system_catalog(system)
+    return [{"name": name, "queries": len(catalog.get(name).queries),
+             "description": catalog.get(name).description}
+            for name in catalog.names()]
+
+
 class TestProtocolSystemCodecs:
     def test_system_roundtrip_preserves_fingerprint(self):
         system = multibus_system(n_buses=3, messages_per_bus=8, seed=21)
@@ -144,6 +152,22 @@ class TestSystemEndpointsInProcess:
             name: protocol.result_to_json(value) for name, value in
             CompositionalAnalysis(replacement, incremental=False)
             .run().message_results.items()}
+
+    def test_reregistration_with_fewer_buses_drops_their_shards(
+            self, served):
+        _, client, system, _ = served
+        client.query("plant/CAN-2")
+        replacement = multibus_system(n_buses=2, messages_per_bus=6, seed=3)
+        client.register_system("plant", replacement)
+        with pytest.raises(DaemonError) as caught:
+            client.query("plant/CAN-2")
+        assert caught.value.code == "unknown_target"
+        assert client.targets()["targets"] == ["plant/CAN-0", "plant/CAN-1"]
+        # The re-mapping sweep visits every bus, so the two topologies'
+        # catalogs differ.
+        listed = client.scenarios()["system_scenarios"]["plant"]
+        assert listed == _catalog_entries(replacement)
+        assert listed != _catalog_entries(system)
 
     def test_system_query_bit_matches_fresh_run(self, served):
         _, client, system, _ = served
@@ -270,7 +294,7 @@ class TestSystemEndpointsInProcess:
         # ``register`` decoded a server-side copy; edit *that* model in
         # place, exactly as server-side code holding the registered object
         # would (object identity unchanged, fingerprint changed).
-        registered, _ = daemon.pool.system("plant")
+        registered = daemon.pool.system("plant").base_system
         registered.gateways["GW0"].polling_period = 12.0
         after = client.analyze_system("plant")
         expected = _expected_wire_results(registered)

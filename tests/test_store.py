@@ -439,6 +439,19 @@ class TestResultStore:
         assert reader.stats()["publishes"] == 1
         assert reader.get("bus", "aa") == results
 
+    def test_publish_claims_end_with_a_file_another_store_unlinked(self, tmp_path):
+        results = {"M1": _result()}
+        writer, other = ResultStore(tmp_path), ResultStore(tmp_path)
+        writer.publish("bus", "x", results)
+        other.clear()
+        writer.publish("bus", "x", results)
+        assert writer.stats()["entries"] == 1
+        # A hit's claim ends the same way.
+        assert other.get("bus", "x") == results
+        writer.clear()
+        other.publish("bus", "x", results)
+        assert (other.stats()["entries"], other.stats()["publishes"]) == (1, 1)
+
     def test_concurrent_publishes_write_each_entry_once(self, tmp_path):
         store = ResultStore(tmp_path)
         results = {"M1": _result()}
