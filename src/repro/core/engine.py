@@ -430,10 +430,13 @@ class CompositionalAnalysis:
         destination bus swept before the gateway's last source bus sees
         the previous pass's output, which can cost a pass, not exactness.)
         A gateway naming no bus of the system runs after the last
-        component.  Its :class:`GatewayAnalysis` and minimum output
-        distance are built here, once per run.
+        component; a system without buses has no message to forward, so
+        its plan is empty.  Each gateway's :class:`GatewayAnalysis` and
+        minimum output distance are built here, once per run.
         """
         buses = list(self.system.buses)
+        if not buses:
+            return []
         components = _sweep_components(buses, influence_edges(self.system))
         stage_of = {bus: index for index, component in enumerate(components)
                     for bus in component}

@@ -111,25 +111,6 @@ class AlertRule:
             payload["message"] = self.message
         return payload
 
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "AlertRule":
-        """Rule from a JSON object: structured fields, or ``expr`` syntax."""
-        if "expr" in payload:
-            return cls.parse(
-                str(payload["name"]),
-                str(payload["expr"]),
-                message=payload.get("message"),
-            )
-        return cls(
-            name=str(payload["name"]),
-            metric=str(payload["metric"]),
-            op=str(payload["op"]),
-            threshold=float(payload["threshold"]),
-            scale=payload.get("scale"),
-            for_windows=int(payload.get("for_windows", 1)),
-            message=payload.get("message"),
-        )
-
 
 @dataclass(frozen=True)
 class Alert:

@@ -227,8 +227,13 @@ class AnalysisDaemon:
     # Registration (server-side; the protocol itself is read-only)
     # ------------------------------------------------------------------ #
     def add_config(self, name: str, config: BusConfiguration) -> None:
-        """Serve a single-bus configuration under ``name``."""
+        """Serve a single-bus configuration under ``name``.
+
+        A conformance monitor on ``name`` stops unless the registration
+        kept its session (see :meth:`_stop_stale_monitors`).
+        """
         self.pool.add_config(name, config)
+        self._stop_stale_monitors()
 
     def add_system(self, name: str, system: SystemModel) -> dict[str, str]:
         """Serve a system model; returns its shard-name map.
@@ -237,9 +242,29 @@ class AnalysisDaemon:
         ``register`` response forwards to clients.  The pool keeps the
         system as its system session: re-registering a name replaces it,
         so later system requests analyse the new model, not the old one,
-        and drops the old shards the new model has no bus for.
+        and drops the old shards the new model has no bus for.  A
+        conformance monitor on a shard the registration replaced or
+        dropped stops.
         """
-        return self.pool.add_system(name, system)
+        shards = self.pool.add_system(name, system)
+        self._stop_stale_monitors()
+        return shards
+
+    def _stop_stale_monitors(self) -> None:
+        """Stop every monitor whose target no longer names its session.
+
+        A monitor checks frames against the bounds of the session it was
+        started on; once a registration replaced that target's session (a
+        changed configuration) or dropped the target, its bounds belong to
+        no served model, so it stops and ``monitor_*`` on the target
+        answers ``unknown_target``.  A registration that lands on the same
+        session (same fingerprint) keeps its monitor.
+        """
+        with self._monitor_lock:
+            for target, monitor in list(self._monitors.items()):
+                if target not in self.pool \
+                        or self.pool.get(target) is not monitor.session:
+                    del self._monitors[target]
 
     @property
     def shutdown_requested(self) -> bool:
@@ -342,6 +367,10 @@ class AnalysisDaemon:
             params = spec.check(request, spec.name)
         except protocol.ProtocolError as error:
             return self._error(str(error), request_id, code="protocol")
+        except (KeyError, ValueError, TypeError) as error:
+            # A value the table accepts that its domain object refuses.
+            return self._error(str(error) or repr(error), request_id,
+                               code="invalid")
         deadline_ms = params["deadline_ms"]
         cancel = None if deadline_ms is None \
             else CancelToken.after_ms(float(deadline_ms))
@@ -405,10 +434,7 @@ class AnalysisDaemon:
             return self._error(str(error), request_id, code="unknown_target")
         except protocol.ProtocolError as error:
             return self._error(str(error), request_id, code="protocol")
-        except (KeyError, ValueError, TypeError, AttributeError) as error:
-            # AttributeError covers valid JSON of the wrong shape inside a
-            # checked parameter (a string where a delta object belongs):
-            # the contract is an error *response*, never a dead connection.
+        except (KeyError, ValueError, TypeError) as error:
             return self._error(str(error) or repr(error), request_id,
                                code="invalid")
         finally:
@@ -593,7 +619,7 @@ class AnalysisDaemon:
     def _op_query(self, params: dict, cancel=None) -> dict:
         session = self.pool.get(params["target"])
         result = session.query(
-            protocol.deltas_from_json(params["deltas"]),
+            params["deltas"],
             message_names=params["message_names"],
             label=params["label"],
             with_report=params["with_report"],
@@ -638,20 +664,17 @@ class AnalysisDaemon:
         """
         target = params["target"]
         session = self.pool.get(target)
-        decoded = [(protocol.deltas_from_json(step["deltas"]),
-                    step["label"], step["with_report"])
-                   for step in params["queries"]]
         trace = self._current_trace()
         results = []
-        for deltas, label, with_report in decoded:
+        for step in params["queries"]:
             rule = self.faults.check("worker.stall")
             if rule is not None:
                 time.sleep(rule.arg / 1000.0)
             try:
                 if cancel is not None:
                     cancel.check()
-                result = session.query(deltas, label=label,
-                                       with_report=with_report,
+                result = session.query(step["deltas"], label=step["label"],
+                                       with_report=step["with_report"],
                                        cancel=cancel, trace=trace)
                 results.append(protocol.query_result_to_json(result))
             except DeadlineExceeded:
@@ -680,19 +703,17 @@ class AnalysisDaemon:
         different clients dedupe by fingerprint into the same pool
         sessions and store entries.
         """
-        name = params["name"]
-        if params["system"] is not None:
-            system = protocol.system_from_json(params["system"])
+        name, system = params["name"], params["system"]
+        if system is not None:
             shards = self.add_system(name, system)
             return {"system": name, "shards": shards,
                     "scenarios": builtin_system_catalog(system).names()}
         if params["config"] is not None:
-            config = protocol.config_from_json(params["config"])
-            self.add_config(name, config)
+            self.add_config(name, params["config"])
             return {"target": name}
         generator = params["workload"]["generator"]
-        # UnknownWorkloadError / bad parameters are ValueErrors: the
-        # dispatcher maps them to a typed ``invalid`` error response.
+        # An unknown generator is an UnknownWorkloadError (``invalid``);
+        # the generator's declarations reject bad parameters (``protocol``).
         workload = self.workloads.expand(
             generator, params["workload"]["params"])
         if isinstance(workload, BusConfiguration):
@@ -723,9 +744,8 @@ class AnalysisDaemon:
         """Typed topology deltas against a registered system."""
         name = params["system"]
         session = self.pool.system(name)
-        deltas = protocol.system_deltas_from_json(params["deltas"])
         shards = self._shard_names(name, params["shards"])
-        outcome = session.query(deltas, label=params["label"],
+        outcome = session.query(params["deltas"], label=params["label"],
                                 cancel=cancel, trace=self._current_trace())
         response = protocol.system_query_result_to_json(outcome)
         response["system"] = name
@@ -734,11 +754,10 @@ class AnalysisDaemon:
             shards.get(bus, bus): report
             for bus, report in response["bus_reports"].items()}
         if params["paths"] is not None:
-            paths = protocol.paths_from_json(params["paths"])
             response["paths"] = [
                 protocol.path_latency_to_json(latency)
                 for latency in path_latency_all(
-                    paths, outcome.system, outcome.result)]
+                    params["paths"], outcome.system, outcome.result)]
         return response
 
     def _op_metrics(self, params: dict, cancel=None) -> dict:
@@ -814,18 +833,18 @@ class AnalysisDaemon:
         Starting over an existing monitor replaces it wholesale -- fresh
         windows, history, fitted overrides and alert state -- so a replay
         always begins from the registered event models, not from whatever
-        a previous stream fitted.
+        a previous stream fitted.  A monitor lives as long as its target's
+        session: re-registering the target with a changed configuration,
+        or a system without its bus, stops it.
         """
         target = params["target"]
         session = self.pool.get(target)
         settings = {key: params[key] for key in (
-            "history_windows", "max_arrivals", "fit_max_n")
+            "window_ms", "history_windows", "max_arrivals", "fit_max_n")
             if params[key] is not None}
-        if params["window_ms"] is not None:
-            settings["window_ms"] = protocol.float_field(params, "window_ms")
         # MonitorConfig checks the ranges (ValueError -> ``invalid``).
         config = replace(self.monitor_config, **settings)
-        rules = protocol.alert_rules_from_json(params["rules"])
+        rules = params["rules"]
         monitor = ConformanceMonitor(
             session, target=target, config=config, rules=rules,
             metrics=self.metrics, trace_ring=self.traces,

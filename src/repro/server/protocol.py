@@ -46,11 +46,15 @@ to retry, back off, or give up without parsing prose:
     The named target/system is not registered (a typo, or a registration
     raced a query).
 ``protocol``
-    A request :data:`OPS` rejects (a missing, undeclared, wrong-kind or
-    out-of-range parameter) or a malformed protocol object.
+    A request :data:`OPS` rejects, at any depth: a missing or undeclared
+    key, a wrong kind (a ``float`` field also takes no NaN, infinity or
+    integer literal a double cannot hold), an unknown tag, a value outside
+    a declared range or choice set, or both/neither of an exactly-one
+    group.
 ``invalid``
-    An unknown op, or values :data:`OPS` accepts but a decoder or domain
-    object rejects (unknown message names, negative periods).
+    An unknown op, or values :data:`OPS` accepts but a domain object or a
+    lookup rejects (a negative period, an unknown message name or
+    workload generator).
 ``internal``
     Unexpected server-side failure; the connection stays usable.
 
@@ -59,19 +63,24 @@ Retry guidance: ``overloaded`` is retryable for *any* op (nothing ran);
 idempotent by construction (registration is the only mutating op, and even
 it is idempotent for identical payloads).
 
-Typed values (deltas, event models, error models, CAN messages) are tagged
-objects, e.g. ``{"delta": "jitter", "message_name": "M12", "jitter": 0.4}``.
-Unknown tags raise :class:`ProtocolError` -- the daemon never guesses.
+Typed values (deltas, event models, error models, system deltas) are
+tagged objects, e.g. ``{"delta": "jitter", "message_name": "M12",
+"jitter": 0.4}``.  Every protocol object is declared in the one
+:class:`Param` table and read by :meth:`Param.check`, which builds its
+domain object; unknown tags raise :class:`ProtocolError` -- the daemon
+never guesses.  Observed frame rows are the one exception: they are read
+in columns by :func:`frames_from_json`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.can.bus import CanBus
 from repro.can.controller import CanControllerType, ControllerModel
@@ -172,7 +181,12 @@ from repro.whatif.system_deltas import (
 #: response shapes.  Later in version 7, requests came to be checked
 #: against one table (:data:`OPS`) and nested fields read by JSON kind,
 #: so coerced values (``with_report: "false"``, a can_id of 1.9) became
-#: typed errors; no request a shipped client sends changed.
+#: typed errors; no request a shipped client sends changed.  Later still
+#: in version 7, every nested object -- deltas, models, topologies, paths,
+#: alert rules, workload parameters -- came to be declared in and checked
+#: by that table, so an undeclared, wrong-kind or non-finite value answers
+#: ``protocol`` at every depth; again no request a shipped client sends
+#: changed.
 PROTOCOL_VERSION = 7
 
 #: The machine-readable error codes of the taxonomy documented above.
@@ -184,59 +198,17 @@ class ProtocolError(ValueError):
     """A malformed or unsupported protocol object."""
 
 
-_REQUIRED = object()
-
-#: JSON kind -> the Python types of a decoded value of that kind.
+#: JSON kind -> the Python types of a decoded value of that kind (no
+#: boolean is a number); a ``float`` is a number read as a finite double.
 _KINDS = {"string": str, "integer": int, "number": (int, float),
-          "boolean": bool, "array": (list, tuple), "object": Mapping,
-          "any": object}
+          "float": (int, float), "boolean": bool, "array": (list, tuple),
+          "object": Mapping, "any": object}
+_NUMBERS = ("integer", "number", "float")
 
 
-def _expect(value, kind: str, field: str, error=ValueError):
-    """``value`` if it is of JSON ``kind`` (a boolean is no number), else
-    ``error`` naming ``field``."""
-    if not isinstance(value, _KINDS[kind]) or (
-            isinstance(value, bool) and kind in ("integer", "number")):
-        raise error(f"{field} must be a JSON {kind}, "
-                    f"got {reprlib.repr(value)}")
-    return value
-
-
-def _field(data: Mapping, field: str, default=_REQUIRED, *, kind: str):
-    """``data[field]`` of JSON ``kind``, or ``default`` when it is absent.
-
-    Every scalar field of a protocol object is read by one of the typed
-    readers below.  A value of another kind -- in a ``float`` field, one
-    ``float()`` rejects or cannot hold -- is a ``ValueError`` naming the
-    field (the daemon's ``invalid``; registration payloads wrap it into
-    ``protocol``); a missing required field is ``KeyError(field)``.  Range
-    checks stay with the typed objects the value feeds.
-    """
-    if field not in data:
-        if default is _REQUIRED:
-            raise KeyError(field)
-        return default
-    value = data[field]
-    if kind != "float":
-        return _expect(value, kind, field)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"{field} must be a number representable as a float, "
-            f"got {reprlib.repr(value)}") from None
-
-
-float_field = partial(_field, kind="float")
-int_field = partial(_field, kind="integer")
-bool_field = partial(_field, kind="boolean")
-str_field = partial(_field, kind="string")
-
-
-def strings_field(data: Mapping, field: str, default=_REQUIRED) -> tuple:
-    """``data[field]`` as a tuple, if it is a JSON array of strings."""
-    return tuple(_expect(item, "string", field)
-                 for item in _field(data, field, default, kind="array"))
+def _values(enum) -> tuple:
+    """The wire values of an enum, as a declaration's ``choices``."""
+    return tuple(member.value for member in enum)
 
 
 def error_response(message: str, code: str = "internal",
@@ -258,16 +230,22 @@ def error_response(message: str, code: str = "internal",
 
 
 # --------------------------------------------------------------------------- #
-# Requests: one declared parameter table for every op
+# Declarations: one checker for every protocol object
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class Param:
-    """One request parameter: its JSON ``kind``; its ``default`` (``null``
-    reads as absent when that is ``None``) or ``required``; the
+    """One declared protocol value: its JSON ``kind``; its ``default``
+    (``null`` reads as absent when that is ``None``) or ``required``; the
     ``choices``/``minimum``/``maximum`` no domain object checks; and the
     declaration of each array element or map value (``items``) or of an
     object's ``fields`` (a tuple, kept as a name map), exactly one of its
-    ``one_of`` fields given."""
+    ``one_of`` fields given.
+
+    A tagged union names its ``tag`` field, whose value picks one of its
+    ``variants`` (object declarations named by their tag value, kept as a
+    name map).  ``build`` makes the domain object from a checked object's
+    fields, passed as keywords.
+    """
 
     name: str
     kind: str
@@ -279,14 +257,49 @@ class Param:
     items: Optional["Param"] = None
     fields: "Mapping[str, Param]" = ()
     one_of: tuple = ()
+    tag: Optional[str] = None
+    variants: "Mapping[str, Param]" = ()
+    build: Optional[Callable] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fields", {f.name: f for f in self.fields})
+        for attribute in ("fields", "variants"):
+            declared = getattr(self, attribute)
+            if not isinstance(declared, Mapping):
+                object.__setattr__(self, attribute,
+                                   {param.name: param for param in declared})
 
     def check(self, value, where: str):
-        """``value`` (containers: a checked copy, defaults filled in), or
-        a ``ProtocolError`` naming ``where`` and the field at fault."""
-        _expect(value, self.kind, where, ProtocolError)
+        """``value`` as declared -- an array as a tuple of checked items,
+        a map or object as a checked copy (defaults filled in), built into
+        its domain object when the declaration has ``build`` -- or a
+        ``ProtocolError`` naming ``where`` and the field at fault.
+
+        A value the table accepts may still be refused by its domain
+        object (``ValueError``, ``KeyError``, ``TypeError``); a table
+        rejection anywhere else in ``value`` outranks that refusal.
+        """
+        try:
+            return self._check(value, where, True)
+        except ProtocolError:
+            raise
+        except (KeyError, ValueError, TypeError):
+            self._check(value, where, False)
+            raise
+
+    def _check(self, value, where: str, build: bool):
+        kind = self.kind
+        if not isinstance(value, _KINDS[kind]) or (
+                isinstance(value, bool) and kind in _NUMBERS):
+            raise ProtocolError(f"{where} must be a JSON {kind}, "
+                                f"got {reprlib.repr(value)}")
+        if kind == "float":
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ProtocolError(f"{where} must be a finite number, "
+                                    f"got {reprlib.repr(value)}")
         if self.choices and value not in self.choices:
             raise ProtocolError(
                 f"{where} must be one of {self.choices}, got {value!r}")
@@ -295,20 +308,34 @@ class Param:
             raise ProtocolError(
                 f"{where} must be within [{self.minimum!r}, "
                 f"{self.maximum or 'inf'}], got {reprlib.repr(value)}")
-        if self.items is not None:
-            if self.kind == "object":
-                return {key: self.items.check(item, f"{where}[{key!r}]")
-                        for key, item in value.items()}
-            return [self.items.check(item, f"{where}[{index}]")
-                    for index, item in enumerate(value)]
-        if not self.fields:
+        if kind != "array" and kind != "object":
             return value
+        if self.items is not None:
+            if kind == "object":
+                return {key: self.items._check(item, f"{where}[{key!r}]",
+                                               build)
+                        for key, item in value.items()}
+            return tuple([self.items._check(item, f"{where}[{index}]", build)
+                          for index, item in enumerate(value)])
+        declaration, tag = self, None
+        if self.variants:
+            tag = self.tag
+            variant = value.get(tag)
+            declaration = self.variants.get(variant) \
+                if isinstance(variant, str) else None
+            if declaration is None:
+                raise ProtocolError(
+                    f"{where}: unknown {self.name} tag {variant!r}; "
+                    f"declared: {', '.join(self.variants)}")
+        elif not self.fields:
+            return value
+        fields = declaration.fields
         for key in value:
-            if key not in self.fields:
+            if key not in fields and key != tag:
                 raise ProtocolError(f"{where} has no parameter {key!r}; "
-                                    f"declared: {', '.join(self.fields)}")
+                                    f"declared: {', '.join(fields)}")
         checked = {}
-        for key, field in self.fields.items():
+        for key, field in fields.items():
             if key not in value:
                 if field.required:
                     raise ProtocolError(f"{where} needs parameter {key!r}")
@@ -317,104 +344,24 @@ class Param:
                     and not field.required:
                 checked[key] = None
             else:
-                checked[key] = field.check(value[key],
-                                           f"{where} parameter {key!r}")
-        if self.one_of and sum(
-                checked[key] is not None for key in self.one_of) != 1:
+                checked[key] = field._check(
+                    value[key], f"{where} parameter {key!r}", build)
+        one_of = declaration.one_of
+        if one_of and sum(checked[key] is not None for key in one_of) != 1:
             raise ProtocolError(f"{where} needs exactly one of "
-                                f"{' or '.join(map(repr, self.one_of))}")
-        return checked
+                                f"{' or '.join(map(repr, one_of))}")
+        if declaration.build is None or not build:
+            return checked
+        return declaration.build(**checked)
 
 
-#: Parameters of every op; 5e-324 is the smallest positive double.
-COMMON_PARAMS = (
-    Param("op", "string", required=True), Param("id", "any"),
-    Param("deadline_ms", "number", minimum=5e-324,
-          maximum=sys.float_info.max),
-    Param("trace", "boolean", False), Param("trace_id", "string"))
-
-
-@dataclass(frozen=True)
-class Op(Param):
-    """A request object: the op's ``fields`` plus :data:`COMMON_PARAMS`.
-
-    A ``control`` op answers from in-memory state: it bypasses admission
-    and keeps being served during overload and drain.  ``retry``: when a
-    client re-sends it after a failed connection -- ``always``
-    (idempotent), ``connect`` (mutating: if no byte went out), ``never``.
-    """
-
-    kind: str = "object"
-    control: bool = False
-    retry: str = "always"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fields", (*self.fields, *COMMON_PARAMS))
-        super().__post_init__()
-
-
-_TARGET = Param("target", "string", required=True)
-#: Delta, path, rule and frame elements are checked by their decoders.
-_DELTAS = Param("deltas", "array", ())
-_LABEL = Param("label", "string")
-_WITH_REPORT = Param("with_report", "boolean", True)
-
-#: Every op of the protocol, declared once: the daemon checks each request
-#: against its entry before admission and dispatches by the op's name.
-OPS = {op.name: op for op in (
-    *(Op(name, control=True) for name in (
-        "ping", "health", "stats", "targets", "scenarios")),
-    Op("query", fields=(
-        _TARGET, _DELTAS, _LABEL, _WITH_REPORT,
-        Param("message_names", "array", items=Param("name", "string")))),
-    Op("scenario", fields=(
-        Param("target", "string"), Param("system", "string"),
-        Param("scenario", "string", required=True)),
-       one_of=("target", "system")),
-    Op("batch", fields=(_TARGET, Param("queries", "array", (), items=Param(
-        "query", "object", fields=(_DELTAS, _LABEL, _WITH_REPORT))))),
-    Op("register", fields=(
-        Param("name", "string", required=True), Param("system", "object"),
-        Param("config", "object"), Param("workload", "object", fields=(
-            Param("generator", "string", required=True),
-            Param("params", "object")))),
-       one_of=("system", "config", "workload"), retry="connect"),
-    Op("system_query", fields=(
-        Param("system", "string", required=True), _DELTAS, _LABEL,
-        Param("paths", "array"),
-        Param("shards", "object", items=Param("shard", "string")))),
-    Op("metrics", fields=(
-        Param("format", "string", choices=("text", "prometheus")),
-        Param("history", "boolean", False),
-        Param("history_last", "integer", minimum=1)), control=True),
-    Op("traces", fields=(Param("limit", "integer", minimum=1),),
-       control=True),
-    Op("store", fields=(
-        Param("action", "string", "stats",
-              choices=("stats", "compact", "clear")),
-        Param("max_bytes", "integer", minimum=0)), control=True),
-    # MonitorConfig checks the ranges of the monitor's settings.
-    Op("monitor_start", fields=(
-        _TARGET, Param("rules", "array", ()), Param("window_ms", "number"),
-        Param("history_windows", "integer"),
-        Param("max_arrivals", "integer"), Param("fit_max_n", "integer")),
-       retry="connect"),
-    Op("monitor_ingest", fields=(
-        _TARGET, Param("frames", "array", ()),
-        Param("flush", "boolean", False)), retry="connect"),
-    Op("monitor_status", fields=(_TARGET,), control=True),
-    Op("monitor_alerts", fields=(
-        _TARGET, Param("last", "integer", minimum=1)), control=True),
-    Op("monitor_stop", fields=(_TARGET,), control=True),
-    Op("shutdown", control=True, retry="never"),
-)}
+#: An array of names (rebound to each field that holds one).
+_NAMES = Param("names", "array", items=Param("name", "string"))
 
 
 # --------------------------------------------------------------------------- #
 # Event models
 # --------------------------------------------------------------------------- #
-
-
 def event_model_to_json(model: EventModel) -> dict:
     """Tagged JSON object for a standard event model."""
     tag = EVENT_MODEL_TAGS.get(type(model))
@@ -425,14 +372,13 @@ def event_model_to_json(model: EventModel) -> dict:
             "min_distance": model.min_distance}
 
 
-def event_model_from_json(data: Mapping) -> EventModel:
-    """Inverse of :func:`event_model_to_json`."""
-    cls = EVENT_MODEL_CLASSES.get(data.get("model"))
-    if cls is None:
-        raise ProtocolError(f"unknown event model tag {data.get('model')!r}")
-    return cls(period=float_field(data, "period"),
-               jitter=float_field(data, "jitter", 0.0),
-               min_distance=float_field(data, "min_distance", 0.0))
+#: A standard event model, tagged by its class (``model``).
+_EVENT_MODEL = Param("event model", "object", tag="model", variants=tuple(
+    Param(tag, "object", build=cls, fields=(
+        Param("period", "float", required=True),
+        Param("jitter", "float", 0.0), Param("min_distance", "float", 0.0)))
+    for tag, cls in EVENT_MODEL_CLASSES.items()))
+event_model_from_json = partial(_EVENT_MODEL.check, where="event model")
 
 
 # --------------------------------------------------------------------------- #
@@ -459,23 +405,20 @@ def error_model_to_json(model: ErrorModel) -> dict:
         f"cannot serialise error model type {type(model).__name__}")
 
 
-def error_model_from_json(data: Mapping) -> ErrorModel:
-    """Inverse of :func:`error_model_to_json`."""
-    kind = data.get("errors")
-    if kind == "none":
-        return NoErrors()
-    if kind == "sporadic":
-        return SporadicErrorModel(
-            min_interarrival=float_field(data, "min_interarrival"))
-    if kind == "burst":
-        return BurstErrorModel(
-            min_interarrival=float_field(data, "min_interarrival"),
-            burst_length=int_field(data, "burst_length"),
-            intra_burst_gap=float_field(data, "intra_burst_gap"))
-    if kind == "composite":
-        return CompositeErrorModel(components=tuple(
-            error_model_from_json(c) for c in data["components"]))
-    raise ProtocolError(f"unknown error model tag {kind!r}")
+#: A bus-error model, tagged by its kind (``errors``).
+_ERROR_MODEL = Param("error model", "object", tag="errors", variants=(
+    Param("none", "object", build=NoErrors),
+    Param("sporadic", "object", build=SporadicErrorModel, fields=(
+        Param("min_interarrival", "float", required=True),)),
+    Param("burst", "object", build=BurstErrorModel, fields=(
+        Param("min_interarrival", "float", required=True),
+        Param("burst_length", "integer", required=True),
+        Param("intra_burst_gap", "float", required=True)))))
+# A composite nests error models: its variant joins the union it refers to.
+_ERROR_MODEL.variants["composite"] = Param(
+    "composite", "object", build=CompositeErrorModel, fields=(
+        Param("components", "array", required=True, items=_ERROR_MODEL),))
+error_model_from_json = partial(_ERROR_MODEL.check, where="error model")
 
 
 # --------------------------------------------------------------------------- #
@@ -502,24 +445,18 @@ def can_message_to_json(message: CanMessage) -> dict:
     return data
 
 
-def can_message_from_json(data: Mapping) -> CanMessage:
-    """Inverse of :func:`can_message_to_json`."""
-    try:
-        return CanMessage(
-            name=str_field(data, "name"),
-            can_id=int_field(data, "can_id"),
-            dlc=int_field(data, "dlc"),
-            period=float_field(data, "period"),
-            sender=str_field(data, "sender"),
-            receivers=strings_field(data, "receivers", ()),
-            jitter=float_field(data, "jitter", None),
-            deadline=float_field(data, "deadline", None),
-            min_distance=float_field(data, "min_distance", 0.0),
-            frame_format=CanFrameFormat(
-                data.get("frame_format", CanFrameFormat.STANDARD.value)),
-        )
-    except KeyError as missing:
-        raise ProtocolError(f"CAN message object lacks {missing}") from None
+_CAN_MESSAGE = Param("message", "object", build=lambda frame_format, **row: (
+    CanMessage(frame_format=CanFrameFormat(frame_format), **row)), fields=(
+    Param("name", "string", required=True),
+    Param("can_id", "integer", required=True),
+    Param("dlc", "integer", required=True),
+    Param("period", "float", required=True),
+    Param("sender", "string", required=True),
+    replace(_NAMES, name="receivers", default=()),
+    Param("jitter", "float"), Param("deadline", "float"),
+    Param("min_distance", "float", 0.0),
+    Param("frame_format", "string", CanFrameFormat.STANDARD.value,
+          choices=_values(CanFrameFormat))))
 
 
 # --------------------------------------------------------------------------- #
@@ -571,49 +508,37 @@ def delta_to_json(delta: Delta) -> dict:
         f"cannot serialise delta type {type(delta).__name__}")
 
 
-def delta_from_json(data: Mapping) -> Delta:
-    """Inverse of :func:`delta_to_json`."""
-    kind = data.get("delta")
-    if kind == "jitter":
-        return JitterDelta(
-            message_name=str_field(data, "message_name", None),
-            jitter=float_field(data, "jitter", None),
-            fraction=float_field(data, "fraction", None))
-    if kind == "error-model":
-        return ErrorModelDelta(error_model_from_json(data["error_model"]))
-    if kind == "priority":
-        if "swap" in data:
-            first, second = strings_field(data, "swap")
-            return PriorityDelta(swap=(first, second))
-        if "order" in data:
-            return PriorityDelta(order=strings_field(data, "order"))
-        if "id_by_name" in data:
-            ids = _field(data, "id_by_name", kind="object")
-            return PriorityDelta.from_mapping(
-                {name: int_field(ids, name) for name in ids})
-        raise ProtocolError("priority delta needs swap=, order= or "
-                            "id_by_name=")
-    if kind == "event-models":
-        return EventModelDelta.from_mapping(
-            {name: event_model_from_json(model)
-             for name, model in data.get("models", {}).items()},
-            replace_all=bool_field(data, "replace_all", False))
-    if kind == "add-message":
-        return AddMessageDelta(can_message_from_json(data["message"]))
-    if kind == "remove-message":
-        return RemoveMessageDelta(str_field(data, "message_name"))
-    if kind == "bus":
-        return BusDelta(
-            bit_rate_bps=float_field(data, "bit_rate_bps", None),
-            bit_stuffing=bool_field(data, "bit_stuffing", None))
-    if kind == "deadline-policy":
-        return DeadlinePolicyDelta(str_field(data, "policy"))
-    raise ProtocolError(f"unknown delta tag {kind!r}")
+def _priority_delta(swap, order, id_by_name) -> PriorityDelta:
+    if id_by_name is not None:
+        return PriorityDelta.from_mapping(id_by_name)
+    return PriorityDelta(swap=swap, order=order)
 
 
-def deltas_from_json(items: Sequence[Mapping]) -> tuple[Delta, ...]:
-    """Decode a request's delta list."""
-    return tuple(delta_from_json(item) for item in items)
+#: A what-if delta of one bus, tagged by its kind (``delta``).
+_DELTA = Param("delta", "object", tag="delta", variants=(
+    Param("jitter", "object", build=JitterDelta, fields=(
+        Param("message_name", "string"), Param("jitter", "float"),
+        Param("fraction", "float"))),
+    Param("error-model", "object", build=ErrorModelDelta, fields=(
+        replace(_ERROR_MODEL, name="error_model", required=True),)),
+    Param("priority", "object", build=_priority_delta, fields=(
+        replace(_NAMES, name="swap"), replace(_NAMES, name="order"),
+        Param("id_by_name", "object", items=Param("can_id", "integer"))),
+          one_of=("swap", "order", "id_by_name")),
+    Param("event-models", "object", build=EventModelDelta.from_mapping,
+          fields=(Param("models", "object", {}, items=_EVENT_MODEL),
+                  Param("replace_all", "boolean", False))),
+    Param("add-message", "object", build=AddMessageDelta, fields=(
+        replace(_CAN_MESSAGE, required=True),)),
+    Param("remove-message", "object", build=RemoveMessageDelta, fields=(
+        Param("message_name", "string", required=True),)),
+    Param("bus", "object", build=BusDelta, fields=(
+        Param("bit_rate_bps", "float"), Param("bit_stuffing", "boolean"))),
+    Param("deadline-policy", "object", build=DeadlinePolicyDelta, fields=(
+        Param("policy", "string", required=True),))))
+_DELTAS = Param("deltas", "array", (), items=_DELTA)
+delta_from_json = partial(_DELTA.check, where="delta")
+deltas_from_json = partial(_DELTAS.check, where="deltas")
 
 
 def deltas_to_json(deltas: Sequence[Delta]) -> list[dict]:
@@ -757,14 +682,10 @@ def bus_to_json(bus: CanBus) -> dict:
             "bit_stuffing": bus.bit_stuffing}
 
 
-def bus_from_json(data: Mapping) -> CanBus:
-    """Inverse of :func:`bus_to_json`."""
-    try:
-        return CanBus(name=str_field(data, "name"),
-                      bit_rate_bps=float_field(data, "bit_rate_bps"),
-                      bit_stuffing=bool_field(data, "bit_stuffing", True))
-    except KeyError as missing:
-        raise ProtocolError(f"bus object lacks {missing}") from None
+_BUS = Param("bus", "object", required=True, build=CanBus, fields=(
+    Param("name", "string", required=True),
+    Param("bit_rate_bps", "float", required=True),
+    Param("bit_stuffing", "boolean", True)))
 
 
 def controller_to_json(controller: ControllerModel) -> dict:
@@ -776,16 +697,16 @@ def controller_to_json(controller: ControllerModel) -> dict:
     }
 
 
-def controller_from_json(data: Mapping) -> ControllerModel:
-    """Inverse of :func:`controller_to_json`."""
-    try:
-        return ControllerModel(
-            controller_type=CanControllerType(data["controller_type"]),
-            tx_buffers=int_field(data, "tx_buffers", 3),
-            abort_on_higher_priority=bool_field(
-                data, "abort_on_higher_priority", False))
-    except (KeyError, ValueError) as error:
-        raise ProtocolError(f"bad controller object: {error}") from None
+_CONTROLLER = Param(
+    "controller", "object",
+    build=lambda controller_type, **settings: ControllerModel(
+        CanControllerType(controller_type), **settings),
+    fields=(
+        Param("controller_type", "string", required=True,
+              choices=_values(CanControllerType)),
+        Param("tx_buffers", "integer", 3),
+        Param("abort_on_higher_priority", "boolean", False)))
+_CONTROLLERS = Param("controllers", "object", {}, items=_CONTROLLER)
 
 
 def segment_to_json(segment: BusSegment) -> dict:
@@ -799,20 +720,16 @@ def segment_to_json(segment: BusSegment) -> dict:
     }
 
 
-def segment_from_json(data: Mapping) -> BusSegment:
-    """Inverse of :func:`segment_to_json`."""
-    try:
-        return BusSegment(
-            bus=bus_from_json(data["bus"]),
-            kmatrix=KMatrix(messages=[
-                can_message_from_json(m) for m in data.get("messages", ())]),
-            error_model=error_model_from_json(
-                data.get("error_model", {"errors": "none"})),
-            deadline_policy=str_field(data, "deadline_policy", "period"),
-            assumed_jitter_fraction=float_field(
-                data, "assumed_jitter_fraction", 0.0))
-    except KeyError as missing:
-        raise ProtocolError(f"segment object lacks {missing}") from None
+def _segment(messages, **segment) -> BusSegment:
+    return BusSegment(kmatrix=KMatrix(messages=list(messages)), **segment)
+
+
+#: The fields of a bus segment, which a configuration extends.
+_SEGMENT_FIELDS = (
+    _BUS, Param("messages", "array", (), items=_CAN_MESSAGE),
+    replace(_ERROR_MODEL, name="error_model", default=NoErrors()),
+    Param("deadline_policy", "string", "period"),
+    Param("assumed_jitter_fraction", "float", 0.0))
 
 
 def config_to_json(config: BusConfiguration) -> dict:
@@ -834,19 +751,16 @@ def config_to_json(config: BusConfiguration) -> dict:
     return data
 
 
-def config_from_json(data: Mapping) -> BusConfiguration:
-    """Inverse of :func:`config_to_json`: a segment object plus optional
-    controllers and event models."""
-    try:
-        controllers = {name: controller_from_json(c)
-                       for name, c in data.get("controllers", {}).items()}
-        event_models = {name: event_model_from_json(m)
-                        for name, m in data.get("event_models", {}).items()}
-    except KeyError as missing:
-        raise ProtocolError(f"config object lacks {missing}") from None
+def _config(controllers, event_models, **segment) -> BusConfiguration:
     return replace(
-        BusConfiguration.from_segment(segment_from_json(data), controllers),
+        BusConfiguration.from_segment(_segment(**segment), controllers),
         event_models=event_models or None)
+
+
+_CONFIG = Param("config", "object", build=_config, fields=(
+    *_SEGMENT_FIELDS, _CONTROLLERS,
+    Param("event_models", "object", {}, items=_EVENT_MODEL)))
+config_from_json = partial(_CONFIG.check, where="config")
 
 
 def gateway_route_to_json(route: GatewayRoute) -> dict:
@@ -860,17 +774,13 @@ def gateway_route_to_json(route: GatewayRoute) -> dict:
     }
 
 
-def gateway_route_from_json(data: Mapping) -> GatewayRoute:
-    """Inverse of :func:`gateway_route_to_json`."""
-    try:
-        return GatewayRoute(
-            source_message=str_field(data, "source_message"),
-            destination_message=str_field(data, "destination_message"),
-            source_bus=str_field(data, "source_bus"),
-            destination_bus=str_field(data, "destination_bus"),
-            queue=str_field(data, "queue", "default"))
-    except KeyError as missing:
-        raise ProtocolError(f"gateway route lacks {missing}") from None
+_ROUTE = Param("route", "object", build=GatewayRoute, fields=(
+    *(Param(name, "string", required=True) for name in (
+        "source_message", "destination_message", "source_bus",
+        "destination_bus")),
+    Param("queue", "string", "default")))
+_POLICY = Param("policy", "string",
+                choices=_values(ForwardingPolicy))
 
 
 def gateway_to_json(gateway: GatewayModel) -> dict:
@@ -885,22 +795,18 @@ def gateway_to_json(gateway: GatewayModel) -> dict:
     }
 
 
-def gateway_from_json(data: Mapping) -> GatewayModel:
-    """Inverse of :func:`gateway_to_json`."""
-    try:
-        capacities = _field(data, "queue_capacities", {}, kind="object")
-        return GatewayModel(
-            name=str_field(data, "name"),
-            routes=[gateway_route_from_json(r)
-                    for r in data.get("routes", ())],
-            policy=ForwardingPolicy(
-                data.get("policy", ForwardingPolicy.PERIODIC_POLLING.value)),
-            polling_period=float_field(data, "polling_period", 5.0),
-            copy_time=float_field(data, "copy_time", 0.05),
-            queue_capacities={queue: int_field(capacities, queue)
-                              for queue in capacities})
-    except (KeyError, ValueError) as error:
-        raise ProtocolError(f"bad gateway object: {error}") from None
+def _gateway(routes, policy, queue_capacities, **settings) -> GatewayModel:
+    return GatewayModel(routes=list(routes), policy=ForwardingPolicy(policy),
+                        queue_capacities=dict(queue_capacities), **settings)
+
+
+_GATEWAY = Param("gateway", "object", build=_gateway, fields=(
+    Param("name", "string", required=True),
+    Param("routes", "array", (), items=_ROUTE),
+    replace(_POLICY, default=ForwardingPolicy.PERIODIC_POLLING.value),
+    Param("polling_period", "float", 5.0), Param("copy_time", "float", 0.05),
+    Param("queue_capacities", "object", {},
+          items=Param("capacity", "integer"))))
 
 
 def task_to_json(task: Task) -> dict:
@@ -919,22 +825,16 @@ def task_to_json(task: Task) -> dict:
     return data
 
 
-def task_from_json(data: Mapping) -> Task:
-    """Inverse of :func:`task_to_json`."""
-    try:
-        return Task(
-            name=str_field(data, "name"),
-            priority=int_field(data, "priority"),
-            wcet=float_field(data, "wcet"),
-            bcet=float_field(data, "bcet", 0.0),
-            kind=TaskKind(data.get("kind", TaskKind.PREEMPTIVE.value)),
-            activation=(event_model_from_json(data["activation"])
-                        if "activation" in data else None),
-            sends_messages=strings_field(data, "sends_messages", ()),
-            non_preemptable_region=float_field(
-                data, "non_preemptable_region", 0.0))
-    except (KeyError, ValueError) as error:
-        raise ProtocolError(f"bad task object: {error}") from None
+_TASK = Param("task", "object", build=lambda kind, **task: Task(
+    kind=TaskKind(kind), **task), fields=(
+    Param("name", "string", required=True),
+    Param("priority", "integer", required=True),
+    Param("wcet", "float", required=True), Param("bcet", "float", 0.0),
+    Param("kind", "string", TaskKind.PREEMPTIVE.value,
+          choices=_values(TaskKind)),
+    replace(_EVENT_MODEL, name="activation"),
+    replace(_NAMES, name="sends_messages", default=()),
+    Param("non_preemptable_region", "float", 0.0)))
 
 
 def ecu_to_json(ecu: EcuModel) -> dict:
@@ -959,31 +859,21 @@ def ecu_to_json(ecu: EcuModel) -> dict:
     return data
 
 
-def ecu_from_json(data: Mapping) -> EcuModel:
-    """Inverse of :func:`ecu_to_json`."""
-    try:
-        overheads = data.get("overheads", {})
-        timetable = None
-        if "timetable" in data:
-            table = data["timetable"]
-            timetable = TimeTable(
-                period=float_field(table, "period"),
-                entries=tuple(
-                    TimeTableEntry(task_name=str_field(e, "task_name"),
-                                   offset=float_field(e, "offset"))
-                    for e in table.get("entries", ())))
-        return EcuModel(
-            name=str_field(data, "name"),
-            tasks=[task_from_json(t) for t in data.get("tasks", ())],
-            overheads=OsekOverheads(
-                activation=float_field(overheads, "activation", 0.004),
-                termination=float_field(overheads, "termination", 0.003),
-                isr_entry=float_field(overheads, "isr_entry", 0.002),
-                schedule_point=float_field(
-                    overheads, "schedule_point", 0.002)),
-            timetable=timetable)
-    except (KeyError, ValueError) as error:
-        raise ProtocolError(f"bad ECU object: {error}") from None
+_ECU = Param("ecu", "object", build=lambda tasks, **ecu: EcuModel(
+    tasks=list(tasks), **ecu), fields=(
+    Param("name", "string", required=True),
+    Param("tasks", "array", (), items=_TASK),
+    Param("overheads", "object", OsekOverheads(), build=OsekOverheads,
+          fields=(Param("activation", "float", 0.004),
+                  Param("termination", "float", 0.003),
+                  Param("isr_entry", "float", 0.002),
+                  Param("schedule_point", "float", 0.002))),
+    Param("timetable", "object", build=TimeTable, fields=(
+        Param("period", "float", required=True),
+        Param("entries", "array", (), items=Param(
+            "entry", "object", build=TimeTableEntry, fields=(
+                Param("task_name", "string", required=True),
+                Param("offset", "float", required=True))))))))
 
 
 def system_to_json(system: SystemModel) -> dict:
@@ -998,22 +888,24 @@ def system_to_json(system: SystemModel) -> dict:
     }
 
 
-def system_from_json(data: Mapping) -> SystemModel:
-    """Inverse of :func:`system_to_json`."""
-    try:
-        system = SystemModel(name=str_field(data, "name", "system"))
-        for segment in data.get("buses", ()):
-            system.add_bus(segment_from_json(segment))
-        for gateway in data.get("gateways", ()):
-            system.add_gateway(gateway_from_json(gateway))
-        for ecu in data.get("ecus", ()):
-            system.add_ecu(ecu_from_json(ecu))
-        system.controllers.update(
-            {name: controller_from_json(c)
-             for name, c in data.get("controllers", {}).items()})
-    except ValueError as error:
-        raise ProtocolError(f"bad system object: {error}") from None
+def _system(name, buses, gateways, ecus, controllers) -> SystemModel:
+    system = SystemModel(name=name, controllers=dict(controllers))
+    for segment in buses:
+        system.add_bus(segment)
+    for gateway in gateways:
+        system.add_gateway(gateway)
+    for ecu in ecus:
+        system.add_ecu(ecu)
     return system
+
+
+_SYSTEM = Param("system", "object", build=_system, fields=(
+    Param("name", "string", "system"),
+    Param("buses", "array", (), items=Param(
+        "segment", "object", build=_segment, fields=_SEGMENT_FIELDS)),
+    Param("gateways", "array", (), items=_GATEWAY),
+    Param("ecus", "array", (), items=_ECU), _CONTROLLERS))
+system_from_json = partial(_SYSTEM.check, where="system")
 
 
 # --------------------------------------------------------------------------- #
@@ -1067,52 +959,46 @@ def system_delta_to_json(delta: SystemDelta) -> dict:
         f"cannot serialise system delta type {type(delta).__name__}")
 
 
-def system_delta_from_json(data: Mapping) -> SystemDelta:
-    """Inverse of :func:`system_delta_to_json`."""
-    kind = data.get("sysdelta")
-    if kind == "move-message":
-        return MoveMessageDelta(
-            message_name=str_field(data, "message_name"),
-            to_bus=str_field(data, "to_bus"),
-            new_can_id=int_field(data, "new_can_id", None))
-    if kind == "bus-speed":
-        return BusSpeedDelta(bus_name=str_field(data, "bus"),
-                             bit_rate_bps=float_field(data, "bit_rate_bps"))
-    if kind == "add-gateway-route":
-        return AddGatewayRouteDelta(
-            gateway_name=str_field(data, "gateway"),
-            route=gateway_route_from_json(data["route"]),
-            polling_period=float_field(data, "polling_period", None))
-    if kind == "remove-gateway-route":
-        return RemoveGatewayRouteDelta(
-            gateway_name=str_field(data, "gateway"),
-            destination_message=str_field(data, "destination_message"))
-    if kind == "gateway-config":
-        return GatewayConfigDelta(
-            gateway_name=str_field(data, "gateway"),
-            polling_period=float_field(data, "polling_period", None),
-            copy_time=float_field(data, "copy_time", None),
-            policy=(ForwardingPolicy(data["policy"])
-                    if "policy" in data else None))
-    if kind == "ecu-task":
-        return EcuTaskDelta(
-            ecu_name=str_field(data, "ecu"),
-            task_name=str_field(data, "task"),
-            wcet=float_field(data, "wcet", None),
-            bcet=float_field(data, "bcet", None),
-            activation=(event_model_from_json(data["activation"])
-                        if "activation" in data else None))
-    if kind == "segment-config":
-        return SegmentConfigDelta(
-            bus_name=str_field(data, "bus"),
-            deltas=deltas_from_json(data.get("deltas", ())))
-    raise ProtocolError(f"unknown system delta tag {kind!r}")
+def _gateway_config(gateway, policy, **settings) -> GatewayConfigDelta:
+    return GatewayConfigDelta(
+        gateway, policy=None if policy is None else ForwardingPolicy(policy),
+        **settings)
 
 
-def system_deltas_from_json(items: Sequence[Mapping],
-                            ) -> tuple[SystemDelta, ...]:
-    """Decode a request's system-delta list."""
-    return tuple(system_delta_from_json(item) for item in items)
+_GATEWAY_NAME = Param("gateway", "string", required=True)
+#: A topology delta, tagged by its kind (``sysdelta``); wire names the bus,
+#: gateway, ECU and task by ``bus``/``gateway``/``ecu``/``task``.
+_SYSTEM_DELTA = Param("system delta", "object", tag="sysdelta", variants=(
+    Param("move-message", "object", build=MoveMessageDelta, fields=(
+        Param("message_name", "string", required=True),
+        Param("to_bus", "string", required=True),
+        Param("new_can_id", "integer"))),
+    Param("bus-speed", "object", build=lambda bus, bit_rate_bps: (
+        BusSpeedDelta(bus, bit_rate_bps)), fields=(
+        Param("bus", "string", required=True),
+        Param("bit_rate_bps", "float", required=True))),
+    Param("add-gateway-route", "object", build=lambda gateway, **route: (
+        AddGatewayRouteDelta(gateway, **route)), fields=(
+        _GATEWAY_NAME, replace(_ROUTE, required=True),
+        Param("polling_period", "float"))),
+    Param("remove-gateway-route", "object", build=lambda gateway, **route: (
+        RemoveGatewayRouteDelta(gateway, **route)), fields=(
+        _GATEWAY_NAME, Param("destination_message", "string",
+                             required=True))),
+    Param("gateway-config", "object", build=_gateway_config, fields=(
+        _GATEWAY_NAME, Param("polling_period", "float"),
+        Param("copy_time", "float"), _POLICY)),
+    Param("ecu-task", "object", build=lambda ecu, task, **edit: (
+        EcuTaskDelta(ecu, task, **edit)), fields=(
+        Param("ecu", "string", required=True),
+        Param("task", "string", required=True), Param("wcet", "float"),
+        Param("bcet", "float"), replace(_EVENT_MODEL, name="activation"))),
+    Param("segment-config", "object", build=lambda bus, deltas: (
+        SegmentConfigDelta(bus, deltas)), fields=(
+        Param("bus", "string", required=True), _DELTAS))))
+_SYSTEM_DELTAS = replace(_DELTAS, items=_SYSTEM_DELTA)
+system_delta_from_json = partial(_SYSTEM_DELTA.check, where="system delta")
+system_deltas_from_json = partial(_SYSTEM_DELTAS.check, where="deltas")
 
 
 def system_deltas_to_json(deltas: Sequence[SystemDelta]) -> list[dict]:
@@ -1130,22 +1016,13 @@ def path_to_json(path: EndToEndPath) -> dict:
                          for kind, reference in path.segments]}
 
 
-def path_from_json(data: Mapping) -> EndToEndPath:
-    """Inverse of :func:`path_to_json`."""
-    try:
-        # EndToEndPath unpacks every segment into (kind, reference).
-        segments = tuple(
-            tuple(_expect(part, "string", "segments")
-                  for part in _expect(segment, "array", "segments"))
-            for segment in _field(data, "segments", (), kind="array"))
-        return EndToEndPath(name=str_field(data, "name"), segments=segments)
-    except (KeyError, ValueError) as error:
-        raise ProtocolError(f"bad path object: {error}") from None
-
-
-def paths_from_json(items: Sequence[Mapping]) -> tuple[EndToEndPath, ...]:
-    """Decode a request's path list."""
-    return tuple(path_from_json(item) for item in items)
+#: A cause-effect chain: ``segments`` are ``[kind, reference]`` pairs.
+_PATH = Param("path", "object", build=EndToEndPath, fields=(
+    Param("name", "string", required=True),
+    Param("segments", "array", (), items=replace(_NAMES, name="segment"))))
+_PATHS = Param("paths", "array", items=_PATH)
+path_from_json = partial(_PATH.check, where="path")
+paths_from_json = partial(_PATHS.check, where="paths")
 
 
 def paths_to_json(paths: Sequence[EndToEndPath]) -> list[dict]:
@@ -1220,20 +1097,118 @@ def frames_from_json(items: Sequence) -> FrameBatch:
         raise ProtocolError(str(exc)) from None
 
 
-def alert_rules_from_json(items: Sequence[Mapping]) -> tuple[AlertRule, ...]:
-    """Alert rules from request payloads (structured or ``expr`` syntax)."""
-    rules = []
-    for item in items:
-        if not isinstance(item, Mapping):
-            raise ProtocolError(f"alert rule must be an object, got {item!r}")
-        try:
-            rules.append(AlertRule.from_json(item))
-        except KeyError as missing:
-            raise ProtocolError(
-                f"alert rule object lacks {missing}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ProtocolError(f"malformed alert rule: {exc}") from None
-    return tuple(rules)
+def _alert_rule(name, expr, message, **structured) -> AlertRule:
+    """A rule from its ``expr`` or from its structured fields: an ``expr``
+    states the operator, threshold, scale and window count itself."""
+    if expr is not None:
+        given = [key for key, value in structured.items() if value is not None]
+        if given:
+            raise ProtocolError(f"an alert rule with 'expr' takes no {given}")
+        return AlertRule.parse(name, expr, message=message)
+    if structured["op"] is None or structured["threshold"] is None:
+        raise ProtocolError("an alert rule with 'metric' needs 'op' and "
+                            "'threshold'")
+    if structured["for_windows"] is None:
+        del structured["for_windows"]
+    return AlertRule(name=name, message=message, **structured)
+
+
+#: An alert rule, in structured fields or in one-line ``expr`` syntax.
+_ALERT_RULE = Param("rule", "object", build=_alert_rule, fields=(
+    Param("name", "string", required=True), Param("expr", "string"),
+    Param("metric", "string"), Param("op", "string"),
+    Param("threshold", "float"), Param("scale", "string"),
+    Param("for_windows", "integer"), Param("message", "string")),
+    one_of=("expr", "metric"))
+_ALERT_RULES = Param("rules", "array", (), items=_ALERT_RULE)
+alert_rules_from_json = partial(_ALERT_RULES.check, where="rules")
+
+
+# --------------------------------------------------------------------------- #
+# Requests: one declared parameter table for every op
+# --------------------------------------------------------------------------- #
+#: Parameters of every op; 5e-324 is the smallest positive double.
+COMMON_PARAMS = (
+    Param("op", "string", required=True), Param("id", "any"),
+    Param("deadline_ms", "number", minimum=5e-324,
+          maximum=sys.float_info.max),
+    Param("trace", "boolean", False), Param("trace_id", "string"))
+
+
+@dataclass(frozen=True)
+class Op(Param):
+    """A request object: the op's ``fields`` plus :data:`COMMON_PARAMS`.
+
+    A ``control`` op answers from in-memory state: it bypasses admission
+    and keeps being served during overload and drain.  ``retry``: when a
+    client re-sends it after a failed connection -- ``always``
+    (idempotent), ``connect`` (mutating: if no byte went out), ``never``.
+    """
+
+    kind: str = "object"
+    control: bool = False
+    retry: str = "always"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fields", (*self.fields, *COMMON_PARAMS))
+        super().__post_init__()
+
+
+_TARGET = Param("target", "string", required=True)
+_LABEL = Param("label", "string")
+_WITH_REPORT = Param("with_report", "boolean", True)
+
+#: Every op of the protocol, declared once: the daemon checks each request
+#: against its entry before admission and dispatches by the op's name.
+OPS = {op.name: op for op in (
+    *(Op(name, control=True) for name in (
+        "ping", "health", "stats", "targets", "scenarios")),
+    Op("query", fields=(
+        _TARGET, _DELTAS, _LABEL, _WITH_REPORT,
+        replace(_NAMES, name="message_names"))),
+    Op("scenario", fields=(
+        Param("target", "string"), Param("system", "string"),
+        Param("scenario", "string", required=True)),
+       one_of=("target", "system")),
+    Op("batch", fields=(_TARGET, Param("queries", "array", (), items=Param(
+        "query", "object", fields=(_DELTAS, _LABEL, _WITH_REPORT))))),
+    Op("register", fields=(
+        Param("name", "string", required=True), _SYSTEM, _CONFIG,
+        # The generator's own declarations check its parameters.
+        Param("workload", "object", fields=(
+            Param("generator", "string", required=True),
+            Param("params", "object")))),
+       one_of=("system", "config", "workload"), retry="connect"),
+    Op("system_query", fields=(
+        Param("system", "string", required=True), _SYSTEM_DELTAS, _LABEL,
+        _PATHS,
+        Param("shards", "object", items=Param("shard", "string")))),
+    Op("metrics", fields=(
+        Param("format", "string", choices=("text", "prometheus")),
+        Param("history", "boolean", False),
+        Param("history_last", "integer", minimum=1)), control=True),
+    Op("traces", fields=(Param("limit", "integer", minimum=1),),
+       control=True),
+    Op("store", fields=(
+        Param("action", "string", "stats",
+              choices=("stats", "compact", "clear")),
+        Param("max_bytes", "integer", minimum=0)), control=True),
+    # MonitorConfig checks the ranges of the monitor's settings.
+    Op("monitor_start", fields=(
+        _TARGET, _ALERT_RULES, Param("window_ms", "float"),
+        Param("history_windows", "integer"),
+        Param("max_arrivals", "integer"), Param("fit_max_n", "integer")),
+       retry="connect"),
+    # Frame rows are read in columns, by frames_from_json.
+    Op("monitor_ingest", fields=(
+        _TARGET, Param("frames", "array", ()),
+        Param("flush", "boolean", False)), retry="connect"),
+    Op("monitor_status", fields=(_TARGET,), control=True),
+    Op("monitor_alerts", fields=(
+        _TARGET, Param("last", "integer", minimum=1)), control=True),
+    Op("monitor_stop", fields=(_TARGET,), control=True),
+    Op("shutdown", control=True, retry="never"),
+)}
 
 
 # --------------------------------------------------------------------------- #

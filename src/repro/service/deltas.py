@@ -214,6 +214,9 @@ class PriorityDelta(Delta):
         if sum(form is not None for form in forms) != 1:
             raise ValueError(
                 "specify exactly one of swap=, order= or id_by_name=")
+        if self.swap is not None and len(self.swap) != 2:
+            raise ValueError(
+                f"swap= names two messages, got {len(self.swap)}")
         # Normalise sequences to tuples so the delta stays hashable.
         if self.swap is not None:
             object.__setattr__(self, "swap", tuple(self.swap))

@@ -185,7 +185,9 @@ def builtin_system_catalog(system: SystemModel) -> ScenarioCatalog:
                   key=lambda bus: len(system.buses[bus].kmatrix))
     catalog.register(bus_speed_degradation_scenario(
         system, busiest, name="bus-speed-degradation"))
-    if len(system.buses) > 1:
+    ordered = system.buses[busiest].kmatrix.sorted_by_priority()
+    # A message to re-map needs a second bus and a message on the busiest.
+    if len(system.buses) > 1 and ordered:
         endpoints = {
             route.source_message
             for gateway in system.gateways.values()
@@ -194,7 +196,6 @@ def builtin_system_catalog(system: SystemModel) -> ScenarioCatalog:
             route.destination_message
             for gateway in system.gateways.values()
             for route in gateway.routes)
-        ordered = system.buses[busiest].kmatrix.sorted_by_priority()
         movable = [m for m in ordered if m.name not in endpoints] or ordered
         catalog.register(message_remap_sweep_scenario(
             system, movable[0].name, name="message-remap-sweep"))

@@ -17,13 +17,13 @@ and machines.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.can.bus import CanBus
 from repro.core.system import SystemModel
 from repro.errors.models import NoErrors, SporadicErrorModel
+from repro.server.protocol import Param
 from repro.service.deltas import BusConfiguration
 from repro.workloads.multibus import multibus_system
 from repro.workloads.powertrain import PowertrainConfig, powertrain_system
@@ -40,51 +40,30 @@ class UnknownWorkloadError(ValueError):
         self.name = name
 
 
-#: Parameter type -> its JSON kind and the decoded values it accepts.
-_KINDS = {int: ("integer", int), float: ("number", (int, float)),
-          str: ("string", str)}
-
-
 @dataclass(frozen=True)
 class WorkloadDef:
     """One registered generator.
 
-    ``params`` maps every accepted parameter name to its type; a value
-    must already be of that JSON kind (an ``int`` parameter takes no
-    float, string or boolean, a ``float`` one also takes an integer).
-    Unknown names and values of another kind are rejected loudly: a typo'd
-    parameter silently falling back to a default, or ``8.7`` read as 8,
-    would fingerprint -- and cache -- the wrong workload.
+    ``params`` declares every accepted parameter (name and JSON kind;
+    absent ones take the builder's defaults).  :meth:`expand` checks a
+    request's parameters against them: an undeclared name or a value of
+    another kind is a :class:`~repro.server.protocol.ProtocolError` -- a
+    typo'd parameter silently falling back to a default, or ``8.7`` read
+    as 8, would fingerprint (and cache) the wrong workload.
     """
 
     name: str
     kind: str  # "system" or "config"
     builder: Callable[..., "SystemModel | BusConfiguration"]
-    params: Mapping[str, type]
+    params: tuple[Param, ...]
     description: str
 
     def expand(self, params: Mapping | None) -> "SystemModel | BusConfiguration":
-        """Check ``params`` by kind and run the builder."""
-        checked = {}
-        for key, value in (params or {}).items():
-            key = str(key)
-            if key not in self.params:
-                raise ValueError(
-                    f"workload {self.name!r} has no parameter {key!r}; "
-                    f"accepted: {sorted(self.params)}"
-                )
-            kind = self.params[key]
-            json_kind, accepts = _KINDS[kind]
-            try:
-                if isinstance(value, bool) or not isinstance(value, accepts):
-                    raise TypeError
-                checked[key] = kind(value)  # float(2) for a float param
-            except (TypeError, OverflowError):
-                raise ValueError(
-                    f"workload {self.name!r} parameter {key!r} must be "
-                    f"a JSON {json_kind}, got {reprlib.repr(value)}"
-                ) from None
-        return self.builder(**checked)
+        """Check ``params`` against the declarations and run the builder."""
+        checked = Param(self.name, "object", fields=self.params).check(
+            params or {}, f"workload {self.name!r}")
+        # An absent (or null) parameter keeps the builder's default.
+        return self.builder(**{key: value for key, value in checked.items() if value is not None})
 
 
 class WorkloadRegistry:
@@ -117,7 +96,7 @@ class WorkloadRegistry:
         return {
             name: {
                 "kind": definition.kind,
-                "params": sorted(definition.params),
+                "params": sorted(param.name for param in definition.params),
                 "description": definition.description,
             }
             for name, definition in sorted(self._defs.items())
@@ -179,17 +158,17 @@ def builtin_registry() -> WorkloadRegistry:
             name="multibus_chain",
             kind="system",
             builder=multibus_system,
-            params={
-                "n_buses": int,
-                "messages_per_bus": int,
-                "seed": int,
-                "n_ecus": int,
-                "bit_rate_bps": float,
-                "routes_per_gateway": int,
-                "error_interarrival_ms": float,
-                "assumed_jitter_fraction": float,
-                "polling_period_ms": float,
-            },
+            params=(
+                Param("n_buses", "integer"),
+                Param("messages_per_bus", "integer"),
+                Param("seed", "integer"),
+                Param("n_ecus", "integer"),
+                Param("bit_rate_bps", "float"),
+                Param("routes_per_gateway", "integer"),
+                Param("error_interarrival_ms", "float"),
+                Param("assumed_jitter_fraction", "float"),
+                Param("polling_period_ms", "float"),
+            ),
             description="Chain of CAN segments coupled by polling gateways.",
         )
     )
@@ -198,15 +177,15 @@ def builtin_registry() -> WorkloadRegistry:
             name="synthetic_bus",
             kind="config",
             builder=_synthetic_bus,
-            params={
-                "n_messages": int,
-                "n_ecus": int,
-                "seed": int,
-                "bit_rate_bps": float,
-                "id_policy": str,
-                "error_interarrival_ms": float,
-                "assumed_jitter_fraction": float,
-            },
+            params=(
+                Param("n_messages", "integer"),
+                Param("n_ecus", "integer"),
+                Param("seed", "integer"),
+                Param("bit_rate_bps", "float"),
+                Param("id_policy", "string"),
+                Param("error_interarrival_ms", "float"),
+                Param("assumed_jitter_fraction", "float"),
+            ),
             description="One random-but-valid synthetic K-Matrix on one bus.",
         )
     )
@@ -215,13 +194,13 @@ def builtin_registry() -> WorkloadRegistry:
             name="powertrain",
             kind="config",
             builder=_powertrain,
-            params={
-                "n_messages": int,
-                "n_ecus": int,
-                "n_gateways": int,
-                "seed": int,
-                "assumed_jitter_fraction": float,
-            },
+            params=(
+                Param("n_messages", "integer"),
+                Param("n_ecus", "integer"),
+                Param("n_gateways", "integer"),
+                Param("seed", "integer"),
+                Param("assumed_jitter_fraction", "float"),
+            ),
             description="The paper-style synthetic power-train case study.",
         )
     )
@@ -230,7 +209,11 @@ def builtin_registry() -> WorkloadRegistry:
             name="scaling_case",
             kind="config",
             builder=_scaling_case,
-            params={"n_messages": int, "seed": int, "n_ecus": int},
+            params=(
+                Param("n_messages", "integer"),
+                Param("seed", "integer"),
+                Param("n_ecus", "integer"),
+            ),
             description="Constant-utilization scaling workload (perf sweeps).",
         )
     )

@@ -182,10 +182,10 @@ class TestAlertRules:
     def test_parse_minimal_and_json_round_trip(self):
         rule = AlertRule.parse("any", "violations > 0")
         assert rule.scale is None and rule.for_windows == 1
-        assert AlertRule.from_json(rule.to_json()) == rule
-        via_expr = AlertRule.from_json(
-            {"name": "any", "expr": "violations > 0"})
-        assert via_expr == rule
+        assert protocol.alert_rules_from_json([rule.to_json()]) == (rule,)
+        via_expr = protocol.alert_rules_from_json(
+            [{"name": "any", "expr": "violations > 0"}])
+        assert via_expr == (rule,)
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -674,7 +674,7 @@ class TestMonitorOverTheWire:
         assert excinfo.value.code == "invalid"
         with pytest.raises(DaemonError, match="window_ms") as excinfo:
             client.monitor_start("bus", window_ms=10 ** 400)
-        assert excinfo.value.code == "invalid"
+        assert excinfo.value.code == "protocol"
         # A NaN window or a history ring too large to allocate is refused
         # at start, not on the first window close of every later ingest.
         with pytest.raises(DaemonError, match="history_windows") as excinfo:
@@ -682,7 +682,7 @@ class TestMonitorOverTheWire:
         assert excinfo.value.code == "invalid"
         response = daemon.handle({"op": "monitor_start", "target": "bus",
                                   "window_ms": float("nan")})
-        assert response["code"] == "invalid"
+        assert response["code"] == "protocol"
         assert "window_ms" in response["error"]
         daemon.close()
 
@@ -758,6 +758,42 @@ class TestMonitorOverTheWire:
         assert status["violations"] == 0
         assert status["frames"] == 0
         assert status["overrides"] == []
+        daemon.close()
+
+    def test_monitor_stops_with_its_targets_session(self):
+        """A registration that replaces or drops a monitored target's
+        session stops its monitor; one that keeps the session keeps it."""
+        from repro.workloads.multibus import multibus_system
+
+        daemon = AnalysisDaemon(name="monitor-rereg")
+        client = InProcessClient(daemon)
+        client.register_system("plant", multibus_system(3, 6, seed=1))
+        client.monitor_start("plant/CAN-2")
+        client.monitor_start("plant/CAN-1")
+        # CAN-2 is dropped, CAN-1 gets a new configuration.
+        client.register_system("plant", multibus_system(2, 9, seed=3))
+        for target in ("plant/CAN-2", "plant/CAN-1"):
+            with pytest.raises(DaemonError) as excinfo:
+                client.monitor_status(target)
+            assert excinfo.value.code == "unknown_target"
+        assert client.health()["monitors"] == []
+        started = client.monitor_start("plant/CAN-1")
+        assert len(started["messages"]) == len(
+            client.query("plant/CAN-1")["results"])
+        # The same model again lands on the same sessions.
+        client.register_system("plant", multibus_system(2, 9, seed=3))
+        assert client.monitor_status("plant/CAN-1")["target"] == \
+            "plant/CAN-1"
+        # So does a single-bus target registered twice alike.
+        config = BusConfiguration.from_segment(
+            multibus_system(2, 9, seed=3).buses["CAN-0"])
+        client.register_config("solo", config)
+        client.monitor_start("solo")
+        client.register_config("solo", config)
+        assert client.health()["monitors"] == ["plant/CAN-1", "solo"]
+        client.register_config("solo", BusConfiguration.from_segment(
+            multibus_system(2, 6, seed=2).buses["CAN-0"]))
+        assert client.health()["monitors"] == ["plant/CAN-1"]
         daemon.close()
 
     def test_health_reports_active_alerts(self, small_kmatrix, small_bus):

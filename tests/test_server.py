@@ -56,6 +56,7 @@ from repro.server.protocol import (
     event_model_from_json,
     event_model_to_json,
 )
+from repro.service.catalog import builtin_catalog
 from repro.service.deltas import (
     AddMessageDelta,
     BusConfiguration,
@@ -161,6 +162,11 @@ class TestProtocolRoundtrips:
             BusDelta(bit_rate_bps=250_000.0, bit_stuffing=False),
             DeadlinePolicyDelta("min-rearrival"),
         ]
+        # Every delta of the builtin catalog decodes through the table too.
+        catalog = builtin_catalog()
+        deltas += [delta for name in catalog.names()
+                   for query in catalog.get(name).queries
+                   for delta in query.deltas]
         for delta in deltas:
             data = decode_line(encode_line(delta_to_json(delta)))
             assert delta_from_json(data) == delta
@@ -398,20 +404,20 @@ class TestDaemonEndpoints:
         for value in (math.inf, math.nan, 10 ** 400):
             for params, code, field in (
                     ({"deltas": [{"delta": "jitter", "fraction": value}]},
-                     "invalid", "fraction"),
+                     "protocol", "fraction"),
                     ({"deltas": [{"delta": "jitter", "message_name": name,
                                   "jitter": value}]},
-                     "invalid", "jitter"),
+                     "protocol", "jitter"),
                     ({"deltas": [{"delta": "bus", "bit_rate_bps": value}]},
-                     "invalid", "bit_rate_bps"),
+                     "protocol", "bit_rate_bps"),
                     ({"deltas": [{"delta": "error-model", "error_model": {
                         "errors": "sporadic",
                         "min_interarrival": value}}]},
-                     "invalid", "min_interarrival"),
+                     "protocol", "min_interarrival"),
                     ({"deltas": [{"delta": "error-model", "error_model": {
                         "errors": "burst", "min_interarrival": 50.0,
                         "burst_length": 3, "intra_burst_gap": value}}]},
-                     "invalid", "intra_burst_gap"),
+                     "protocol", "intra_burst_gap"),
                     ({"deadline_ms": value}, "protocol", "deadline_ms")):
                 with pytest.raises(DaemonError, match=field) as caught:
                     peer.request("query", target="powertrain", **params)
@@ -421,21 +427,20 @@ class TestDaemonEndpoints:
                 assert {n: entry["worst_case"] for n, entry
                         in clean["results"].items()} \
                     == _reference_worst_cases(config, deltas)
-        # Every float field decodes through one converter: event models
-        # and system deltas answer an overflowing literal the same way, and
-        # a registration payload wraps it (or a non-finite bus bit rate)
-        # into its malformed-object error.  Event models and K-Matrix rows
-        # refuse a NaN timing field or an infinite period themselves.
+        # Every float field is read by one declaration at every depth: a
+        # NaN, an infinity or an overflowing literal answers ``protocol``
+        # in a delta, an event model, a K-Matrix row, a system delta and a
+        # registration payload alike.
         probe = {"name": "Probe", "can_id": 0x7F0, "dlc": 8,
                  "period": 10.0, "sender": "Probe-ECU"}
         for op, params, code, field in (
                 ("query", {"target": "powertrain", "deltas": [
                     {"delta": "event-models", "models": {
                         name: {"model": "periodic", "period": 10 ** 400}}}]},
-                 "invalid", "period"),
+                 "protocol", "period"),
                 *(("query", {"target": "powertrain", "deltas": [
                     {"delta": "event-models", "models": {name: model}}]},
-                   "invalid", field) for field, model in (
+                   "protocol", field) for field, model in (
                     ("period", {"model": "periodic", "period": math.inf}),
                     ("period", {"model": "periodic-jitter",
                                 "period": math.nan, "jitter": 1.0}),
@@ -447,23 +452,23 @@ class TestDaemonEndpoints:
                 *(("query", {"target": "powertrain", "deltas": [
                     {"delta": "add-message",
                      "message": {**probe, field: value}}]},
-                   "invalid", field) for field, value in (
+                   "protocol", field) for field, value in (
                     ("period", math.nan), ("period", math.inf),
                     ("jitter", math.nan), ("deadline", math.nan),
                     ("min_distance", math.nan))),
                 ("system_query", {"system": "multibus", "deltas": [
                     {"sysdelta": "bus-speed", "bus": "CAN-0",
-                     "bit_rate_bps": 10 ** 400}]}, "invalid", "bit_rate_bps"),
+                     "bit_rate_bps": 10 ** 400}]}, "protocol", "bit_rate_bps"),
                 # Integer, boolean and string fields are read by kind, not
                 # coerced: no truncated float, stringly boolean or string
                 # unpacked into characters.
                 *(("query", {"target": "powertrain", "deltas": [
                     {"delta": "add-message",
                      "message": {**probe, field: value}}]},
-                   "invalid", field) for field, value in (
+                   "protocol", field) for field, value in (
                     ("can_id", 1.9), ("can_id", True), ("dlc", "8"))),
                 *(("query", {"target": "powertrain", "deltas": [delta]},
-                   "invalid", field) for field, delta in (
+                   "protocol", field) for field, delta in (
                     ("burst_length", {"delta": "error-model",
                                       "error_model": {
                                           "errors": "burst",
@@ -600,6 +605,34 @@ class TestOpTable:
             {"delta": "jitter", "fraction": 0.4}]}, "'delta'"),
         ("query", {"target": "powertrain", "message_names": "M1"},
          "'message_names'"),
+        # Nested objects are checked by the same table: a typo'd key is
+        # no bus-wide what-if and no base configuration, a float is no
+        # CAN identifier, and a rule value is not coerced.
+        ("query", {"target": "powertrain", "deltas": [
+            {"delta": "jitter", "fraction": 0.2, "message_nam": "x"}]},
+         "'message_nam'"),
+        ("query", {"target": "powertrain", "deltas": [
+            {"delta": "bus", "bit_stufing": False}]}, "'bit_stufing'"),
+        ("query", {"target": "powertrain", "deltas": [
+            {"delta": "add-message", "message": {
+                "name": "Probe", "can_id": 1.9, "dlc": 8, "period": 10.0,
+                "sender": "Probe-ECU"}}]}, "'can_id'"),
+        ("register", {"name": "both", "config": {
+            **protocol.config_to_json(_powertrain_config(8)),
+            "messages": [{"name": "Probe", "can_id": 1.9, "dlc": 8,
+                          "period": 10.0, "sender": "Probe-ECU"}]}},
+         "'can_id'"),
+        *(("monitor_start", {"target": "powertrain", "rules": [
+            {"name": "r", "metric": "violations", "op": ">",
+             "threshold": 0, **rule}]}, field)
+          for rule, field in (
+              ({"for_windows": 2.9}, "'for_windows'"),
+              ({"threshold": "3"}, "'threshold'"),
+              ({"threshold": True}, "'threshold'"),
+              ({"name": 5}, "'name'"))),
+        ("register", {"name": "both", "workload": {
+            "generator": "synthetic_bus", "params": {"n_mesages": 8}}},
+         "'n_mesages'"),
     ])
     def test_no_request_is_coerced(self, client, daemon, op, params, field):
         """A request the table rejects answers one ``protocol`` error
@@ -609,7 +642,8 @@ class TestOpTable:
         with pytest.raises(DaemonError, match=field) as caught:
             client.request(op, **params)
         assert caught.value.code == "protocol"
-        assert "both" not in client.targets()["systems"]
+        inventory = client.targets()
+        assert "both" not in inventory["systems"] + inventory["targets"]
         assert sum(daemon.metrics.family(
             "daemon_errors_total", "code").values()) == errors + 1
 

@@ -40,6 +40,7 @@ from repro.whatif import (
     builtin_system_catalog,
 )
 from repro.workloads.multibus import multibus_paths, multibus_system
+from repro.workloads.registry import builtin_registry
 from repro.workloads.powertrain import (
     PowertrainConfig,
     powertrain_bus,
@@ -68,11 +69,17 @@ def _catalog_entries(system):
 
 class TestProtocolSystemCodecs:
     def test_system_roundtrip_preserves_fingerprint(self):
-        system = multibus_system(n_buses=3, messages_per_bus=8, seed=21)
-        encoded = protocol.encode_line(protocol.system_to_json(system))
-        decoded = protocol.system_from_json(protocol.decode_line(encoded))
-        assert decoded.fingerprint() == system.fingerprint()
-        assert decoded.validate() == []
+        registry = builtin_registry()
+        systems = [multibus_system(n_buses=3, messages_per_bus=8, seed=21)]
+        # Each builtin system workload's expansion decodes through the
+        # table too.
+        systems += [registry.expand(name) for name in registry.names()
+                    if registry.get(name).kind == "system"]
+        for system in systems:
+            encoded = protocol.encode_line(protocol.system_to_json(system))
+            decoded = protocol.system_from_json(protocol.decode_line(encoded))
+            assert decoded.fingerprint() == system.fingerprint()
+            assert decoded.validate() == []
 
     def test_ecu_system_roundtrip(self):
         from test_core import _two_bus_system
@@ -82,14 +89,20 @@ class TestProtocolSystemCodecs:
         assert decoded.fingerprint() == system.fingerprint()
 
     def test_config_roundtrip(self):
-        config = BusConfiguration(
+        registry = builtin_registry()
+        configs = [BusConfiguration(
             kmatrix=powertrain_kmatrix(PowertrainConfig(n_messages=16)),
             bus=powertrain_bus(PowertrainConfig(n_messages=16)),
             assumed_jitter_fraction=0.15,
             controllers=powertrain_controllers(
-                PowertrainConfig(n_messages=16)))
-        decoded = protocol.config_from_json(protocol.config_to_json(config))
-        assert decoded.analysis_key() == config.analysis_key()
+                PowertrainConfig(n_messages=16)))]
+        # Each builtin bus workload's expansion decodes through the table.
+        configs += [registry.expand(name) for name in registry.names()
+                    if registry.get(name).kind == "config"]
+        for config in configs:
+            decoded = protocol.config_from_json(
+                protocol.config_to_json(config))
+            assert decoded.analysis_key() == config.analysis_key()
 
     def test_system_delta_roundtrips(self):
         system = multibus_system(n_buses=2, messages_per_bus=6, seed=1)
@@ -109,6 +122,12 @@ class TestProtocolSystemCodecs:
             EcuTaskDelta("ECU1", "T1", wcet=0.5, bcet=0.1),
             SegmentConfigDelta("CAN-0", (JitterDelta(fraction=0.2),)),
         )
+        # Every delta of the builtin topology catalog of the 4x30 chain.
+        catalog = builtin_system_catalog(
+            multibus_system(n_buses=4, messages_per_bus=30, seed=7))
+        deltas += tuple(delta for name in catalog.names()
+                        for query in catalog.get(name).queries
+                        for delta in query.deltas)
         encoded = protocol.system_deltas_to_json(deltas)
         assert protocol.system_deltas_from_json(encoded) == deltas
 
@@ -117,10 +136,12 @@ class TestProtocolSystemCodecs:
             protocol.system_delta_from_json({"sysdelta": "teleport"})
 
     def test_path_roundtrip(self):
-        paths = multibus_paths(
-            multibus_system(n_buses=3, messages_per_bus=6, seed=2))
-        assert protocol.paths_from_json(
-            protocol.paths_to_json(paths)) == paths
+        for system in (multibus_system(n_buses=3, messages_per_bus=6, seed=2),
+                       multibus_system(n_buses=4, messages_per_bus=30,
+                                       seed=7)):
+            paths = multibus_paths(system)
+            assert protocol.paths_from_json(
+                protocol.paths_to_json(paths)) == paths
 
 
 class TestSystemEndpointsInProcess:
@@ -168,6 +189,21 @@ class TestSystemEndpointsInProcess:
         listed = client.scenarios()["system_scenarios"]["plant"]
         assert listed == _catalog_entries(replacement)
         assert listed != _catalog_entries(system)
+
+    def test_systems_without_messages_or_buses_are_served(self, served):
+        """Valid topologies the fuzzer reaches: buses without messages get
+        no re-mapping scenario, and a system without buses runs no
+        gateway."""
+        _, client, _, _ = served
+        empty_buses = {"name": "idle", "buses": [
+            {"bus": {"name": name, "bit_rate_bps": 500_000.0}}
+            for name in ("CAN-A", "CAN-B")]}
+        reply = client.request("register", name="idle", system=empty_buses)
+        assert reply["scenarios"] == ["bus-speed-degradation"]
+        client.request("register", name="bare", system={
+            "name": "bare", "gateways": [{"name": "GW"}]})
+        answer = client.system_query("bare")
+        assert answer["converged"] and answer["messages"] == {}
 
     def test_system_query_bit_matches_fresh_run(self, served):
         _, client, system, _ = served

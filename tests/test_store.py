@@ -874,7 +874,7 @@ class TestWorkloadRegistry:
             assert err.value.code == "invalid"
             with pytest.raises(DaemonError) as err:
                 client.register_workload("x", "multibus_chain", {"bogus": 1})
-            assert err.value.code == "invalid"
+            assert err.value.code == "protocol"
             with pytest.raises(DaemonError) as err:
                 client.request("register", name="x", workload={})
             assert err.value.code == "protocol"
@@ -893,7 +893,7 @@ class TestWorkloadRegistry:
             client = InProcessClient(daemon)
             with pytest.raises(DaemonError, match=repr(field)) as err:
                 client.register_workload("x", "synthetic_bus", params)
-            assert err.value.code == "invalid"
+            assert err.value.code == "protocol"
             assert daemon.pool.targets() == []
             # A float parameter still takes an integer.
             client.register_workload("x", "synthetic_bus",
